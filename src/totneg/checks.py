@@ -16,15 +16,21 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 from .errors import DimensionError, ResourceLimitError
-from .matrix import (
+from .matrix import (  # noqa: F401 - adjugate and minors_up_to stay bound here for the benchmark's tracer
     ExactMatrix,
     RationalLike,
+    Window,
+    _one_based,
+    _rows_as_scaled_ints,
     adjugate,
-    contiguous_minors_up_to,
+    all_windows,
+    check_order,
+    contiguous_windows,
     minors_up_to,
+    take,
     to_fraction,
 )
 from .signs import SignProfile, is_mixed_orthant, s_minus, sign_profile
@@ -131,50 +137,72 @@ class AlphaChoice:
 DEFAULT_ALPHA = AlphaChoice((Fraction(1),), 1)
 
 
-def _validate_order(a: ExactMatrix, k: int) -> None:
-    if not 1 <= k <= min(a.rows, a.cols):
-        raise ValueError(f"order {k} out of range [1, {min(a.rows, a.cols)}]")
+def _minor_kind(strict: bool) -> ViolationKind:
+    return ViolationKind.NONNEGATIVE_MINOR if strict else ViolationKind.POSITIVE_MINOR
 
 
 def _entry_violation(a: ExactMatrix, strict: bool) -> Violation | None:
+    """The first entry (size-1 minor) of the wrong sign, in row-major order."""
     hit = a.first_entry_violating(strict)
     if hit is None:
         return None
-    kind = ViolationKind.NONNEGATIVE_MINOR if strict else ViolationKind.POSITIVE_MINOR
-    return Violation(kind, (hit[0],), (hit[1],), detail=hit[2])
+    return Violation(_minor_kind(strict), (hit[0],), (hit[1],), detail=hit[2])
 
 
-def _contiguous_windows(m: int, n: int, r: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    for i in range(m - r + 1):
-        for j in range(n - r + 1):
-            yield tuple(range(i, i + r)), tuple(range(j, j + r))
+Windows = Callable[[int, int, int], Iterable[Window]]
 
 
-def _all_windows(m: int, n: int, r: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    for rows in itertools.combinations(range(m), r):
-        for cols in itertools.combinations(range(n), r):
-            yield rows, cols
+def _minor_sweep(a: ExactMatrix, k: int, windows: Windows, strict: bool) -> Violation | None:
+    """The first minor of size 1..k on the windows whose sign breaks the class.
+
+    Sizes ascend and windows keep their order within a size; signs are read
+    from the integer minor table, and a Fraction is built for the witness only.
+    """
+    bad = _entry_violation(a, strict)
+    if bad is not None:
+        return bad
+    table = a.minor_table
+    for r in range(2, k + 1):
+        for rows0, cols0 in windows(a.rows, a.cols, r):
+            v = table.minor(rows0, cols0)
+            if v >= 0 if strict else v > 0:
+                detail = Fraction(v, table.scale(rows0))
+                return Violation(_minor_kind(strict), _one_based(rows0), _one_based(cols0), detail=detail)
+    return None
 
 
-def _take(a: ExactMatrix, rows0: Sequence[int], cols0: Sequence[int]) -> ExactMatrix:
-    flat = tuple(a.entries[i * a.cols + j] for i in rows0 for j in cols0)
-    return ExactMatrix(len(rows0), len(cols0), flat)
+#: Judges one window from integer vectors with the signs of x = adj(S) @ alpha
+#: and of its image S x = det(S) alpha; returns the violation kind, or None.
+Judge = Callable[[Sequence[int], Sequence[int]], ViolationKind | None]
 
 
-def _one_based(idx: Sequence[int]) -> tuple[int, ...]:
-    return tuple(i + 1 for i in idx)
+def _test_vector_sweep(a: ExactMatrix, k: int, alpha: AlphaChoice, windows: Windows, judge: Judge) -> Violation | None:
+    """Judge the single test vector adj(S) @ alpha on every window S of size 2..k.
+
+    With alpha = c / L over integers c, x = N / (L * scale(S)) where N are the
+    table's adjugate numerators, and S x = det(S) alpha, whose signs are those
+    of minor(S) * c.  Both denominators are positive, so the judge sees integers
+    with the right signs; the Fraction vector is built for a witness only.
+    """
+    table = a.minor_table
+    for r in range(2, k + 1):
+        (coeffs,), (lcm,) = _rows_as_scaled_ints([alpha.realized(r)])  # alpha = coeffs / lcm
+        for rows0, cols0 in windows(a.rows, a.cols, r):
+            x = table.adjugate_numerators(rows0, cols0, coeffs)
+            det = table.minor(rows0, cols0)
+            kind = judge(x, [det * c for c in coeffs])
+            if kind is not None:
+                denominator = lcm * table.scale(rows0)
+                vector = tuple(Fraction(v, denominator) for v in x)
+                return Violation(kind, _one_based(rows0), _one_based(cols0), vector=vector)
+    return None
 
 
 def check_by_minor_definition(a: ExactMatrix, query: ClassQuery) -> Verdict:
     """Decide the class by enumerating every minor of size at most the order."""
-    _validate_order(a, query.order)
-    strict = query.matrix_class == TN
-    for rec in minors_up_to(a, query.order):
-        bad = rec.value >= 0 if strict else rec.value > 0
-        if bad:
-            kind = ViolationKind.NONNEGATIVE_MINOR if strict else ViolationKind.POSITIVE_MINOR
-            return Verdict(False, "minor_definition", Violation(kind, rec.rows, rec.cols, detail=rec.value))
-    return Verdict(True, "minor_definition")
+    check_order(a, query.order)
+    bad = _minor_sweep(a, query.order, all_windows, strict=query.matrix_class == TN)
+    return Verdict(bad is None, "minor_definition", bad)
 
 
 def check_by_contiguous_minors(a: ExactMatrix, query: ClassQuery) -> Verdict:
@@ -184,17 +212,11 @@ def check_by_contiguous_minors(a: ExactMatrix, query: ClassQuery) -> Verdict:
     for the non-positive class it is merely necessary, so that mode delegates
     to the full minor enumeration instead of claiming an equivalence.
     """
-    _validate_order(a, query.order)
+    check_order(a, query.order)
     if query.matrix_class == TNP:
         return check_by_minor_definition(a, query)
-    for rec in contiguous_minors_up_to(a, query.order):
-        if rec.value >= 0:
-            return Verdict(
-                False,
-                "contiguous_minors",
-                Violation(ViolationKind.NONNEGATIVE_MINOR, rec.rows, rec.cols, detail=rec.value),
-            )
-    return Verdict(True, "contiguous_minors")
+    bad = _minor_sweep(a, query.order, contiguous_windows, strict=True)
+    return Verdict(bad is None, "contiguous_minors", bad)
 
 
 def sign_non_reversal(a: ExactMatrix, x: Sequence[Fraction], strict: bool) -> tuple[bool, int | None]:
@@ -209,15 +231,29 @@ def sign_non_reversal(a: ExactMatrix, x: Sequence[Fraction], strict: bool) -> tu
         raise DimensionError("vector length does not match matrix size")
     if all(v == 0 for v in x):
         raise ValueError("sign non-reversal is undefined for the zero vector")
-    y = a.matvec(x)
+    i = _kept_coordinate(x, a.matvec(x), strict)
+    return i is not None, i
+
+
+def _kept_coordinate(x: Sequence[RationalLike], y: Sequence[RationalLike], strict: bool) -> int | None:
+    """Smallest 1-based i with x_i y_i > 0 (strict) or x_i != 0, x_i y_i >= 0; else None."""
     for i, (xi, yi) in enumerate(zip(x, y)):
-        if strict:
-            if xi * yi > 0:
-                return True, i + 1
-        else:
-            if xi != 0 and xi * yi >= 0:
-                return True, i + 1
-    return False, None
+        if xi * yi > 0 if strict else xi != 0 and xi * yi >= 0:
+            return i + 1
+    return None
+
+
+def _tn_snr_judge(x: Sequence[int], y: Sequence[int]) -> ViolationKind | None:
+    if not any(x) or _kept_coordinate(x, y, strict=True) is None:
+        return ViolationKind.SIGN_REVERSAL
+    return None
+
+
+def _tnp_snr_judge(x: Sequence[int], y: Sequence[int]) -> ViolationKind | None:
+    # nothing to test at the zero vector
+    if any(x) and _kept_coordinate(x, y, strict=False) is None:
+        return ViolationKind.SIGN_REVERSAL
+    return None
 
 
 def check_tn_snr_single_vector(
@@ -229,31 +265,11 @@ def check_tn_snr_single_vector(
     square submatrix of size 2..k does not reverse the sign of
     adj(submatrix) @ alpha.  At k = 1 this degenerates to the entry check.
     """
-    _validate_order(a, k)
+    check_order(a, k)
     alpha = alpha or DEFAULT_ALPHA
     method = "snr_single_vector"
-    bad = _entry_violation(a, strict=True)
-    if bad is not None:
-        return Verdict(False, method, bad)
-    for r in range(2, k + 1):
-        alpha_vec = alpha.realized(r)
-        for rows0, cols0 in _contiguous_windows(a.rows, a.cols, r):
-            sub = _take(a, rows0, cols0)
-            x = adjugate(sub).matvec(alpha_vec)
-            if all(v == 0 for v in x):
-                return Verdict(
-                    False,
-                    method,
-                    Violation(ViolationKind.SIGN_REVERSAL, _one_based(rows0), _one_based(cols0), vector=x),
-                )
-            ok, _ = sign_non_reversal(sub, x, strict=True)
-            if not ok:
-                return Verdict(
-                    False,
-                    method,
-                    Violation(ViolationKind.SIGN_REVERSAL, _one_based(rows0), _one_based(cols0), vector=x),
-                )
-    return Verdict(True, method)
+    bad = _entry_violation(a, strict=True) or _test_vector_sweep(a, k, alpha, contiguous_windows, _tn_snr_judge)
+    return Verdict(bad is None, method, bad)
 
 
 def _random_positive(rng: random.Random, num_max: int = 20, den_max: int = 8) -> Fraction:
@@ -308,7 +324,7 @@ def check_tn_snr_all_vectors(
     """
     if k < 2:
         raise ValueError("sign non-reversal sweeps need order k >= 2")
-    _validate_order(a, k)
+    check_order(a, k)
     method = f"snr_falsifier_{mode}"
     bad = _entry_violation(a, strict=True)
     if bad is not None:
@@ -320,15 +336,15 @@ def check_tn_snr_all_vectors(
         )
     for r in range(2, k + 1):
         if mode == "all_submatrices_pn":
-            windows = _all_windows(a.rows, a.cols, r)
+            windows = all_windows(a.rows, a.cols, r)
             patterns = _mixed_sign_patterns(r)
             sampler = _sample_mixed_vector
         else:
-            windows = _contiguous_windows(a.rows, a.cols, r)
+            windows = contiguous_windows(a.rows, a.cols, r)
             patterns = _alternating_patterns(r)
             sampler = lambda g, rr: _sample_alternating_vector(g, rr)  # noqa: E731
         for rows0, cols0 in windows:
-            sub = _take(a, rows0, cols0)
+            sub = take(a, rows0, cols0)
             vectors = itertools.chain(patterns, (sampler(rng, r) for _ in range(trials)))
             for x in vectors:
                 ok, _ = sign_non_reversal(sub, x, strict=True)
@@ -379,7 +395,13 @@ def vd_check(
         raise DimensionError("vector length does not match column count")
     if not is_mixed_orthant(x):
         raise ValueError("variation test vector must have both positive and negative coordinates")
-    y = a.matvec(x)
+    return _variation_verdict(x, a.matvec(x), end_mode)
+
+
+def _variation_verdict(
+    x: Sequence[RationalLike], y: Sequence[RationalLike], end_mode: EndMode
+) -> tuple[bool, SignProfile, SignProfile]:
+    """The variation test of x against its image y; only their signs matter."""
     profile_in = sign_profile(x)
     profile_out = sign_profile(y)
     if profile_out.s_plus < profile_in.s_minus:
@@ -409,33 +431,24 @@ def check_tn_vd_single_vector(
     kmax = min(a.rows, a.cols)
     if k is None:
         k = kmax
-    _validate_order(a, k)
+    check_order(a, k)
     alpha = alpha or DEFAULT_ALPHA
     method = "vd_single_vector"
-    bad = _entry_violation(a, strict=True)
-    if bad is not None:
-        return Verdict(False, method, bad)
-    for r in range(2, k + 1):
-        alpha_vec = alpha.realized(r)
-        for rows0, cols0 in _contiguous_windows(a.rows, a.cols, r):
-            sub = _take(a, rows0, cols0)
-            x = adjugate(sub).matvec(alpha_vec)
-            rows1, cols1 = _one_based(rows0), _one_based(cols0)
-            if not is_mixed_orthant(x):
-                # degenerate adjugate: cannot happen while all smaller
-                # contiguous minors are negative, so this already certifies failure
-                return Verdict(
-                    False, method, Violation(ViolationKind.VARIATION_INCREASE, rows1, cols1, vector=x)
-                )
-            ok, profile_in, profile_out = vd_check(sub, x, end_mode)
-            if not ok:
-                kind = (
-                    ViolationKind.VARIATION_INCREASE
-                    if profile_out.s_plus > profile_in.s_minus
-                    else ViolationKind.EQUALITY_SIGN_CLAUSE
-                )
-                return Verdict(False, method, Violation(kind, rows1, cols1, vector=x))
-    return Verdict(True, method)
+
+    def judge(x: Sequence[int], y: Sequence[int]) -> ViolationKind | None:
+        if not is_mixed_orthant(x):
+            # degenerate adjugate: cannot happen while all smaller
+            # contiguous minors are negative, so this already certifies failure
+            return ViolationKind.VARIATION_INCREASE
+        ok, profile_in, profile_out = _variation_verdict(x, y, end_mode)
+        if ok:
+            return None
+        if profile_out.s_plus > profile_in.s_minus:
+            return ViolationKind.VARIATION_INCREASE
+        return ViolationKind.EQUALITY_SIGN_CLAUSE
+
+    bad = _entry_violation(a, strict=True) or _test_vector_sweep(a, k, alpha, contiguous_windows, judge)
+    return Verdict(bad is None, method, bad)
 
 
 def check_tnp_snr(
@@ -454,7 +467,7 @@ def check_tnp_snr(
     adj(submatrix) @ alpha, where alpha must have strictly positive magnitudes.
     The other modes are falsifiers over sampled vectors.
     """
-    _validate_order(a, k)
+    check_order(a, k)
     method = f"tnp_snr_{mode}"
     bad = _entry_violation(a, strict=False)
     if bad is not None:
@@ -463,30 +476,21 @@ def check_tnp_snr(
         return Verdict(True, method)
     if max(a.rows, a.cols) > max_dim:
         raise ResourceLimitError(f"all-submatrix sweep refused for dimensions beyond {max_dim}")
-    rng = random.Random(seed)
     alpha = alpha or DEFAULT_ALPHA
-    if mode == "single_vector" and not alpha.strictly_positive:
-        raise ValueError("the single-vector non-positive test needs strictly positive alpha magnitudes")
+    if mode == "single_vector":
+        if not alpha.strictly_positive:
+            raise ValueError("the single-vector non-positive test needs strictly positive alpha magnitudes")
+        bad = _test_vector_sweep(a, k, alpha, all_windows, _tnp_snr_judge)
+        return Verdict(bad is None, method, bad)
+    rng = random.Random(seed)
     for r in range(2, k + 1):
-        patterns: Sequence[tuple[Fraction, ...]]
-        if mode == "single_vector":
-            patterns = ()
-        elif mode == "all_pn":
-            patterns = _mixed_sign_patterns(r)
-        else:
-            patterns = _alternating_patterns(r)
-        alpha_vec = alpha.realized(r) if mode == "single_vector" else None
-        for rows0, cols0 in _all_windows(a.rows, a.cols, r):
-            sub = _take(a, rows0, cols0)
-            if mode == "single_vector":
-                x = adjugate(sub).matvec(alpha_vec)
-                if all(v == 0 for v in x):
-                    continue  # nothing to test at the zero vector
-                vectors: Sequence[Sequence[Fraction]] = (x,)
-            elif mode == "all_pn":
-                vectors = list(patterns) + [_sample_mixed_vector(rng, r) for _ in range(trials)]
+        patterns = _mixed_sign_patterns(r) if mode == "all_pn" else _alternating_patterns(r)
+        for rows0, cols0 in all_windows(a.rows, a.cols, r):
+            sub = take(a, rows0, cols0)
+            if mode == "all_pn":
+                vectors = patterns + [_sample_mixed_vector(rng, r) for _ in range(trials)]
             else:
-                vectors = list(patterns) + [_sample_alternating_vector(rng, r) for _ in range(trials)]
+                vectors = patterns + [_sample_alternating_vector(rng, r) for _ in range(trials)]
             for x in vectors:
                 ok, _ = sign_non_reversal(sub, x, strict=False)
                 if not ok:
@@ -500,11 +504,9 @@ def check_tnp_snr(
     return Verdict(True, method)
 
 
-def _tnp_vd_failure(
-    sub: ExactMatrix, x: Sequence[Fraction]
-) -> ViolationKind | None:
-    """Weak-variation test: s_minus(Ax) <= s_minus(x) plus the end-sign clause."""
-    y = sub.matvec(x)
+def _tnp_vd_failure(x: Sequence[RationalLike], y: Sequence[RationalLike]) -> ViolationKind | None:
+    """Weak-variation test of x against its image y: s_minus(y) <= s_minus(x)
+    plus the end-sign clause; only their signs matter."""
     smx = s_minus(x)
     smy = s_minus(y)
     if smy > smx:
@@ -516,6 +518,10 @@ def _tnp_vd_failure(
     if pin.first_nonzero_sign != pout.first_nonzero_sign or pin.last_nonzero_sign != pout.last_nonzero_sign:
         return ViolationKind.EQUALITY_SIGN_CLAUSE
     return None
+
+
+def _tnp_vd_judge(x: Sequence[int], y: Sequence[int]) -> ViolationKind | None:
+    return _tnp_vd_failure(x, y) if any(x) else None
 
 
 def check_tnp_vd(
@@ -537,7 +543,7 @@ def check_tnp_vd(
     kmax = min(a.rows, a.cols)
     if k is None:
         k = kmax
-    _validate_order(a, k)
+    check_order(a, k)
     method = f"tnp_vd_{mode}"
     bad = _entry_violation(a, strict=False)
     if bad is not None:
@@ -550,7 +556,7 @@ def check_tnp_vd(
         all_rows = tuple(range(a.rows))
         all_cols = tuple(range(a.cols))
         for x in vectors:
-            kind = _tnp_vd_failure(a, x)
+            kind = _tnp_vd_failure(x, a.matvec(x))
             if kind is not None:
                 return Verdict(
                     False, method, Violation(kind, _one_based(all_rows), _one_based(all_cols), vector=tuple(x))
@@ -563,16 +569,5 @@ def check_tnp_vd(
     alpha = alpha or DEFAULT_ALPHA
     if not alpha.strictly_positive:
         raise ValueError("the single-vector non-positive test needs strictly positive alpha magnitudes")
-    for r in range(2, k + 1):
-        alpha_vec = alpha.realized(r)
-        for rows0, cols0 in _all_windows(a.rows, a.cols, r):
-            sub = _take(a, rows0, cols0)
-            x = adjugate(sub).matvec(alpha_vec)
-            if all(v == 0 for v in x):
-                continue
-            kind = _tnp_vd_failure(sub, x)
-            if kind is not None:
-                return Verdict(
-                    False, method, Violation(kind, _one_based(rows0), _one_based(cols0), vector=x)
-                )
-    return Verdict(True, method)
+    bad = _test_vector_sweep(a, k, alpha, all_windows, _tnp_vd_judge)
+    return Verdict(bad is None, method, bad)

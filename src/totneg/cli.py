@@ -43,17 +43,18 @@ from .generate import (
 from .hull import IntervalHull, hull_is_totally_negative, hull_is_totally_nonpositive, i_matrix
 from .lcp import (
     LCPInstance,
-    _single_vector_x,
     lcp_single_vector_check,
     solve_lcp,
 )
 from .matrix import (
     ExactMatrix,
+    cofactor_minor,
     format_fraction,
     minor_det,
     parse_lcp_input,
     parse_matrix,
     parse_matrix_pair,
+    parse_rational,
     submatrix,
 )
 from .signs import is_mixed_orthant, s_minus, s_plus, sign_profile
@@ -81,7 +82,7 @@ def _matrix_json(a: ExactMatrix) -> dict[str, Any]:
 
 
 def _matrix_from_json(obj: dict[str, Any]) -> ExactMatrix:
-    return ExactMatrix.from_rows(obj["entries"])
+    return ExactMatrix.from_rows([[parse_rational(t) for t in row] for row in obj["entries"]])
 
 
 def _violation_json(v: Violation | None) -> dict[str, Any] | None:
@@ -101,8 +102,8 @@ def _violation_from_json(obj: dict[str, Any]) -> Violation:
         kind=ViolationKind(obj["kind"]),
         rows=tuple(obj["rows"]),
         cols=tuple(obj["cols"]),
-        vector=tuple(Fraction(t) for t in obj["vector"]) if obj.get("vector") else None,
-        detail=Fraction(obj["detail"]) if obj.get("detail") else None,
+        vector=tuple(parse_rational(t) for t in obj["vector"]) if obj.get("vector") else None,
+        detail=parse_rational(obj["detail"]) if obj.get("detail") else None,
     )
 
 
@@ -415,7 +416,8 @@ def _verify_witness_entry(a: ExactMatrix, method: str, v: Violation) -> str | No
             return "equality case not reached"
         return None if not satisfied else "clause holds after all"
     if v.kind is ViolationKind.LCP_SOLUTION_MISMATCH:
-        x = _single_vector_x(sub)
+        # the construction of lcp._single_vector_x, rebuilt from Bareiss minors
+        x = tuple(cofactor_minor(sub, 1, j) if j % 2 else Fraction(0) for j in range(1, sub.rows + 1))
         if v.vector is not None and tuple(-t for t in x) != v.vector:
             return "recorded expected solution does not match the construction"
         sols = solve_lcp(LCPInstance(sub, sub.matvec(x)))

@@ -7,3 +7,10 @@ class DimensionError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """An exact sweep would exceed a hard size cap; refusing rather than subsampling."""
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a defect in the program, never a property of the input.
+
+    Raised explicitly rather than by ``assert``, so the check survives ``python -O``.
+    """

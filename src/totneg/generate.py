@@ -37,9 +37,9 @@ from .checks import (
     sign_non_reversal,
     vd_check,
 )
-from .errors import ResourceLimitError
+from .errors import InvariantError, ResourceLimitError
 from .lcp import TnpLcpStatus, lcp_single_vector_check, tnp_lcp_sufficient_check
-from .matrix import ExactMatrix, det_of_rows, format_fraction, minors_up_to
+from .matrix import ExactMatrix, _rows_as_scaled_ints, det_of_rows, format_fraction, minors_up_to
 
 Rows = list[list[Fraction]]
 
@@ -101,12 +101,7 @@ def _normalize_negative_rows(rows: Rows) -> Rows:
     """Positive row/column scalings keeping all minor signs: integerize, reduce,
     then pull magnitudes down by powers of two."""
     m, n = len(rows), len(rows[0])
-    ints: list[list[int]] = []
-    for r in rows:
-        lcm = 1
-        for x in r:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        ints.append([int(x * lcm) for x in r])
+    ints, _ = _rows_as_scaled_ints(rows)
     for j in range(n):
         g = 0
         for i in range(m):
@@ -179,7 +174,8 @@ def _tn_square_rows(n: int, rng: random.Random, tries: int = 60) -> Rows | None:
         x = lower + (x_det - lower) * Fraction(rng.randint(2, 7), 16)
         b[n - 1][n - 1] = x
         new_det = det_of_rows([r[:] for r in b])
-        assert new_det < 0
+        if new_det >= 0:
+            raise InvariantError(f"corner move left the determinant at {new_det}, not negative")
         # conjugated inverse: entry (i,j) = (-1)^(i+j) * cofactor(j,i) / det
         inv_scaled: Rows = []
         for i in range(n):
@@ -632,7 +628,7 @@ def orthant_impossibility_suite(r: int, trials: int, seed: int) -> OrthantSuiteR
         ok, _ = sign_non_reversal(w, x, strict=False)
         if not ok:
             violations.append(f"non-strict reversal at x={x} for:\n{w}")
-        if _tnp_vd_failure(w, x) is not None:
+        if _tnp_vd_failure(x, w.matvec(x)) is not None:
             violations.append(f"weak variation clause failed at x={x} for:\n{w}")
         if len(violations) > 8:
             break

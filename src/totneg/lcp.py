@@ -15,11 +15,11 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Literal, Mapping, Sequence
+from typing import Literal, Mapping, Sequence
 
 from .checks import ClassQuery, TN, Verdict, Violation, ViolationKind, check_by_minor_definition
-from .errors import DimensionError, ResourceLimitError
-from .matrix import ExactMatrix, RationalLike, cofactor_minor, to_fraction
+from .errors import DimensionError, InvariantError, ResourceLimitError
+from .matrix import ExactMatrix, RationalLike, all_windows, check_order, contiguous_windows, take, to_fraction
 
 _FM_CONSTRAINT_CAP = 4096
 
@@ -227,7 +227,8 @@ def solve_lcp(inst: LCPInstance, max_n: int = 20) -> LCPSolutionSet:
         y = [av + qv for av, qv in zip(a.matvec(x), q)]
         if any(v < 0 for v in y):
             return False
-        assert sum(xi * yi for xi, yi in zip(x, y)) == 0
+        if sum(xi * yi for xi, yi in zip(x, y)) != 0:
+            raise InvariantError(f"support solution {x} is not complementary")
         return True
 
     def embed(xs: Sequence[Fraction], support: Sequence[int]) -> tuple[Fraction, ...]:
@@ -280,7 +281,8 @@ def solve_lcp(inst: LCPInstance, max_n: int = 20) -> LCPSolutionSet:
                     continue
                 t0 = lo if lo is not None else (hi if hi is not None else Fraction(0))
                 anchor = embed([particular[l] + t0 * kernel[0][l] for l in range(size)], support)
-                assert feasible(anchor)
+                if not feasible(anchor):
+                    raise InvariantError(f"family anchor {anchor} on support {support} is infeasible")
                 shift = lambda b: None if b is None else b - t0  # noqa: E731
                 families.append(
                     SolutionFamily(
@@ -293,7 +295,8 @@ def solve_lcp(inst: LCPInstance, max_n: int = 20) -> LCPSolutionSet:
                 found[anchor] = None
                 if lo is not None and hi is not None:
                     other = embed([particular[l] + hi * kernel[0][l] for l in range(size)], support)
-                    assert feasible(other)
+                    if not feasible(other):
+                        raise InvariantError(f"family end {other} on support {support} is infeasible")
                     found[other] = None
             else:
                 point = _fm_feasible_point(cons, d)
@@ -303,11 +306,13 @@ def solve_lcp(inst: LCPInstance, max_n: int = 20) -> LCPSolutionSet:
                     [particular[l] + sum(point[w] * kernel[w][l] for w in range(d)) for l in range(size)],
                     support,
                 )
-                assert feasible(x)
+                if not feasible(x):
+                    raise InvariantError(f"Fourier-Motzkin point {x} on support {support} is infeasible")
                 single = True
                 for w in range(d):
                     lo, hi, ok = _fm_project(cons, d, w)
-                    assert ok  # the region is nonempty, so every projection is too
+                    if not ok:  # the region is nonempty, so every projection is too
+                        raise InvariantError(f"empty projection of a nonempty region on support {support}")
                     if lo is None or hi is None or lo != hi:
                         single = False
                         break
@@ -469,33 +474,32 @@ def has_forbidden_pattern_pair(sols: LCPSolutionSet, r: int) -> bool:
     return bool(_pattern_members(sols, r, odd=True)) and bool(_pattern_members(sols, r, odd=False))
 
 
-def _single_vector_x(sub: ExactMatrix, weights: Mapping[int, Fraction] | None = None) -> tuple[Fraction, ...]:
-    """The test vector with row-1 deletion minors at odd positions (zeros elsewhere)."""
-    r = sub.rows
+def _single_vector_x(
+    a: ExactMatrix, rows0: Sequence[int], cols0: Sequence[int], weights: Mapping[int, Fraction] | None = None
+) -> tuple[Fraction, ...]:
+    """The test vector of the (rows0, cols0) window: weighted row-i deletion minors
+    at odd positions, zeros elsewhere, read from the matrix's minor table.
+
+    Position j (1-based, odd) holds sum_i w_i M_ij, where M_ij is the window's
+    minor without its row i and column j; a 1x1 window uses M_11 = -1, the
+    convention that the empty determinant is -1.
+    """
+    r = len(rows0)
     if weights is None:
         weights = {1: Fraction(1)}
+    table = a.minor_table
     vec = []
     for j in range(1, r + 1):
         if j % 2 == 1:
             total = Fraction(0)
             for i, w in weights.items():
                 if i <= r:
-                    total += w * cofactor_minor(sub, i, j)
+                    minor = table.value(rows0[: i - 1] + rows0[i:], cols0[: j - 1] + cols0[j:]) if r > 1 else -1
+                    total += w * minor
             vec.append(total)
         else:
             vec.append(Fraction(0))
     return tuple(vec)
-
-
-def _contiguous_windows(m: int, n: int, r: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    for i in range(m - r + 1):
-        for j in range(n - r + 1):
-            yield tuple(range(i, i + r)), tuple(range(j, j + r))
-
-
-def _take(a: ExactMatrix, rows0: Sequence[int], cols0: Sequence[int]) -> ExactMatrix:
-    flat = tuple(a.entries[i * a.cols + j] for i in rows0 for j in cols0)
-    return ExactMatrix(len(rows0), len(cols0), flat)
 
 
 def _check_single_vector_windows(
@@ -504,9 +508,9 @@ def _check_single_vector_windows(
     for r in range(1, k + 1):
         if weights is not None and not any(i <= r for i in weights):
             raise ValueError(f"no weight applies to submatrices of size {r}")
-        for rows0, cols0 in _contiguous_windows(a.rows, a.cols, r):
-            sub = _take(a, rows0, cols0)
-            x = _single_vector_x(sub, weights)
+        for rows0, cols0 in contiguous_windows(a.rows, a.cols, r):
+            sub = take(a, rows0, cols0)
+            x = _single_vector_x(a, rows0, cols0, weights)
             q = sub.matvec(x)
             sols = solve_lcp(LCPInstance(sub, q))
             zero = tuple(Fraction(0) for _ in range(r))
@@ -531,8 +535,7 @@ def lcp_single_vector_check(a: ExactMatrix, k: int) -> Verdict:
     convention that the empty determinant is -1) must have exactly the two
     solutions 0 and -x.
     """
-    if not 1 <= k <= min(a.rows, a.cols):
-        raise ValueError(f"order {k} out of range [1, {min(a.rows, a.cols)}]")
+    check_order(a, k)
     return _check_single_vector_windows(a, k, None, "lcp_single_vector")
 
 
@@ -540,8 +543,7 @@ def lcp_single_vector_check_variant(
     a: ExactMatrix, k: int, odd_weights: Mapping[int, RationalLike]
 ) -> Verdict:
     """Variant of the single-vector test with positive weights over odd row deletions."""
-    if not 1 <= k <= min(a.rows, a.cols):
-        raise ValueError(f"order {k} out of range [1, {min(a.rows, a.cols)}]")
+    check_order(a, k)
     if not odd_weights:
         raise ValueError("at least one weight is required")
     weights: dict[int, Fraction] = {}
@@ -553,12 +555,6 @@ def lcp_single_vector_check_variant(
             raise ValueError("weights must be strictly positive")
         weights[key] = w
     return _check_single_vector_windows(a, k, weights, "lcp_single_vector_variant")
-
-
-def _all_square_windows(m: int, n: int, r: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    for rows in itertools.combinations(range(m), r):
-        for cols in itertools.combinations(range(n), r):
-            yield rows, cols
 
 
 def tnp_lcp_sufficient_check(
@@ -581,8 +577,7 @@ def tnp_lcp_sufficient_check(
     alternating-support solutions with different images (a falsifier; it can
     never certify).
     """
-    if not 1 <= k <= min(a.rows, a.cols):
-        raise ValueError(f"order {k} out of range [1, {min(a.rows, a.cols)}]")
+    check_order(a, k)
     if max(a.rows, a.cols) > max_dim:
         raise ResourceLimitError(f"all-submatrix sweep refused for dimensions beyond {max_dim}")
     if mode == "sampled_q":
@@ -596,8 +591,8 @@ def tnp_lcp_sufficient_check(
             )
         rng = random.Random(seed)
         for r in range(2, k + 1):
-            for rows0, cols0 in _all_square_windows(a.rows, a.cols, r):
-                sub = _take(a, rows0, cols0)
+            for rows0, cols0 in all_windows(a.rows, a.cols, r):
+                sub = take(a, rows0, cols0)
                 for _ in range(trials):
                     q = _random_positive_q(rng, r, allow_zero=True)
                     sols = solve_lcp(LCPInstance(sub, q))
@@ -622,9 +617,9 @@ def tnp_lcp_sufficient_check(
 
     saw_family: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     for r in range(1, k + 1):
-        for rows0, cols0 in _all_square_windows(a.rows, a.cols, r):
-            sub = _take(a, rows0, cols0)
-            x = _single_vector_x(sub)
+        for rows0, cols0 in all_windows(a.rows, a.cols, r):
+            sub = take(a, rows0, cols0)
+            x = _single_vector_x(a, rows0, cols0)
             q = sub.matvec(x)
             rows1 = tuple(i + 1 for i in rows0)
             cols1 = tuple(j + 1 for j in cols0)

@@ -3,14 +3,29 @@
 Everything here works over ``fractions.Fraction`` so that strict-sign tests
 downstream never depend on a tolerance.  Matrices are immutable; indices in the
 public API are 1-based (storage is row-major internally).
+
+Every decision procedure reads its minors from one :class:`MinorTable` per
+matrix (``ExactMatrix.minor_table``, built on first use and cached on the
+instance).  The table scales row i by the positive lcm d_i of its
+denominators, which keeps every minor's sign, and computes the integer minors
+of the scaled matrix on demand: a size-s minor is the Laplace expansion of
+kept size-(s-1) minors along its first row when those are all kept, and a
+Bareiss determinant otherwise.  A minor of the matrix itself is the scaled
+minor over the product of d_i on its rows.  ``det``, ``minor_det``,
+``cofactor_minor``, ``adjugate``, ``minors_up_to`` and
+``contiguous_minors_up_to`` stay on fraction-free Bareiss elimination, so
+witnesses and the tests' reference minors are independent of the table.
 """
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionError
@@ -36,8 +51,33 @@ def to_vector(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(to_fraction(v) for v in values)
 
 
+_INTEGER_RATIO = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
+
+
+def _int_str(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # past the interpreter's int/str digit limit; decimal has none
+        return str(decimal.Decimal(n))
+
+
 def format_fraction(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    num = _int_str(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_int_str(x.denominator)}"
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a rational literal as ``Fraction`` does, and also read back
+    integers and ratios longer than the interpreter's int/str digit limit,
+    which :func:`format_fraction` may write."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        match = _INTEGER_RATIO.fullmatch(text)
+        if match is None:
+            raise
+    num = int(decimal.Decimal(match[1]))
+    return Fraction(num, int(decimal.Decimal(match[2]))) if match[2] else Fraction(num)
 
 
 def format_vector(x: Sequence[Fraction]) -> str:
@@ -78,6 +118,14 @@ class ExactMatrix:
             raise DimensionError(
                 f"expected {self.rows * self.cols} entries for {self.rows}x{self.cols}, got {len(self.entries)}"
             )
+        for e in self.entries:
+            if not isinstance(e, Fraction):
+                raise TypeError(f"entries must be Fractions (see from_rows / to_fraction), got {e!r}")
+
+    @cached_property
+    def minor_table(self) -> "MinorTable":
+        """The shared minor table of this matrix, built on first use."""
+        return MinorTable(self)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[RationalLike]]) -> "ExactMatrix":
@@ -196,17 +244,16 @@ def submatrix(a: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> Exact
     return ExactMatrix(len(ridx), len(cidx), flat)
 
 
-def _rows_as_scaled_ints(rows: list[list[Fraction]]) -> tuple[list[list[int]], Fraction]:
-    """Clear denominators row by row; returns (integer rows, product of scalings)."""
+def _rows_as_scaled_ints(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Clear denominators row by row: (integer rows, per-row scale d_i > 0),
+    where d_i is the lcm of row i's denominators and row i times d_i is integer."""
     out: list[list[int]] = []
-    scaling = Fraction(1)
+    scales: list[int] = []
     for r in rows:
-        lcm = 1
-        for x in r:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        scaling *= lcm
-        out.append([int(x * lcm) for x in r])
-    return out, scaling
+        lcm = math.lcm(*(x.denominator for x in r))
+        scales.append(lcm)
+        out.append([x.numerator * (lcm // x.denominator) for x in r])
+    return out, scales
 
 
 def _det_int(m: list[list[int]]) -> int:
@@ -240,8 +287,8 @@ def det_of_rows(rows: list[list[Fraction]]) -> Fraction:
         return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    ints, scaling = _rows_as_scaled_ints(rows)
-    return Fraction(_det_int(ints)) / scaling
+    ints, scales = _rows_as_scaled_ints(rows)
+    return Fraction(_det_int(ints), math.prod(scales))
 
 
 def det(a: ExactMatrix) -> Fraction:
@@ -317,34 +364,182 @@ def adjugate(a: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(n, n, tuple(flat))
 
 
-def minors_up_to(a: ExactMatrix, k: int) -> Iterator[MinorRecord]:
-    """All minors of size 1..k, sizes ascending, index sets lexicographic."""
+def check_order(a: ExactMatrix, k: int) -> None:
+    """Reject an order outside [1, min(m, n)]."""
     if not 1 <= k <= min(a.rows, a.cols):
         raise ValueError(f"order {k} out of range [1, {min(a.rows, a.cols)}]")
+
+
+Window = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def all_windows(m: int, n: int, r: int) -> Iterator[Window]:
+    """Every (rows, cols) pair of r-subsets of an m x n matrix, 0-based, lexicographic."""
+    return itertools.product(itertools.combinations(range(m), r), itertools.combinations(range(n), r))
+
+
+def contiguous_windows(m: int, n: int, r: int) -> Iterator[Window]:
+    """The (rows, cols) pairs of consecutive r-runs, 0-based, window starts lexicographic."""
+    return itertools.product(
+        [tuple(range(i, i + r)) for i in range(m - r + 1)],
+        [tuple(range(j, j + r)) for j in range(n - r + 1)],
+    )
+
+
+def take(a: ExactMatrix, rows0: Sequence[int], cols0: Sequence[int]) -> ExactMatrix:
+    """Submatrix on 0-based index sets, unchecked (the sweeps' fast path of :func:`submatrix`)."""
+    flat = tuple(a.entries[i * a.cols + j] for i in rows0 for j in cols0)
+    return ExactMatrix(len(rows0), len(cols0), flat)
+
+
+def _one_based(idx: Sequence[int]) -> tuple[int, ...]:
+    return tuple(i + 1 for i in idx)
+
+
+def _mask(idx: Sequence[int]) -> int:
+    return sum(map((1).__lshift__, idx))
+
+
+#: Most minors one table stores; beyond it, minors are still computed but not
+#: kept, so later ones fall back to elimination and memory stays bounded.
+MAX_STORED_MINORS = 1 << 18
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class MinorTable:
+    """Lazily computed minors of one matrix, over row-scaled integers.
+
+    Row i of the matrix is scaled by ``d_i`` (:func:`_rows_as_scaled_ints`),
+    a positive diagonal that keeps the sign of every minor.  ``minor(R, C)``
+    is the integer minor of the scaled matrix; the minor of the matrix itself
+    is ``minor(R, C) / scale(R)``.  A minor is computed on first request and
+    kept: by Laplace expansion along its first row when every minor one size
+    smaller that the expansion needs is already kept (O(s)), otherwise by
+    :func:`det_of_rows` elimination on the scaled rows (O(s^3)).  A sweep over
+    all windows with sizes ascending thus expands every minor from the level
+    below, a sweep over contiguous windows eliminates each window once, and a
+    sweep that stops at size s computes nothing above s.  Index sets are
+    0-based and strictly increasing; they are not validated.
+    """
+
+    def __init__(self, a: ExactMatrix) -> None:
+        self._ints, self._scales = _rows_as_scaled_ints(a.row_list())
+        self._ncols = a.cols
+        self._values: dict[int, int] = {}  # (row mask << ncols) | column mask -> minor
+
+    def _minor(self, rmask: int, cmask: int) -> int:
+        key = rmask << self._ncols | cmask
+        value = self._values.get(key)
+        if value is None:
+            value = self._expand(rmask, cmask)
+            if value is None:
+                rows = [self._ints[i] for i in _bits(rmask)]
+                cols = list(_bits(cmask))
+                value = det_of_rows([[r[j] for j in cols] for r in rows]).numerator
+            if len(self._values) < MAX_STORED_MINORS:
+                self._values[key] = value
+        return value
+
+    def _expand(self, rmask: int, cmask: int) -> int | None:
+        """First-row Laplace expansion from kept minors; None if one is missing."""
+        row = self._ints[(rmask & -rmask).bit_length() - 1]
+        rest = rmask & (rmask - 1)
+        if not rest:
+            return row[cmask.bit_length() - 1]
+        if not rest & (rest - 1):
+            low = cmask & -cmask
+            j, l = low.bit_length() - 1, (cmask ^ low).bit_length() - 1
+            other = self._ints[rest.bit_length() - 1]
+            return row[j] * other[l] - row[l] * other[j]
+        rest <<= self._ncols
+        value = 0
+        negate = False
+        bits = cmask
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            entry = row[low.bit_length() - 1]
+            if entry:
+                sub = self._values.get(rest | (cmask ^ low))
+                if sub is None:
+                    return None
+                value = value - entry * sub if negate else value + entry * sub
+            negate = not negate
+        return value
+
+    def minor(self, rows0: Sequence[int], cols0: Sequence[int]) -> int:
+        """The (rows0, cols0) minor of the row-scaled integer matrix."""
+        return self._minor(_mask(rows0), _mask(cols0))
+
+    def scale(self, rows0: Sequence[int]) -> int:
+        """Product of the row scales on rows0: the minor's exact denominator factor."""
+        return math.prod(self._scales[i] for i in rows0)
+
+    def value(self, rows0: Sequence[int], cols0: Sequence[int]) -> Fraction:
+        """The (rows0, cols0) minor of the matrix itself."""
+        return Fraction(self.minor(rows0, cols0), self.scale(rows0))
+
+    def adjugate_numerators(self, rows0: Sequence[int], cols0: Sequence[int], coeffs: Sequence[int]) -> list[int]:
+        """Integers N with adj(S) @ (coeffs / L) = N / (L * scale(rows0)) for every L > 0,
+        where S is the (rows0, cols0) submatrix, of size at least 2.
+
+        Entry i of adj(S) @ c is sum_j (-1)^(i+j) c_j M_ji, and the deletion minor
+        M_ji = minor(R minus R_j, C minus C_i) * d_(R_j) / scale(R).
+        """
+        rmask, cmask = _mask(rows0), _mask(cols0)
+        weighted = [
+            (rmask ^ (1 << row), -c * self._scales[row] if j % 2 else c * self._scales[row])
+            for j, (row, c) in enumerate(zip(rows0, coeffs))
+            if c
+        ]
+        out = []
+        for i, col in enumerate(cols0):
+            cm = cmask ^ (1 << col)
+            total = sum(w * self._minor(rm, cm) for rm, w in weighted)
+            out.append(-total if i % 2 else total)
+        return out
+
+    def stored(self) -> int:
+        """How many minors the table keeps."""
+        return len(self._values)
+
+    def sizes(self) -> set[int]:
+        """The sizes of the minors kept so far."""
+        return {(key >> self._ncols).bit_count() for key in self._values}
+
+
+def minors_up_to(a: ExactMatrix, k: int) -> Iterator[MinorRecord]:
+    """All minors of size 1..k, sizes ascending, index sets lexicographic.
+
+    Each minor is its own Bareiss determinant, independent of the minor table,
+    so this stream is the reference the table-backed procedures are tested against.
+    """
+    check_order(a, k)
     rows = a.row_list()
     for size in range(1, k + 1):
         for ridx in itertools.combinations(range(a.rows), size):
             sel_rows = [rows[i] for i in ridx]
             for cidx in itertools.combinations(range(a.cols), size):
                 val = det_of_rows([[r[j] for j in cidx] for r in sel_rows])
-                yield MinorRecord(tuple(i + 1 for i in ridx), tuple(j + 1 for j in cidx), val)
+                yield MinorRecord(_one_based(ridx), _one_based(cidx), val)
 
 
 def contiguous_minors_up_to(a: ExactMatrix, k: int) -> Iterator[MinorRecord]:
-    """Minors on consecutive row/column windows, sizes 1..k, window starts lexicographic."""
-    if not 1 <= k <= min(a.rows, a.cols):
-        raise ValueError(f"order {k} out of range [1, {min(a.rows, a.cols)}]")
+    """Minors on consecutive row/column windows, sizes 1..k, window starts lexicographic;
+    Bareiss determinants, independent of the minor table."""
+    check_order(a, k)
     rows = a.row_list()
     for size in range(1, k + 1):
-        for i0 in range(a.rows - size + 1):
-            sel_rows = rows[i0 : i0 + size]
-            for j0 in range(a.cols - size + 1):
-                val = det_of_rows([r[j0 : j0 + size] for r in sel_rows])
-                yield MinorRecord(
-                    tuple(range(i0 + 1, i0 + size + 1)),
-                    tuple(range(j0 + 1, j0 + size + 1)),
-                    val,
-                )
+        for ridx, cidx in contiguous_windows(a.rows, a.cols, size):
+            val = det_of_rows([[rows[i][j] for j in cidx] for i in ridx])
+            yield MinorRecord(_one_based(ridx), _one_based(cidx), val)
 
 
 def parse_matrix(text: str) -> ExactMatrix:

@@ -1,5 +1,6 @@
 """Characterization checks: frozen worked examples plus structural identities."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,12 +19,14 @@ from totneg import (
     check_tn_vd_single_vector,
     check_tnp_snr,
     check_tnp_vd,
+    contiguous_minors_up_to,
     det,
     is_alternating_orthant,
     sign_non_reversal,
     submatrix,
     vd_check,
 )
+from totneg.generate import cross_validate, generate_near_miss, random_rational_matrix
 
 TN2 = ClassQuery("tn", 2)
 TN3 = ClassQuery("tn", 3)
@@ -235,3 +238,73 @@ def test_order_validation(n3):
         ClassQuery("tn", 0)
     with pytest.raises(ValueError):
         ClassQuery("positive", 1)
+
+
+def test_single_vector_witnesses_equal_the_adjugate_product():
+    """Table-built witness vectors are exactly adj(S) @ alpha, also for a
+    non-default alpha with fractional magnitudes and a negative global sign."""
+    rng = random.Random(77)
+    alphas = (AlphaChoice.of(["2/3", "5/7", 3], global_sign=-1), AlphaChoice.of([1, "1/2"]))
+    mats = [
+        random_rational_matrix((m, n), rng.randrange(10**6), "negative")
+        for m in range(2, 5)
+        for n in range(2, 5)
+        for _ in range(4)
+    ]
+    mats += [generate_near_miss((3, 3), 3, seed=s).matrix for s in range(3)]
+    seen = 0
+    for a in mats:
+        k = min(a.rows, a.cols)
+        for alpha in alphas:
+            verdicts = (
+                check_tn_snr_single_vector(a, k, alpha),
+                check_tn_vd_single_vector(a, alpha, k=k),
+                check_tnp_snr(a, k, alpha=alpha),
+                check_tnp_vd(a, alpha=alpha, k=k),
+            )
+            for verdict in verdicts:
+                w = verdict.witness
+                if w is None or w.vector is None:
+                    continue
+                sub = submatrix(a, w.rows, w.cols)
+                assert w.vector == adjugate(sub).matvec(alpha.realized(len(w.rows)))
+                seen += 1
+    assert seen > 40
+
+
+def test_failing_entry_builds_no_minor_level_above_one():
+    a = ExactMatrix.from_rows([[1, -2, -3], [-2, -3, -5], [-3, -5, -6]])
+    q3 = ClassQuery("tn", 3)
+    assert not check_by_minor_definition(a, q3).holds
+    assert not check_by_contiguous_minors(a, q3).holds
+    assert not check_tn_snr_single_vector(a, 3).holds
+    assert not check_tn_vd_single_vector(a).holds
+    assert not check_tnp_snr(a, 3).holds
+    assert not check_tnp_vd(a).holds
+    assert not cross_validate(a, 3).tn_holds
+    assert a.minor_table.sizes() <= {1}
+    # a sweep that fails at size 2 builds nothing above size 2
+    b = ExactMatrix.from_rows([[-1, -2, -3], [-2, -5, -5], [-3, -5, -6]])
+    assert check_by_minor_definition(b, q3).witness.size == 2
+    assert max(b.minor_table.sizes()) == 2
+
+
+def _pascal_tn(n, delta):
+    """delta * P - (1 + delta) * J for the symmetric Pascal matrix P: L diag(-1, delta, ..., delta) L^T
+    with L lower-triangular Pascal, totally negative for delta small enough."""
+    return ExactMatrix.from_rows([[delta * math.comb(i + j, i) - (1 + delta) for j in range(n)] for i in range(n)])
+
+
+def test_contiguous_sweep_at_16x16_computes_each_window_once():
+    a = _pascal_tn(16, Fraction(1, 2**40))
+    assert all(rec.value < 0 for rec in contiguous_minors_up_to(a, 16))
+    assert check_by_contiguous_minors(a, ClassQuery("tn", 16)).holds
+    # one kept minor per contiguous window of size 2..16, none of their subminors
+    assert a.minor_table.stored() == sum((17 - s) ** 2 for s in range(2, 17))
+
+
+def test_single_vector_sweeps_at_12x12_hold_on_a_totally_negative_matrix():
+    a = _pascal_tn(12, Fraction(1, 2**40))
+    assert check_tn_snr_single_vector(a, 12).holds
+    assert check_tn_vd_single_vector(a).holds
+    assert check_by_contiguous_minors(a.transpose(), ClassQuery("tn", 12)).holds

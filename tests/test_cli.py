@@ -100,6 +100,19 @@ def test_parse_failure_is_exit_2(tmp_path):
     assert main(["check", str(missing), "--class", "tn", "--order", "1"]) == 2
 
 
+def test_failing_verdict_with_a_long_witness_exits_1(tmp_path, capsys):
+    """A witness beyond the 4,300-digit int/str limit still prints and re-checks."""
+    src = tmp_path / "huge.txt"
+    src.write_text("2 2\n1e5000 -1\n-1 -1\n")
+    assert main(["check", str(src), "--class", "tn", "--order", "2", "--method", "minors", "--json"]) == 1
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert report["methods"][0]["witness"]["detail"] == "1" + "0" * 5000
+    report_path = tmp_path / "huge_report.json"
+    report_path.write_text(out)
+    assert main(["verify-witness", str(report_path)]) == 0
+
+
 def test_resource_cap_is_exit_3(tmp_path):
     rows = ["13 13"] + [" ".join(["0"] * 13) for _ in range(13)]
     big = tmp_path / "big.txt"

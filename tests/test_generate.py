@@ -149,3 +149,20 @@ def test_generator_budget_errors():
     with pytest.raises(ResourceLimitError):
         # a budget of zero attempts can never succeed
         generate_tn((2, 2), 2, seed=1, budget=0)
+
+
+def test_cross_validate_builds_one_minor_table(monkeypatch):
+    import totneg.matrix
+
+    built = []
+    original = totneg.matrix.MinorTable.__init__
+
+    def counting_init(self, a):
+        built.append(a)
+        original(self, a)
+
+    monkeypatch.setattr(totneg.matrix.MinorTable, "__init__", counting_init)
+    a = generate_tn((4, 4), 4, seed=5).matrix
+    report = cross_validate(a, 4)
+    assert report.tn_holds and report.tn_agree and report.tnp_agree
+    assert built == [a]

@@ -2,8 +2,13 @@
 plus the single-vector class characterizations."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -230,15 +235,16 @@ def test_single_vector_check_zero_entry_fails():
 
 def test_single_vector_prescribed_q_is_positive_on_certified_instances(n3):
     from totneg.generate import generate_tn
-    from totneg.lcp import _contiguous_windows, _single_vector_x, _take
+    from totneg.lcp import _single_vector_x
+    from totneg.matrix import contiguous_windows, take
 
     mats = [n3] + [generate_tn((4, 4), 4, seed=900 + s).matrix for s in range(3)]
     for a in mats:
         kmax = min(a.rows, a.cols)
         for r in range(1, kmax + 1):
-            for rows0, cols0 in _contiguous_windows(a.rows, a.cols, r):
-                sub = _take(a, rows0, cols0)
-                x = _single_vector_x(sub)
+            for rows0, cols0 in contiguous_windows(a.rows, a.cols, r):
+                sub = take(a, rows0, cols0)
+                x = _single_vector_x(a, rows0, cols0)
                 q = sub.matvec(x)
                 assert all(v > 0 for v in q)
 
@@ -248,14 +254,14 @@ def test_pattern_pair_equivalence_on_generated_instances():
     certified instance, and a reversal witness always manufactures one."""
     from totneg.checks import check_tn_snr_single_vector
     from totneg.generate import generate_near_miss, generate_tn
-    from totneg.lcp import _contiguous_windows, _take
+    from totneg.matrix import contiguous_windows, take
 
     rng = random.Random(64)
     for s in range(4):
         a = generate_tn((3, 3), 3, seed=700 + s).matrix
         for r in (2, 3):
-            for rows0, cols0 in _contiguous_windows(3, 3, r):
-                sub = _take(a, rows0, cols0)
+            for rows0, cols0 in contiguous_windows(3, 3, r):
+                sub = take(a, rows0, cols0)
                 for _ in range(6):
                     q = tuple(Fraction(rng.randint(1, 40), rng.randint(1, 10)) for _ in range(r))
                     assert not has_forbidden_pattern_pair(solve_lcp(LCPInstance(sub, q)), r)
@@ -332,3 +338,38 @@ def test_lcp_instance_validation(n3):
         LCPInstance.of(ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]]), [1, 2])
     with pytest.raises(Exception):
         LCPInstance.of(n3, [1, 2])
+
+
+def test_solver_invariants_survive_python_O(zero_row_tnp):
+    """A broken invariant raises InvariantError even where -O strips asserts."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from fractions import Fraction
+        from totneg import lcp
+        from totneg.errors import InvariantError
+        from totneg.matrix import parse_lcp_input
+
+        assert False, "asserts must be stripped in this run"
+        # bounds that put the family anchor of support {1} outside the feasible set
+        lcp._fm_bounds_single = lambda cons, var: (Fraction(-5), None, True)
+        a, q = parse_lcp_input(sys.stdin.read())
+        try:
+            lcp.solve_lcp(lcp.LCPInstance(a, q))
+        except InvariantError as exc:
+            print("raised", sys.flags.optimize, exc)
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        input=zero_row_tnp.to_text() + "q: 0 1 1\n",
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised 1 family anchor")

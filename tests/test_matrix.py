@@ -3,6 +3,7 @@ identity, minor streams and their closed-form counts."""
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,8 @@ from totneg import (
     submatrix,
     to_fraction,
 )
+from totneg import matrix as matrix_module
+from totneg.matrix import MinorTable, all_windows, format_fraction, parse_rational, take
 
 
 def det_by_permutations(a: ExactMatrix) -> Fraction:
@@ -226,3 +229,78 @@ def test_entry_access_is_one_based(n3):
         n3.entry(0, 1)
     with pytest.raises(DimensionError):
         n3.entry(1, 4)
+
+
+@st.composite
+def table_matrices(draw):
+    """Shapes 1x1 to 5x5 (1 x n and m x 1 included), mixed denominators, some zero rows."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-12, max_value=12, max_denominator=9)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=m // 2)):
+        rows[i] = [Fraction(0)] * n
+    return ExactMatrix.from_rows(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_matrices())
+def test_minor_table_matches_cofactor_expansion(a):
+    k = min(a.rows, a.cols)
+    expected = {
+        (rows0, cols0): det_by_cofactor_expansion(take(a, rows0, cols0))
+        for size in range(1, k + 1)
+        for rows0, cols0 in all_windows(a.rows, a.cols, size)
+    }
+    # sizes ascending expand each minor from the kept level below; sizes
+    # descending on a fresh table eliminate the minors of size 3 and up
+    for sizes in (range(1, k + 1), range(k, 0, -1)):
+        table = MinorTable(a)
+        for size in sizes:
+            for rows0, cols0 in all_windows(a.rows, a.cols, size):
+                assert table.scale(rows0) > 0
+                assert table.value(rows0, cols0) == expected[rows0, cols0]
+
+
+def test_minor_table_beyond_its_storage_cap_still_matches(monkeypatch):
+    monkeypatch.setattr(matrix_module, "MAX_STORED_MINORS", 40)
+    rng = random.Random(5)
+    a = ExactMatrix.from_rows([[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(5)] for _ in range(5)])
+    table = a.minor_table
+    values = [table.value(tuple(i - 1 for i in rec.rows), tuple(j - 1 for j in rec.cols)) for rec in minors_up_to(a, 5)]
+    assert values == [rec.value for rec in minors_up_to(a, 5)]
+    assert table.stored() == 40
+
+
+def test_minor_table_eliminates_a_large_window_without_its_subminors():
+    rng = random.Random(11)
+    a = ExactMatrix.from_rows([[Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(24)] for _ in range(24)])
+    table = a.minor_table
+    assert table.value(tuple(range(24)), tuple(range(24))) == det(a)
+    assert table.stored() == 1
+
+
+def test_matrix_rejects_non_fraction_entries():
+    with pytest.raises(TypeError):
+        ExactMatrix(1, 2, (0.5, 1))
+    with pytest.raises(TypeError):
+        ExactMatrix(1, 2, (Fraction(1), 2))
+    assert ExactMatrix.from_rows([[0.5, 1]]).entries == (Fraction(1, 2), Fraction(1))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+def test_rationals_round_trip_under_a_lowered_int_str_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        x = Fraction(-(10**700) - 1, 3)
+        assert parse_rational(format_fraction(x)) == x
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_rationals_beyond_the_int_str_digit_limit_round_trip():
+    for x in (Fraction(10**5000 + 7), Fraction(-(3**12000), 7**5000 + 2), Fraction(-3, 4)):
+        assert parse_rational(format_fraction(x)) == x
+    assert format_fraction(Fraction(10**5000)) == "1" + "0" * 5000
+    with pytest.raises(ValueError):
+        parse_rational("1" * 5000 + ".5")
