@@ -126,7 +126,7 @@ def _emit(report: dict[str, Any], as_json: bool) -> None:
 def _parse_alpha(args: argparse.Namespace) -> AlphaChoice | None:
     if not args.alpha:
         return None
-    mags = [Fraction(tok) for tok in args.alpha.split()]
+    mags = [parse_rational(tok) for tok in args.alpha.split()]
     return AlphaChoice.of(mags, global_sign=args.alpha_sign)
 
 

@@ -6,22 +6,49 @@ with a consistent system it intersects the affine solution set with the
 feasibility region.  One-dimensional kernels give an exact segment / ray
 description; higher-dimensional ones are decided by Fourier-Motzkin
 elimination and reported as under-described families.
+
+The single-vector checks ask of each window w only whether LCP(A_w, A_w x)
+has a prescribed solution set, so they enumerate its supports on integers
+read from the matrix's minor table (:func:`_support_candidates`) and stop as
+soon as the answer is known.  A window with a zero principal minor may have
+solution families, and goes to ``solve_lcp``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Literal, Mapping, Sequence
+from typing import Iterator, Literal, Mapping, Sequence
 
 from .checks import ClassQuery, TN, Verdict, Violation, ViolationKind, check_by_minor_definition
 from .errors import DimensionError, InvariantError, ResourceLimitError
-from .matrix import ExactMatrix, RationalLike, all_windows, check_order, contiguous_windows, take, to_fraction
+from .matrix import (
+    ExactMatrix,
+    MinorTable,
+    RationalLike,
+    _rows_as_scaled_ints,
+    all_windows,
+    check_order,
+    contiguous_windows,
+    take,
+    to_fraction,
+)
 
 _FM_CONSTRAINT_CAP = 4096
+
+#: Largest complementarity problem whose 2^n supports are enumerated; larger
+#: ones are refused with ResourceLimitError, by ``solve_lcp`` and by the
+#: single-vector checks' table path alike.
+MAX_LCP_SIZE = 20
+
+
+def _check_lcp_size(n: int) -> None:
+    if n > MAX_LCP_SIZE:
+        raise ResourceLimitError(f"support enumeration refused beyond size {MAX_LCP_SIZE}")
 
 
 @dataclass(frozen=True)
@@ -210,13 +237,12 @@ def _fm_feasible_point(cons: list[Constraint], dim: int) -> list[Fraction] | Non
     return point
 
 
-def solve_lcp(inst: LCPInstance, max_n: int = 20) -> LCPSolutionSet:
+def solve_lcp(inst: LCPInstance) -> LCPSolutionSet:
     """Enumerate all complementarity solutions of the instance exactly."""
     a = inst.matrix
     q = inst.q
     n = a.rows
-    if n > max_n:
-        raise ResourceLimitError(f"support enumeration refused beyond size {max_n}")
+    _check_lcp_size(n)
     rows = a.row_list()
     found: dict[tuple[Fraction, ...], None] = {}
     families: list[SolutionFamily] = []
@@ -502,6 +528,112 @@ def _single_vector_x(
     return tuple(vec)
 
 
+# A feasible support solution of a window's LCP(A_w, A_w x) on integers: (d, Z, W)
+# with d > 0.  For X = L x (L > 0) the solution is z = Z / (d L), and its slack
+# w = A_w z + A_w x has entry i equal to W_i / (d L s_i), s_i the scale of the
+# window's row i in the minor table.
+Candidate = tuple[int, list[int], list[int]]
+
+
+def _scaled_image(table: MinorTable, rows0: Sequence[int], cols0: Sequence[int], xs: Sequence[int]) -> list[int]:
+    """Q with (A_w x)_i = Q_i / (L s_i), for X = L x (the slack of the empty support)."""
+    return [
+        sum(v * table.minor_of_masks(1 << i, 1 << j) for v, j in zip(xs, cols0) if v)
+        for i in rows0
+    ]
+
+
+def _image_fractions(table: MinorTable, rows0: Sequence[int], qs: Sequence[int], lcm: int) -> tuple[Fraction, ...]:
+    """A_w x itself, from the Q of :func:`_scaled_image` and L."""
+    return tuple(Fraction(v, lcm * table.scale((i,))) for v, i in zip(qs, rows0))
+
+
+def _support_candidates(
+    table: MinorTable, rows0: Sequence[int], cols0: Sequence[int], xs: Sequence[int]
+) -> Iterator[Candidate | None]:
+    """The feasible solutions of LCP(A_w, A_w x) on the nonempty supports of the
+    window w = (rows0, cols0), sizes ascending, from X = L x; builds no submatrix.
+
+    With T the table's minor on the window rows/columns at the given positions
+    and d = T(S, S) != 0, Cramer's rule and the Schur complement give
+
+        z_l d = -X_l d - sum_{j not in S} X_j s_lj T(S, S - l + j)   (l in S),
+        w_i d = sum_{j not in S} X_j s'_ij T(S + i, S + j)            (i not in S),
+
+    where s_lj is -1 to the number of S strictly between l and j, and s'_ij is
+    -1 to the number of S above i plus the number above j.  Each minor is
+    expanded along its row that is not among its column positions, and d along
+    a row where X is nonzero, so it reads only minors that the supports one
+    smaller have read.  Yields None and stops at the first zero principal
+    minor, where solution families are possible.
+    """
+    r = len(rows0)
+    rbit = [1 << i for i in rows0]
+    cbit = [1 << j for j in cols0]
+    live = [j for j in range(r) if xs[j]]
+    minor = table.minor_of_masks
+    for size in range(1, r + 1):
+        for support in itertools.combinations(range(r), size):
+            smask = rm = cm = 0
+            along = 0
+            for p in support:
+                smask |= 1 << p
+                rm |= rbit[p]
+                cm |= cbit[p]
+                if xs[p]:
+                    along = rbit[p]
+            d = minor(rm, cm, along)
+            if d == 0:
+                yield None
+                return
+            outside = [j for j in live if not smask >> j & 1]
+            zs = [0] * r
+            for l in support:
+                total = -xs[l] * d
+                cl = cm ^ cbit[l]
+                for j in outside:
+                    term = xs[j] * minor(rm, cl | cbit[j], rbit[l])
+                    lo, hi = (l, j) if l < j else (j, l)
+                    between = smask >> (lo + 1) & ((1 << (hi - lo - 1)) - 1)
+                    total = total + term if between.bit_count() % 2 else total - term
+                zs[l] = total if d > 0 else -total
+            if any(v < 0 for v in zs):
+                continue
+            ws = [0] * r
+            for i in range(r):
+                if smask >> i & 1:
+                    continue
+                total = 0
+                ri = rm | rbit[i]
+                above = (smask >> i).bit_count()
+                for j in outside:
+                    term = xs[j] * minor(ri, cm | cbit[j], rbit[i])
+                    total = total - term if (above + (smask >> j).bit_count()) % 2 else total + term
+                ws[i] = total if d > 0 else -total
+                if ws[i] < 0:
+                    break
+            else:
+                yield abs(d), zs, ws
+
+
+def _window_holds(a: ExactMatrix, rows0: Sequence[int], cols0: Sequence[int], x: Sequence[Fraction]) -> bool:
+    """Whether LCP(A_w, A_w x) on the window w = (rows0, cols0) has exactly the solutions 0 and -x."""
+    table = a.minor_table
+    (xs,), _ = _rows_as_scaled_ints([x])
+    # 0 is a solution iff A_w x >= 0, and -x iff x <= 0
+    if any(v > 0 for v in xs) or any(v < 0 for v in _scaled_image(table, rows0, cols0, xs)):
+        return False
+    for cand in _support_candidates(table, rows0, cols0, xs):
+        if cand is None:
+            sub = take(a, rows0, cols0)
+            sols = solve_lcp(LCPInstance(sub, sub.matvec(x)))
+            return sols.is_finite and set(sols.solutions) == {tuple(Fraction(0) for _ in x), tuple(-v for v in x)}
+        d, zs, _ = cand
+        if any(zs) and any(z != -v * d for z, v in zip(zs, xs)):
+            return False
+    return True
+
+
 def _check_single_vector_windows(
     a: ExactMatrix, k: int, weights: Mapping[int, Fraction] | None, method: str
 ) -> Verdict:
@@ -509,20 +641,15 @@ def _check_single_vector_windows(
         if weights is not None and not any(i <= r for i in weights):
             raise ValueError(f"no weight applies to submatrices of size {r}")
         for rows0, cols0 in contiguous_windows(a.rows, a.cols, r):
-            sub = take(a, rows0, cols0)
+            _check_lcp_size(r)
             x = _single_vector_x(a, rows0, cols0, weights)
-            q = sub.matvec(x)
-            sols = solve_lcp(LCPInstance(sub, q))
-            zero = tuple(Fraction(0) for _ in range(r))
-            minus_x = tuple(-v for v in x)
-            expected = {zero, minus_x}
-            if not (sols.is_finite and set(sols.solutions) == expected):
+            if not _window_holds(a, rows0, cols0, x):
                 rows1 = tuple(i + 1 for i in rows0)
                 cols1 = tuple(j + 1 for j in cols0)
                 return Verdict(
                     False,
                     method,
-                    Violation(ViolationKind.LCP_SOLUTION_MISMATCH, rows1, cols1, vector=minus_x),
+                    Violation(ViolationKind.LCP_SOLUTION_MISMATCH, rows1, cols1, vector=tuple(-v for v in x)),
                 )
     return Verdict(True, method)
 
@@ -615,22 +742,45 @@ def tnp_lcp_sufficient_check(
             note="no violation in the sampled instances; the condition quantifies over all q",
         )
 
+    table = a.minor_table
     saw_family: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     for r in range(1, k + 1):
         for rows0, cols0 in all_windows(a.rows, a.cols, r):
-            sub = take(a, rows0, cols0)
             x = _single_vector_x(a, rows0, cols0)
-            q = sub.matvec(x)
+            (xs,), (lcm,) = _rows_as_scaled_ints([x])
+            qs = _scaled_image(table, rows0, cols0, xs)
             rows1 = tuple(i + 1 for i in rows0)
             cols1 = tuple(j + 1 for j in cols0)
-            if any(v < 0 for v in q):
+            if any(v < 0 for v in qs):
                 return TnpLcpReport(
                     TnpLcpStatus.VIOLATION,
                     rows=rows1,
                     cols=cols1,
-                    q=q,
+                    q=_image_fractions(table, rows0, qs, lcm),
                     note="zero vector is not a solution of the prescribed instance",
                 )
+            _check_lcp_size(r)
+            candidates: list[Candidate] = []
+            for cand in _support_candidates(table, rows0, cols0, xs):
+                if cand is None:
+                    break
+                if any(cand[1]):
+                    candidates.append(cand)
+            else:
+                pair = _pair_with_distinct_images(candidates)
+                if pair is not None:
+                    return TnpLcpReport(
+                        TnpLcpStatus.VIOLATION,
+                        rows=rows1,
+                        cols=cols1,
+                        q=_image_fractions(table, rows0, qs, lcm),
+                        witness_pair=tuple(tuple(Fraction(z, d * lcm) for z in zs) for d, zs, _ in pair),
+                        note="two nonzero solutions with different images",
+                    )
+                continue
+            # a zero principal minor: the solution set may hold families
+            sub = take(a, rows0, cols0)
+            q = sub.matvec(x)
             sols = solve_lcp(LCPInstance(sub, q))
             if not sols.is_finite:
                 # the image condition quantifies over the whole (infinite) set,
@@ -657,6 +807,31 @@ def tnp_lcp_sufficient_check(
             note="infinite solution family prevents exhaustive verification of the image condition",
         )
     return TnpLcpReport(TnpLcpStatus.SUFFICIENT)
+
+
+def _compare_candidates(c1: Candidate, c2: Candidate) -> int:
+    """Lexicographic order of the solutions Z1 / d1 and Z2 / d2."""
+    d1, z1, _ = c1
+    d2, z2, _ = c2
+    for u, v in zip(z1, z2):
+        if u * d2 != v * d1:
+            return -1 if u * d2 < v * d1 else 1
+    return 0
+
+
+def _pair_with_distinct_images(candidates: list[Candidate]) -> tuple[Candidate, Candidate] | None:
+    """The first pair, in the sorted order ``solve_lcp`` lists solutions in, whose
+    images under A_w differ: the least solution u and the least v whose image is not u's.
+
+    Images differ exactly where slacks do, and slack i is W_i / d over a common positive factor.
+    """
+    if not candidates:
+        return None
+    key = functools.cmp_to_key(_compare_candidates)
+    u = min(candidates, key=key)
+    du, _, wu = u
+    others = [c for c in candidates if any(w * du != v * c[0] for w, v in zip(c[2], wu))]
+    return (u, min(others, key=key)) if others else None
 
 
 def _family_representatives(fam: SolutionFamily) -> list[tuple[Fraction, ...]]:

@@ -9,10 +9,10 @@ matrix (``ExactMatrix.minor_table``, built on first use and cached on the
 instance).  The table scales row i by the positive lcm d_i of its
 denominators, which keeps every minor's sign, and computes the integer minors
 of the scaled matrix on demand: a size-s minor is the Laplace expansion of
-kept size-(s-1) minors along its first row when those are all kept, and a
-Bareiss determinant otherwise.  A minor of the matrix itself is the scaled
-minor over the product of d_i on its rows.  ``det``, ``minor_det``,
-``cofactor_minor``, ``adjugate``, ``minors_up_to`` and
+kept size-(s-1) minors along its first row (or a row the caller names) when
+those are all kept, and a Bareiss determinant otherwise.  A minor of the
+matrix itself is the scaled minor over the product of d_i on its rows.
+``det``, ``minor_det``, ``cofactor_minor``, ``adjugate``, ``minors_up_to`` and
 ``contiguous_minors_up_to`` stay on fraction-free Bareiss elimination, so
 witnesses and the tests' reference minors are independent of the table.
 """
@@ -40,7 +40,7 @@ def to_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return parse_rational(value)
     if isinstance(value, float):
         # read the decimal literal, not the binary expansion
         return Fraction(str(value))
@@ -52,6 +52,13 @@ def to_vector(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
 
 
 _INTEGER_RATIO = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
+_EXPONENT = re.compile(r"[eE][+-]?0*([\d_]*)\s*\Z")
+
+#: Largest decimal exponent a rational literal may carry.  "1e5000000" is ten
+#: bytes long but a five-million-digit integer, whose parsing and printing
+#: alone take seconds; a literal of plain digits costs in proportion to its
+#: length, so it is accepted at any length.
+MAX_DECIMAL_EXPONENT = 10_000
 
 
 def _int_str(n: int) -> str:
@@ -69,7 +76,13 @@ def format_fraction(x: Fraction) -> str:
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal as ``Fraction`` does, and also read back
     integers and ratios longer than the interpreter's int/str digit limit,
-    which :func:`format_fraction` may write."""
+    which :func:`format_fraction` may write.  Raises ValueError for a decimal
+    exponent above :data:`MAX_DECIMAL_EXPONENT` in magnitude."""
+    exponent = _EXPONENT.search(text)
+    if exponent is not None:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent of {text!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude")
     try:
         return Fraction(text)
     except ValueError:
@@ -420,8 +433,9 @@ class MinorTable:
     a positive diagonal that keeps the sign of every minor.  ``minor(R, C)``
     is the integer minor of the scaled matrix; the minor of the matrix itself
     is ``minor(R, C) / scale(R)``.  A minor is computed on first request and
-    kept: by Laplace expansion along its first row when every minor one size
-    smaller that the expansion needs is already kept (O(s)), otherwise by
+    kept: by Laplace expansion along its first row (or a row the caller names,
+    see :meth:`minor_of_masks`) when every minor one size smaller that the
+    expansion needs is already kept (O(s)), otherwise by
     :func:`det_of_rows` elimination on the scaled rows (O(s^3)).  A sweep over
     all windows with sizes ascending thus expands every minor from the level
     below, a sweep over contiguous windows eliminates each window once, and a
@@ -434,11 +448,17 @@ class MinorTable:
         self._ncols = a.cols
         self._values: dict[int, int] = {}  # (row mask << ncols) | column mask -> minor
 
-    def _minor(self, rmask: int, cmask: int) -> int:
+    def minor_of_masks(self, rmask: int, cmask: int, along: int = 0) -> int:
+        """The minor on the rows and columns whose bits are set in rmask and cmask.
+
+        ``along``, when nonzero, is the bit of the row that a Laplace expansion
+        uses in place of the first row; a caller that knows which size-(s-1)
+        minors it has already read passes the row whose expansion needs only those.
+        """
         key = rmask << self._ncols | cmask
         value = self._values.get(key)
         if value is None:
-            value = self._expand(rmask, cmask)
+            value = self._expand(rmask, cmask, along)
             if value is None:
                 rows = [self._ints[i] for i in _bits(rmask)]
                 cols = list(_bits(cmask))
@@ -447,10 +467,12 @@ class MinorTable:
                 self._values[key] = value
         return value
 
-    def _expand(self, rmask: int, cmask: int) -> int | None:
-        """First-row Laplace expansion from kept minors; None if one is missing."""
-        row = self._ints[(rmask & -rmask).bit_length() - 1]
-        rest = rmask & (rmask - 1)
+    def _expand(self, rmask: int, cmask: int, along: int) -> int | None:
+        """Laplace expansion along row ``along`` (0: the first row) from kept minors;
+        None if one is missing."""
+        first = rmask & -rmask
+        row = self._ints[first.bit_length() - 1]
+        rest = rmask ^ first
         if not rest:
             return row[cmask.bit_length() - 1]
         if not rest & (rest - 1):
@@ -458,9 +480,13 @@ class MinorTable:
             j, l = low.bit_length() - 1, (cmask ^ low).bit_length() - 1
             other = self._ints[rest.bit_length() - 1]
             return row[j] * other[l] - row[l] * other[j]
+        negate = False
+        if along:
+            row = self._ints[along.bit_length() - 1]
+            rest = rmask ^ along
+            negate = (rmask & (along - 1)).bit_count() % 2 == 1
         rest <<= self._ncols
         value = 0
-        negate = False
         bits = cmask
         while bits:
             low = bits & -bits
@@ -476,7 +502,7 @@ class MinorTable:
 
     def minor(self, rows0: Sequence[int], cols0: Sequence[int]) -> int:
         """The (rows0, cols0) minor of the row-scaled integer matrix."""
-        return self._minor(_mask(rows0), _mask(cols0))
+        return self.minor_of_masks(_mask(rows0), _mask(cols0))
 
     def scale(self, rows0: Sequence[int]) -> int:
         """Product of the row scales on rows0: the minor's exact denominator factor."""
@@ -502,7 +528,7 @@ class MinorTable:
         out = []
         for i, col in enumerate(cols0):
             cm = cmask ^ (1 << col)
-            total = sum(w * self._minor(rm, cm) for rm, w in weighted)
+            total = sum(w * self.minor_of_masks(rm, cm) for rm, w in weighted)
             out.append(-total if i % 2 else total)
         return out
 
@@ -568,7 +594,7 @@ def _parse_matrix_lines(lines: list[str]) -> ExactMatrix:
         if len(toks) != n:
             raise ValueError(f"expected {n} entries per row, got {len(toks)} in {ln!r}")
         try:
-            rows.append([Fraction(t) for t in toks])
+            rows.append([parse_rational(t) for t in toks])
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational in row {ln!r}: {exc}") from exc
     return ExactMatrix.from_rows(rows)
@@ -602,7 +628,7 @@ def parse_lcp_input(text: str) -> tuple[ExactMatrix, tuple[Fraction, ...]]:
     if len(toks) != a.rows:
         raise ValueError(f"expected {a.rows} entries for q, got {len(toks)}")
     try:
-        q = tuple(Fraction(t) for t in toks)
+        q = tuple(parse_rational(t) for t in toks)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational in q: {exc}") from exc
     if not a.is_square:

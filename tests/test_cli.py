@@ -113,6 +113,26 @@ def test_failing_verdict_with_a_long_witness_exits_1(tmp_path, capsys):
     assert main(["verify-witness", str(report_path)]) == 0
 
 
+def test_long_decimal_exponents_are_parse_errors(tmp_path, capsys):
+    """A ten-byte entry such as 1e5000000 is refused at parse time with exit 2,
+    in matrix files, in the q line and in --alpha; the bound itself is accepted."""
+    from totneg.matrix import MAX_DECIMAL_EXPONENT
+
+    entry = tmp_path / "entry.txt"
+    entry.write_text("1 1\n1e5000000\n")
+    assert main(["check", str(entry), "--class", "tn", "--order", "1", "--json"]) == 2
+    assert "exponent" in capsys.readouterr().err
+    q_line = tmp_path / "q.txt"
+    q_line.write_text("1 1\n-2\nq: 4E-5000000\n")
+    assert main(["lcp", str(q_line), "--enumerate"]) == 2
+    edge = tmp_path / "edge.txt"
+    edge.write_text(f"1 1\n-1e{MAX_DECIMAL_EXPONENT}\n")
+    assert main(["check", str(edge), "--class", "tn", "--order", "1"]) == 0
+    alpha = ["check", str(edge), "--class", "tn", "--order", "1", "--method", "snr", "--alpha"]
+    assert main(alpha + ["1e+0_5000000"]) == 2
+    assert main(alpha + [f"1e-{MAX_DECIMAL_EXPONENT}"]) == 0
+
+
 def test_resource_cap_is_exit_3(tmp_path):
     rows = ["13 13"] + [" ".join(["0"] * 13) for _ in range(13)]
     big = tmp_path / "big.txt"

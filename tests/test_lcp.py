@@ -11,13 +11,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from totneg import (
     ClassQuery,
     ExactMatrix,
     LCPInstance,
     ResourceLimitError,
+    TnpLcpReport,
     TnpLcpStatus,
+    Verdict,
+    Violation,
     ViolationKind,
     check_by_minor_definition,
     count_solutions_for_positive_q,
@@ -28,8 +33,9 @@ from totneg import (
     solve_lcp,
     tnp_lcp_sufficient_check,
 )
-from totneg.generate import generate_tn_of_order
-from totneg.matrix import det_of_rows
+from totneg import lcp
+from totneg.generate import generate_near_miss, generate_tn, generate_tn_of_order, generate_tnp
+from totneg.matrix import all_windows, check_order, contiguous_windows, det_of_rows, take
 
 
 def fv(*values):
@@ -373,3 +379,122 @@ def test_solver_invariants_survive_python_O(zero_row_tnp):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised 1 family anchor")
+
+
+def solver_single_vector_check(a, k, weights, method):
+    """The single-vector check with every window's solution set from solve_lcp."""
+    check_order(a, k)
+    for r in range(1, k + 1):
+        if weights is not None and not any(i <= r for i in weights):
+            raise ValueError(f"no weight applies to submatrices of size {r}")
+        for rows0, cols0 in contiguous_windows(a.rows, a.cols, r):
+            sub = take(a, rows0, cols0)
+            x = lcp._single_vector_x(a, rows0, cols0, weights)
+            sols = solve_lcp(LCPInstance(sub, sub.matvec(x)))
+            minus_x = tuple(-v for v in x)
+            if not (sols.is_finite and set(sols.solutions) == {tuple(Fraction(0) for _ in x), minus_x}):
+                rows1, cols1 = tuple(i + 1 for i in rows0), tuple(j + 1 for j in cols0)
+                return Verdict(False, method, Violation(ViolationKind.LCP_SOLUTION_MISMATCH, rows1, cols1, vector=minus_x))
+    return Verdict(True, method)
+
+
+def solver_tnp_sufficient_check(a, k):
+    """The single_q TNP check with every window's solution set from solve_lcp."""
+    check_order(a, k)
+    saw_family = None
+    for r in range(1, k + 1):
+        for rows0, cols0 in all_windows(a.rows, a.cols, r):
+            sub = take(a, rows0, cols0)
+            q = sub.matvec(lcp._single_vector_x(a, rows0, cols0))
+            rows1, cols1 = tuple(i + 1 for i in rows0), tuple(j + 1 for j in cols0)
+            if any(v < 0 for v in q):
+                return TnpLcpReport(
+                    TnpLcpStatus.VIOLATION, rows1, cols1, q,
+                    note="zero vector is not a solution of the prescribed instance",
+                )
+            sols = solve_lcp(LCPInstance(sub, q))
+            if not sols.is_finite:
+                saw_family = saw_family or (rows1, cols1)
+                continue
+            nonzero = [v for v in sols.solutions if any(v)]
+            for u, v in itertools.combinations(nonzero, 2):
+                if sub.matvec(u) != sub.matvec(v):
+                    return TnpLcpReport(
+                        TnpLcpStatus.VIOLATION, rows1, cols1, q, (u, v),
+                        note="two nonzero solutions with different images",
+                    )
+    if saw_family is not None:
+        return TnpLcpReport(
+            TnpLcpStatus.INCONCLUSIVE, *saw_family,
+            note="infinite solution family prevents exhaustive verification of the image condition",
+        )
+    return TnpLcpReport(TnpLcpStatus.SUFFICIENT)
+
+
+GENERATORS = {"tn": generate_tn, "tnp": generate_tnp, "near-miss": generate_near_miss}
+
+
+@st.composite
+def lcp_matrices(draw):
+    """1x1 to 5x5: generated tn/tnp/near-miss instances or random ones with zero
+    entries, each under a positive row and column scaling (mixed denominators);
+    random ones may repeat a row or a column, which makes principal blocks singular."""
+    m = draw(st.sampled_from((5, 4, 3, 2, 1)))
+    n = min(5, m + draw(st.sampled_from((0, 1, 2))))
+    if draw(st.booleans()):
+        m, n = n, m
+    kind = draw(st.sampled_from(["tn", "tnp", "near-miss", "random"]))
+    if kind == "random":
+        entry = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=3, max_denominator=5))
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+        if m > 1 and draw(st.booleans()):
+            rows[draw(st.integers(1, m - 1))] = list(rows[0])
+        if n > 1 and draw(st.booleans()):
+            j = draw(st.integers(1, n - 1))
+            for row in rows:
+                row[j] = row[0]
+    else:
+        rows = GENERATORS[kind]((m, n), min(m, n), seed=draw(st.integers(0, 40))).matrix.row_list()
+    scale = st.fractions(min_value=Fraction(1, 7), max_value=7, max_denominator=7).filter(lambda v: v > 0)
+    rs = draw(st.lists(scale, min_size=m, max_size=m))
+    cs = draw(st.lists(scale, min_size=n, max_size=n))
+    return ExactMatrix.from_rows([[v * rs[i] * cs[j] for j, v in enumerate(row)] for i, row in enumerate(rows)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(lcp_matrices(), st.data())
+def test_single_vector_checks_match_the_solver_on_every_window(a, data):
+    """The minor-table path gives the same verdicts, witnesses and reports as
+    solving every window's complementarity problem with solve_lcp."""
+    k = data.draw(st.sampled_from(range(min(a.rows, a.cols), 0, -1)))
+    assert lcp_single_vector_check(a, k) == solver_single_vector_check(a, k, None, "lcp_single_vector")
+    weights = {1: Fraction(2, 3), 3: Fraction(5, 2)}
+    assert lcp_single_vector_check_variant(a, k, weights) == solver_single_vector_check(
+        a, k, weights, "lcp_single_vector_variant"
+    )
+    assert tnp_lcp_sufficient_check(a, k) == solver_tnp_sufficient_check(a, k)
+
+
+def test_single_vector_check_needs_no_solver_on_a_nonsingular_tn_matrix(monkeypatch, zero_row_tnp):
+    a = generate_tn((6, 6), 6, seed=2).matrix
+
+    def refuse(inst):
+        raise AssertionError("solve_lcp called")
+
+    monkeypatch.setattr(lcp, "solve_lcp", refuse)
+    assert lcp_single_vector_check(a, 6).holds
+    calls = []
+    monkeypatch.setattr(lcp, "solve_lcp", lambda inst: calls.append(inst) or solve_lcp(inst))
+    # a zero entry is a zero principal minor: the window goes to the solver
+    assert tnp_lcp_sufficient_check(zero_row_tnp, 3).status is TnpLcpStatus.INCONCLUSIVE
+    assert calls
+
+
+def test_single_vector_check_refuses_windows_beyond_the_lcp_size(monkeypatch):
+    a = generate_tn((4, 4), 4, seed=3).matrix
+    monkeypatch.setattr(lcp, "MAX_LCP_SIZE", 3)
+    assert lcp_single_vector_check(a, 3).holds
+    with pytest.raises(ResourceLimitError):
+        lcp_single_vector_check(a, 4)
+    with pytest.raises(ResourceLimitError):
+        solve_lcp(LCPInstance(a, (Fraction(1),) * 4))

@@ -261,6 +261,17 @@ def test_minor_table_matches_cofactor_expansion(a):
                 assert table.value(rows0, cols0) == expected[rows0, cols0]
 
 
+@settings(max_examples=60, deadline=None)
+@given(table_matrices())
+def test_minor_table_expands_along_a_named_row(a):
+    table = MinorTable(a)
+    for size in range(1, min(a.rows, a.cols) + 1):
+        for rows0, cols0 in all_windows(a.rows, a.cols, size):
+            along = 1 << rows0[sum(cols0) % size]
+            value = table.minor_of_masks(sum(1 << i for i in rows0), sum(1 << j for j in cols0), along)
+            assert Fraction(value, table.scale(rows0)) == det_by_cofactor_expansion(take(a, rows0, cols0))
+
+
 def test_minor_table_beyond_its_storage_cap_still_matches(monkeypatch):
     monkeypatch.setattr(matrix_module, "MAX_STORED_MINORS", 40)
     rng = random.Random(5)
