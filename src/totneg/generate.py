@@ -512,7 +512,7 @@ def _timed(fn: Callable[[], Verdict]) -> MethodOutcome:
 
 
 def cross_validate(
-    a: ExactMatrix, k: int, alpha: AlphaChoice | None = None, seed: int = 0, include_tnp: bool = True
+    a: ExactMatrix, k: int, alpha: AlphaChoice | None = None, include_tnp: bool = True
 ) -> CrossValidationReport:
     """Run every decision procedure at order k and compare the verdicts.
 

@@ -5,12 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from totneg import (
     ClassQuery,
     ExactMatrix,
+    HullVerdict,
     IntervalHull,
     ResourceLimitError,
+    Verdict,
     c_plus_minus,
     check_by_minor_definition,
     hull_is_totally_negative,
@@ -19,6 +23,9 @@ from totneg import (
     rohn_inequality_check,
     sample_member,
 )
+from totneg import hull
+from totneg.errors import InvariantError
+from totneg.generate import generate_tn, generate_tnp
 from totneg.signs import alternating_signature
 
 
@@ -200,3 +207,74 @@ def test_hull_shape_validation(n2, n3):
         IntervalHull(n2, n3)
     with pytest.raises(ValueError):
         hull_is_totally_negative(IntervalHull(n2, n2), 0)
+
+
+def member_by_member_tnp(h, k):
+    """Every sign-word member (A+B)/2 - D_z |A-B|/2 D_zt checked in turn, in
+    Gray-code order: the sweep hull_is_totally_nonpositive made before it read
+    the members' minors off the doubled matrix, kept as the reference."""
+    m, n = h.shape
+    half = Fraction(1, 2)
+    for idx in range(1 << (m + n)):
+        g = idx ^ (idx >> 1)
+        bits = [1 if (g >> p) & 1 == 0 else -1 for p in range(m + n)]
+        z, zt = tuple(bits[:m]), tuple(bits[m:])
+        flat = []
+        for i in range(m):
+            for j in range(n):
+                a, b = h.a.entries[i * n + j], h.b.entries[i * n + j]
+                flat.append((a + b) * half - z[i] * zt[j] * abs(a - b) * half)
+        verdict = check_by_minor_definition(ExactMatrix(m, n, tuple(flat)), ClassQuery("tnp", k))
+        if not verdict.holds:
+            return HullVerdict(False, "hull_tnp", (z, zt), verdict.witness)
+    return HullVerdict(True, "hull_tnp")
+
+
+@st.composite
+def hulls(draw):
+    """1x1 to 4x4, 2x5 and 5x2: one endpoint random (zero entries, mixed
+    denominators) or a generated tn or tnp matrix; the other the same matrix
+    (A = B) or one moved entrywise by at most 1/4, capped at 0; in either order."""
+    m, n = draw(st.sampled_from([(m, n) for m in range(1, 5) for n in range(1, 5)] + [(2, 5), (5, 2)]))
+    kind = draw(st.sampled_from(["random", "tn", "tnp"]))
+    if kind == "random":
+        entry = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=2, max_denominator=6))
+        a = ExactMatrix.from_rows(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)))
+    else:
+        generator = generate_tn if kind == "tn" else generate_tnp
+        a = generator((m, n), min(m, n), seed=draw(st.integers(0, 40))).matrix
+    b = a
+    if draw(st.booleans()):
+        step = st.fractions(min_value=Fraction(-1, 4), max_value=Fraction(1, 4), max_denominator=64)
+        steps = draw(st.lists(step, min_size=m * n, max_size=m * n))
+        b = ExactMatrix(m, n, tuple(min(x + d, Fraction(0)) for x, d in zip(a.entries, steps)))
+    return IntervalHull(b, a) if draw(st.booleans()) else IntervalHull(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hulls())
+def test_tnp_hull_verdicts_match_the_member_sweep(h):
+    """Holds, failing sign words and witness agree with the member-by-member sweep at every order."""
+    for k in range(1, min(h.shape) + 1):
+        assert hull_is_totally_nonpositive(h, k) == member_by_member_tnp(h, k)
+
+
+def test_holding_tnp_hull_builds_no_member(monkeypatch):
+    a = generate_tn((5, 5), 5, seed=0).matrix
+    rng = random.Random(0)
+    b = a.add(ExactMatrix.from_rows([[Fraction(rng.randint(0, 4), 10**6) for _ in range(5)] for _ in range(5)]))
+    h = IntervalHull(a, b)
+
+    def refuse(*args):
+        raise AssertionError("i_matrix called")
+
+    monkeypatch.setattr(hull, "i_matrix", refuse)
+    assert hull_is_totally_nonpositive(h, 5).holds  # 2^10 members, none built
+
+
+def test_failing_decision_with_no_failing_member_is_an_invariant_error(monkeypatch, n2):
+    h = IntervalHull(n2, ExactMatrix.from_rows([[-2, 1], [-3, -2]]))
+    assert not hull_is_totally_nonpositive(h, 2).holds
+    monkeypatch.setattr(hull, "check_by_minor_definition", lambda a, q: Verdict(True, "minor_definition"))
+    with pytest.raises(InvariantError):
+        hull_is_totally_nonpositive(h, 2)
