@@ -173,7 +173,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         "order": k,
         "methods": methods,
         "holds": holds,
-        "seed": args.seed if args.seed is not None else int(_digest(raw)[:8], 16),
         "elapsed_ms": round((time.perf_counter() - start) * 1000, 3),
         **extra,
     }
@@ -237,7 +236,6 @@ def cmd_hull(args: argparse.Namespace) -> int:
             }
         ],
         "holds": verdict.holds,
-        "seed": args.seed if args.seed is not None else int(_digest(raw)[:8], 16),
         "elapsed_ms": round(elapsed, 3),
     }
     _emit_hull(report_obj, args.json)
@@ -289,8 +287,7 @@ def cmd_lcp(args: argparse.Namespace) -> int:
             "methods": [{"name": "solve_lcp", "holds": True, "witness": None}],
             "solution_set": body,
             "holds": True,
-            "seed": args.seed if args.seed is not None else int(_digest(raw)[:8], 16),
-            "elapsed_ms": round((time.perf_counter() - start) * 1000, 3),
+                "elapsed_ms": round((time.perf_counter() - start) * 1000, 3),
         }
         if args.json:
             print(json.dumps(report_obj, indent=2, sort_keys=True))
@@ -322,7 +319,6 @@ def cmd_lcp(args: argparse.Namespace) -> int:
         "order": k,
         "methods": [_method_entry(verdict.method, verdict.holds, verdict.witness, elapsed)],
         "holds": verdict.holds,
-        "seed": args.seed if args.seed is not None else int(_digest(raw)[:8], 16),
         "elapsed_ms": round(elapsed, 3),
     }
     _emit(report_obj, args.json)
@@ -416,7 +412,7 @@ def _verify_witness_entry(a: ExactMatrix, method: str, v: Violation) -> str | No
             return "equality case not reached"
         return None if not satisfied else "clause holds after all"
     if v.kind is ViolationKind.LCP_SOLUTION_MISMATCH:
-        # the construction of lcp._single_vector_x, rebuilt from Bareiss minors
+        # the construction of lcp._single_vector_ints, rebuilt from Bareiss minors
         x = tuple(cofactor_minor(sub, 1, j) if j % 2 else Fraction(0) for j in range(1, sub.rows + 1))
         if v.vector is not None and tuple(-t for t in x) != v.vector:
             return "recorded expected solution does not match the construction"
@@ -475,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("--alpha", help="test coefficient magnitudes, e.g. '1 1/2 2'")
     p_check.add_argument("--alpha-sign", type=int, choices=[1, -1], default=1)
-    p_check.add_argument("--seed", type=int)
     p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(func=cmd_check)
 
@@ -483,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_hull.add_argument("path")
     p_hull.add_argument("--class", dest="matrix_class", choices=[TN, TNP], required=True)
     p_hull.add_argument("--order", type=int, required=True)
-    p_hull.add_argument("--seed", type=int)
     p_hull.add_argument("--json", action="store_true")
     p_hull.set_defaults(func=cmd_hull)
 
@@ -493,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--enumerate", action="store_true")
     group.add_argument("--single-vector", action="store_true")
     p_lcp.add_argument("--order", type=int)
-    p_lcp.add_argument("--seed", type=int)
     p_lcp.add_argument("--json", action="store_true")
     p_lcp.set_defaults(func=cmd_lcp)
 

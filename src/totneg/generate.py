@@ -511,9 +511,7 @@ def _timed(fn: Callable[[], Verdict]) -> MethodOutcome:
     return MethodOutcome(verdict.method, verdict.holds, verdict.witness, elapsed)
 
 
-def cross_validate(
-    a: ExactMatrix, k: int, alpha: AlphaChoice | None = None, include_tnp: bool = True
-) -> CrossValidationReport:
+def cross_validate(a: ExactMatrix, k: int, alpha: AlphaChoice | None = None) -> CrossValidationReport:
     """Run every decision procedure at order k and compare the verdicts.
 
     All strict-class procedures must agree exactly, as must the non-positive
@@ -530,31 +528,22 @@ def cross_validate(
         _timed(lambda: check_tn_vd_single_vector(a, alpha, k=k)),
         _timed(lambda: lcp_single_vector_check(a, k)),
     )
-    tn_agree = len({m.holds for m in tn_methods}) == 1
-    tnp_methods: tuple[MethodOutcome, ...] = ()
-    tnp_status = ""
-    tnp_agree = True
-    consistent = True
-    if include_tnp:
-        tnp_alpha = alpha if alpha is not None and alpha.strictly_positive else None
-        tnp_query = ClassQuery(TNP, k)
-        tnp_methods = (
-            _timed(lambda: check_by_minor_definition(a, tnp_query)),
-            _timed(lambda: check_tnp_snr(a, k, alpha=tnp_alpha)),
-            _timed(lambda: check_tnp_vd(a, alpha=tnp_alpha, k=k)),
-        )
-        tnp_agree = len({m.holds for m in tnp_methods}) == 1
-        report = tnp_lcp_sufficient_check(a, k)
-        tnp_status = report.status.value
-        consistent = report.status != TnpLcpStatus.SUFFICIENT or tnp_methods[0].holds
+    tnp_alpha = alpha if alpha is not None and alpha.strictly_positive else None
+    tnp_query = ClassQuery(TNP, k)
+    tnp_methods = (
+        _timed(lambda: check_by_minor_definition(a, tnp_query)),
+        _timed(lambda: check_tnp_snr(a, k, alpha=tnp_alpha)),
+        _timed(lambda: check_tnp_vd(a, alpha=tnp_alpha, k=k)),
+    )
+    report = tnp_lcp_sufficient_check(a, k)
     return CrossValidationReport(
         order=k,
         tn_methods=tn_methods,
         tnp_methods=tnp_methods,
-        tnp_lcp_status=tnp_status,
-        tn_agree=tn_agree,
-        tnp_agree=tnp_agree,
-        lcp_condition_consistent=consistent,
+        tnp_lcp_status=report.status.value,
+        tn_agree=len({m.holds for m in tn_methods}) == 1,
+        tnp_agree=len({m.holds for m in tnp_methods}) == 1,
+        lcp_condition_consistent=report.status != TnpLcpStatus.SUFFICIENT or tnp_methods[0].holds,
     )
 
 

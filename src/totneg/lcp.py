@@ -10,14 +10,16 @@ elimination and reported as under-described families.
 The single-vector checks ask of each window w only whether LCP(A_w, A_w x)
 has a prescribed solution set, so they enumerate its supports on integers
 read from the matrix's minor table (:func:`_support_candidates`) and stop as
-soon as the answer is known.  A window with a zero principal minor may have
-solution families, and goes to ``solve_lcp``.
+soon as the answer is known.  Only a support with a zero principal minor, which
+may hold a solution family, is solved on Fractions by ``solve_lcp``'s per-support
+step (:func:`_support_solutions`), and the first family ends its window.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -30,7 +32,6 @@ from .matrix import (
     ExactMatrix,
     MinorTable,
     RationalLike,
-    _rows_as_scaled_ints,
     all_windows,
     check_order,
     contiguous_windows,
@@ -237,123 +238,127 @@ def _fm_feasible_point(cons: list[Constraint], dim: int) -> list[Fraction] | Non
     return point
 
 
-def solve_lcp(inst: LCPInstance) -> LCPSolutionSet:
-    """Enumerate all complementarity solutions of the instance exactly."""
-    a = inst.matrix
-    q = inst.q
-    n = a.rows
-    _check_lcp_size(n)
-    rows = a.row_list()
-    found: dict[tuple[Fraction, ...], None] = {}
+def _support_solutions(
+    rows: Sequence[Sequence[Fraction]], q: Sequence[Fraction], support: tuple[int, ...]
+) -> tuple[list[tuple[Fraction, ...]], list[SolutionFamily]]:
+    """The solutions of LCP(rows, q) on one support S: the points and families
+    of x >= 0 with x zero off S, A_SS x_S = -q_S and slack A x + q >= 0 off S.
+
+    A singular A_SS with a consistent system gives a segment or ray (one-dimensional
+    kernel, its anchor and finite end also listed as points) or, for larger
+    kernels, a Fourier-Motzkin point that is either isolated or stands for a family.
+    """
+    n = len(rows)
+    size = len(support)
+    points: list[tuple[Fraction, ...]] = []
     families: list[SolutionFamily] = []
 
     def feasible(x: Sequence[Fraction]) -> bool:
         if any(v < 0 for v in x):
             return False
-        y = [av + qv for av, qv in zip(a.matvec(x), q)]
+        # x is zero off the support
+        y = [sum((row[j] * x[j] for j in support), qv) for row, qv in zip(rows, q)]
         if any(v < 0 for v in y):
             return False
-        if sum(xi * yi for xi, yi in zip(x, y)) != 0:
+        if sum(x[j] * y[j] for j in support) != 0:
             raise InvariantError(f"support solution {x} is not complementary")
         return True
 
-    def embed(xs: Sequence[Fraction], support: Sequence[int]) -> tuple[Fraction, ...]:
+    def embed(xs: Sequence[Fraction]) -> tuple[Fraction, ...]:
         full = [Fraction(0)] * n
         for pos, val in zip(support, xs):
             full[pos] = val
         return tuple(full)
 
+    particular, kernel = _solve_linear([[rows[i][j] for j in support] for i in support], [-q[i] for i in support])
+    if particular is None:
+        return points, families
+    if not kernel:
+        x = embed(particular)
+        if feasible(x):
+            points.append(x)
+        return points, families
+    d = len(kernel)
+    # feasibility constraints on the kernel parameters t:
+    #   x_S(t) >= 0 and y_i(t) >= 0 off the support
+    cons: list[Constraint] = []
+    for l in range(size):
+        coeffs = tuple(kernel[w][l] for w in range(d))
+        cons.append((coeffs, -particular[l]))
+    for i in range(n):
+        if i in support:
+            continue
+        base = sum((rows[i][support[l]] * particular[l] for l in range(size)), Fraction(0)) + q[i]
+        coeffs = tuple(
+            sum((rows[i][support[l]] * kernel[w][l] for l in range(size)), Fraction(0))
+            for w in range(d)
+        )
+        cons.append((coeffs, -base))
+    if d == 1:
+        lo, hi, ok = _fm_bounds_single(cons, 0)
+        if not ok:
+            return points, families
+        if lo is not None and hi is not None and lo == hi:
+            x = embed([particular[l] + lo * kernel[0][l] for l in range(size)])
+            if feasible(x):
+                points.append(x)
+            return points, families
+        t0 = lo if lo is not None else (hi if hi is not None else Fraction(0))
+        anchor = embed([particular[l] + t0 * kernel[0][l] for l in range(size)])
+        if not feasible(anchor):
+            raise InvariantError(f"family anchor {anchor} on support {support} is infeasible")
+        shift = lambda b: None if b is None else b - t0  # noqa: E731
+        families.append(
+            SolutionFamily(
+                support=tuple(i + 1 for i in support),
+                particular=anchor,
+                directions=(embed(kernel[0]),),
+                t_range=(shift(lo), shift(hi)),
+            )
+        )
+        points.append(anchor)
+        if lo is not None and hi is not None:
+            other = embed([particular[l] + hi * kernel[0][l] for l in range(size)])
+            if not feasible(other):
+                raise InvariantError(f"family end {other} on support {support} is infeasible")
+            points.append(other)
+        return points, families
+    point = _fm_feasible_point(cons, d)
+    if point is None:
+        return points, families
+    x = embed([particular[l] + sum(point[w] * kernel[w][l] for w in range(d)) for l in range(size)])
+    if not feasible(x):
+        raise InvariantError(f"Fourier-Motzkin point {x} on support {support} is infeasible")
+    points.append(x)
+    for w in range(d):
+        lo, hi, ok = _fm_project(cons, d, w)
+        if not ok:  # the region is nonempty, so every projection is too
+            raise InvariantError(f"empty projection of a nonempty region on support {support}")
+        if lo is None or hi is None or lo != hi:
+            families.append(
+                SolutionFamily(
+                    support=tuple(i + 1 for i in support),
+                    particular=x,
+                    directions=tuple(embed(kv) for kv in kernel),
+                    t_range=None,
+                )
+            )
+            break
+    return points, families
+
+
+def solve_lcp(inst: LCPInstance) -> LCPSolutionSet:
+    """Enumerate all complementarity solutions of the instance exactly."""
+    n = inst.matrix.rows
+    _check_lcp_size(n)
+    rows = inst.matrix.row_list()
+    found: dict[tuple[Fraction, ...], None] = {}
+    families: list[SolutionFamily] = []
     for size in range(n + 1):
         for support in itertools.combinations(range(n), size):
-            if size == 0:
-                zero = tuple(Fraction(0) for _ in range(n))
-                if all(v >= 0 for v in q):
-                    found[zero] = None
-                continue
-            sub_rows = [[rows[i][j] for j in support] for i in support]
-            rhs = [-q[i] for i in support]
-            particular, kernel = _solve_linear(sub_rows, rhs)
-            if particular is None:
-                continue
-            if not kernel:
-                x = embed(particular, support)
-                if feasible(x):
-                    found[x] = None
-                continue
-            d = len(kernel)
-            # feasibility constraints on the kernel parameters t:
-            #   x_S(t) >= 0 and y_i(t) >= 0 off the support
-            cons: list[Constraint] = []
-            for l in range(size):
-                coeffs = tuple(kernel[w][l] for w in range(d))
-                cons.append((coeffs, -particular[l]))
-            outside = [i for i in range(n) if i not in support]
-            for i in outside:
-                base = sum((rows[i][support[l]] * particular[l] for l in range(size)), Fraction(0)) + q[i]
-                coeffs = tuple(
-                    sum((rows[i][support[l]] * kernel[w][l] for l in range(size)), Fraction(0))
-                    for w in range(d)
-                )
-                cons.append((coeffs, -base))
-            if d == 1:
-                lo, hi, ok = _fm_bounds_single(cons, 0)
-                if not ok:
-                    continue
-                direction = embed(kernel[0], support)
-                if lo is not None and hi is not None and lo == hi:
-                    x = embed([particular[l] + lo * kernel[0][l] for l in range(size)], support)
-                    if feasible(x):
-                        found[x] = None
-                    continue
-                t0 = lo if lo is not None else (hi if hi is not None else Fraction(0))
-                anchor = embed([particular[l] + t0 * kernel[0][l] for l in range(size)], support)
-                if not feasible(anchor):
-                    raise InvariantError(f"family anchor {anchor} on support {support} is infeasible")
-                shift = lambda b: None if b is None else b - t0  # noqa: E731
-                families.append(
-                    SolutionFamily(
-                        support=tuple(i + 1 for i in support),
-                        particular=anchor,
-                        directions=(direction,),
-                        t_range=(shift(lo), shift(hi)),
-                    )
-                )
-                found[anchor] = None
-                if lo is not None and hi is not None:
-                    other = embed([particular[l] + hi * kernel[0][l] for l in range(size)], support)
-                    if not feasible(other):
-                        raise InvariantError(f"family end {other} on support {support} is infeasible")
-                    found[other] = None
-            else:
-                point = _fm_feasible_point(cons, d)
-                if point is None:
-                    continue
-                x = embed(
-                    [particular[l] + sum(point[w] * kernel[w][l] for w in range(d)) for l in range(size)],
-                    support,
-                )
-                if not feasible(x):
-                    raise InvariantError(f"Fourier-Motzkin point {x} on support {support} is infeasible")
-                single = True
-                for w in range(d):
-                    lo, hi, ok = _fm_project(cons, d, w)
-                    if not ok:  # the region is nonempty, so every projection is too
-                        raise InvariantError(f"empty projection of a nonempty region on support {support}")
-                    if lo is None or hi is None or lo != hi:
-                        single = False
-                        break
-                if single:
-                    found[x] = None
-                else:
-                    families.append(
-                        SolutionFamily(
-                            support=tuple(i + 1 for i in support),
-                            particular=x,
-                            directions=tuple(embed(kv, support) for kv in kernel),
-                            t_range=None,
-                        )
-                    )
-                    found[x] = None
+            points, fams = _support_solutions(rows, inst.q, support)
+            found.update(dict.fromkeys(points))
+            families.extend(fams)
     return LCPSolutionSet(solutions=tuple(sorted(found)), families=tuple(families))
 
 
@@ -500,32 +505,33 @@ def has_forbidden_pattern_pair(sols: LCPSolutionSet, r: int) -> bool:
     return bool(_pattern_members(sols, r, odd=True)) and bool(_pattern_members(sols, r, odd=False))
 
 
-def _single_vector_x(
-    a: ExactMatrix, rows0: Sequence[int], cols0: Sequence[int], weights: Mapping[int, Fraction] | None = None
-) -> tuple[Fraction, ...]:
-    """The test vector of the (rows0, cols0) window: weighted row-i deletion minors
-    at odd positions, zeros elsewhere, read from the matrix's minor table.
+def _single_vector_ints(
+    table: MinorTable, rows0: Sequence[int], cols0: Sequence[int], weights: Mapping[int, Fraction] | None = None
+) -> tuple[list[int], int]:
+    """(X, L) with L > 0 and x = X / L the test vector of the (rows0, cols0) window:
+    weighted row-i deletion minors at odd positions, zeros elsewhere.
 
-    Position j (1-based, odd) holds sum_i w_i M_ij, where M_ij is the window's
-    minor without its row i and column j; a 1x1 window uses M_11 = -1, the
-    convention that the empty determinant is -1.
+    Position j (1-based, odd) of x holds sum_i w_i M_ij, where M_ij is the
+    window's minor without its row i and column j; a 1x1 window uses M_11 = -1,
+    the convention that the empty determinant is -1.  M_ij is the table minor on
+    the rows R - i over scale(R - i), so L is a common denominator of the
+    w_i / scale(R - i).
     """
     r = len(rows0)
     if weights is None:
         weights = {1: Fraction(1)}
-    table = a.minor_table
-    vec = []
-    for j in range(1, r + 1):
-        if j % 2 == 1:
-            total = Fraction(0)
-            for i, w in weights.items():
-                if i <= r:
-                    minor = table.value(rows0[: i - 1] + rows0[i:], cols0[: j - 1] + cols0[j:]) if r > 1 else -1
-                    total += w * minor
-            vec.append(total)
-        else:
-            vec.append(Fraction(0))
-    return tuple(vec)
+    terms = []  # (R - i, numerator, denominator) of w_i / scale(R - i)
+    for i, w in weights.items():
+        if i <= r:
+            rows = rows0[: i - 1] + rows0[i:]
+            terms.append((rows, w.numerator, w.denominator * table.scale(rows)))
+    lcm = math.lcm(*(den for _, _, den in terms))
+    xs = [0] * r
+    for j in range(0, r, 2):
+        cols = cols0[:j] + cols0[j + 1 :]
+        for rows, num, den in terms:
+            xs[j] += num * (lcm // den) * (table.minor(rows, cols) if r > 1 else -1)
+    return xs, lcm
 
 
 # A feasible support solution of a window's LCP(A_w, A_w x) on integers: (d, Z, W)
@@ -548,11 +554,26 @@ def _image_fractions(table: MinorTable, rows0: Sequence[int], qs: Sequence[int],
     return tuple(Fraction(v, lcm * table.scale((i,))) for v, i in zip(qs, rows0))
 
 
+def _point_candidate(
+    table: MinorTable, rows0: Sequence[int], cols0: Sequence[int], xs: Sequence[int], lcm: int, point: Sequence[Fraction]
+) -> Candidate:
+    """A solution z of the window's LCP(A_w, A_w x), given as Fractions, as a candidate.
+
+    With d the lcm of the denominators of L z, Z = d L z, and d L (z + x) = Z + d X
+    has the scaled image W that the slack needs.
+    """
+    scaled = [v * lcm for v in point]
+    d = math.lcm(*(v.denominator for v in scaled))
+    zs = [v.numerator * (d // v.denominator) for v in scaled]
+    return d, zs, _scaled_image(table, rows0, cols0, [z + d * x for z, x in zip(zs, xs)])
+
+
 def _support_candidates(
-    table: MinorTable, rows0: Sequence[int], cols0: Sequence[int], xs: Sequence[int]
+    a: ExactMatrix, rows0: Sequence[int], cols0: Sequence[int], xs: Sequence[int], qs: Sequence[int], lcm: int
 ) -> Iterator[Candidate | None]:
     """The feasible solutions of LCP(A_w, A_w x) on the nonempty supports of the
-    window w = (rows0, cols0), sizes ascending, from X = L x; builds no submatrix.
+    window w = (rows0, cols0), sizes ascending, from X = L x and the Q of
+    :func:`_scaled_image`.
 
     With T the table's minor on the window rows/columns at the given positions
     and d = T(S, S) != 0, Cramer's rule and the Schur complement give
@@ -564,14 +585,18 @@ def _support_candidates(
     -1 to the number of S above i plus the number above j.  Each minor is
     expanded along its row that is not among its column positions, and d along
     a row where X is nonzero, so it reads only minors that the supports one
-    smaller have read.  Yields None and stops at the first zero principal
-    minor, where solution families are possible.
+    smaller have read; no submatrix, no Fractions.  A support with a zero
+    principal minor goes to :func:`_support_solutions` on the window's entries,
+    and each of its points becomes a candidate; at its first solution family
+    this yields None and stops, since the family already decides the window.
     """
+    table = a.minor_table
     r = len(rows0)
     rbit = [1 << i for i in rows0]
     cbit = [1 << j for j in cols0]
     live = [j for j in range(r) if xs[j]]
     minor = table.minor_of_masks
+    window = None  # (A_w, A_w x) as Fractions, built at the first zero principal minor
     for size in range(1, r + 1):
         for support in itertools.combinations(range(r), size):
             smask = rm = cm = 0
@@ -584,8 +609,15 @@ def _support_candidates(
                     along = rbit[p]
             d = minor(rm, cm, along)
             if d == 0:
-                yield None
-                return
+                if window is None:
+                    window = take(a, rows0, cols0).row_list(), _image_fractions(table, rows0, qs, lcm)
+                points, families = _support_solutions(*window, support)
+                if families:
+                    yield None
+                    return
+                for point in points:
+                    yield _point_candidate(table, rows0, cols0, xs, lcm, point)
+                continue
             outside = [j for j in live if not smask >> j & 1]
             zs = [0] * r
             for l in support:
@@ -616,18 +648,16 @@ def _support_candidates(
                 yield abs(d), zs, ws
 
 
-def _window_holds(a: ExactMatrix, rows0: Sequence[int], cols0: Sequence[int], x: Sequence[Fraction]) -> bool:
-    """Whether LCP(A_w, A_w x) on the window w = (rows0, cols0) has exactly the solutions 0 and -x."""
-    table = a.minor_table
-    (xs,), _ = _rows_as_scaled_ints([x])
+def _window_holds(a: ExactMatrix, rows0: Sequence[int], cols0: Sequence[int], xs: Sequence[int], lcm: int) -> bool:
+    """Whether LCP(A_w, A_w x) on the window w = (rows0, cols0) has exactly the
+    solutions 0 and -x, for x = X / L."""
+    qs = _scaled_image(a.minor_table, rows0, cols0, xs)
     # 0 is a solution iff A_w x >= 0, and -x iff x <= 0
-    if any(v > 0 for v in xs) or any(v < 0 for v in _scaled_image(table, rows0, cols0, xs)):
+    if any(v > 0 for v in xs) or any(v < 0 for v in qs):
         return False
-    for cand in _support_candidates(table, rows0, cols0, xs):
+    for cand in _support_candidates(a, rows0, cols0, xs, qs, lcm):
         if cand is None:
-            sub = take(a, rows0, cols0)
-            sols = solve_lcp(LCPInstance(sub, sub.matvec(x)))
-            return sols.is_finite and set(sols.solutions) == {tuple(Fraction(0) for _ in x), tuple(-v for v in x)}
+            return False
         d, zs, _ = cand
         if any(zs) and any(z != -v * d for z, v in zip(zs, xs)):
             return False
@@ -637,19 +667,22 @@ def _window_holds(a: ExactMatrix, rows0: Sequence[int], cols0: Sequence[int], x:
 def _check_single_vector_windows(
     a: ExactMatrix, k: int, weights: Mapping[int, Fraction] | None, method: str
 ) -> Verdict:
+    table = a.minor_table
     for r in range(1, k + 1):
         if weights is not None and not any(i <= r for i in weights):
             raise ValueError(f"no weight applies to submatrices of size {r}")
         for rows0, cols0 in contiguous_windows(a.rows, a.cols, r):
             _check_lcp_size(r)
-            x = _single_vector_x(a, rows0, cols0, weights)
-            if not _window_holds(a, rows0, cols0, x):
+            xs, lcm = _single_vector_ints(table, rows0, cols0, weights)
+            if not _window_holds(a, rows0, cols0, xs, lcm):
                 rows1 = tuple(i + 1 for i in rows0)
                 cols1 = tuple(j + 1 for j in cols0)
                 return Verdict(
                     False,
                     method,
-                    Violation(ViolationKind.LCP_SOLUTION_MISMATCH, rows1, cols1, vector=tuple(-v for v in x)),
+                    Violation(
+                        ViolationKind.LCP_SOLUTION_MISMATCH, rows1, cols1, vector=tuple(Fraction(-v, lcm) for v in xs)
+                    ),
                 )
     return Verdict(True, method)
 
@@ -746,8 +779,7 @@ def tnp_lcp_sufficient_check(
     saw_family: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     for r in range(1, k + 1):
         for rows0, cols0 in all_windows(a.rows, a.cols, r):
-            x = _single_vector_x(a, rows0, cols0)
-            (xs,), (lcm,) = _rows_as_scaled_ints([x])
+            xs, lcm = _single_vector_ints(table, rows0, cols0)
             qs = _scaled_image(table, rows0, cols0, xs)
             rows1 = tuple(i + 1 for i in rows0)
             cols1 = tuple(j + 1 for j in cols0)
@@ -761,8 +793,12 @@ def tnp_lcp_sufficient_check(
                 )
             _check_lcp_size(r)
             candidates: list[Candidate] = []
-            for cand in _support_candidates(table, rows0, cols0, xs):
+            for cand in _support_candidates(a, rows0, cols0, xs, qs, lcm):
                 if cand is None:
+                    # a solution family: the image condition quantifies over the
+                    # whole (infinite) set, so it cannot be verified here
+                    if saw_family is None:
+                        saw_family = (rows1, cols1)
                     break
                 if any(cand[1]):
                     candidates.append(cand)
@@ -775,28 +811,6 @@ def tnp_lcp_sufficient_check(
                         cols=cols1,
                         q=_image_fractions(table, rows0, qs, lcm),
                         witness_pair=tuple(tuple(Fraction(z, d * lcm) for z in zs) for d, zs, _ in pair),
-                        note="two nonzero solutions with different images",
-                    )
-                continue
-            # a zero principal minor: the solution set may hold families
-            sub = take(a, rows0, cols0)
-            q = sub.matvec(x)
-            sols = solve_lcp(LCPInstance(sub, q))
-            if not sols.is_finite:
-                # the image condition quantifies over the whole (infinite) set,
-                # so it cannot be verified here; listed members are a sample
-                if saw_family is None:
-                    saw_family = (rows1, cols1)
-                continue
-            nonzero = [v for v in sols.solutions if any(v)]
-            for u, v in itertools.combinations(nonzero, 2):
-                if sub.matvec(u) != sub.matvec(v):
-                    return TnpLcpReport(
-                        TnpLcpStatus.VIOLATION,
-                        rows=rows1,
-                        cols=cols1,
-                        q=q,
-                        witness_pair=(u, v),
                         note="two nonzero solutions with different images",
                     )
     if saw_family is not None:

@@ -35,11 +35,22 @@ from totneg import (
 )
 from totneg import lcp
 from totneg.generate import generate_near_miss, generate_tn, generate_tn_of_order, generate_tnp
-from totneg.matrix import all_windows, check_order, contiguous_windows, det_of_rows, take
+from totneg.matrix import all_windows, check_order, cofactor_minor, contiguous_windows, det_of_rows, take
 
 
 def fv(*values):
     return tuple(Fraction(v) for v in values)
+
+
+def single_vector_x(sub, weights=None):
+    """The test vector of a window from Bareiss deletion minors: sum_i w_i M_ij
+    at odd positions j, zeros elsewhere (a 1x1 window has M_11 = -1)."""
+    weights = weights or {1: Fraction(1)}
+    r = sub.rows
+    return tuple(
+        sum((w * cofactor_minor(sub, i, j) for i, w in weights.items() if i <= r), Fraction(0)) if j % 2 else Fraction(0)
+        for j in range(1, r + 1)
+    )
 
 
 def verify_solution(a: ExactMatrix, q, x) -> bool:
@@ -241,7 +252,6 @@ def test_single_vector_check_zero_entry_fails():
 
 def test_single_vector_prescribed_q_is_positive_on_certified_instances(n3):
     from totneg.generate import generate_tn
-    from totneg.lcp import _single_vector_x
     from totneg.matrix import contiguous_windows, take
 
     mats = [n3] + [generate_tn((4, 4), 4, seed=900 + s).matrix for s in range(3)]
@@ -250,7 +260,9 @@ def test_single_vector_prescribed_q_is_positive_on_certified_instances(n3):
         for r in range(1, kmax + 1):
             for rows0, cols0 in contiguous_windows(a.rows, a.cols, r):
                 sub = take(a, rows0, cols0)
-                x = _single_vector_x(a, rows0, cols0)
+                x = single_vector_x(sub)
+                xs, lcm = lcp._single_vector_ints(a.minor_table, rows0, cols0)
+                assert tuple(Fraction(v, lcm) for v in xs) == x
                 q = sub.matvec(x)
                 assert all(v > 0 for v in q)
 
@@ -389,7 +401,7 @@ def solver_single_vector_check(a, k, weights, method):
             raise ValueError(f"no weight applies to submatrices of size {r}")
         for rows0, cols0 in contiguous_windows(a.rows, a.cols, r):
             sub = take(a, rows0, cols0)
-            x = lcp._single_vector_x(a, rows0, cols0, weights)
+            x = single_vector_x(sub, weights)
             sols = solve_lcp(LCPInstance(sub, sub.matvec(x)))
             minus_x = tuple(-v for v in x)
             if not (sols.is_finite and set(sols.solutions) == {tuple(Fraction(0) for _ in x), minus_x}):
@@ -405,7 +417,7 @@ def solver_tnp_sufficient_check(a, k):
     for r in range(1, k + 1):
         for rows0, cols0 in all_windows(a.rows, a.cols, r):
             sub = take(a, rows0, cols0)
-            q = sub.matvec(lcp._single_vector_x(a, rows0, cols0))
+            q = sub.matvec(single_vector_x(sub))
             rows1, cols1 = tuple(i + 1 for i in rows0), tuple(j + 1 for j in cols0)
             if any(v < 0 for v in q):
                 return TnpLcpReport(
@@ -475,7 +487,7 @@ def test_single_vector_checks_match_the_solver_on_every_window(a, data):
     assert tnp_lcp_sufficient_check(a, k) == solver_tnp_sufficient_check(a, k)
 
 
-def test_single_vector_check_needs_no_solver_on_a_nonsingular_tn_matrix(monkeypatch, zero_row_tnp):
+def test_single_vector_checks_need_no_solver_even_on_singular_windows(monkeypatch, zero_row_tnp):
     a = generate_tn((6, 6), 6, seed=2).matrix
 
     def refuse(inst):
@@ -483,11 +495,8 @@ def test_single_vector_check_needs_no_solver_on_a_nonsingular_tn_matrix(monkeypa
 
     monkeypatch.setattr(lcp, "solve_lcp", refuse)
     assert lcp_single_vector_check(a, 6).holds
-    calls = []
-    monkeypatch.setattr(lcp, "solve_lcp", lambda inst: calls.append(inst) or solve_lcp(inst))
-    # a zero entry is a zero principal minor: the window goes to the solver
+    # a zero entry is a zero principal minor: only that support is solved on Fractions
     assert tnp_lcp_sufficient_check(zero_row_tnp, 3).status is TnpLcpStatus.INCONCLUSIVE
-    assert calls
 
 
 def test_single_vector_check_refuses_windows_beyond_the_lcp_size(monkeypatch):
@@ -498,3 +507,83 @@ def test_single_vector_check_refuses_windows_beyond_the_lcp_size(monkeypatch):
         lcp_single_vector_check(a, 4)
     with pytest.raises(ResourceLimitError):
         solve_lcp(LCPInstance(a, (Fraction(1),) * 4))
+
+
+def spy_on_support_solutions(monkeypatch):
+    """Record (window size, support, result) of every per-support solve."""
+    seen = []
+    real = lcp._support_solutions
+
+    def spy(rows, q, support):
+        result = real(rows, q, support)
+        seen.append((len(rows), support, result))
+        return result
+
+    monkeypatch.setattr(lcp, "_support_solutions", spy)
+    return seen
+
+
+def whole_window(a):
+    """(X, L) of the single-vector test vector of the whole square matrix."""
+    full = tuple(range(a.rows))
+    return lcp._single_vector_ints(a.minor_table, full, full)
+
+
+def test_finite_singular_window_keeps_an_isolated_point_of_a_one_dimensional_kernel(monkeypatch):
+    # rows 1 and 3 are equal; x = (-2, 0, -6, 0), and -x lies only on supports with a
+    # singular block and a one-dimensional kernel, whose feasible parameters close to
+    # one point; the window also has the solution e_4, so its images differ
+    a = ExactMatrix.from_rows([[-2, 1, -1, 0], [1, 1, -2, 0], [-2, 1, -1, 0], [-1, 0, 0, -2]])
+    full = (0, 1, 2, 3)
+    seen = spy_on_support_solutions(monkeypatch)
+    xs, lcm = whole_window(a)
+    candidates = list(lcp._support_candidates(a, full, full, xs, lcp._scaled_image(a.minor_table, full, full, xs), lcm))
+    holds = lcp._window_holds(a, full, full, xs, lcm)
+    assert any(fv(2, 0, 6, 0) in points and not families for _, _, (points, families) in seen)
+    assert None not in candidates
+    points = {tuple(Fraction(z, d * lcm) for z in zs) for d, zs, _ in candidates}
+    pair = lcp._pair_with_distinct_images([c for c in candidates if any(c[1])])
+    # the reference loops' view of the window
+    x = single_vector_x(a)
+    sols = solve_lcp(LCPInstance(a, a.matvec(x)))
+    assert sols.is_finite and points | {fv(0, 0, 0, 0)} == set(sols.solutions)
+    assert holds == (set(sols.solutions) == {fv(0, 0, 0, 0), tuple(-v for v in x)}) and not holds
+    nonzero = [v for v in sols.solutions if any(v)]
+    first = next((u, v) for u, v in itertools.combinations(nonzero, 2) if a.matvec(u) != a.matvec(v))
+    assert tuple(tuple(Fraction(z, d * lcm) for z in zs) for d, zs, _ in pair) == first == (fv(0, 0, 0, 1), fv(2, 0, 6, 0))
+    assert tnp_lcp_sufficient_check(a, 4) == solver_tnp_sufficient_check(a, 4)
+
+
+def test_zero_principal_block_is_decided_by_fourier_motzkin(monkeypatch):
+    # rows 1 and 3 are zero: support {1, 3} has a zero 2x2 block, a two-dimensional kernel
+    a = ExactMatrix.from_rows([[0, 0, 0], [-3, -1, -1], [0, 0, 0]])
+    real = lcp._fm_feasible_point
+    dims = []
+    monkeypatch.setattr(lcp, "_fm_feasible_point", lambda cons, dim: dims.append(dim) or real(cons, dim))
+    report = tnp_lcp_sufficient_check(a, 3)
+    xs, lcm = whole_window(a)
+    holds = lcp._window_holds(a, (0, 1, 2), (0, 1, 2), xs, lcm)
+    assert 2 in dims
+    monkeypatch.setattr(lcp, "_fm_feasible_point", real)
+    assert report == solver_tnp_sufficient_check(a, 3)
+    x = single_vector_x(a)
+    sols = solve_lcp(LCPInstance(a, a.matvec(x)))
+    assert holds == (sols.is_finite and set(sols.solutions) == {fv(0, 0, 0), tuple(-v for v in x)})
+    assert holds  # x = 0, and FM finds nothing but 0 on the zero block
+
+
+def test_a_window_ends_at_its_first_solution_family(monkeypatch):
+    # a zero (1, 1) entry and q = A x = 0: support {1} already holds the ray t * e_1
+    a = ExactMatrix.from_rows([[0, -1, -2], [0, -1, -2], [0, -1, -2]])
+    seen = spy_on_support_solutions(monkeypatch)
+    report = tnp_lcp_sufficient_check(a, 3)
+    calls = [(support, result) for size, support, result in seen if size == 3]
+    assert len(calls) == 1
+    (support, (_, families)), = calls
+    assert support == (0,) and families
+    seen.clear()
+    xs, lcm = whole_window(a)
+    assert not lcp._window_holds(a, (0, 1, 2), (0, 1, 2), xs, lcm)
+    assert len(seen) == 1
+    assert report == solver_tnp_sufficient_check(a, 3)
+    assert not solve_lcp(LCPInstance(a, a.matvec(single_vector_x(a)))).is_finite
