@@ -7,6 +7,7 @@ Exit codes: 0 verdict holds / success, 1 verdict fails (with witness),
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -69,15 +70,11 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _fraction_str(x: Fraction) -> str:
-    return format_fraction(x)
-
-
 def _matrix_json(a: ExactMatrix) -> dict[str, Any]:
     return {
         "rows": a.rows,
         "cols": a.cols,
-        "entries": [[_fraction_str(v) for v in row] for row in a.row_list()],
+        "entries": [[format_fraction(v) for v in row] for row in a.row_list()],
     }
 
 
@@ -92,8 +89,8 @@ def _violation_json(v: Violation | None) -> dict[str, Any] | None:
         "kind": v.kind.value,
         "rows": list(v.rows),
         "cols": list(v.cols),
-        "vector": [_fraction_str(x) for x in v.vector] if v.vector is not None else None,
-        "detail": _fraction_str(v.detail) if v.detail is not None else None,
+        "vector": [format_fraction(x) for x in v.vector] if v.vector is not None else None,
+        "detail": format_fraction(v.detail) if v.detail is not None else None,
     }
 
 
@@ -265,13 +262,13 @@ def cmd_lcp(args: argparse.Namespace) -> int:
         sols = solve_lcp(LCPInstance(a, q))
         body: dict[str, Any] = {
             "kind": sols.kind,
-            "solutions": [[_fraction_str(v) for v in s] for s in sols.solutions],
+            "solutions": [[format_fraction(v) for v in s] for s in sols.solutions],
             "families": [
                 {
                     "support": list(f.support),
-                    "particular": [_fraction_str(v) for v in f.particular],
-                    "directions": [[_fraction_str(v) for v in d] for d in f.directions],
-                    "t_range": [None if b is None else _fraction_str(b) for b in f.t_range]
+                    "particular": [format_fraction(v) for v in f.particular],
+                    "directions": [[format_fraction(v) for v in d] for d in f.directions],
+                    "t_range": [None if b is None else format_fraction(b) for b in f.t_range]
                     if f.t_range is not None
                     else None,
                 }
@@ -281,13 +278,13 @@ def cmd_lcp(args: argparse.Namespace) -> int:
         report_obj = {
             "command": ["lcp", str(args.path), "enumerate"],
             "input_digest": _digest(raw),
-            "input": {"kind": "lcp", "matrix": _matrix_json(a), "q": [_fraction_str(v) for v in q]},
+            "input": {"kind": "lcp", "matrix": _matrix_json(a), "q": [format_fraction(v) for v in q]},
             "class": None,
             "order": None,
             "methods": [{"name": "solve_lcp", "holds": True, "witness": None}],
             "solution_set": body,
             "holds": True,
-                "elapsed_ms": round((time.perf_counter() - start) * 1000, 3),
+            "elapsed_ms": round((time.perf_counter() - start) * 1000, 3),
         }
         if args.json:
             print(json.dumps(report_obj, indent=2, sort_keys=True))
@@ -314,7 +311,7 @@ def cmd_lcp(args: argparse.Namespace) -> int:
     report_obj = {
         "command": ["lcp", str(args.path), f"single-vector order={k}"],
         "input_digest": _digest(raw),
-        "input": {"kind": "lcp", "matrix": _matrix_json(a), "q": [_fraction_str(v) for v in q]},
+        "input": {"kind": "lcp", "matrix": _matrix_json(a), "q": [format_fraction(v) for v in q]},
         "class": TN,
         "order": k,
         "methods": [_method_entry(verdict.method, verdict.holds, verdict.witness, elapsed)],
@@ -505,9 +502,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ResourceLimitError as exc:

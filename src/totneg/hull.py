@@ -150,32 +150,34 @@ def _doubled_matrix(h: IntervalHull) -> ExactMatrix:
     return ExactMatrix(2 * m, 2 * n, flat)
 
 
-def _transversal_masks(pairs: int, size: int) -> list[int]:
+def _transversal_masks(pairs: int, size: int, last_sides: tuple[int, ...] = (0, 1)) -> list[int]:
     """Bit masks of the index sets of D that take one of 2p, 2p+1 for each of
-    ``size`` of the ``pairs`` pairs p: the rows (or columns) some sign word picks."""
+    ``size`` of the ``pairs`` pairs p: the rows (or columns) some sign word picks.
+    The last picked pair takes only the sides in ``last_sides``."""
     return [
-        sum(1 << (2 * p + s) for p, s in zip(picked, sides))
+        sum(1 << (2 * p + s) for p, s in zip(picked, sides + (last,)))
         for picked in itertools.combinations(range(pairs), size)
-        for sides in itertools.product((0, 1), repeat=size)
+        for sides in itertools.product((0, 1), repeat=size - 1)
+        for last in last_sides
     ]
 
 
 def _some_member_has_a_positive_minor(h: IntervalHull, k: int) -> bool:
     """Whether some sign-word member has a positive minor of size at most k.
 
-    Reads every transversal minor of :func:`_doubled_matrix` with sizes
-    ascending from one minor table.  Deleting the first row and a column of a
-    transversal window leaves a transversal window, so each minor is a Laplace
-    expansion of minors already read.  (z, zt) and (-z, -zt) give the same
-    member, but the windows of both are kept: deleting the first row of a
-    window leaves sub-windows whose first row takes either side of its pair,
-    and a sweep halved by that symmetry would eliminate those.
+    Reads the transversal minors of :func:`_doubled_matrix` with sizes
+    ascending from one minor table.  D's entry depends only on whether its row
+    and column sides agree, so flipping the side of every row and every column
+    of a window gives the same submatrix: of each such pair only the window
+    whose last row takes side 0 is read.  Deleting the first row and a column
+    of a read window keeps its last row, so the window left is one read one
+    size down, and each minor is a Laplace expansion of minors already read.
     """
     m, n = h.shape
     table = _doubled_matrix(h).minor_table
     for size in range(1, k + 1):
         cols = _transversal_masks(n, size)
-        for rmask in _transversal_masks(m, size):
+        for rmask in _transversal_masks(m, size, last_sides=(0,)):
             for cmask in cols:
                 if table.minor_of_masks(rmask, cmask) > 0:
                     return True

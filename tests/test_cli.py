@@ -72,6 +72,31 @@ def test_check_with_alpha_flag(files):
     )
 
 
+def test_one_process_reuses_the_parser_without_leaking_state(files, capsys):
+    """main builds its parser once per process; no option of one call carries into the next."""
+    near = str(files["near_miss"])
+    snr = ["check", near, "--class", "tn", "--order", "2", "--method", "snr", "--json"]
+
+    def witness(argv):
+        assert main(argv) == 1
+        return json.loads(capsys.readouterr().out)["methods"][0]["witness"]
+
+    default = witness(snr)
+    assert witness(snr + ["--alpha", "1 3", "--alpha-sign", "-1"]) != default
+    assert witness(snr) == default
+    assert main(["check", near, "--class", "tn", "--order", "2"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("minor_definition: FAILS") and out.endswith("verdict: fails\n")
+    for bad in (["check", near, "--class", "tn", "--order"], ["lcp", str(files["lcp_n2"]), "--enumerate", "--single-vector"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert main(["check", str(files["n3"]), "--class", "tn", "--order", "3"]) == 0
+        assert capsys.readouterr().out.endswith("verdict: holds\n")
+    assert main(["lcp", str(files["lcp_n2"]), "--single-vector", "--order", "2"]) == 0
+
+
 def test_hull_exit_codes(files):
     assert main(["hull", str(files["hull_same"]), "--class", "tn", "--order", "3"]) == 0
     assert main(["hull", str(files["hull"]), "--class", "tn", "--order", "2"]) == 1

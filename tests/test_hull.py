@@ -1,6 +1,7 @@
 """Interval hull members, checkerboard test matrices, and hull-wide verdicts."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -23,9 +24,10 @@ from totneg import (
     rohn_inequality_check,
     sample_member,
 )
-from totneg import hull
+from totneg import hull, matrix
 from totneg.errors import InvariantError
 from totneg.generate import generate_tn, generate_tnp
+from totneg.matrix import minor_det
 from totneg.signs import alternating_signature
 
 
@@ -259,17 +261,109 @@ def test_tnp_hull_verdicts_match_the_member_sweep(h):
         assert hull_is_totally_nonpositive(h, k) == member_by_member_tnp(h, k)
 
 
-def test_holding_tnp_hull_builds_no_member(monkeypatch):
-    a = generate_tn((5, 5), 5, seed=0).matrix
+def bumped_tn_hull(shape):
+    """A holding TNP hull: a generated tn matrix and the same matrix moved up by at most 4/10^6."""
+    m, n = shape
+    a = generate_tn(shape, min(shape), seed=0).matrix
     rng = random.Random(0)
-    b = a.add(ExactMatrix.from_rows([[Fraction(rng.randint(0, 4), 10**6) for _ in range(5)] for _ in range(5)]))
-    h = IntervalHull(a, b)
+    bump = ExactMatrix.from_rows([[Fraction(rng.randint(0, 4), 10**6) for _ in range(n)] for _ in range(m)])
+    return IntervalHull(a, a.add(bump))
+
+
+def test_holding_tnp_hull_builds_no_member(monkeypatch):
+    h = bumped_tn_hull((5, 5))
 
     def refuse(*args):
         raise AssertionError("i_matrix called")
 
     monkeypatch.setattr(hull, "i_matrix", refuse)
     assert hull_is_totally_nonpositive(h, 5).holds  # 2^10 members, none built
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (3, 6), (4, 2)])
+def test_holding_tnp_hull_reads_one_of_each_flipped_window_pair(monkeypatch, shape):
+    """At full order D's table keeps sum_s C(m,s) C(n,s) 2^(2s-1) minors, half the transversal
+    windows, each a Laplace expansion of minors already kept."""
+    m, n = shape
+    h = bumped_tn_hull(shape)
+    build, doubled = hull._doubled_matrix, []
+
+    def refuse(*args):
+        raise AssertionError("det_of_rows called")
+
+    monkeypatch.setattr(hull, "_doubled_matrix", lambda h: doubled.append(build(h)) or doubled[-1])
+    monkeypatch.setattr(matrix, "det_of_rows", refuse)
+    assert hull_is_totally_nonpositive(h, min(shape)).holds
+    kept = sum(math.comb(m, s) * math.comb(n, s) * 2 ** (2 * s - 1) for s in range(1, min(shape) + 1))
+    assert len(doubled) == 1 and len(doubled[0].minor_table._values) == kept
+
+
+def all_transversal_masks(pairs, size):
+    """Every transversal index set of D, both sides of every picked pair."""
+    return [
+        sum(1 << (2 * p + s) for p, s in zip(picked, sides))
+        for picked in itertools.combinations(range(pairs), size)
+        for sides in itertools.product((0, 1), repeat=size)
+    ]
+
+
+def full_transversal_sweep(h, k):
+    """The decision as it read both windows of every sign-flipped pair, kept as the
+    reference for the halved sweep of hull._some_member_has_a_positive_minor."""
+    m, n = h.shape
+    table = hull._doubled_matrix(h).minor_table
+    for size in range(1, k + 1):
+        cols = all_transversal_masks(n, size)
+        for rmask in all_transversal_masks(m, size):
+            for cmask in cols:
+                if table.minor_of_masks(rmask, cmask) > 0:
+                    return True
+    return False
+
+
+def flipped(mask):
+    """The index set with every pair's other side."""
+    return sum(1 << (b ^ 1) for b in range(mask.bit_length()) if mask >> b & 1)
+
+
+def one_based(mask):
+    return [b + 1 for b in range(mask.bit_length()) if mask >> b & 1]
+
+
+@st.composite
+def straddling_hulls(draw):
+    """1x1 to 4x4, 2x5 and 5x2 hulls: one endpoint random in [-3, 1] (zero entries, mixed
+    denominators), the other moved entrywise by at most 2, so many intervals straddle 0;
+    in half of them both endpoints are capped at 0, so that the decision is not settled
+    by a positive entry."""
+    m, n = draw(st.sampled_from([(m, n) for m in range(1, 5) for n in range(1, 5)] + [(2, 5), (5, 2)]))
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-3, max_value=1, max_denominator=6))
+    a = draw(st.lists(entry, min_size=m * n, max_size=m * n))
+    steps = draw(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=8), min_size=m * n, max_size=m * n))
+    b = [x + d for x, d in zip(a, steps)]
+    if draw(st.booleans()):
+        a, b = [min(x, Fraction(0)) for x in a], [min(x, Fraction(0)) for x in b]
+    return IntervalHull(ExactMatrix(m, n, tuple(a)), ExactMatrix(m, n, tuple(b)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(straddling_hulls())
+def test_halved_sweep_matches_the_full_transversal_sweep(h):
+    """The halved decision agrees with the full one at every order, and the windows it reads
+    are one of each flipped pair, which has the same minor (recomputed by Bareiss)."""
+    m, n = h.shape
+    d = hull._doubled_matrix(h)
+    for k in range(1, min(m, n) + 1):
+        assert hull._some_member_has_a_positive_minor(h, k) == full_transversal_sweep(h, k)
+        halved = hull._transversal_masks(m, k, last_sides=(0,))
+        assert len(halved) == len(set(halved)) == len(all_transversal_masks(m, k)) // 2
+        for rmask in all_transversal_masks(m, k):
+            kept = rmask if rmask in halved else flipped(rmask)
+            assert kept in halved
+            for cmask in all_transversal_masks(n, k):
+                assert minor_det(d, one_based(rmask), one_based(cmask)) == minor_det(
+                    d, one_based(kept), one_based(cmask if kept == rmask else flipped(cmask))
+                )
 
 
 def test_failing_decision_with_no_failing_member_is_an_invariant_error(monkeypatch, n2):
