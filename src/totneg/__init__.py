@@ -57,7 +57,6 @@ from .matrix import (
     cofactor_minor,
     contiguous_minors_up_to,
     det,
-    det_by_cofactor_expansion,
     minor_det,
     minors_up_to,
     parse_lcp_input,
@@ -69,7 +68,6 @@ from .matrix import (
 from .signs import (
     SignProfile,
     alternating_signature,
-    check_splus_sminus_duality,
     is_alternating_orthant,
     is_mixed_orthant,
     s_minus,

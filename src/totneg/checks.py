@@ -176,20 +176,31 @@ def _minor_sweep(a: ExactMatrix, k: int, windows: Windows, strict: bool) -> Viol
 Judge = Callable[[Sequence[int], Sequence[int]], ViolationKind | None]
 
 
-def _test_vector_sweep(a: ExactMatrix, k: int, alpha: AlphaChoice, windows: Windows, judge: Judge) -> Violation | None:
-    """Judge the single test vector adj(S) @ alpha on every window S of size 2..k.
+def _test_vector_sweep(a: ExactMatrix, k: int, alpha: AlphaChoice, judge: Judge, contiguous: bool) -> Violation | None:
+    """Judge the single test vector adj(S) @ alpha on every contiguous window
+    (or every window) S of size 2..k.
 
     With alpha = c / L over integers c, x = N / (L * scale(S)) where N are the
     table's adjugate numerators, and S x = det(S) alpha, whose signs are those
     of minor(S) * c.  Both denominators are positive, so the judge sees integers
     with the right signs; the Fraction vector is built for a witness only.
+
+    A contiguous window keeps none of its deletion minors, so it gets minor(S)
+    and N from one solve on the table (deletion minors only when S is
+    singular); a sweep over all windows has kept them one size down, and reads N
+    off them.
     """
     table = a.minor_table
+    windows = contiguous_windows if contiguous else all_windows
     for r in range(2, k + 1):
         (coeffs,), (lcm,) = _rows_as_scaled_ints([alpha.realized(r)])  # alpha = coeffs / lcm
         for rows0, cols0 in windows(a.rows, a.cols, r):
-            x = table.adjugate_numerators(rows0, cols0, coeffs)
-            det = table.minor(rows0, cols0)
+            x = None
+            if contiguous:
+                det, x = table.solve(rows0, cols0, coeffs)
+            if x is None:
+                x = table.adjugate_numerators(rows0, cols0, coeffs)
+                det = table.minor(rows0, cols0)
             kind = judge(x, [det * c for c in coeffs])
             if kind is not None:
                 denominator = lcm * table.scale(rows0)
@@ -268,7 +279,7 @@ def check_tn_snr_single_vector(
     check_order(a, k)
     alpha = alpha or DEFAULT_ALPHA
     method = "snr_single_vector"
-    bad = _entry_violation(a, strict=True) or _test_vector_sweep(a, k, alpha, contiguous_windows, _tn_snr_judge)
+    bad = _entry_violation(a, strict=True) or _test_vector_sweep(a, k, alpha, _tn_snr_judge, contiguous=True)
     return Verdict(bad is None, method, bad)
 
 
@@ -447,7 +458,7 @@ def check_tn_vd_single_vector(
             return ViolationKind.VARIATION_INCREASE
         return ViolationKind.EQUALITY_SIGN_CLAUSE
 
-    bad = _entry_violation(a, strict=True) or _test_vector_sweep(a, k, alpha, contiguous_windows, judge)
+    bad = _entry_violation(a, strict=True) or _test_vector_sweep(a, k, alpha, judge, contiguous=True)
     return Verdict(bad is None, method, bad)
 
 
@@ -480,7 +491,7 @@ def check_tnp_snr(
     if mode == "single_vector":
         if not alpha.strictly_positive:
             raise ValueError("the single-vector non-positive test needs strictly positive alpha magnitudes")
-        bad = _test_vector_sweep(a, k, alpha, all_windows, _tnp_snr_judge)
+        bad = _test_vector_sweep(a, k, alpha, _tnp_snr_judge, contiguous=False)
         return Verdict(bad is None, method, bad)
     rng = random.Random(seed)
     for r in range(2, k + 1):
@@ -513,11 +524,14 @@ def _tnp_vd_failure(x: Sequence[RationalLike], y: Sequence[RationalLike]) -> Vio
         return ViolationKind.VARIATION_INCREASE
     if smy < smx or all(v == 0 for v in y):
         return None
-    pin = sign_profile(x)
-    pout = sign_profile(y)
-    if pin.first_nonzero_sign != pout.first_nonzero_sign or pin.last_nonzero_sign != pout.last_nonzero_sign:
+    if _nonzero_end_signs(x) != _nonzero_end_signs(y):
         return ViolationKind.EQUALITY_SIGN_CLAUSE
     return None
+
+
+def _nonzero_end_signs(v: Sequence[RationalLike]) -> tuple[bool | None, bool | None]:
+    """Whether the first and the last nonzero coordinate of v are positive (None for v = 0)."""
+    return next((e > 0 for e in v if e), None), next((e > 0 for e in reversed(v) if e), None)
 
 
 def _tnp_vd_judge(x: Sequence[int], y: Sequence[int]) -> ViolationKind | None:
@@ -569,5 +583,5 @@ def check_tnp_vd(
     alpha = alpha or DEFAULT_ALPHA
     if not alpha.strictly_positive:
         raise ValueError("the single-vector non-positive test needs strictly positive alpha magnitudes")
-    bad = _test_vector_sweep(a, k, alpha, all_windows, _tnp_vd_judge)
+    bad = _test_vector_sweep(a, k, alpha, _tnp_vd_judge, contiguous=False)
     return Verdict(bad is None, method, bad)

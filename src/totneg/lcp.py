@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Literal, Mapping, Sequence
 
-from .checks import ClassQuery, TN, Verdict, Violation, ViolationKind, check_by_minor_definition
+from .checks import MAX_ALL_SUBMATRIX_DIM, TN, ClassQuery, Verdict, Violation, ViolationKind, check_by_minor_definition
 from .errors import DimensionError, InvariantError, ResourceLimitError
 from .matrix import (
     ExactMatrix,
@@ -723,7 +723,7 @@ def tnp_lcp_sufficient_check(
     mode: Literal["single_q", "sampled_q"] = "single_q",
     trials: int = 24,
     seed: int = 0,
-    max_dim: int = 12,
+    max_dim: int = MAX_ALL_SUBMATRIX_DIM,
 ) -> TnpLcpReport:
     """Check the one-directional complementarity conditions for total non-positivity.
 

@@ -12,6 +12,8 @@ of the scaled matrix on demand: a size-s minor is the Laplace expansion of
 kept size-(s-1) minors along its first row (or a row the caller names) when
 those are all kept, and a Bareiss determinant otherwise.  A minor of the
 matrix itself is the scaled minor over the product of d_i on its rows.
+``MinorTable.solve`` gives a window's minor and its adjugate times a vector
+from one Bareiss solve, on the same loop as the determinant.
 ``det``, ``minor_det``, ``cofactor_minor``, ``adjugate``, ``minors_up_to`` and
 ``contiguous_minors_up_to`` stay on fraction-free Bareiss elimination, so
 witnesses and the tests' reference minors are independent of the table.
@@ -269,9 +271,18 @@ def _rows_as_scaled_ints(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[
     return out, scales
 
 
-def _det_int(m: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant of an integer matrix (mutates m)."""
+def _eliminate(m: list[list[int]]) -> int:
+    """Bareiss fraction-free forward elimination of the n integer rows of m on
+    their first n columns, in place; columns past n are carried along.
+
+    Rows are swapped to find a nonzero pivot; afterwards row i holds, in every
+    column j >= i, the minor on the first i + 1 rows of the permuted matrix and
+    the columns 0..i-1, j.  Returns the sign of the row permutation, or 0 as
+    soon as a pivot column is zero below the diagonal (the leading block is
+    singular).
+    """
     n = len(m)
+    width = len(m[0])
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -287,10 +298,16 @@ def _det_int(m: list[list[int]]) -> int:
         for i in range(k + 1, n):
             rik = m[i][k]
             row_i, row_k = m[i], m[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 row_i[j] = (row_i[j] * pk - rik * row_k[j]) // prev
         prev = pk
-    return sign * m[n - 1][n - 1]
+    return sign
+
+
+def _det_int(m: list[list[int]]) -> int:
+    """Bareiss fraction-free determinant of an integer matrix (mutates m)."""
+    sign = _eliminate(m)
+    return sign * m[-1][-1] if sign else 0
 
 
 def det_of_rows(rows: list[list[Fraction]]) -> Fraction:
@@ -309,27 +326,6 @@ def det(a: ExactMatrix) -> Fraction:
     if not a.is_square:
         raise DimensionError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
     return det_of_rows(a.row_list())
-
-
-def det_by_cofactor_expansion(a: ExactMatrix) -> Fraction:
-    """Reference determinant by first-row cofactor expansion (test oracle)."""
-    if not a.is_square:
-        raise DimensionError("determinant needs a square matrix")
-
-    def rec(rows: list[list[Fraction]]) -> Fraction:
-        n = len(rows)
-        if n == 1:
-            return rows[0][0]
-        total = Fraction(0)
-        for j in range(n):
-            if rows[0][j] == 0:
-                continue
-            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            term = rows[0][j] * rec(minor)
-            total += term if j % 2 == 0 else -term
-        return total
-
-    return rec(a.row_list())
 
 
 def minor_det(a: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
@@ -531,6 +527,34 @@ class MinorTable:
             total = sum(w * self.minor_of_masks(rm, cm) for rm, w in weighted)
             out.append(-total if i % 2 else total)
         return out
+
+    def solve(self, rows0: Sequence[int], cols0: Sequence[int], coeffs: Sequence[int]) -> tuple[int, list[int] | None]:
+        """``(minor(rows0, cols0), N)`` from one Bareiss solve, with N the integers
+        :meth:`adjugate_numerators` gives, or None when the minor is 0.
+
+        With T the scaled submatrix and D its row scales, N = adj(T) @ D c =
+        scale(rows0) * adj(S) @ c.  Eliminating [T | D c] leaves det(P T) as the
+        last pivot, P the row swaps; back substitution of P T x = P D c, scaled
+        by det(P T), gives det(P T) x = sign(P) N, each entry an exact quotient
+        by the pivot of its row.  O(r^3) against O(r^5) for the r^2 deletion
+        minors of a window whose sub-minors are not kept.  The minor is kept
+        like any other.
+        """
+        n = len(rows0)
+        m = [[self._ints[i][j] for j in cols0] + [self._scales[i] * c] for i, c in zip(rows0, coeffs)]
+        sign = _eliminate(m)
+        pivot = m[-1][n - 1] if sign else 0
+        key = _mask(rows0) << self._ncols | _mask(cols0)
+        if len(self._values) < MAX_STORED_MINORS:
+            self._values[key] = sign * pivot
+        if not pivot:
+            return 0, None
+        out = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = m[i]
+            total = pivot * row[n] - sum(row[j] * out[j] for j in range(i + 1, n))
+            out[i] = total // row[i]
+        return sign * pivot, out if sign > 0 else [-v for v in out]
 
     def stored(self) -> int:
         """How many minors the table keeps."""

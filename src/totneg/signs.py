@@ -4,6 +4,20 @@ Two counters drive the variation-diminution tests: ``s_minus`` counts sign
 changes after dropping zeros, and ``s_plus`` is the maximum count over all
 ways of assigning +1/-1 to the zero entries.  The all-zero vector of length n
 is special-cased to s_plus = n and s_minus = 0.
+
+``s_plus`` needs no search over assignments.  Let x~ flip the sign of every
+other coordinate, x~_i = (-1)^i x_i.  A +/-1 vector of length n and its flip
+together change sign exactly n - 1 times, one change at each adjacent pair, so
+an assignment maximizing the changes of x minimizes those of x~, whose minimum
+is s_minus(x~) (copy a neighbour's sign into each zero).  Hence, for nonzero x,
+
+    s_plus(x) = n - 1 - s_minus(x~).
+
+The same count gives the end signs.  Fixing a zero first coordinate to s adds
+one change to x~ unless s equals the sign of the first nonzero coordinate of
+x~, so only that s attains the maximum, and likewise at the last coordinate:
+for nonzero x both end signs at the maximum are forced, and one pass over x
+gives the whole :class:`SignProfile`.
 """
 
 from __future__ import annotations
@@ -42,43 +56,38 @@ def s_minus(x: Sequence[Fraction]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _allowed(v: Fraction) -> tuple[int, ...]:
-    s = _sign(v)
-    return (1, -1) if s == 0 else (s,)
+_FORCED = {1: frozenset({1}), -1: frozenset({-1})}
 
 
 def sign_profile(x: Sequence[Fraction]) -> SignProfile:
-    """Full sign-change analysis of a vector (both counters plus end signs)."""
+    """Full sign-change analysis of a vector (both counters plus end signs), in one pass."""
     n = len(x)
     if n == 0:
         raise ValueError("sign profile needs a nonempty vector")
-    nonzero = [i for i, v in enumerate(x) if v != 0]
-    if not nonzero:
+    changes = flipped_changes = 0  # in x, and in x~ = (x_0, -x_1, x_2, ...)
+    first = last = -1  # positions of the first and last nonzero coordinates
+    first_sign = last_sign = 0
+    for i, v in enumerate(x):
+        if not v:
+            continue
+        s = 1 if v > 0 else -1
+        if last < 0:
+            first, first_sign = i, s
+        else:
+            changed = s != last_sign
+            changes += changed
+            flipped_changes += changed ^ ((i - last) & 1)  # x~ flips one of the two iff i - last is odd
+        last, last_sign = i, s
+    if last < 0:
         # conventions for the zero vector; every assignment attains the maximum
         return SignProfile(0, n, frozenset({1, -1}), frozenset({1, -1}), None, None)
-
-    # forward[i][s]: max changes on x[0..i] with coordinate i assigned sign s
-    def sweep(seq: Sequence[Fraction]) -> list[dict[int, int]]:
-        table: list[dict[int, int]] = [{s: 0 for s in _allowed(seq[0])}]
-        for v in seq[1:]:
-            prev = table[-1]
-            table.append(
-                {s: max(c + (s != t) for t, c in prev.items()) for s in _allowed(v)}
-            )
-        return table
-
-    forward = sweep(x)
-    backward = sweep(list(reversed(x)))
-    splus = max(forward[-1].values())
-    last_at_max = frozenset(s for s, c in forward[-1].items() if c == splus)
-    first_at_max = frozenset(s for s, c in backward[-1].items() if c == splus)
     return SignProfile(
-        s_minus=s_minus(x),
-        s_plus=splus,
-        first_signs_at_max=first_at_max,
-        last_signs_at_max=last_at_max,
-        first_nonzero_sign=_sign(x[nonzero[0]]),
-        last_nonzero_sign=_sign(x[nonzero[-1]]),
+        s_minus=changes,
+        s_plus=n - 1 - flipped_changes,
+        first_signs_at_max=_FORCED[-first_sign if first % 2 else first_sign],
+        last_signs_at_max=_FORCED[-last_sign if (n - 1 - last) % 2 else last_sign],
+        first_nonzero_sign=first_sign,
+        last_nonzero_sign=last_sign,
     )
 
 
@@ -108,15 +117,3 @@ def is_mixed_orthant(x: Sequence[Fraction]) -> bool:
     if len(x) == 0:
         raise ValueError("orthant test needs a nonempty vector")
     return any(v > 0 for v in x) and any(v < 0 for v in x)
-
-
-def check_splus_sminus_duality(x: Sequence[Fraction]) -> bool:
-    """Self-test identity s_plus(x) + s_minus(x~) = n - 1 for nonzero x,
-
-    where x~ flips the sign of every even-position coordinate.
-    """
-    n = len(x)
-    if n == 0 or all(v == 0 for v in x):
-        raise ValueError("the identity requires a nonzero vector")
-    flipped = [v if i % 2 == 0 else -v for i, v in enumerate(x)]
-    return s_plus(x) + s_minus(flipped) == n - 1

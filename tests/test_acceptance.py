@@ -24,7 +24,6 @@ from totneg import (
     adjugate,
     check_by_contiguous_minors,
     check_by_minor_definition,
-    check_splus_sminus_duality,
     check_tn_snr_single_vector,
     check_tn_vd_single_vector,
     check_tnp_snr,
@@ -53,6 +52,8 @@ from totneg.generate import (
     orthant_impossibility_suite,
     random_rational_matrix,
 )
+
+from oracles import check_splus_sminus_duality
 
 SHAPES = [(m, n) for m in range(1, 7) for n in range(1, 7)]
 

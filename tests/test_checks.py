@@ -26,7 +26,9 @@ from totneg import (
     submatrix,
     vd_check,
 )
+from totneg import matrix as matrix_module
 from totneg.generate import cross_validate, generate_near_miss, random_rational_matrix
+from totneg.matrix import MinorTable
 
 TN2 = ClassQuery("tn", 2)
 TN3 = ClassQuery("tn", 3)
@@ -252,6 +254,9 @@ def test_single_vector_witnesses_equal_the_adjugate_product():
         for _ in range(4)
     ]
     mats += [generate_near_miss((3, 3), 3, seed=s).matrix for s in range(3)]
+    # row 3 = 6 * row 2 - 2 * row 1: every contiguous 2x2 minor is negative, and the
+    # 3x3 window fails while singular, so its vector comes from the deletion minors
+    mats.append(ExactMatrix.from_rows([[-3, -1, -6], ["-2", "-1/2", "-5/2"], [-6, -1, -3]]))
     seen = 0
     for a in mats:
         k = min(a.rows, a.cols)
@@ -308,3 +313,14 @@ def test_single_vector_sweeps_at_12x12_hold_on_a_totally_negative_matrix():
     assert check_tn_snr_single_vector(a, 12).holds
     assert check_tn_vd_single_vector(a).holds
     assert check_by_contiguous_minors(a.transpose(), ClassQuery("tn", 12)).holds
+
+
+def test_single_vector_sweeps_at_20x20_need_no_deletion_minors(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a nonsingular contiguous window needs no deletion minor or elimination")
+
+    monkeypatch.setattr(MinorTable, "adjugate_numerators", refuse)
+    monkeypatch.setattr(matrix_module, "det_of_rows", refuse)
+    a = _pascal_tn(20, Fraction(1, 2**40))
+    assert check_tn_snr_single_vector(a, 20).holds
+    assert check_tn_vd_single_vector(a).holds

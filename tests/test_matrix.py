@@ -2,6 +2,7 @@
 identity, minor streams and their closed-form counts."""
 
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -11,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from totneg import (
+    AlphaChoice,
     DimensionError,
     ExactMatrix,
     adjugate,
     cofactor_minor,
     contiguous_minors_up_to,
     det,
-    det_by_cofactor_expansion,
     minor_det,
     minors_up_to,
     parse_lcp_input,
@@ -28,6 +29,8 @@ from totneg import (
 )
 from totneg import matrix as matrix_module
 from totneg.matrix import MinorTable, all_windows, format_fraction, parse_rational, take
+
+from oracles import det_by_cofactor_expansion
 
 
 def det_by_permutations(a: ExactMatrix) -> Fraction:
@@ -315,3 +318,49 @@ def test_rationals_beyond_the_int_str_digit_limit_round_trip():
     assert format_fraction(Fraction(10**5000)) == "1" + "0" * 5000
     with pytest.raises(ValueError):
         parse_rational("1" * 5000 + ".5")
+
+
+@st.composite
+def solve_windows(draw):
+    """A window of size 1 to 6 in a matrix with mixed denominators, sparse or with
+    a zero or a repeated row, and an alpha with non-default magnitudes and global sign."""
+    r = draw(st.sampled_from(range(1, 7)))
+    m, n = draw(st.integers(r, 6)), draw(st.integers(r, 6))
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(("dense", "sparse", "zero row", "repeated row")))
+    zeros = 0.4 if kind == "sparse" else 0.0  # zero pivots make the elimination swap rows
+    rows = [
+        [Fraction(0) if rng.random() < zeros else Fraction(rng.randint(-12, 12), rng.randint(1, 9)) for _ in range(n)]
+        for _ in range(m)
+    ]
+    if kind in ("zero row", "repeated row") and m > 1:
+        i, j = draw(st.permutations(range(m)))[:2]
+        rows[i] = [Fraction(0)] * n if kind == "zero row" else list(rows[j])
+    rows0 = tuple(sorted(draw(st.permutations(range(m)))[:r]))
+    cols0 = tuple(sorted(draw(st.permutations(range(n)))[:r]))
+    magnitudes = draw(st.lists(st.fractions(min_value=0, max_value=7, max_denominator=5), min_size=1, max_size=4))
+    if not any(magnitudes[i % len(magnitudes)] for i in range(r)):
+        magnitudes[0] = Fraction(1)
+    alpha = AlphaChoice.of(magnitudes, global_sign=draw(st.sampled_from((1, -1))))
+    return ExactMatrix.from_rows(rows), rows0, cols0, alpha
+
+
+@settings(max_examples=200, deadline=None)
+@given(solve_windows())
+def test_window_solve_returns_the_minor_and_the_adjugate_numerators(case):
+    a, rows0, cols0, alpha = case
+    r = len(rows0)
+    realized = alpha.realized(r)
+    lcm = math.lcm(*(v.denominator for v in realized))
+    coeffs = [int(v * lcm) for v in realized]
+    table = MinorTable(a)
+    value, numerators = table.solve(rows0, cols0, coeffs)
+    reference = MinorTable(a)
+    assert value == reference.minor(rows0, cols0) == table.minor(rows0, cols0)
+    assert (numerators is None) == (value == 0)
+    if numerators is None:
+        return
+    if r > 1:
+        assert numerators == reference.adjugate_numerators(rows0, cols0, coeffs)
+    denominator = lcm * table.scale(rows0)
+    assert [Fraction(v, denominator) for v in numerators] == list(adjugate(take(a, rows0, cols0)).matvec(realized))
