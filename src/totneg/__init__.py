@@ -42,9 +42,6 @@ from .lcp import (
     SolutionFamily,
     TnpLcpReport,
     TnpLcpStatus,
-    count_solutions_for_positive_q,
-    disjoint_support_pair_check,
-    has_forbidden_pattern_pair,
     lcp_single_vector_check,
     lcp_single_vector_check_variant,
     solve_lcp,

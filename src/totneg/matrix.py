@@ -500,6 +500,10 @@ class MinorTable:
         """The (rows0, cols0) minor of the row-scaled integer matrix."""
         return self.minor_of_masks(_mask(rows0), _mask(cols0))
 
+    def scaled_rows(self, rows0: Sequence[int], cols0: Sequence[int]) -> list[list[int]]:
+        """The (rows0, cols0) submatrix of the row-scaled integer matrix."""
+        return [[self._ints[i][j] for j in cols0] for i in rows0]
+
     def scale(self, rows0: Sequence[int]) -> int:
         """Product of the row scales on rows0: the minor's exact denominator factor."""
         return math.prod(self._scales[i] for i in rows0)

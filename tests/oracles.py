@@ -1,10 +1,30 @@
-"""Reference oracles for the tests, independent of the library's fast paths."""
+"""Reference oracles for the tests, independent of the library's fast paths,
+and the sampled complementarity sweeps that only the tests run."""
 
 import itertools
+import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from totneg import DimensionError, ExactMatrix, s_minus
+from totneg import (
+    TN,
+    ClassQuery,
+    DimensionError,
+    ExactMatrix,
+    LCPInstance,
+    LCPSolutionSet,
+    ResourceLimitError,
+    SolutionFamily,
+    TnpLcpReport,
+    TnpLcpStatus,
+    check_by_minor_definition,
+    s_minus,
+    solve_lcp,
+)
+from totneg.errors import InvariantError
+from totneg.lcp import _FM_CONSTRAINT_CAP
+from totneg.matrix import all_windows, check_order, take
 
 
 def det_by_cofactor_expansion(a: ExactMatrix) -> Fraction:
@@ -66,3 +86,483 @@ def check_splus_sminus_duality(x: Sequence[Fraction]) -> bool:
         raise ValueError("the identity requires a nonzero vector")
     flipped = [v if i % 2 == 0 else -v for i, v in enumerate(x)]
     return profile_by_enumeration(x)[0] + s_minus(flipped) == n - 1
+
+
+# The complementarity reference: the per-support step on Fractions, Gauss-Jordan
+# then the exact segment or ray of a one-dimensional kernel or Fourier-Motzkin,
+# independent of the library's integer step.
+
+
+def _solve_linear(
+    mat: list[list[Fraction]], rhs: list[Fraction]
+) -> tuple[list[Fraction] | None, list[list[Fraction]]]:
+    """Exact solve of mat x = rhs; returns (particular, kernel basis), or (None, [])."""
+    m = len(mat)
+    n = len(mat[0]) if mat else 0
+    aug = [list(mat[i]) + [rhs[i]] for i in range(m)]
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        pv = aug[r][c]
+        aug[r] = [v / pv for v in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if aug[i][n] != 0:
+            return None, []
+    particular = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        particular[c] = aug[i][n]
+    kernel = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -aug[i][fc]
+        kernel.append(v)
+    return particular, kernel
+
+
+# A linear constraint sum(coeffs * t) >= rhs over the kernel parameters.
+Constraint = tuple[tuple[Fraction, ...], Fraction]
+
+
+def _fm_eliminate(cons: list[Constraint], var: int) -> list[Constraint]:
+    pos = [c for c in cons if c[0][var] > 0]
+    neg = [c for c in cons if c[0][var] < 0]
+    out = [c for c in cons if c[0][var] == 0]
+    for (pa, pr) in pos:
+        for (na, nr) in neg:
+            fp, fn = -na[var], pa[var]
+            coeffs = tuple(fp * a + fn * b for a, b in zip(pa, na))
+            out.append((coeffs, fp * pr + fn * nr))
+            if len(out) > _FM_CONSTRAINT_CAP:
+                raise ResourceLimitError("Fourier-Motzkin constraint blow-up")
+    return out
+
+
+def _fm_consistent(cons: list[Constraint]) -> bool:
+    return all(c[1] <= 0 for c in cons if not any(c[0]))
+
+
+def _fm_bounds_single(cons: list[Constraint], var: int) -> tuple[Fraction | None, Fraction | None, bool]:
+    """Bounds on t_var from constraints mentioning only t_var; (lo, hi, consistent)."""
+    lo: Fraction | None = None
+    hi: Fraction | None = None
+    for coeffs, rhs in cons:
+        c = coeffs[var]
+        if c == 0:
+            if rhs > 0:
+                return None, None, False
+            continue
+        bound = rhs / c
+        if c > 0:
+            lo = bound if lo is None or bound > lo else lo
+        else:
+            hi = bound if hi is None or bound < hi else hi
+    if lo is not None and hi is not None and lo > hi:
+        return lo, hi, False
+    return lo, hi, True
+
+
+def _fm_project(cons: list[Constraint], dim: int, keep: int) -> tuple[Fraction | None, Fraction | None, bool]:
+    cur = cons
+    for v in range(dim):
+        if v != keep:
+            cur = _fm_eliminate(cur, v)
+    if not _fm_consistent(cur):
+        return None, None, False
+    only = [c for c in cur if c[0][keep] != 0]
+    return _fm_bounds_single(only, keep)
+
+
+def _fm_feasible_point(cons: list[Constraint], dim: int) -> list[Fraction] | None:
+    """A feasible point of {t : cons}, or None, by elimination + back-substitution.
+
+    Stage i has variables 0..dim-1-i alive; values are chosen for variable v
+    from stage dim-1-v after substituting the variables already fixed.
+    """
+    stages = [cons]
+    for v in range(dim - 1, 0, -1):
+        stages.append(_fm_eliminate(stages[-1], v))
+    if not _fm_consistent(stages[-1]):
+        return None
+    point = [Fraction(0)] * dim
+    for v in range(dim):
+        reduced: list[Constraint] = []
+        for coeffs, rhs in stages[dim - 1 - v]:
+            rest = sum((coeffs[w] * point[w] for w in range(v)), Fraction(0))
+            reduced.append(((coeffs[v],), rhs - rest))
+        lo, hi, ok = _fm_bounds_single(reduced, 0)
+        if not ok:
+            return None
+        if lo is None and hi is None:
+            point[v] = Fraction(0)
+        elif lo is None:
+            point[v] = hi - 1
+        elif hi is None:
+            point[v] = lo + 1
+        else:
+            point[v] = (lo + hi) / 2
+    return point
+
+
+def support_solutions_on_fractions(
+    rows: Sequence[Sequence[Fraction]], q: Sequence[Fraction], support: tuple[int, ...]
+) -> tuple[list[tuple[Fraction, ...]], list[SolutionFamily]]:
+    """The reference per-support step on Fractions: the solutions of LCP(rows, q) on one support S: the points and families
+    of x >= 0 with x zero off S, A_SS x_S = -q_S and slack A x + q >= 0 off S.
+
+    A singular A_SS with a consistent system gives a segment or ray (one-dimensional
+    kernel, its anchor and finite end also listed as points) or, for larger
+    kernels, a Fourier-Motzkin point that is either isolated or stands for a family.
+    """
+    n = len(rows)
+    size = len(support)
+    points: list[tuple[Fraction, ...]] = []
+    families: list[SolutionFamily] = []
+
+    def feasible(x: Sequence[Fraction]) -> bool:
+        if any(v < 0 for v in x):
+            return False
+        # x is zero off the support
+        y = [sum((row[j] * x[j] for j in support), qv) for row, qv in zip(rows, q)]
+        if any(v < 0 for v in y):
+            return False
+        if sum(x[j] * y[j] for j in support) != 0:
+            raise InvariantError(f"support solution {x} is not complementary")
+        return True
+
+    def embed(xs: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        full = [Fraction(0)] * n
+        for pos, val in zip(support, xs):
+            full[pos] = val
+        return tuple(full)
+
+    particular, kernel = _solve_linear([[rows[i][j] for j in support] for i in support], [-q[i] for i in support])
+    if particular is None:
+        return points, families
+    if not kernel:
+        x = embed(particular)
+        if feasible(x):
+            points.append(x)
+        return points, families
+    d = len(kernel)
+    # feasibility constraints on the kernel parameters t:
+    #   x_S(t) >= 0 and y_i(t) >= 0 off the support
+    cons: list[Constraint] = []
+    for l in range(size):
+        coeffs = tuple(kernel[w][l] for w in range(d))
+        cons.append((coeffs, -particular[l]))
+    for i in range(n):
+        if i in support:
+            continue
+        base = sum((rows[i][support[l]] * particular[l] for l in range(size)), Fraction(0)) + q[i]
+        coeffs = tuple(
+            sum((rows[i][support[l]] * kernel[w][l] for l in range(size)), Fraction(0))
+            for w in range(d)
+        )
+        cons.append((coeffs, -base))
+    if d == 1:
+        lo, hi, ok = _fm_bounds_single(cons, 0)
+        if not ok:
+            return points, families
+        if lo is not None and hi is not None and lo == hi:
+            x = embed([particular[l] + lo * kernel[0][l] for l in range(size)])
+            if feasible(x):
+                points.append(x)
+            return points, families
+        t0 = lo if lo is not None else (hi if hi is not None else Fraction(0))
+        anchor = embed([particular[l] + t0 * kernel[0][l] for l in range(size)])
+        if not feasible(anchor):
+            raise InvariantError(f"family anchor {anchor} on support {support} is infeasible")
+        shift = lambda b: None if b is None else b - t0  # noqa: E731
+        families.append(
+            SolutionFamily(
+                support=tuple(i + 1 for i in support),
+                particular=anchor,
+                directions=(embed(kernel[0]),),
+                t_range=(shift(lo), shift(hi)),
+            )
+        )
+        points.append(anchor)
+        if lo is not None and hi is not None:
+            other = embed([particular[l] + hi * kernel[0][l] for l in range(size)])
+            if not feasible(other):
+                raise InvariantError(f"family end {other} on support {support} is infeasible")
+            points.append(other)
+        return points, families
+    point = _fm_feasible_point(cons, d)
+    if point is None:
+        return points, families
+    x = embed([particular[l] + sum(point[w] * kernel[w][l] for w in range(d)) for l in range(size)])
+    if not feasible(x):
+        raise InvariantError(f"Fourier-Motzkin point {x} on support {support} is infeasible")
+    points.append(x)
+    for w in range(d):
+        lo, hi, ok = _fm_project(cons, d, w)
+        if not ok:  # the region is nonempty, so every projection is too
+            raise InvariantError(f"empty projection of a nonempty region on support {support}")
+        if lo is None or hi is None or lo != hi:
+            families.append(
+                SolutionFamily(
+                    support=tuple(i + 1 for i in support),
+                    particular=x,
+                    directions=tuple(embed(kv) for kv in kernel),
+                    t_range=None,
+                )
+            )
+            break
+    return points, families
+
+
+def solve_lcp_on_fractions(inst: LCPInstance) -> LCPSolutionSet:
+    """Reference enumeration: the Fraction step on every support of the instance."""
+    n = inst.matrix.rows
+    rows = inst.matrix.row_list()
+    found: dict[tuple[Fraction, ...], None] = {}
+    families: list[SolutionFamily] = []
+    for size in range(n + 1):
+        for support in itertools.combinations(range(n), size):
+            points, fams = support_solutions_on_fractions(rows, inst.q, support)
+            found.update(dict.fromkeys(points))
+            families.extend(fams)
+    return LCPSolutionSet(solutions=tuple(sorted(found)), families=tuple(families))
+
+
+@dataclass(frozen=True)
+class PositiveQSweep:
+    always_two: bool
+    counterexample_q: tuple[Fraction, ...] | None
+    solutions: LCPSolutionSet | None
+    trials: int
+    seed: int
+
+
+def _random_positive_q(rng: random.Random, n: int, allow_zero: bool = False) -> tuple[Fraction, ...]:
+    vals = []
+    for _ in range(n):
+        if allow_zero and rng.random() < 0.3:
+            vals.append(Fraction(0))
+        else:
+            vals.append(Fraction(rng.randint(1, 100), rng.randint(1, 100)))
+    return tuple(vals)
+
+
+def count_solutions_for_positive_q(
+    a: ExactMatrix, trials: int, seed: int
+) -> PositiveQSweep:
+    """Sample strictly positive q and report the first one without exactly two solutions."""
+    if not a.is_square:
+        raise DimensionError("needs a square matrix")
+    if trials < 1:
+        raise ValueError("at least one trial required")
+    if not a.is_entrywise_negative():
+        raise ValueError("the two-solution sweep applies to entrywise negative matrices")
+    rng = random.Random(seed)
+    for _ in range(trials):
+        q = _random_positive_q(rng, a.rows)
+        sols = solve_lcp(LCPInstance(a, q))
+        if sols.count() != 2:
+            return PositiveQSweep(False, q, sols, trials, seed)
+    return PositiveQSweep(True, None, None, trials, seed)
+
+
+def _alternating_positions(r: int, odd: bool) -> tuple[int, ...]:
+    """0-based positions required strictly positive: odd=(0,2,4,..), else (1,3,..)."""
+    return tuple(i for i in range(r) if (i % 2 == 0) == odd)
+
+
+def _matches_pattern(v: Sequence[Fraction], positive: Sequence[int]) -> bool:
+    pos = set(positive)
+    return all((v[i] > 0) if i in pos else (v[i] == 0) for i in range(len(v)))
+
+
+def _family_member_matching(
+    fam: SolutionFamily, positive: Sequence[int]
+) -> tuple[Fraction, ...] | None:
+    """An exact member of a 1-dim family matching the sign pattern, if any."""
+    if fam.dimension != 1 or fam.t_range is None:
+        return None
+    p = fam.particular
+    k = fam.directions[0]
+    lo, hi = fam.t_range
+    pos = set(positive)
+    forced: Fraction | None = None
+    for i in range(len(p)):
+        if i in pos:
+            continue
+        if k[i] == 0:
+            if p[i] != 0:
+                return None
+        else:
+            t = -p[i] / k[i]
+            if forced is None:
+                forced = t
+            elif forced != t:
+                return None
+    if forced is not None:
+        if (lo is not None and forced < lo) or (hi is not None and forced > hi):
+            return None
+        member = fam.member(forced)
+        return member if _matches_pattern(member, positive) else None
+    # free parameter: solve the strict inequalities p_i + t k_i > 0 on [lo, hi]
+    s_lo: tuple[Fraction, bool] | None = (lo, False) if lo is not None else None
+    s_hi: tuple[Fraction, bool] | None = (hi, False) if hi is not None else None
+    for i in pos:
+        if k[i] == 0:
+            if p[i] <= 0:
+                return None
+        else:
+            bound = -p[i] / k[i]
+            if k[i] > 0:
+                if s_lo is None or bound > s_lo[0] or (bound == s_lo[0] and not s_lo[1]):
+                    s_lo = (bound, True)
+            else:
+                if s_hi is None or bound < s_hi[0] or (bound == s_hi[0] and not s_hi[1]):
+                    s_hi = (bound, True)
+    if s_lo is None and s_hi is None:
+        t = Fraction(0)
+    elif s_lo is None:
+        t = s_hi[0] - 1
+    elif s_hi is None:
+        t = s_lo[0] + 1
+    else:
+        if s_lo[0] > s_hi[0]:
+            return None
+        if s_lo[0] == s_hi[0]:
+            if s_lo[1] or s_hi[1]:
+                return None
+            t = s_lo[0]
+        else:
+            t = (s_lo[0] + s_hi[0]) / 2
+    member = fam.member(t)
+    return member if _matches_pattern(member, positive) else None
+
+
+def _pattern_members(sols: LCPSolutionSet, r: int, odd: bool) -> list[tuple[Fraction, ...]]:
+    positive = _alternating_positions(r, odd)
+    out = [v for v in sols.solutions if _matches_pattern(v, positive)]
+    for fam in sols.families:
+        member = _family_member_matching(fam, positive)
+        if member is not None and member not in out:
+            out.append(member)
+    return out
+
+
+def has_forbidden_pattern_pair(sols: LCPSolutionSet, r: int) -> bool:
+    """True iff the set holds one (+,0,+,0,..) vector and one (0,+,0,+,..) vector."""
+    if r < 2:
+        raise ValueError("the pattern pair needs size at least 2")
+    return bool(_pattern_members(sols, r, odd=True)) and bool(_pattern_members(sols, r, odd=False))
+
+
+def tnp_lcp_sampled_q(a: ExactMatrix, k: int, trials: int = 24, seed: int = 0) -> TnpLcpReport:
+    """Falsifier of the TNP complementarity condition: samples nonnegative q and
+    searches for two alternating-support solutions with different images; it
+    can never certify."""
+    check_order(a, k)
+    hit = a.first_entry_violating(strict=False)
+    if hit is not None:
+        return TnpLcpReport(
+            TnpLcpStatus.VIOLATION,
+            rows=(hit[0],),
+            cols=(hit[1],),
+            note="positive entry",
+        )
+    rng = random.Random(seed)
+    for r in range(2, k + 1):
+        for rows0, cols0 in all_windows(a.rows, a.cols, r):
+            sub = take(a, rows0, cols0)
+            for _ in range(trials):
+                q = _random_positive_q(rng, r, allow_zero=True)
+                sols = solve_lcp(LCPInstance(sub, q))
+                z1s = _pattern_members(sols, r, odd=True)
+                z2s = _pattern_members(sols, r, odd=False)
+                for z1 in z1s:
+                    img1 = sub.matvec(z1)
+                    for z2 in z2s:
+                        if sub.matvec(z2) != img1:
+                            return TnpLcpReport(
+                                TnpLcpStatus.VIOLATION,
+                                rows=tuple(i + 1 for i in rows0),
+                                cols=tuple(j + 1 for j in cols0),
+                                q=q,
+                                witness_pair=(z1, z2),
+                                note="alternating-support solutions with different images",
+                            )
+    return TnpLcpReport(
+        TnpLcpStatus.INCONCLUSIVE,
+        note="no violation in the sampled instances; the condition quantifies over all q",
+    )
+
+
+def _family_representatives(fam: SolutionFamily) -> list[tuple[Fraction, ...]]:
+    if fam.dimension != 1 or fam.t_range is None:
+        return [fam.particular]
+    lo, hi = fam.t_range
+    ts: list[Fraction] = []
+    if lo is not None:
+        ts.append(lo)
+    if hi is not None:
+        ts.append(hi)
+    if lo is not None and hi is not None:
+        ts.append((lo + hi) / 2)
+    elif lo is not None:
+        ts.append(lo + 1)
+    elif hi is not None:
+        ts.append(hi - 1)
+    else:
+        ts.extend((Fraction(0), Fraction(1)))
+    out = []
+    for t in ts:
+        member = fam.member(t)
+        if member not in out:
+            out.append(member)
+    return out
+
+
+def _support(v: Sequence[Fraction]) -> frozenset[int]:
+    return frozenset(i for i, x in enumerate(v) if x != 0)
+
+
+def _has_consecutive_positive(v: Sequence[Fraction]) -> bool:
+    return any(a > 0 and b > 0 for a, b in zip(v, v[1:]))
+
+def disjoint_support_pair_check(a: ExactMatrix, trials: int, seed: int) -> bool:
+    """For a matrix totally negative of order n-1: no q > 0 yields two nonzero
+    solutions with disjoint supports, one containing two consecutive positives.
+
+    Returns True when no such pair shows up across the sampled instances.
+    Raises ValueError when the matrix does not satisfy the precondition.
+    """
+    if not a.is_square or a.rows < 2:
+        raise ValueError("needs a square matrix of size at least 2")
+    pre = check_by_minor_definition(a, ClassQuery(TN, a.rows - 1))
+    if not pre.holds:
+        raise ValueError("matrix is not totally negative of order n-1")
+    rng = random.Random(seed)
+    for _ in range(trials):
+        q = _random_positive_q(rng, a.rows)
+        sols = solve_lcp(LCPInstance(a, q))
+        candidates = [v for v in sols.solutions if any(v)]
+        for fam in sols.families:
+            for member in _family_representatives(fam):
+                if any(member) and member not in candidates:
+                    candidates.append(member)
+        for u, v in itertools.combinations(candidates, 2):
+            if _support(u) & _support(v):
+                continue
+            if _has_consecutive_positive(u) or _has_consecutive_positive(v):
+                return False
+    return True

@@ -28,7 +28,6 @@ from totneg import (
     check_tn_vd_single_vector,
     check_tnp_snr,
     check_tnp_vd,
-    count_solutions_for_positive_q,
     det,
     hull_is_totally_negative,
     hull_is_totally_nonpositive,
@@ -53,7 +52,7 @@ from totneg.generate import (
     random_rational_matrix,
 )
 
-from oracles import check_splus_sminus_duality
+from oracles import check_splus_sminus_duality, count_solutions_for_positive_q
 
 SHAPES = [(m, n) for m in range(1, 7) for n in range(1, 7)]
 

@@ -25,17 +25,35 @@ from totneg import (
     Violation,
     ViolationKind,
     check_by_minor_definition,
-    count_solutions_for_positive_q,
-    disjoint_support_pair_check,
-    has_forbidden_pattern_pair,
     lcp_single_vector_check,
     lcp_single_vector_check_variant,
     solve_lcp,
     tnp_lcp_sufficient_check,
 )
-from totneg import lcp
+from totneg import lcp, matrix
+from totneg.cli import main
+from totneg.errors import InvariantError
 from totneg.generate import generate_near_miss, generate_tn, generate_tn_of_order, generate_tnp
-from totneg.matrix import all_windows, check_order, cofactor_minor, contiguous_windows, det_of_rows, take
+from totneg.matrix import (
+    _rows_as_scaled_ints,
+    all_windows,
+    check_order,
+    cofactor_minor,
+    contiguous_windows,
+    det_of_rows,
+    minor_det,
+    take,
+)
+
+from oracles import (
+    _solve_linear,
+    count_solutions_for_positive_q,
+    disjoint_support_pair_check,
+    has_forbidden_pattern_pair,
+    solve_lcp_on_fractions,
+    support_solutions_on_fractions,
+    tnp_lcp_sampled_q,
+)
 
 
 def fv(*values):
@@ -330,13 +348,13 @@ def test_tnp_sufficient_check_single_q(n3, near_miss, zero_row_tnp):
 
 
 def test_tnp_sufficient_check_sampled_q(near_miss, n3):
-    rep = tnp_lcp_sufficient_check(near_miss, 2, mode="sampled_q", trials=60, seed=4)
+    rep = tnp_lcp_sampled_q(near_miss, 2, trials=60, seed=4)
     assert rep.status is TnpLcpStatus.VIOLATION
-    ok = tnp_lcp_sufficient_check(n3, 3, mode="sampled_q", trials=6, seed=4)
+    ok = tnp_lcp_sampled_q(n3, 3, trials=6, seed=4)
     assert ok.status is TnpLcpStatus.INCONCLUSIVE  # sampling can never certify
     posentry = ExactMatrix.from_rows([[1]])
     assert (
-        tnp_lcp_sufficient_check(posentry, 1, mode="sampled_q").status is TnpLcpStatus.VIOLATION
+        tnp_lcp_sampled_q(posentry, 1).status is TnpLcpStatus.VIOLATION
     )
 
 
@@ -370,7 +388,7 @@ def test_solver_invariants_survive_python_O(zero_row_tnp):
 
         assert False, "asserts must be stripped in this run"
         # bounds that put the family anchor of support {1} outside the feasible set
-        lcp._fm_bounds_single = lambda cons, var: (Fraction(-5), None, True)
+        lcp._fm_bounds_single = lambda cons, var: ((-5, 1), None, True)
         a, q = parse_lcp_input(sys.stdin.read())
         try:
             lcp.solve_lcp(lcp.LCPInstance(a, q))
@@ -394,7 +412,7 @@ def test_solver_invariants_survive_python_O(zero_row_tnp):
 
 
 def solver_single_vector_check(a, k, weights, method):
-    """The single-vector check with every window's solution set from solve_lcp."""
+    """The single-vector check with every window's solution set from the Fraction oracle."""
     check_order(a, k)
     for r in range(1, k + 1):
         if weights is not None and not any(i <= r for i in weights):
@@ -402,7 +420,7 @@ def solver_single_vector_check(a, k, weights, method):
         for rows0, cols0 in contiguous_windows(a.rows, a.cols, r):
             sub = take(a, rows0, cols0)
             x = single_vector_x(sub, weights)
-            sols = solve_lcp(LCPInstance(sub, sub.matvec(x)))
+            sols = solve_lcp_on_fractions(LCPInstance(sub, sub.matvec(x)))
             minus_x = tuple(-v for v in x)
             if not (sols.is_finite and set(sols.solutions) == {tuple(Fraction(0) for _ in x), minus_x}):
                 rows1, cols1 = tuple(i + 1 for i in rows0), tuple(j + 1 for j in cols0)
@@ -411,7 +429,7 @@ def solver_single_vector_check(a, k, weights, method):
 
 
 def solver_tnp_sufficient_check(a, k):
-    """The single_q TNP check with every window's solution set from solve_lcp."""
+    """The TNP check with every window's solution set from the Fraction oracle."""
     check_order(a, k)
     saw_family = None
     for r in range(1, k + 1):
@@ -424,7 +442,7 @@ def solver_tnp_sufficient_check(a, k):
                     TnpLcpStatus.VIOLATION, rows1, cols1, q,
                     note="zero vector is not a solution of the prescribed instance",
                 )
-            sols = solve_lcp(LCPInstance(sub, q))
+            sols = solve_lcp_on_fractions(LCPInstance(sub, q))
             if not sols.is_finite:
                 saw_family = saw_family or (rows1, cols1)
                 continue
@@ -477,7 +495,7 @@ def lcp_matrices(draw):
 @given(lcp_matrices(), st.data())
 def test_single_vector_checks_match_the_solver_on_every_window(a, data):
     """The minor-table path gives the same verdicts, witnesses and reports as
-    solving every window's complementarity problem with solve_lcp."""
+    solving every window's complementarity problem with the Fraction oracle."""
     k = data.draw(st.sampled_from(range(min(a.rows, a.cols), 0, -1)))
     assert lcp_single_vector_check(a, k) == solver_single_vector_check(a, k, None, "lcp_single_vector")
     weights = {1: Fraction(2, 3), 3: Fraction(5, 2)}
@@ -495,7 +513,7 @@ def test_single_vector_checks_need_no_solver_even_on_singular_windows(monkeypatc
 
     monkeypatch.setattr(lcp, "solve_lcp", refuse)
     assert lcp_single_vector_check(a, 6).holds
-    # a zero entry is a zero principal minor: only that support is solved on Fractions
+    # a zero entry is a zero principal minor: only that support goes to the per-support step
     assert tnp_lcp_sufficient_check(zero_row_tnp, 3).status is TnpLcpStatus.INCONCLUSIVE
 
 
@@ -510,7 +528,8 @@ def test_single_vector_check_refuses_windows_beyond_the_lcp_size(monkeypatch):
 
 
 def spy_on_support_solutions(monkeypatch):
-    """Record (window size, support, result) of every per-support solve."""
+    """Record (window size, support, result) of every per-support solve; a result's
+    points are integer (d, Z, W) with the solution Z / (d L) for the window's L."""
     seen = []
     real = lcp._support_solutions
 
@@ -537,15 +556,16 @@ def test_finite_singular_window_keeps_an_isolated_point_of_a_one_dimensional_ker
     full = (0, 1, 2, 3)
     seen = spy_on_support_solutions(monkeypatch)
     xs, lcm = whole_window(a)
-    candidates = list(lcp._support_candidates(a, full, full, xs, lcp._scaled_image(a.minor_table, full, full, xs), lcm))
-    holds = lcp._window_holds(a, full, full, xs, lcm)
-    assert any(fv(2, 0, 6, 0) in points and not families for _, _, (points, families) in seen)
+    candidates = list(lcp._support_candidates(a, full, full, xs, lcp._scaled_image(a.minor_table, full, full, xs)))
+    holds = lcp._window_holds(a, full, full, xs)
+    solutions = lambda points: {tuple(Fraction(z, d * lcm) for z in zs) for d, zs, _ in points}  # noqa: E731
+    assert any(fv(2, 0, 6, 0) in solutions(points) and not families for _, _, (points, families) in seen)
     assert None not in candidates
-    points = {tuple(Fraction(z, d * lcm) for z in zs) for d, zs, _ in candidates}
+    points = solutions(candidates)
     pair = lcp._pair_with_distinct_images([c for c in candidates if any(c[1])])
     # the reference loops' view of the window
     x = single_vector_x(a)
-    sols = solve_lcp(LCPInstance(a, a.matvec(x)))
+    sols = solve_lcp_on_fractions(LCPInstance(a, a.matvec(x)))
     assert sols.is_finite and points | {fv(0, 0, 0, 0)} == set(sols.solutions)
     assert holds == (set(sols.solutions) == {fv(0, 0, 0, 0), tuple(-v for v in x)}) and not holds
     nonzero = [v for v in sols.solutions if any(v)]
@@ -562,12 +582,12 @@ def test_zero_principal_block_is_decided_by_fourier_motzkin(monkeypatch):
     monkeypatch.setattr(lcp, "_fm_feasible_point", lambda cons, dim: dims.append(dim) or real(cons, dim))
     report = tnp_lcp_sufficient_check(a, 3)
     xs, lcm = whole_window(a)
-    holds = lcp._window_holds(a, (0, 1, 2), (0, 1, 2), xs, lcm)
+    holds = lcp._window_holds(a, (0, 1, 2), (0, 1, 2), xs)
     assert 2 in dims
     monkeypatch.setattr(lcp, "_fm_feasible_point", real)
     assert report == solver_tnp_sufficient_check(a, 3)
     x = single_vector_x(a)
-    sols = solve_lcp(LCPInstance(a, a.matvec(x)))
+    sols = solve_lcp_on_fractions(LCPInstance(a, a.matvec(x)))
     assert holds == (sols.is_finite and set(sols.solutions) == {fv(0, 0, 0), tuple(-v for v in x)})
     assert holds  # x = 0, and FM finds nothing but 0 on the zero block
 
@@ -582,8 +602,129 @@ def test_a_window_ends_at_its_first_solution_family(monkeypatch):
     (support, (_, families)), = calls
     assert support == (0,) and families
     seen.clear()
-    xs, lcm = whole_window(a)
-    assert not lcp._window_holds(a, (0, 1, 2), (0, 1, 2), xs, lcm)
+    xs, _ = whole_window(a)
+    assert not lcp._window_holds(a, (0, 1, 2), (0, 1, 2), xs)
     assert len(seen) == 1
     assert report == solver_tnp_sufficient_check(a, 3)
-    assert not solve_lcp(LCPInstance(a, a.matvec(single_vector_x(a)))).is_finite
+    assert not solve_lcp_on_fractions(LCPInstance(a, a.matvec(single_vector_x(a)))).is_finite
+
+
+def integer_step(rows, q, support):
+    """The library's per-support step on the rows of [A | q] scaled to integers,
+    with its points and families as the Fractions solve_lcp reports."""
+    ints, _ = _rows_as_scaled_ints([[*row, v] for row, v in zip(rows, q)])
+    qs = [row.pop() for row in ints]
+    points, families = lcp._support_solutions(ints, qs, support)
+    return [lcp._fractions(p) for p in points], [lcp._solution_family(support, f) for f in families]
+
+
+def outcome(step, rows, q, support):
+    """A step's (points, families), or the type of the error it raises."""
+    try:
+        return step(rows, q, support)
+    except (ResourceLimitError, InvariantError) as exc:
+        return type(exc)
+
+
+def compare_every_support(rows, q):
+    """Assert that the integer step equals the Fraction reference on every support;
+    return the kernel shapes met: a kernel dimension, or None for an inconsistent system."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    q = [Fraction(v) for v in q]
+    shapes = set()
+    for size in range(len(rows) + 1):
+        for support in itertools.combinations(range(len(rows)), size):
+            assert outcome(integer_step, rows, q, support) == outcome(support_solutions_on_fractions, rows, q, support)
+            particular, kernel = _solve_linear([[rows[i][j] for j in support] for i in support], [-q[i] for i in support])
+            shapes.add(None if particular is None else len(kernel))
+    return shapes
+
+
+@st.composite
+def small_systems(draw):
+    """A with q, sizes 1 to 5: small integer rows, some replaced by a repeat, a
+    zero row or a multiple of an earlier row, or a rank-one block u v^T on a
+    leading principal block; then every row of [A | q] over its own denominator."""
+    n = draw(st.integers(1, 5))
+    small = st.integers(-3, 3)
+    rows = [[Fraction(draw(small)) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        b = draw(st.integers(1, n))
+        u = [draw(small) for _ in range(b)]
+        v = [draw(small) for _ in range(b)]
+        for i in range(b):
+            rows[i][:b] = [Fraction(u[i] * vj) for vj in v]
+    for i in range(1, n):
+        how = draw(st.sampled_from(("keep", "keep", "repeat", "zero", "multiple")))
+        if how == "repeat":
+            rows[i] = list(rows[draw(st.integers(0, i - 1))])
+        elif how == "zero":
+            rows[i] = [Fraction(0)] * n
+        elif how == "multiple":
+            f = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 4)))
+            rows[i] = [f * v for v in rows[draw(st.integers(0, i - 1))]]
+    q = [Fraction(draw(small)) for _ in range(n)]
+    dens = [draw(st.sampled_from((1, 2, 3, 6, 7))) for _ in range(n)]
+    return [[v / d for v in row] for row, d in zip(rows, dens)], [v / d for v, d in zip(q, dens)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_systems())
+def test_integer_support_step_matches_the_fraction_step(system):
+    """Points, families and raised errors of the integer step equal those of the
+    Fraction step on every support."""
+    compare_every_support(*system)
+
+
+def test_integer_support_step_meets_every_kernel_shape():
+    """Fixed systems on which the comparison meets inconsistent right-hand sides
+    and kernels of dimension 1 to 3."""
+    third = Fraction(1, 3)
+    shapes = set()
+    # repeated rows with different right-hand sides: inconsistent, kernel 1
+    shapes |= compare_every_support([[-1, 2, 0], [-1, 2, 0], [3, -1, -2]], [1, 2, 0])
+    shapes |= compare_every_support([[-1, 2, 0], [-1, 2, 0], [3, -1, -2]], [1, 1, 0])
+    # a zero 2x2 block whose feasible region is a half-strip 0 <= t_1 <= 1, t_2 >= 0:
+    # the Fourier-Motzkin point takes a midpoint, then a step past a lower bound
+    shapes |= compare_every_support([[0, 0, -1], [0, 0, -1], [-1, 0, -1]], [0, 0, 1])
+    # a zero 3x3 block with q = 0: kernel 3
+    shapes |= compare_every_support([[0, 0, 0, -1], [0, 0, 0, 2], [0, 0, 0, 1], [1, -1, 2, 0]], [0, 0, 0, 1])
+    # a rank-one block over mixed row denominators: kernel 2
+    shapes |= compare_every_support(
+        [[-1, -2, -3], [-third, -Fraction(2, 3), -1], [Fraction(-1, 2), -1, Fraction(-3, 2)]], [1, third, Fraction(1, 2)]
+    )
+    assert {None, 1, 2, 3} <= shapes
+
+
+def test_rank_one_tnp_instance_is_checked_on_integers(monkeypatch):
+    """Every minor of size 2 or more of a rank-one instance is zero, so each
+    singular support of size s >= 3 has a kernel of dimension s - 1 >= 2 and is
+    decided by Fourier-Motzkin; the check needs no Fraction rows of any window."""
+    a = generate_tnp((5, 5), 5, seed=1).matrix
+    assert all(minor_det(a, [i + 1 for i in r], [j + 1 for j in c]) == 0 for r, c in all_windows(5, 5, 2))
+    expected = solver_tnp_sufficient_check(a, 5)
+    a.minor_table  # noqa: B018 -- built before row_list is refused
+
+    def refuse(*args):
+        raise AssertionError("a window's Fraction rows were built")
+
+    real = lcp._fm_feasible_point
+    dims = []
+    monkeypatch.setattr(lcp, "_fm_feasible_point", lambda cons, dim: dims.append(dim) or real(cons, dim))
+    monkeypatch.setattr(ExactMatrix, "row_list", refuse)
+    monkeypatch.setattr(matrix, "take", refuse)
+    report = tnp_lcp_sufficient_check(a, 5)
+    monkeypatch.undo()
+    assert dims  # Fourier-Motzkin decided some support
+    assert report == expected
+
+
+def test_fourier_motzkin_blow_up_refuses_with_exit_3(monkeypatch, tmp_path, capsys):
+    # support {1, 2} has a zero 2x2 block and the slack row -t_1 - t_2 + 1 >= 0, so
+    # eliminating t_2 combines it with t_2 >= 0 into one new constraint
+    path = tmp_path / "inst.txt"
+    path.write_text(ExactMatrix.from_rows([[0, 0, -1], [0, 0, -1], [-1, -1, -1]]).to_text() + "q: 0 0 1\n")
+    assert main(["lcp", str(path), "--enumerate", "--json"]) == 0
+    monkeypatch.setattr(lcp, "_FM_CONSTRAINT_CAP", 1)
+    assert main(["lcp", str(path), "--enumerate", "--json"]) == 3
+    assert "Fourier-Motzkin constraint blow-up" in capsys.readouterr().err
