@@ -17,7 +17,6 @@ from .checks import (
     ViolationKind,
     check_by_contiguous_minors,
     check_by_minor_definition,
-    check_tn_snr_all_vectors,
     check_tn_snr_single_vector,
     check_tn_vd_single_vector,
     check_tnp_snr,

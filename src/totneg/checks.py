@@ -11,26 +11,23 @@ certificate.
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Iterator, Literal, Sequence
 
 from .errors import DimensionError, ResourceLimitError
 from .matrix import (  # noqa: F401 - adjugate and minors_up_to stay bound here for the benchmark's tracer
     ExactMatrix,
+    MinorTable,
     RationalLike,
-    Window,
+    SweptWindow,
     _one_based,
     _rows_as_scaled_ints,
     adjugate,
-    all_windows,
     check_order,
     contiguous_windows,
     minors_up_to,
-    take,
     to_fraction,
 )
 from .signs import SignProfile, is_mixed_orthant, s_minus, sign_profile
@@ -149,11 +146,14 @@ def _entry_violation(a: ExactMatrix, strict: bool) -> Violation | None:
     return Violation(_minor_kind(strict), (hit[0],), (hit[1],), detail=hit[2])
 
 
-Windows = Callable[[int, int, int], Iterable[Window]]
+def _contiguous_minors(table: MinorTable, m: int, n: int, r: int) -> Iterator[SweptWindow]:
+    for rows0, cols0 in contiguous_windows(m, n, r):
+        yield rows0, cols0, table.minor(rows0, cols0), None
 
 
-def _minor_sweep(a: ExactMatrix, k: int, windows: Windows, strict: bool) -> Violation | None:
-    """The first minor of size 1..k on the windows whose sign breaks the class.
+def _minor_sweep(a: ExactMatrix, k: int, contiguous: bool, strict: bool) -> Violation | None:
+    """The first minor of size 1..k on the contiguous windows (or on every
+    window) whose sign breaks the class.
 
     Sizes ascend and windows keep their order within a size; signs are read
     from the integer minor table, and a Fraction is built for the witness only.
@@ -163,8 +163,8 @@ def _minor_sweep(a: ExactMatrix, k: int, windows: Windows, strict: bool) -> Viol
         return bad
     table = a.minor_table
     for r in range(2, k + 1):
-        for rows0, cols0 in windows(a.rows, a.cols, r):
-            v = table.minor(rows0, cols0)
+        windows = _contiguous_minors(table, a.rows, a.cols, r) if contiguous else table.level(r)
+        for rows0, cols0, v, _ in windows:
             if v >= 0 if strict else v > 0:
                 detail = Fraction(v, table.scale(rows0))
                 return Violation(_minor_kind(strict), _one_based(rows0), _one_based(cols0), detail=detail)
@@ -174,6 +174,17 @@ def _minor_sweep(a: ExactMatrix, k: int, windows: Windows, strict: bool) -> Viol
 #: Judges one window from integer vectors with the signs of x = adj(S) @ alpha
 #: and of its image S x = det(S) alpha; returns the violation kind, or None.
 Judge = Callable[[Sequence[int], Sequence[int]], ViolationKind | None]
+
+
+def _contiguous_solves(table: MinorTable, m: int, n: int, r: int, coeffs: Sequence[int]) -> Iterator[SweptWindow]:
+    """Each contiguous window's minor and adjugate numerators from one solve
+    (from the deletion minors when the window is singular)."""
+    for rows0, cols0 in contiguous_windows(m, n, r):
+        det, x = table.solve(rows0, cols0, coeffs)
+        if x is None:
+            x = table.adjugate_numerators(rows0, cols0, coeffs)
+            det = table.minor(rows0, cols0)
+        yield rows0, cols0, det, x
 
 
 def _test_vector_sweep(a: ExactMatrix, k: int, alpha: AlphaChoice, judge: Judge, contiguous: bool) -> Violation | None:
@@ -187,20 +198,17 @@ def _test_vector_sweep(a: ExactMatrix, k: int, alpha: AlphaChoice, judge: Judge,
 
     A contiguous window keeps none of its deletion minors, so it gets minor(S)
     and N from one solve on the table (deletion minors only when S is
-    singular); a sweep over all windows has kept them one size down, and reads N
-    off them.
+    singular); a sweep over all windows reads them off the table's level sweep,
+    which shares each row set's deletion-minor sums across its column windows.
     """
     table = a.minor_table
-    windows = contiguous_windows if contiguous else all_windows
     for r in range(2, k + 1):
         (coeffs,), (lcm,) = _rows_as_scaled_ints([alpha.realized(r)])  # alpha = coeffs / lcm
-        for rows0, cols0 in windows(a.rows, a.cols, r):
-            x = None
-            if contiguous:
-                det, x = table.solve(rows0, cols0, coeffs)
-            if x is None:
-                x = table.adjugate_numerators(rows0, cols0, coeffs)
-                det = table.minor(rows0, cols0)
+        if contiguous:
+            windows = _contiguous_solves(table, a.rows, a.cols, r, coeffs)
+        else:
+            windows = table.level(r, coeffs)
+        for rows0, cols0, det, x in windows:
             kind = judge(x, [det * c for c in coeffs])
             if kind is not None:
                 denominator = lcm * table.scale(rows0)
@@ -212,7 +220,7 @@ def _test_vector_sweep(a: ExactMatrix, k: int, alpha: AlphaChoice, judge: Judge,
 def check_by_minor_definition(a: ExactMatrix, query: ClassQuery) -> Verdict:
     """Decide the class by enumerating every minor of size at most the order."""
     check_order(a, query.order)
-    bad = _minor_sweep(a, query.order, all_windows, strict=query.matrix_class == TN)
+    bad = _minor_sweep(a, query.order, contiguous=False, strict=query.matrix_class == TN)
     return Verdict(bad is None, "minor_definition", bad)
 
 
@@ -226,7 +234,7 @@ def check_by_contiguous_minors(a: ExactMatrix, query: ClassQuery) -> Verdict:
     check_order(a, query.order)
     if query.matrix_class == TNP:
         return check_by_minor_definition(a, query)
-    bad = _minor_sweep(a, query.order, contiguous_windows, strict=True)
+    bad = _minor_sweep(a, query.order, contiguous=True, strict=True)
     return Verdict(bad is None, "contiguous_minors", bad)
 
 
@@ -281,93 +289,6 @@ def check_tn_snr_single_vector(
     method = "snr_single_vector"
     bad = _entry_violation(a, strict=True) or _test_vector_sweep(a, k, alpha, _tn_snr_judge, contiguous=True)
     return Verdict(bad is None, method, bad)
-
-
-def _random_positive(rng: random.Random, num_max: int = 20, den_max: int = 8) -> Fraction:
-    return Fraction(rng.randint(1, num_max), rng.randint(1, den_max))
-
-
-def _sample_mixed_vector(rng: random.Random, r: int, allow_zeros: bool = True) -> tuple[Fraction, ...]:
-    """Random vector with at least one positive and one negative coordinate."""
-    while True:
-        vec = []
-        for _ in range(r):
-            if allow_zeros and rng.random() < 0.15:
-                vec.append(Fraction(0))
-            else:
-                vec.append(_random_positive(rng) * rng.choice((1, -1)))
-        if any(v > 0 for v in vec) and any(v < 0 for v in vec):
-            return tuple(vec)
-
-
-def _sample_alternating_vector(rng: random.Random, r: int) -> tuple[Fraction, ...]:
-    lead = rng.choice((1, -1))
-    return tuple(_random_positive(rng) * (lead if i % 2 == 0 else -lead) for i in range(r))
-
-
-def _mixed_sign_patterns(r: int) -> list[tuple[Fraction, ...]]:
-    out = []
-    for bits in itertools.product((1, -1), repeat=r):
-        if any(b > 0 for b in bits) and any(b < 0 for b in bits):
-            out.append(tuple(Fraction(b) for b in bits))
-    return out
-
-
-def _alternating_patterns(r: int) -> list[tuple[Fraction, ...]]:
-    plus = tuple(Fraction(1 if i % 2 == 0 else -1) for i in range(r))
-    return [plus, tuple(-v for v in plus)]
-
-
-def check_tn_snr_all_vectors(
-    a: ExactMatrix,
-    k: int,
-    mode: Literal["all_submatrices_pn", "contiguous_alt"] = "contiguous_alt",
-    trials: int = 32,
-    seed: int = 0,
-    max_dim: int = MAX_ALL_SUBMATRIX_DIM,
-) -> Verdict:
-    """Randomized falsifier for the sign non-reversal characterizations.
-
-    Exhausts the +/-1 patterns of the relevant orthant family and additionally
-    samples ``trials`` rational vectors per submatrix.  A True verdict only
-    means no reversal was found; the decision procedure is the single-vector
-    test.
-    """
-    if k < 2:
-        raise ValueError("sign non-reversal sweeps need order k >= 2")
-    check_order(a, k)
-    method = f"snr_falsifier_{mode}"
-    bad = _entry_violation(a, strict=True)
-    if bad is not None:
-        return Verdict(False, method, bad)
-    rng = random.Random(seed)
-    if mode == "all_submatrices_pn" and max(a.rows, a.cols) > max_dim:
-        raise ResourceLimitError(
-            f"all-submatrix sweep refused for dimensions beyond {max_dim}"
-        )
-    for r in range(2, k + 1):
-        if mode == "all_submatrices_pn":
-            windows = all_windows(a.rows, a.cols, r)
-            patterns = _mixed_sign_patterns(r)
-            sampler = _sample_mixed_vector
-        else:
-            windows = contiguous_windows(a.rows, a.cols, r)
-            patterns = _alternating_patterns(r)
-            sampler = lambda g, rr: _sample_alternating_vector(g, rr)  # noqa: E731
-        for rows0, cols0 in windows:
-            sub = take(a, rows0, cols0)
-            vectors = itertools.chain(patterns, (sampler(rng, r) for _ in range(trials)))
-            for x in vectors:
-                ok, _ = sign_non_reversal(sub, x, strict=True)
-                if not ok:
-                    return Verdict(
-                        False,
-                        method,
-                        Violation(
-                            ViolationKind.SIGN_REVERSAL, _one_based(rows0), _one_based(cols0), vector=tuple(x)
-                        ),
-                    )
-    return Verdict(True, method)
 
 
 def _end_reference_sign(
@@ -465,21 +386,17 @@ def check_tn_vd_single_vector(
 def check_tnp_snr(
     a: ExactMatrix,
     k: int,
-    mode: Literal["single_vector", "all_pn", "all_alt"] = "single_vector",
     alpha: AlphaChoice | None = None,
-    trials: int = 32,
-    seed: int = 0,
     max_dim: int = MAX_ALL_SUBMATRIX_DIM,
 ) -> Verdict:
-    """Non-strict sign non-reversal tests for total non-positivity of order k.
+    """Non-strict sign non-reversal decision for total non-positivity of order k.
 
-    ``single_vector`` is the decision procedure: it sweeps every square
-    submatrix of size 2..k (not only contiguous ones) and tests the vector
-    adj(submatrix) @ alpha, where alpha must have strictly positive magnitudes.
-    The other modes are falsifiers over sampled vectors.
+    Sweeps every square submatrix of size 2..k (not only contiguous ones) and
+    tests the vector adj(submatrix) @ alpha, where alpha must have strictly
+    positive magnitudes.
     """
     check_order(a, k)
-    method = f"tnp_snr_{mode}"
+    method = "tnp_snr_single_vector"
     bad = _entry_violation(a, strict=False)
     if bad is not None:
         return Verdict(False, method, bad)
@@ -488,31 +405,10 @@ def check_tnp_snr(
     if max(a.rows, a.cols) > max_dim:
         raise ResourceLimitError(f"all-submatrix sweep refused for dimensions beyond {max_dim}")
     alpha = alpha or DEFAULT_ALPHA
-    if mode == "single_vector":
-        if not alpha.strictly_positive:
-            raise ValueError("the single-vector non-positive test needs strictly positive alpha magnitudes")
-        bad = _test_vector_sweep(a, k, alpha, _tnp_snr_judge, contiguous=False)
-        return Verdict(bad is None, method, bad)
-    rng = random.Random(seed)
-    for r in range(2, k + 1):
-        patterns = _mixed_sign_patterns(r) if mode == "all_pn" else _alternating_patterns(r)
-        for rows0, cols0 in all_windows(a.rows, a.cols, r):
-            sub = take(a, rows0, cols0)
-            if mode == "all_pn":
-                vectors = patterns + [_sample_mixed_vector(rng, r) for _ in range(trials)]
-            else:
-                vectors = patterns + [_sample_alternating_vector(rng, r) for _ in range(trials)]
-            for x in vectors:
-                ok, _ = sign_non_reversal(sub, x, strict=False)
-                if not ok:
-                    return Verdict(
-                        False,
-                        method,
-                        Violation(
-                            ViolationKind.SIGN_REVERSAL, _one_based(rows0), _one_based(cols0), vector=tuple(x)
-                        ),
-                    )
-    return Verdict(True, method)
+    if not alpha.strictly_positive:
+        raise ValueError("the single-vector non-positive test needs strictly positive alpha magnitudes")
+    bad = _test_vector_sweep(a, k, alpha, _tnp_snr_judge, contiguous=False)
+    return Verdict(bad is None, method, bad)
 
 
 def _tnp_vd_failure(x: Sequence[RationalLike], y: Sequence[RationalLike]) -> ViolationKind | None:
@@ -540,42 +436,24 @@ def _tnp_vd_judge(x: Sequence[int], y: Sequence[int]) -> ViolationKind | None:
 
 def check_tnp_vd(
     a: ExactMatrix,
-    mode: Literal["single_vector", "all_pn"] = "single_vector",
     alpha: AlphaChoice | None = None,
     k: int | None = None,
-    trials: int = 64,
-    seed: int = 0,
     max_dim: int = MAX_ALL_SUBMATRIX_DIM,
 ) -> Verdict:
-    """Weak variation-diminution tests for total non-positivity.
+    """Weak variation-diminution decision for total non-positivity.
 
-    ``single_vector`` sweeps all square submatrices of sizes 2..k with the
-    vector adj(submatrix) @ alpha and decides total non-positivity of order k
-    (full order by default).  ``all_pn`` samples mixed-sign vectors against
-    the whole matrix as a falsifier.
+    Sweeps all square submatrices of sizes 2..k with the vector
+    adj(submatrix) @ alpha and decides total non-positivity of order k (full
+    order by default).
     """
     kmax = min(a.rows, a.cols)
     if k is None:
         k = kmax
     check_order(a, k)
-    method = f"tnp_vd_{mode}"
+    method = "tnp_vd_single_vector"
     bad = _entry_violation(a, strict=False)
     if bad is not None:
         return Verdict(False, method, bad)
-    if mode == "all_pn":
-        rng = random.Random(seed)
-        n = a.cols
-        patterns = _mixed_sign_patterns(n) if n <= 10 else []
-        vectors = patterns + [_sample_mixed_vector(rng, n) for _ in range(trials)]
-        all_rows = tuple(range(a.rows))
-        all_cols = tuple(range(a.cols))
-        for x in vectors:
-            kind = _tnp_vd_failure(x, a.matvec(x))
-            if kind is not None:
-                return Verdict(
-                    False, method, Violation(kind, _one_based(all_rows), _one_based(all_cols), vector=tuple(x))
-                )
-        return Verdict(True, method)
     if k == 1:
         return Verdict(True, method)
     if max(a.rows, a.cols) > max_dim:

@@ -33,12 +33,12 @@ from .checks import MAX_ALL_SUBMATRIX_DIM, Verdict, Violation, ViolationKind
 from .errors import DimensionError, InvariantError, ResourceLimitError
 from .matrix import (
     ExactMatrix,
+    IndexSet,
     MinorTable,
     RationalLike,
     _rows_as_scaled_ints,
-    all_windows,
     check_order,
-    contiguous_windows,
+    index_sets,
     to_fraction,
 )
 
@@ -405,10 +405,11 @@ class TnpLcpReport:
 
 
 def _single_vector_ints(
-    table: MinorTable, rows0: Sequence[int], cols0: Sequence[int], weights: Mapping[int, Fraction] | None = None
+    table: MinorTable, rows: IndexSet, cols: IndexSet, weights: Mapping[int, Fraction] | None = None
 ) -> tuple[list[int], int]:
-    """(X, L) with L > 0 and x = X / L the test vector of the (rows0, cols0) window:
-    weighted row-i deletion minors at odd positions, zeros elsewhere.
+    """(X, L) with L > 0 and x = X / L the test vector of the window on the
+    index sets rows and cols: weighted row-i deletion minors at odd positions,
+    zeros elsewhere.
 
     Position j (1-based, odd) of x holds sum_i w_i M_ij, where M_ij is the
     window's minor without its row i and column j; a 1x1 window uses M_11 = -1,
@@ -416,20 +417,20 @@ def _single_vector_ints(
     the rows R - i over scale(R - i), so L is a common denominator of the
     w_i / scale(R - i).
     """
+    rows0, _, row_deletions = rows
+    col_deletions = cols[2]
     r = len(rows0)
     if weights is None:
         weights = {1: Fraction(1)}
-    terms = []  # (R - i, numerator, denominator) of w_i / scale(R - i)
+    terms = []  # (mask of R - i, numerator, denominator) of w_i / scale(R - i)
     for i, w in weights.items():
         if i <= r:
-            rows = rows0[: i - 1] + rows0[i:]
-            terms.append((rows, w.numerator, w.denominator * table.scale(rows)))
+            terms.append((row_deletions[i - 1], w.numerator, w.denominator * table.scale(rows0[: i - 1] + rows0[i:])))
     lcm = math.lcm(*(den for _, _, den in terms))
     xs = [0] * r
     for j in range(0, r, 2):
-        cols = cols0[:j] + cols0[j + 1 :]
-        for rows, num, den in terms:
-            xs[j] += num * (lcm // den) * (table.minor(rows, cols) if r > 1 else -1)
+        for rmask, num, den in terms:
+            xs[j] += num * (lcm // den) * (table.minor_of_masks(rmask, col_deletions[j]) if r > 1 else -1)
     return xs, lcm
 
 
@@ -549,9 +550,11 @@ def _check_single_vector_windows(
     for r in range(1, k + 1):
         if weights is not None and not any(i <= r for i in weights):
             raise ValueError(f"no weight applies to submatrices of size {r}")
-        for rows0, cols0 in contiguous_windows(a.rows, a.cols, r):
+        runs = itertools.product(index_sets(a.rows, r, contiguous=True), index_sets(a.cols, r, contiguous=True))
+        for rows, cols in runs:
             _check_lcp_size(r)
-            xs, lcm = _single_vector_ints(table, rows0, cols0, weights)
+            xs, lcm = _single_vector_ints(table, rows, cols, weights)
+            rows0, cols0 = rows[0], cols[0]
             if not _window_holds(a, rows0, cols0, xs):
                 rows1 = tuple(i + 1 for i in rows0)
                 cols1 = tuple(j + 1 for j in cols0)
@@ -615,8 +618,9 @@ def tnp_lcp_sufficient_check(
     table = a.minor_table
     saw_family: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     for r in range(1, k + 1):
-        for rows0, cols0 in all_windows(a.rows, a.cols, r):
-            xs, lcm = _single_vector_ints(table, rows0, cols0)
+        for rows, cols in itertools.product(index_sets(a.rows, r), index_sets(a.cols, r)):
+            xs, lcm = _single_vector_ints(table, rows, cols)
+            rows0, cols0 = rows[0], cols[0]
             qs = _scaled_image(table, rows0, cols0, xs)
             rows1 = tuple(i + 1 for i in rows0)
             cols1 = tuple(j + 1 for j in cols0)

@@ -13,7 +13,9 @@ kept size-(s-1) minors along its first row (or a row the caller names) when
 those are all kept, and a Bareiss determinant otherwise.  A minor of the
 matrix itself is the scaled minor over the product of d_i on its rows.
 ``MinorTable.solve`` gives a window's minor and its adjugate times a vector
-from one Bareiss solve, on the same loop as the determinant.
+from one Bareiss solve, on the same loop as the determinant;
+``MinorTable.level`` gives both for every window of one size from the kept
+minors one size down.
 ``det``, ``minor_det``, ``cofactor_minor``, ``adjugate``, ``minors_up_to`` and
 ``contiguous_minors_up_to`` stay on fraction-free Bareiss elimination, so
 witnesses and the tests' reference minors are independent of the table.
@@ -27,7 +29,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionError
@@ -409,6 +411,31 @@ def _mask(idx: Sequence[int]) -> int:
     return sum(map((1).__lshift__, idx))
 
 
+#: One window of a sweep: (rows0, cols0, minor, adjugate numerators or None).
+SweptWindow = tuple[tuple[int, ...], tuple[int, ...], int, list[int] | None]
+
+#: An index set, its bit mask, and the masks of the sets without one of its
+#: indices, in the set's order.
+IndexSet = tuple[tuple[int, ...], int, tuple[int, ...]]
+
+
+@lru_cache(maxsize=256)
+def index_sets(n: int, r: int, contiguous: bool = False) -> tuple[IndexSet, ...]:
+    """The r-subsets of range(n), lexicographic (or only its runs of r
+    consecutive indices), as :data:`IndexSet`; built once per (n, r).
+
+    A window sweep reads the row sets outer and the column sets inner, which
+    is the order of :func:`all_windows` (:func:`contiguous_windows`).
+    """
+    runs = (range(i, i + r) for i in range(n - r + 1))
+    out = []
+    for idx in map(tuple, runs) if contiguous else itertools.combinations(range(n), r):
+        bits = [1 << i for i in idx]
+        mask = sum(bits)
+        out.append((idx, mask, tuple(mask ^ b for b in bits)))
+    return tuple(out)
+
+
 #: Most minors one table stores; beyond it, minors are still computed but not
 #: kept, so later ones fall back to elimination and memory stays bounded.
 MAX_STORED_MINORS = 1 << 18
@@ -531,6 +558,68 @@ class MinorTable:
             total = sum(w * self.minor_of_masks(rm, cm) for rm, w in weighted)
             out.append(-total if i % 2 else total)
         return out
+
+    def level(self, r: int, coeffs: Sequence[int] | None = None) -> Iterator[SweptWindow]:
+        """Every window of size r >= 2 in :func:`all_windows` order, as
+        ``(rows0, cols0, minor, N)``, N the integers :meth:`adjugate_numerators`
+        gives for coeffs, or None without coeffs.
+
+        For the row set R and each column set C' of size r - 1 the sweep reads
+        M(R - R_0, C') and G(C') = sum_j (-1)^j c_j d_(R_j) M(R - R_j, C') once,
+        and every column window C that contains C' reuses them: the minor is the
+        first-row expansion sum_l (-1)^l T[R_0, C_l] M(R - R_0, C - C_l), and
+        N_l = (-1)^l G(C - C_l).  The size-(r-1) minors are read from the kept
+        values, and ``minor_of_masks`` computes one that is missing; a minor
+        already kept is not expanded again.  Lazy: nothing is computed past the
+        last window taken.
+        """
+        ints, scales, values, shift = self._ints, self._scales, self._values, self._ncols
+        if r == 2:  # the sub-minors are the entries, which the table does not keep
+            lower = {1 << i << shift | 1 << j: v for i, row in enumerate(ints) for j, v in enumerate(row)}
+        else:
+            lower = values
+        col_sets = index_sets(shift, r)
+        for rows0, rmask, rdels in index_sets(len(ints), r):
+            first = ints[rows0[0]]
+            head = rdels[0]
+            head_key = head << shift
+            weighted = [
+                (rm, rm << shift, -c * scales[i] if j % 2 else c * scales[i])
+                for j, (i, rm, c) in enumerate(zip(rows0, rdels, coeffs or ()))
+                if c
+            ]
+            shared: dict[int, tuple[int, int]] = {}  # C' -> (M(R - R_0, C'), G(C'))
+            rkey = rmask << shift
+            for cols0, cmask, cdels in col_sets:
+                det = values.get(rkey | cmask)
+                expand = det is None
+                x = None if coeffs is None else []
+                if expand or x is not None:
+                    if expand:
+                        det = 0
+                    odd = False
+                    for col, cm in zip(cols0, cdels):
+                        pair = shared.get(cm)
+                        if pair is None:
+                            m0 = lower.get(head_key | cm)
+                            if m0 is None:
+                                m0 = self.minor_of_masks(head, cm)
+                            g = 0
+                            for rm, rk, w in weighted:
+                                sub = lower.get(rk | cm)
+                                if sub is None:
+                                    sub = self.minor_of_masks(rm, cm)
+                                g += w * sub
+                            pair = shared[cm] = (m0, g)
+                        if expand:
+                            term = first[col] * pair[0]
+                            det = det - term if odd else det + term
+                        if x is not None:
+                            x.append(-pair[1] if odd else pair[1])
+                        odd = not odd
+                    if expand and len(values) < MAX_STORED_MINORS:
+                        values[rkey | cmask] = det
+                yield rows0, cols0, det, x
 
     def solve(self, rows0: Sequence[int], cols0: Sequence[int], coeffs: Sequence[int]) -> tuple[int, list[int] | None]:
         """``(minor(rows0, cols0), N)`` from one Bareiss solve, with N the integers

@@ -1,15 +1,19 @@
 """Reference oracles for the tests, independent of the library's fast paths,
-and the sampled complementarity sweeps that only the tests run."""
+and the sampled sign-reversal, variation and complementarity sweeps that only
+the tests run."""
 
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Literal, Sequence
 
 from totneg import (
     TN,
     ClassQuery,
+    Verdict,
+    Violation,
+    ViolationKind,
     DimensionError,
     ExactMatrix,
     LCPInstance,
@@ -20,11 +24,13 @@ from totneg import (
     TnpLcpStatus,
     check_by_minor_definition,
     s_minus,
+    sign_non_reversal,
     solve_lcp,
 )
+from totneg.checks import MAX_ALL_SUBMATRIX_DIM, _entry_violation, _tnp_vd_failure
 from totneg.errors import InvariantError
 from totneg.lcp import _FM_CONSTRAINT_CAP
-from totneg.matrix import all_windows, check_order, take
+from totneg.matrix import _one_based, all_windows, check_order, contiguous_windows, take
 
 
 def det_by_cofactor_expansion(a: ExactMatrix) -> Fraction:
@@ -566,3 +572,138 @@ def disjoint_support_pair_check(a: ExactMatrix, trials: int, seed: int) -> bool:
             if _has_consecutive_positive(u) or _has_consecutive_positive(v):
                 return False
     return True
+
+
+def _random_positive(rng: random.Random, num_max: int = 20, den_max: int = 8) -> Fraction:
+    return Fraction(rng.randint(1, num_max), rng.randint(1, den_max))
+
+
+def _sample_mixed_vector(rng: random.Random, r: int, allow_zeros: bool = True) -> tuple[Fraction, ...]:
+    """Random vector with at least one positive and one negative coordinate."""
+    while True:
+        vec = []
+        for _ in range(r):
+            if allow_zeros and rng.random() < 0.15:
+                vec.append(Fraction(0))
+            else:
+                vec.append(_random_positive(rng) * rng.choice((1, -1)))
+        if any(v > 0 for v in vec) and any(v < 0 for v in vec):
+            return tuple(vec)
+
+
+def _sample_alternating_vector(rng: random.Random, r: int) -> tuple[Fraction, ...]:
+    lead = rng.choice((1, -1))
+    return tuple(_random_positive(rng) * (lead if i % 2 == 0 else -lead) for i in range(r))
+
+
+def _mixed_sign_patterns(r: int) -> list[tuple[Fraction, ...]]:
+    out = []
+    for bits in itertools.product((1, -1), repeat=r):
+        if any(b > 0 for b in bits) and any(b < 0 for b in bits):
+            out.append(tuple(Fraction(b) for b in bits))
+    return out
+
+
+def _alternating_patterns(r: int) -> list[tuple[Fraction, ...]]:
+    plus = tuple(Fraction(1 if i % 2 == 0 else -1) for i in range(r))
+    return [plus, tuple(-v for v in plus)]
+
+
+def _reversal(method: str, rows0, cols0, x) -> Verdict:
+    return Verdict(
+        False, method, Violation(ViolationKind.SIGN_REVERSAL, _one_based(rows0), _one_based(cols0), vector=tuple(x))
+    )
+
+
+def check_tn_snr_all_vectors(
+    a: ExactMatrix,
+    k: int,
+    mode: Literal["all_submatrices_pn", "contiguous_alt"] = "contiguous_alt",
+    trials: int = 32,
+    seed: int = 0,
+    max_dim: int = MAX_ALL_SUBMATRIX_DIM,
+) -> Verdict:
+    """Randomized falsifier for the sign non-reversal characterizations.
+
+    Exhausts the +/-1 patterns of the relevant orthant family and additionally
+    samples ``trials`` rational vectors per submatrix.  A True verdict only
+    means no reversal was found; the decision procedure is the single-vector
+    test.
+    """
+    if k < 2:
+        raise ValueError("sign non-reversal sweeps need order k >= 2")
+    check_order(a, k)
+    method = f"snr_falsifier_{mode}"
+    bad = _entry_violation(a, strict=True)
+    if bad is not None:
+        return Verdict(False, method, bad)
+    rng = random.Random(seed)
+    if mode == "all_submatrices_pn" and max(a.rows, a.cols) > max_dim:
+        raise ResourceLimitError(f"all-submatrix sweep refused for dimensions beyond {max_dim}")
+    for r in range(2, k + 1):
+        if mode == "all_submatrices_pn":
+            windows = all_windows(a.rows, a.cols, r)
+            patterns = _mixed_sign_patterns(r)
+            sampler = _sample_mixed_vector
+        else:
+            windows = contiguous_windows(a.rows, a.cols, r)
+            patterns = _alternating_patterns(r)
+            sampler = _sample_alternating_vector
+        for rows0, cols0 in windows:
+            sub = take(a, rows0, cols0)
+            for x in itertools.chain(patterns, (sampler(rng, r) for _ in range(trials))):
+                if not sign_non_reversal(sub, x, strict=True)[0]:
+                    return _reversal(method, rows0, cols0, x)
+    return Verdict(True, method)
+
+
+def check_tnp_snr_sampled(
+    a: ExactMatrix,
+    k: int,
+    mode: Literal["all_pn", "all_alt"],
+    trials: int = 32,
+    seed: int = 0,
+    max_dim: int = MAX_ALL_SUBMATRIX_DIM,
+) -> Verdict:
+    """Non-strict sign non-reversal falsifier for total non-positivity of order k:
+    on every square submatrix of size 2..k, the +/-1 patterns of the mixed
+    (``all_pn``) or alternating (``all_alt``) orthants and ``trials`` sampled
+    vectors of the same family."""
+    check_order(a, k)
+    method = f"tnp_snr_{mode}"
+    bad = _entry_violation(a, strict=False)
+    if bad is not None:
+        return Verdict(False, method, bad)
+    if k == 1:
+        return Verdict(True, method)
+    if max(a.rows, a.cols) > max_dim:
+        raise ResourceLimitError(f"all-submatrix sweep refused for dimensions beyond {max_dim}")
+    rng = random.Random(seed)
+    for r in range(2, k + 1):
+        patterns = _mixed_sign_patterns(r) if mode == "all_pn" else _alternating_patterns(r)
+        sampler = _sample_mixed_vector if mode == "all_pn" else _sample_alternating_vector
+        for rows0, cols0 in all_windows(a.rows, a.cols, r):
+            sub = take(a, rows0, cols0)
+            for x in patterns + [sampler(rng, r) for _ in range(trials)]:
+                if not sign_non_reversal(sub, x, strict=False)[0]:
+                    return _reversal(method, rows0, cols0, x)
+    return Verdict(True, method)
+
+
+def check_tnp_vd_sampled(a: ExactMatrix, trials: int = 64, seed: int = 0) -> Verdict:
+    """Weak variation-diminution falsifier for total non-positivity: the mixed
+    +/-1 patterns (up to 10 columns) and ``trials`` sampled mixed-sign vectors
+    against the whole matrix."""
+    method = "tnp_vd_all_pn"
+    bad = _entry_violation(a, strict=False)
+    if bad is not None:
+        return Verdict(False, method, bad)
+    rng = random.Random(seed)
+    n = a.cols
+    patterns = _mixed_sign_patterns(n) if n <= 10 else []
+    rows1, cols1 = _one_based(range(a.rows)), _one_based(range(a.cols))
+    for x in patterns + [_sample_mixed_vector(rng, n) for _ in range(trials)]:
+        kind = _tnp_vd_failure(x, a.matvec(x))
+        if kind is not None:
+            return Verdict(False, method, Violation(kind, rows1, cols1, vector=tuple(x)))
+    return Verdict(True, method)

@@ -14,7 +14,6 @@ from totneg import (
     adjugate,
     check_by_contiguous_minors,
     check_by_minor_definition,
-    check_tn_snr_all_vectors,
     check_tn_snr_single_vector,
     check_tn_vd_single_vector,
     check_tnp_snr,
@@ -27,8 +26,10 @@ from totneg import (
     vd_check,
 )
 from totneg import matrix as matrix_module
-from totneg.generate import cross_validate, generate_near_miss, random_rational_matrix
+from totneg.generate import cross_validate, generate_near_miss, generate_tnp, random_rational_matrix
 from totneg.matrix import MinorTable
+
+from oracles import check_tn_snr_all_vectors, check_tnp_snr_sampled, check_tnp_vd_sampled
 
 TN2 = ClassQuery("tn", 2)
 TN3 = ClassQuery("tn", 3)
@@ -206,10 +207,10 @@ def test_tnp_vd_examples(near_miss, zero_row_tnp):
 
 
 def test_tnp_falsifier_modes(zero_row_tnp, near_miss):
-    assert check_tnp_snr(zero_row_tnp, 3, mode="all_pn", trials=6, seed=2).holds
-    assert check_tnp_snr(zero_row_tnp, 3, mode="all_alt", trials=6, seed=2).holds
-    assert not check_tnp_snr(near_miss, 2, mode="all_pn", trials=200, seed=5).holds
-    assert check_tnp_vd(zero_row_tnp, mode="all_pn", trials=40, seed=3).holds
+    assert check_tnp_snr_sampled(zero_row_tnp, 3, mode="all_pn", trials=6, seed=2).holds
+    assert check_tnp_snr_sampled(zero_row_tnp, 3, mode="all_alt", trials=6, seed=2).holds
+    assert not check_tnp_snr_sampled(near_miss, 2, mode="all_pn", trials=200, seed=5).holds
+    assert check_tnp_vd_sampled(zero_row_tnp, trials=40, seed=3).holds
 
 
 def test_verdict_agreement_on_weak_class_families(zero_row_tnp):
@@ -324,3 +325,21 @@ def test_single_vector_sweeps_at_20x20_need_no_deletion_minors(monkeypatch):
     a = _pascal_tn(20, Fraction(1, 2**40))
     assert check_tn_snr_single_vector(a, 20).holds
     assert check_tn_vd_single_vector(a).holds
+
+
+def test_all_window_sweeps_at_7x7_read_the_level_sweep(monkeypatch):
+    """The all-window TNP and minor sweeps take every window from the table's
+    level sweep: no per-window adjugate numerators and no index-set masks."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an all-window sweep left the level sweep")
+
+    a = generate_tnp((7, 7), 7, seed=3).matrix
+    b = ExactMatrix(a.rows, a.cols, a.entries)
+    monkeypatch.setattr(MinorTable, "adjugate_numerators", refuse)
+    monkeypatch.setattr(matrix_module, "_mask", refuse)
+    assert check_tnp_snr(a, 7).holds
+    assert check_tnp_vd(a).holds
+    assert check_by_minor_definition(a, ClassQuery("tnp", 7)).holds
+    assert check_by_minor_definition(b, ClassQuery("tnp", 7)).holds
+    assert check_tnp_vd(b, alpha=AlphaChoice.of(["1/2", 3], global_sign=-1)).holds

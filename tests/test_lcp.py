@@ -279,7 +279,7 @@ def test_single_vector_prescribed_q_is_positive_on_certified_instances(n3):
             for rows0, cols0 in contiguous_windows(a.rows, a.cols, r):
                 sub = take(a, rows0, cols0)
                 x = single_vector_x(sub)
-                xs, lcm = lcp._single_vector_ints(a.minor_table, rows0, cols0)
+                xs, lcm = lcp._single_vector_ints(a.minor_table, index_set(rows0), index_set(cols0))
                 assert tuple(Fraction(v, lcm) for v in xs) == x
                 q = sub.matvec(x)
                 assert all(v > 0 for v in q)
@@ -542,9 +542,15 @@ def spy_on_support_solutions(monkeypatch):
     return seen
 
 
+def index_set(idx):
+    """(idx, its bit mask, the masks without one index) as the window sweeps pass them."""
+    mask = sum(1 << i for i in idx)
+    return tuple(idx), mask, tuple(mask ^ (1 << i) for i in idx)
+
+
 def whole_window(a):
     """(X, L) of the single-vector test vector of the whole square matrix."""
-    full = tuple(range(a.rows))
+    full = index_set(range(a.rows))
     return lcp._single_vector_ints(a.minor_table, full, full)
 
 

@@ -364,3 +364,53 @@ def test_window_solve_returns_the_minor_and_the_adjugate_numerators(case):
         assert numerators == reference.adjugate_numerators(rows0, cols0, coeffs)
     denominator = lcm * table.scale(rows0)
     assert [Fraction(v, denominator) for v in numerators] == list(adjugate(take(a, rows0, cols0)).matvec(realized))
+
+
+@st.composite
+def level_cases(draw):
+    """Shapes 1x1 to 6x6, the smaller side uniform in 1..6, with mixed denominators,
+    sparse or with a zero or a repeated row, and an alpha with fractional
+    magnitudes (some zero) and either global sign."""
+    k = draw(st.integers(1, 6))
+    m, n = k, draw(st.integers(k, 6))
+    if draw(st.booleans()):
+        m, n = n, m
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(("dense", "sparse", "zero row", "repeated row")))
+    zeros = 0.4 if kind == "sparse" else 0.0
+    rows = [
+        [Fraction(0) if rng.random() < zeros else Fraction(rng.randint(-12, 12), rng.randint(1, 9)) for _ in range(n)]
+        for _ in range(m)
+    ]
+    if kind in ("zero row", "repeated row") and m > 1:
+        i, j = draw(st.permutations(range(m)))[:2]
+        rows[i] = [Fraction(0)] * n if kind == "zero row" else list(rows[j])
+    magnitudes = draw(st.lists(st.fractions(min_value=0, max_value=7, max_denominator=5), min_size=1, max_size=4))
+    magnitudes[0] = magnitudes[0] or Fraction(1, 3)
+    alpha = AlphaChoice.of(magnitudes, global_sign=draw(st.sampled_from((1, -1))))
+    return ExactMatrix.from_rows(rows), alpha
+
+
+@pytest.mark.parametrize("cap", [matrix_module.MAX_STORED_MINORS, 40])
+@settings(max_examples=60, deadline=None)
+@given(level_cases())
+def test_level_sweep_matches_a_fresh_table_window_by_window(cap, case):
+    """Each window's minor and adjugate numerators from the level sweep equal a
+    fresh table's ``minor`` and ``adjugate_numerators``, in ``all_windows`` order;
+    with minors already kept (a minor sweep first) and without, and past a storage cap."""
+    a, alpha = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrix_module, "MAX_STORED_MINORS", cap)
+        reference, vectors, minors_first = MinorTable(a), MinorTable(a), MinorTable(a)
+        for r in range(2, min(a.rows, a.cols) + 1):
+            realized = alpha.realized(r)
+            lcm = math.lcm(*(v.denominator for v in realized))
+            coeffs = [int(v * lcm) for v in realized]
+            expected = [
+                (rows0, cols0, reference.minor(rows0, cols0), reference.adjugate_numerators(rows0, cols0, coeffs))
+                for rows0, cols0 in all_windows(a.rows, a.cols, r)
+            ]
+            assert list(vectors.level(r, coeffs)) == expected
+            assert list(minors_first.level(r)) == [(rows0, cols0, v, None) for rows0, cols0, v, _ in expected]
+            assert list(minors_first.level(r, coeffs)) == expected
+        assert reference.stored() <= cap and vectors.stored() <= cap
