@@ -35,7 +35,6 @@ from .signs import SignProfile, is_mixed_orthant, s_minus, sign_profile
 TN = "tn"
 TNP = "tnp"
 MatrixClass = Literal["tn", "tnp"]
-EndMode = Literal["nonzero", "literal"]
 
 #: Hard cap on the largest matrix dimension for sweeps over all square
 #: submatrices (their count grows exponentially).  Beyond it we refuse.
@@ -291,48 +290,32 @@ def check_tn_snr_single_vector(
     return Verdict(bad is None, method, bad)
 
 
-def _end_reference_sign(
-    x: Sequence[Fraction], profile_in: SignProfile, which: str, end_mode: EndMode
-) -> int | None:
-    if end_mode == "nonzero":
-        return profile_in.first_nonzero_sign if which == "first" else profile_in.last_nonzero_sign
-    v = x[0] if which == "first" else x[-1]
-    return None if v == 0 else (1 if v > 0 else -1)
-
-
-def _tn_equality_clause_holds(
-    x: Sequence[Fraction], profile_in: SignProfile, profile_out: SignProfile, end_mode: EndMode
-) -> bool:
-    for which, sset in (("first", profile_out.first_signs_at_max), ("last", profile_out.last_signs_at_max)):
-        if len(sset) != 1:
-            return False
-        ref = _end_reference_sign(x, profile_in, which, end_mode)
-        if ref is None or next(iter(sset)) != ref:
+def _tn_equality_clause_holds(profile_in: SignProfile, profile_out: SignProfile) -> bool:
+    """The end signs of Ax at the maximum are forced and agree with x's first / last nonzero coordinate."""
+    for sset, ref in (
+        (profile_out.first_signs_at_max, profile_in.first_nonzero_sign),
+        (profile_out.last_signs_at_max, profile_in.last_nonzero_sign),
+    ):
+        if len(sset) != 1 or ref is None or next(iter(sset)) != ref:
             return False
     return True
 
 
-def vd_check(
-    a: ExactMatrix, x: Sequence[Fraction], end_mode: EndMode = "nonzero"
-) -> tuple[bool, SignProfile, SignProfile]:
+def vd_check(a: ExactMatrix, x: Sequence[Fraction]) -> tuple[bool, SignProfile, SignProfile]:
     """Variation-diminution test of one vector with mixed signs.
 
     Satisfied iff s_plus(Ax) <= s_minus(x), and in the equality case with
     Ax != 0 the end signs of Ax at the maximum are forced and agree with the
-    end signs of x.  ``end_mode`` picks between comparing against the first /
-    last nonzero coordinate of x (default) or the literal first / last
-    coordinate.
+    first / last nonzero coordinate of x.
     """
     if len(x) != a.cols:
         raise DimensionError("vector length does not match column count")
     if not is_mixed_orthant(x):
         raise ValueError("variation test vector must have both positive and negative coordinates")
-    return _variation_verdict(x, a.matvec(x), end_mode)
+    return _variation_verdict(x, a.matvec(x))
 
 
-def _variation_verdict(
-    x: Sequence[RationalLike], y: Sequence[RationalLike], end_mode: EndMode
-) -> tuple[bool, SignProfile, SignProfile]:
+def _variation_verdict(x: Sequence[RationalLike], y: Sequence[RationalLike]) -> tuple[bool, SignProfile, SignProfile]:
     """The variation test of x against its image y; only their signs matter."""
     profile_in = sign_profile(x)
     profile_out = sign_profile(y)
@@ -342,7 +325,7 @@ def _variation_verdict(
         return False, profile_in, profile_out
     if all(v == 0 for v in y):
         return True, profile_in, profile_out
-    ok = _tn_equality_clause_holds(x, profile_in, profile_out, end_mode)
+    ok = _tn_equality_clause_holds(profile_in, profile_out)
     return ok, profile_in, profile_out
 
 
@@ -350,7 +333,6 @@ def check_tn_vd_single_vector(
     a: ExactMatrix,
     alpha: AlphaChoice | None = None,
     k: int | None = None,
-    end_mode: EndMode = "nonzero",
 ) -> Verdict:
     """Single-test-vector variation-diminution decision for total negativity.
 
@@ -372,7 +354,7 @@ def check_tn_vd_single_vector(
             # degenerate adjugate: cannot happen while all smaller
             # contiguous minors are negative, so this already certifies failure
             return ViolationKind.VARIATION_INCREASE
-        ok, profile_in, profile_out = _variation_verdict(x, y, end_mode)
+        ok, profile_in, profile_out = _variation_verdict(x, y)
         if ok:
             return None
         if profile_out.s_plus > profile_in.s_minus:
@@ -387,7 +369,6 @@ def check_tnp_snr(
     a: ExactMatrix,
     k: int,
     alpha: AlphaChoice | None = None,
-    max_dim: int = MAX_ALL_SUBMATRIX_DIM,
 ) -> Verdict:
     """Non-strict sign non-reversal decision for total non-positivity of order k.
 
@@ -402,8 +383,8 @@ def check_tnp_snr(
         return Verdict(False, method, bad)
     if k == 1:
         return Verdict(True, method)
-    if max(a.rows, a.cols) > max_dim:
-        raise ResourceLimitError(f"all-submatrix sweep refused for dimensions beyond {max_dim}")
+    if max(a.rows, a.cols) > MAX_ALL_SUBMATRIX_DIM:
+        raise ResourceLimitError(f"all-submatrix sweep refused for dimensions beyond {MAX_ALL_SUBMATRIX_DIM}")
     alpha = alpha or DEFAULT_ALPHA
     if not alpha.strictly_positive:
         raise ValueError("the single-vector non-positive test needs strictly positive alpha magnitudes")
@@ -438,7 +419,6 @@ def check_tnp_vd(
     a: ExactMatrix,
     alpha: AlphaChoice | None = None,
     k: int | None = None,
-    max_dim: int = MAX_ALL_SUBMATRIX_DIM,
 ) -> Verdict:
     """Weak variation-diminution decision for total non-positivity.
 
@@ -456,8 +436,8 @@ def check_tnp_vd(
         return Verdict(False, method, bad)
     if k == 1:
         return Verdict(True, method)
-    if max(a.rows, a.cols) > max_dim:
-        raise ResourceLimitError(f"all-submatrix sweep refused for dimensions beyond {max_dim}")
+    if max(a.rows, a.cols) > MAX_ALL_SUBMATRIX_DIM:
+        raise ResourceLimitError(f"all-submatrix sweep refused for dimensions beyond {MAX_ALL_SUBMATRIX_DIM}")
     alpha = alpha or DEFAULT_ALPHA
     if not alpha.strictly_positive:
         raise ValueError("the single-vector non-positive test needs strictly positive alpha magnitudes")

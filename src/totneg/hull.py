@@ -3,9 +3,10 @@
 The hull of (A, B) is the set of matrices whose (i, j) entry lies between
 a_ij and b_ij.  Checkerboard sign words select distinguished members: two of
 them decide total negativity of the whole hull, and the full sign-word family
-decides total non-positivity.  That family is decided minor by minor: every
-minor of every sign-word member is a minor of one doubled matrix (see
-:func:`_doubled_matrix`), read from a single minor table.
+decides total non-positivity.  The two checkerboard members do not decide
+it, but one member per window does: its alternating member carries the
+window's largest minor over the hull, so total non-positivity is decided one
+minor per window, sizes ascending (see :func:`_some_member_has_a_positive_minor`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .checks import (
     check_by_minor_definition,
 )
 from .errors import DimensionError, InvariantError, ResourceLimitError
-from .matrix import ExactMatrix
+from .matrix import ExactMatrix, det_of_rows
 from .signs import alternating_signature
 
 SignWord = tuple[int, ...]
@@ -133,53 +134,30 @@ def _gray_words(m: int, n: int):
         yield tuple(bits[:m]), tuple(bits[m:])
 
 
-def _doubled_matrix(h: IntervalHull) -> ExactMatrix:
-    """The 2m x 2n matrix D holding every sign-word member's entries.
+def _some_member_has_a_positive_minor(h: IntervalHull, k: int) -> bool:
+    """Whether some hull member has a positive minor of size at most k.
 
-    Rows 2i and 2i+1 of D stand for (i, +1) and (i, -1), columns 2j and 2j+1
-    for (j, +1) and (j, -1), and D[(i, s), (j, t)] = min(a_ij, b_ij) if s = t,
-    max(a_ij, b_ij) otherwise.  So row i and column j of the member for
-    (z, zt) are row (i, z_i) and column (j, zt_j) of D, in the same order,
-    and its (R, C) minor is the minor of D on those rows and columns.
+    A size-1 minor is largest at max(A, B).  For a window of size r >= 2, a
+    minor is affine in each entry, with the signed complementary minor as
+    coefficient.  Once every member is TNP of order r - 1 (checked one size
+    down), the coefficient at window position (p, q) is 0 or has the sign
+    -(-1)^(p+q) on the whole hull.  Moving entries one at a time to
+    max(a_ij, b_ij) where p + q is odd and to min(a_ij, b_ij) where it is even
+    never lowers the minor, so the window's largest minor over the hull is at
+    that alternating member, and one minor per window decides.
     """
     m, n = h.shape
     lo, hi = h.bounds
-    flat = tuple(
-        (lo if s == t else hi)[i * n + j] for i in range(m) for s in (0, 1) for j in range(n) for t in (0, 1)
-    )
-    return ExactMatrix(2 * m, 2 * n, flat)
-
-
-def _transversal_masks(pairs: int, size: int, last_sides: tuple[int, ...] = (0, 1)) -> list[int]:
-    """Bit masks of the index sets of D that take one of 2p, 2p+1 for each of
-    ``size`` of the ``pairs`` pairs p: the rows (or columns) some sign word picks.
-    The last picked pair takes only the sides in ``last_sides``."""
-    return [
-        sum(1 << (2 * p + s) for p, s in zip(picked, sides + (last,)))
-        for picked in itertools.combinations(range(pairs), size)
-        for sides in itertools.product((0, 1), repeat=size - 1)
-        for last in last_sides
-    ]
-
-
-def _some_member_has_a_positive_minor(h: IntervalHull, k: int) -> bool:
-    """Whether some sign-word member has a positive minor of size at most k.
-
-    Reads the transversal minors of :func:`_doubled_matrix` with sizes
-    ascending from one minor table.  D's entry depends only on whether its row
-    and column sides agree, so flipping the side of every row and every column
-    of a window gives the same submatrix: of each such pair only the window
-    whose last row takes side 0 is read.  Deleting the first row and a column
-    of a read window keeps its last row, so the window left is one read one
-    size down, and each minor is a Laplace expansion of minors already read.
-    """
-    m, n = h.shape
-    table = _doubled_matrix(h).minor_table
-    for size in range(1, k + 1):
-        cols = _transversal_masks(n, size)
-        for rmask in _transversal_masks(m, size, last_sides=(0,)):
-            for cmask in cols:
-                if table.minor_of_masks(rmask, cmask) > 0:
+    if any(v > 0 for v in hi):
+        return True
+    for size in range(2, k + 1):
+        col_sets = list(itertools.combinations(range(n), size))
+        for rows in itertools.combinations(range(m), size):
+            for cols in col_sets:
+                window = [
+                    [(hi if (p + q) % 2 else lo)[i * n + j] for q, j in enumerate(cols)] for p, i in enumerate(rows)
+                ]
+                if det_of_rows(window) > 0:
                     return True
     return False
 
@@ -187,9 +165,10 @@ def _some_member_has_a_positive_minor(h: IntervalHull, k: int) -> bool:
 def hull_is_totally_nonpositive(h: IntervalHull, k: int) -> HullVerdict:
     """The hull is totally non-positive of order k iff every sign-word member is.
 
-    The decision reads the members' minors off the doubled matrix; only a
-    failing hull is then swept member by member, in Gray-code order, to name
-    the first failing sign-word pair and its minor-definition witness.
+    The decision reads one minor per window (see
+    :func:`_some_member_has_a_positive_minor`); only a failing hull is then
+    swept member by member, in Gray-code order, to name the first failing
+    sign-word pair and its minor-definition witness.
     """
     if not 1 <= k <= min(h.shape):
         raise ValueError(f"order {k} out of range [1, {min(h.shape)}]")

@@ -598,11 +598,7 @@ def lcp_single_vector_check_variant(
     return _check_single_vector_windows(a, k, weights, "lcp_single_vector_variant")
 
 
-def tnp_lcp_sufficient_check(
-    a: ExactMatrix,
-    k: int,
-    max_dim: int = MAX_ALL_SUBMATRIX_DIM,
-) -> TnpLcpReport:
+def tnp_lcp_sufficient_check(a: ExactMatrix, k: int) -> TnpLcpReport:
     """Check the one-directional complementarity conditions for total non-positivity.
 
     For every square submatrix up to size k it evaluates the prescribed
@@ -613,8 +609,8 @@ def tnp_lcp_sufficient_check(
     the check reports inconclusive rather than claiming either way.
     """
     check_order(a, k)
-    if max(a.rows, a.cols) > max_dim:
-        raise ResourceLimitError(f"all-submatrix sweep refused for dimensions beyond {max_dim}")
+    if max(a.rows, a.cols) > MAX_ALL_SUBMATRIX_DIM:
+        raise ResourceLimitError(f"all-submatrix sweep refused for dimensions beyond {MAX_ALL_SUBMATRIX_DIM}")
     table = a.minor_table
     saw_family: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     for r in range(1, k + 1):

@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DimensionError
 
@@ -49,10 +49,6 @@ def to_fraction(value: RationalLike) -> Fraction:
         # read the decimal literal, not the binary expansion
         return Fraction(str(value))
     raise TypeError(f"cannot interpret {value!r} as a rational")
-
-
-def to_vector(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    return tuple(to_fraction(v) for v in values)
 
 
 _INTEGER_RATIO = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")

@@ -129,10 +129,6 @@ def test_vd_single_vector_examples(n3, near_miss):
     assert v2.witness.vector == fv(-2, 2)
 
 
-def test_vd_literal_end_mode_available(n3):
-    assert check_tn_vd_single_vector(n3, end_mode="literal").holds
-
-
 def test_test_vector_lies_in_alternating_orthant_with_exact_image(n3):
     alpha = AlphaChoice.of([1, "1/2", 3])
     for r in (2, 3):

@@ -24,10 +24,9 @@ from totneg import (
     rohn_inequality_check,
     sample_member,
 )
-from totneg import hull, matrix
+from totneg import hull
 from totneg.errors import InvariantError
 from totneg.generate import generate_tn, generate_tnp
-from totneg.matrix import minor_det
 from totneg.signs import alternating_signature
 
 
@@ -213,8 +212,8 @@ def test_hull_shape_validation(n2, n3):
 
 def member_by_member_tnp(h, k):
     """Every sign-word member (A+B)/2 - D_z |A-B|/2 D_zt checked in turn, in
-    Gray-code order: the sweep hull_is_totally_nonpositive made before it read
-    the members' minors off the doubled matrix, kept as the reference."""
+    Gray-code order: the sweep hull_is_totally_nonpositive made before it
+    decided one minor per window, kept as the reference."""
     m, n = h.shape
     half = Fraction(1, 2)
     for idx in range(1 << (m + n)):
@@ -281,53 +280,20 @@ def test_holding_tnp_hull_builds_no_member(monkeypatch):
 
 
 @pytest.mark.parametrize("shape", [(5, 5), (3, 6), (4, 2)])
-def test_holding_tnp_hull_reads_one_of_each_flipped_window_pair(monkeypatch, shape):
-    """At full order D's table keeps sum_s C(m,s) C(n,s) 2^(2s-1) minors, half the transversal
-    windows, each a Laplace expansion of minors already kept."""
+def test_holding_tnp_hull_reads_one_minor_per_window(monkeypatch, shape):
+    """At full order the decision eliminates once per window of size 2..k, sum_s C(m,s) C(n,s)
+    minors, and builds no member."""
     m, n = shape
     h = bumped_tn_hull(shape)
-    build, doubled = hull._doubled_matrix, []
+    eliminate, calls = hull.det_of_rows, []
 
     def refuse(*args):
-        raise AssertionError("det_of_rows called")
+        raise AssertionError("i_matrix called")
 
-    monkeypatch.setattr(hull, "_doubled_matrix", lambda h: doubled.append(build(h)) or doubled[-1])
-    monkeypatch.setattr(matrix, "det_of_rows", refuse)
+    monkeypatch.setattr(hull, "det_of_rows", lambda rows: calls.append(len(rows)) or eliminate(rows))
+    monkeypatch.setattr(hull, "i_matrix", refuse)
     assert hull_is_totally_nonpositive(h, min(shape)).holds
-    kept = sum(math.comb(m, s) * math.comb(n, s) * 2 ** (2 * s - 1) for s in range(1, min(shape) + 1))
-    assert len(doubled) == 1 and len(doubled[0].minor_table._values) == kept
-
-
-def all_transversal_masks(pairs, size):
-    """Every transversal index set of D, both sides of every picked pair."""
-    return [
-        sum(1 << (2 * p + s) for p, s in zip(picked, sides))
-        for picked in itertools.combinations(range(pairs), size)
-        for sides in itertools.product((0, 1), repeat=size)
-    ]
-
-
-def full_transversal_sweep(h, k):
-    """The decision as it read both windows of every sign-flipped pair, kept as the
-    reference for the halved sweep of hull._some_member_has_a_positive_minor."""
-    m, n = h.shape
-    table = hull._doubled_matrix(h).minor_table
-    for size in range(1, k + 1):
-        cols = all_transversal_masks(n, size)
-        for rmask in all_transversal_masks(m, size):
-            for cmask in cols:
-                if table.minor_of_masks(rmask, cmask) > 0:
-                    return True
-    return False
-
-
-def flipped(mask):
-    """The index set with every pair's other side."""
-    return sum(1 << (b ^ 1) for b in range(mask.bit_length()) if mask >> b & 1)
-
-
-def one_based(mask):
-    return [b + 1 for b in range(mask.bit_length()) if mask >> b & 1]
+    assert len(calls) == sum(math.comb(m, s) * math.comb(n, s) for s in range(2, min(shape) + 1))
 
 
 @st.composite
@@ -348,22 +314,23 @@ def straddling_hulls(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(straddling_hulls())
-def test_halved_sweep_matches_the_full_transversal_sweep(h):
-    """The halved decision agrees with the full one at every order, and the windows it reads
-    are one of each flipped pair, which has the same minor (recomputed by Bareiss)."""
-    m, n = h.shape
-    d = hull._doubled_matrix(h)
-    for k in range(1, min(m, n) + 1):
-        assert hull._some_member_has_a_positive_minor(h, k) == full_transversal_sweep(h, k)
-        halved = hull._transversal_masks(m, k, last_sides=(0,))
-        assert len(halved) == len(set(halved)) == len(all_transversal_masks(m, k)) // 2
-        for rmask in all_transversal_masks(m, k):
-            kept = rmask if rmask in halved else flipped(rmask)
-            assert kept in halved
-            for cmask in all_transversal_masks(n, k):
-                assert minor_det(d, one_based(rmask), one_based(cmask)) == minor_det(
-                    d, one_based(kept), one_based(cmask if kept == rmask else flipped(cmask))
-                )
+def test_tnp_hull_decision_matches_the_member_sweep_on_straddling_hulls(h):
+    """One minor per window decides as every sign-word member does, at every order."""
+    for k in range(1, min(h.shape) + 1):
+        assert hull._some_member_has_a_positive_minor(h, k) == (not member_by_member_tnp(h, k).holds)
+
+
+def test_two_checkerboard_members_do_not_decide_a_tnp_hull():
+    """Both C+- members are TNP_2, since their rows-{1, 3} minor is 0, yet the hull is not."""
+    a = ExactMatrix.from_rows([[-2, -2], [0, 0], [-2, -2]])
+    b = ExactMatrix.from_rows([[-1, -1], [0, 0], [-1, -1]])
+    h = IntervalHull(a, b)
+    for member in c_plus_minus(h):
+        assert check_by_minor_definition(member, ClassQuery("tnp", 2)).holds
+    v = hull_is_totally_nonpositive(h, 2)
+    assert not v.holds
+    assert v.failing_sign_words == ((-1, -1, 1), (-1, 1))
+    assert (v.witness.rows, v.witness.cols, v.witness.detail) == ((1, 3), (1, 2), Fraction(3))
 
 
 def test_failing_decision_with_no_failing_member_is_an_invariant_error(monkeypatch, n2):
