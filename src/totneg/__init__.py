@@ -32,8 +32,6 @@ from .hull import (
     hull_is_totally_negative,
     hull_is_totally_nonpositive,
     i_matrix,
-    rohn_inequality_check,
-    sample_member,
 )
 from .lcp import (
     LCPInstance,

@@ -340,11 +340,8 @@ def check_tn_vd_single_vector(
     passing a smaller k restricts the sweep to contiguous submatrices of size
     at most k and decides total negativity of that order.
     """
-    if a.rows < 1 or a.cols < 1:
-        raise DimensionError("empty matrix")
-    kmax = min(a.rows, a.cols)
     if k is None:
-        k = kmax
+        k = min(a.rows, a.cols)
     check_order(a, k)
     alpha = alpha or DEFAULT_ALPHA
     method = "vd_single_vector"

@@ -20,16 +20,8 @@ from .checks import (
     TN,
     TNP,
     AlphaChoice,
-    ClassQuery,
-    Verdict,
     Violation,
     ViolationKind,
-    check_by_contiguous_minors,
-    check_by_minor_definition,
-    check_tn_snr_single_vector,
-    check_tn_vd_single_vector,
-    check_tnp_snr,
-    check_tnp_vd,
     sign_non_reversal,
     vd_check,
 )
@@ -40,6 +32,7 @@ from .generate import (
     generate_near_miss,
     generate_tn,
     generate_tnp,
+    run_method,
 )
 from .hull import IntervalHull, hull_is_totally_negative, hull_is_totally_nonpositive, i_matrix
 from .lcp import (
@@ -143,25 +136,19 @@ def cmd_check(args: argparse.Namespace) -> int:
     alpha = _parse_alpha(args)
     cls = args.matrix_class
     start = time.perf_counter()
-    methods: list[dict[str, Any]] = []
+    extra: dict[str, Any] = {}
     if args.method == "all":
-        report = cross_validate(a, k, alpha=alpha)
-        outcomes = report.tn_methods if cls == TN else report.tnp_methods
-        for m in outcomes:
-            methods.append(_method_entry(m.name, m.holds, m.witness, m.elapsed_ms))
-        agree = report.tn_agree if cls == TN else report.tnp_agree
-        holds = agree and outcomes[0].holds
-        if not agree:
-            methods.append(
-                {"name": "agreement", "holds": False, "witness": None, "elapsed_ms": 0.0}
-            )
-        extra = {"tnp_lcp_status": report.tnp_lcp_status} if cls == TNP else {}
+        report = cross_validate(a, k, cls, alpha)
+        methods = [_method_entry(m.name, m.holds, m.witness, m.elapsed_ms) for m in report.methods]
+        if not report.agree:
+            methods.append({"name": "agreement", "holds": False, "witness": None, "elapsed_ms": 0.0})
+        if report.lcp_status is not None:
+            extra["tnp_lcp_status"] = report.lcp_status
+        holds = report.holds
     else:
-        t0 = time.perf_counter()
-        verdict = _single_method(a, cls, k, args.method, alpha)
-        methods.append(_method_entry(verdict.method, verdict.holds, verdict.witness, (time.perf_counter() - t0) * 1000))
-        holds = verdict.holds
-        extra = {}
+        outcome = run_method(a, cls, k, args.method, alpha)
+        methods = [_method_entry(outcome.name, outcome.holds, outcome.witness, outcome.elapsed_ms)]
+        holds = outcome.holds
     report_obj = {
         "command": ["check", str(args.path), cls, f"order={k}", f"method={args.method}"],
         "input_digest": _digest(raw),
@@ -175,27 +162,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     }
     _emit(report_obj, args.json)
     return EXIT_HOLDS if holds else EXIT_FAILS
-
-
-def _single_method(a: ExactMatrix, cls: str, k: int, method: str, alpha: AlphaChoice | None) -> Verdict:
-    query = ClassQuery(cls, k)
-    if method == "minors":
-        return check_by_minor_definition(a, query)
-    if method == "contiguous":
-        return check_by_contiguous_minors(a, query)
-    if method == "snr":
-        if cls == TN:
-            return check_tn_snr_single_vector(a, k, alpha)
-        return check_tnp_snr(a, k, alpha=alpha)
-    if method == "vd":
-        if cls == TN:
-            return check_tn_vd_single_vector(a, alpha, k=k)
-        return check_tnp_vd(a, alpha=alpha, k=k)
-    if method == "lcp":
-        if cls == TN:
-            return lcp_single_vector_check(a, k)
-        raise ValueError("the complementarity test decides the strict class only; use --method all for tnp")
-    raise ValueError(f"unknown method {method}")
 
 
 def cmd_hull(args: argparse.Namespace) -> int:

@@ -1,4 +1,5 @@
-"""Oracle-certified instance generation and the cross-validation harness.
+"""Oracle-certified instance generation, the per-class procedure table, and
+the cross-validation harness that runs one class's procedures.
 
 Strictly negative-minor matrices are built exactly: take a totally positive
 base (Pascal / Cauchy / Vandermonde with positive scalings), lower its corner
@@ -21,25 +22,23 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .checks import (
+    MAX_ALL_SUBMATRIX_DIM,
     TN,
     TNP,
     AlphaChoice,
     ClassQuery,
     Verdict,
     Violation,
-    _tnp_vd_failure,
     check_by_contiguous_minors,
     check_by_minor_definition,
     check_tn_snr_single_vector,
     check_tn_vd_single_vector,
     check_tnp_snr,
     check_tnp_vd,
-    sign_non_reversal,
-    vd_check,
 )
 from .errors import InvariantError, ResourceLimitError
 from .lcp import TnpLcpStatus, lcp_single_vector_check, tnp_lcp_sufficient_check
-from .matrix import ExactMatrix, _rows_as_scaled_ints, det_of_rows, format_fraction, minors_up_to
+from .matrix import ExactMatrix, _rows_as_scaled_ints, check_order, det_of_rows, format_fraction, minors_up_to
 
 Rows = list[list[Fraction]]
 
@@ -343,35 +342,6 @@ def generate_near_miss(shape: tuple[int, int], k: int, seed: int, budget: int = 
     raise ResourceLimitError(f"no near-miss instance found in {budget} attempts")
 
 
-def generate_n_matrix(n: int, seed: int, budget: int = 4000) -> GeneratedInstance:
-    """Entrywise negative with all principal minors negative (not necessarily all minors)."""
-    rng = random.Random(seed)
-    for attempt in range(1, budget + 1):
-        rows = _tn_square_rows(n, rng)
-        if rows is None:
-            continue
-        scale = rng.choice((Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)))
-        perturbed = [
-            [x * (1 + scale * Fraction(rng.randint(-8, 8), 9)) for x in row] for row in rows
-        ]
-        a = ExactMatrix.from_rows(perturbed)
-        if not a.is_entrywise_negative():
-            continue
-        if max(abs(e) for e in a.entries) > 10**8:
-            continue
-        ok = True
-        for size in range(1, n + 1):
-            for idx in itertools.combinations(range(n), size):
-                if det_of_rows(_sub_rows(perturbed, idx, idx)) >= 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return GeneratedInstance(a, "n_matrix", n, seed, attempt)
-    raise ResourceLimitError(f"no principal-minor-negative instance found in {budget} attempts")
-
-
 def random_rational_matrix(
     shape: tuple[int, int], seed: int, style: str = "any"
 ) -> ExactMatrix:
@@ -399,84 +369,6 @@ def random_rational_matrix(
     return ExactMatrix.from_rows(rows)
 
 
-def generate_tn_of_order(
-    size: int, order: int, seed: int, positive_det: bool = False, budget: int = 400
-) -> GeneratedInstance | None:
-    """A size x size matrix totally negative of the given order.
-
-    With ``positive_det`` the determinant is walked up through zero by exact
-    single-entry moves that keep every minor of size <= order negative.
-    Returns None when the search budget runs out (the caller records the gap).
-    """
-    if not 1 <= order <= size:
-        raise ValueError("order out of range")
-    rng = random.Random(seed)
-    for attempt in range(1, budget + 1):
-        rows = _tn_square_rows(size, rng)
-        if rows is None:
-            continue
-        if not positive_det:
-            a = ExactMatrix.from_rows(rows)
-            if _verify_class(a, TN, order):
-                return GeneratedInstance(a, TN, order, seed, attempt)
-            continue
-        walked = _walk_det_positive(rows, order, rng)
-        if walked is None:
-            continue
-        a = ExactMatrix.from_rows(walked)
-        if det_of_rows(walked) > 0 and _verify_class(a, TN, order):
-            return GeneratedInstance(a, TN, order, seed, attempt)
-    return None
-
-
-def _walk_det_positive(rows: Rows, order: int, rng: random.Random, max_steps: int = 300) -> Rows | None:
-    """Greedy exact walk raising the determinant while keeping small minors negative."""
-    n = len(rows)
-    cur = [r[:] for r in rows]
-    for _ in range(max_steps):
-        d = det_of_rows([r[:] for r in cur])
-        if d > 0:
-            return cur
-        i, j = rng.randrange(n), rng.randrange(n)
-        x0 = cur[i][j]
-        full = tuple(range(n))
-        slope = _minor_linear_coeff(cur, full, full, i, j)
-        if slope == 0:
-            continue
-        lo: Fraction | None = None
-        hi: Fraction | None = None
-        for s in range(1, order + 1):
-            for ridx in itertools.combinations(range(n), s):
-                if i not in ridx:
-                    continue
-                for cidx in itertools.combinations(range(n), s):
-                    if j not in cidx:
-                        continue
-                    w = det_of_rows(_sub_rows(cur, ridx, cidx))
-                    c = _minor_linear_coeff(cur, ridx, cidx, i, j)
-                    if c == 0:
-                        if w >= 0:
-                            return None
-                        continue
-                    bound = x0 - w / c  # minor hits zero here
-                    if c > 0:
-                        hi = bound if hi is None or bound < hi else hi
-                    else:
-                        lo = bound if lo is None or bound > lo else lo
-        if lo is not None and hi is not None and lo >= hi:
-            continue
-        if slope > 0:
-            wall = hi
-            x1 = x0 + (wall - x0) * Fraction(3, 4) if wall is not None else x0 + 1 + abs(x0)
-        else:
-            wall = lo
-            x1 = x0 + (wall - x0) * Fraction(3, 4) if wall is not None else x0 - 1 - abs(x0)
-        if x1 == x0:
-            continue
-        cur[i][j] = x1
-    return None
-
-
 @dataclass(frozen=True)
 class MethodOutcome:
     name: str
@@ -485,150 +377,88 @@ class MethodOutcome:
     elapsed_ms: float
 
 
-@dataclass(frozen=True)
-class CrossValidationReport:
-    order: int
-    tn_methods: tuple[MethodOutcome, ...]
-    tnp_methods: tuple[MethodOutcome, ...]
-    tnp_lcp_status: str
-    tn_agree: bool
-    tnp_agree: bool
-    lcp_condition_consistent: bool
-
-    @property
-    def tn_holds(self) -> bool:
-        return self.tn_methods[0].holds
-
-    @property
-    def tnp_holds(self) -> bool:
-        return self.tnp_methods[0].holds
+#: A decision procedure of one class, given the query and the test coefficients.
+Procedure = Callable[[ExactMatrix, ClassQuery, AlphaChoice | None], Verdict]
 
 
-def _timed(fn: Callable[[], Verdict]) -> MethodOutcome:
+def _strict_class_only(a: ExactMatrix, query: ClassQuery, alpha: AlphaChoice | None) -> Verdict:
+    raise ValueError("the complementarity test decides the strict class only; use --method all for tnp")
+
+
+#: The one map from (class, method) to the procedure deciding it.  Each entry
+#: looks its procedure up in this module when it runs.
+_PROCEDURES: dict[str, dict[str, Procedure]] = {
+    TN: {
+        "minors": lambda a, q, alpha: check_by_minor_definition(a, q),
+        "contiguous": lambda a, q, alpha: check_by_contiguous_minors(a, q),
+        "snr": lambda a, q, alpha: check_tn_snr_single_vector(a, q.order, alpha),
+        "vd": lambda a, q, alpha: check_tn_vd_single_vector(a, alpha, k=q.order),
+        "lcp": lambda a, q, alpha: lcp_single_vector_check(a, q.order),
+    },
+    TNP: {
+        "minors": lambda a, q, alpha: check_by_minor_definition(a, q),
+        "contiguous": lambda a, q, alpha: check_by_contiguous_minors(a, q),
+        "snr": lambda a, q, alpha: check_tnp_snr(a, q.order, alpha=alpha),
+        "vd": lambda a, q, alpha: check_tnp_vd(a, alpha=alpha, k=q.order),
+        "lcp": _strict_class_only,
+    },
+}
+
+#: Each class's ``--method all`` list, in report order.  For the non-positive
+#: class the contiguous reduction is only necessary, so it is left out, and the
+#: complementarity condition is one-directional, so it runs after the list.
+_ALL_METHODS = {TN: ("minors", "contiguous", "snr", "vd", "lcp"), TNP: ("minors", "snr", "vd")}
+
+
+def run_method(a: ExactMatrix, cls: str, k: int, method: str, alpha: AlphaChoice | None = None) -> MethodOutcome:
+    """Decide class ``cls`` at order k by the procedure named ``method``, timed."""
+    query = ClassQuery(cls, k)
+    procedure = _PROCEDURES[query.matrix_class].get(method)
+    if procedure is None:
+        raise ValueError(f"unknown method {method}")
     start = time.perf_counter()
-    verdict = fn()
+    verdict = procedure(a, query, alpha)
     elapsed = (time.perf_counter() - start) * 1000
     return MethodOutcome(verdict.method, verdict.holds, verdict.witness, elapsed)
 
 
-def cross_validate(a: ExactMatrix, k: int, alpha: AlphaChoice | None = None) -> CrossValidationReport:
-    """Run every decision procedure at order k and compare the verdicts.
-
-    All strict-class procedures must agree exactly, as must the non-positive
-    ones; the one-directional complementarity condition must never certify a
-    matrix the minor oracle rejects.
-    """
-    if not 1 <= k <= min(a.rows, a.cols):
-        raise ValueError(f"order {k} out of range [1, {min(a.rows, a.cols)}]")
-    tn_query = ClassQuery(TN, k)
-    tn_methods = (
-        _timed(lambda: check_by_minor_definition(a, tn_query)),
-        _timed(lambda: check_by_contiguous_minors(a, tn_query)),
-        _timed(lambda: check_tn_snr_single_vector(a, k, alpha)),
-        _timed(lambda: check_tn_vd_single_vector(a, alpha, k=k)),
-        _timed(lambda: lcp_single_vector_check(a, k)),
-    )
-    tnp_alpha = alpha if alpha is not None and alpha.strictly_positive else None
-    tnp_query = ClassQuery(TNP, k)
-    tnp_methods = (
-        _timed(lambda: check_by_minor_definition(a, tnp_query)),
-        _timed(lambda: check_tnp_snr(a, k, alpha=tnp_alpha)),
-        _timed(lambda: check_tnp_vd(a, alpha=tnp_alpha, k=k)),
-    )
-    report = tnp_lcp_sufficient_check(a, k)
-    return CrossValidationReport(
-        order=k,
-        tn_methods=tn_methods,
-        tnp_methods=tnp_methods,
-        tnp_lcp_status=report.status.value,
-        tn_agree=len({m.holds for m in tn_methods}) == 1,
-        tnp_agree=len({m.holds for m in tnp_methods}) == 1,
-        lcp_condition_consistent=report.status != TnpLcpStatus.SUFFICIENT or tnp_methods[0].holds,
-    )
-
-
 @dataclass(frozen=True)
-class OrthantSuiteReport:
-    size: int
-    samples: int
-    violations: tuple[str, ...]
-    strict_pool: int
-    positive_det_pool: int
-    weak_pool: int
+class CrossValidationReport:
+    """One class's ``--method all`` outcomes at one order, and whether they agree."""
+
+    order: int
+    methods: tuple[MethodOutcome, ...]
+    agree: bool
+    #: the non-positive class's one-directional complementarity status
+    lcp_status: str | None = None
 
     @property
-    def positive_det_found(self) -> bool:
-        return self.positive_det_pool > 0
+    def holds(self) -> bool:
+        """The class verdict: the procedures agree and the minor definition holds."""
+        return self.agree and self.methods[0].holds
 
 
-def _sample_blockwise_mixed(rng: random.Random, r: int) -> tuple[Fraction, ...]:
-    """All-nonzero mixed-sign vector that is NOT alternating (needs r >= 3)."""
-    while True:
-        signs = [rng.choice((1, -1)) for _ in range(r)]
-        mixed = any(s > 0 for s in signs) and any(s < 0 for s in signs)
-        has_repeat = any(a == b for a, b in zip(signs, signs[1:]))
-        if mixed and has_repeat:
-            return tuple(
-                Fraction(rng.randint(1, 20), rng.randint(1, 8)) * s for s in signs
-            )
+def cross_validate(a: ExactMatrix, k: int, cls: str, alpha: AlphaChoice | None = None) -> CrossValidationReport:
+    """Run every decision procedure of class ``cls`` at order k and compare the verdicts.
 
-
-def orthant_impossibility_suite(r: int, trials: int, seed: int) -> OrthantSuiteReport:
-    """Non-alternating all-nonzero mixed vectors cannot witness a failure.
-
-    For matrices totally negative of order r-1 (both determinant signs when
-    found), strict sign non-reversal and the variation bound with its equality
-    clause must hold at every such vector; the non-strict analogues must hold
-    for the weak class.  Returns the (expected-empty) violation list.
+    The procedures must agree exactly, and the non-positive class's
+    one-directional complementarity condition must not certify a matrix its
+    minor definition rejects.  A dimension beyond ``MAX_ALL_SUBMATRIX_DIM`` is
+    refused before any sweep runs.  The non-positive tests need strictly
+    positive alpha magnitudes, so any other alpha gives way to the default.
     """
-    if r < 3:
-        raise ValueError("the orthant suite needs size at least 3")
-    rng = random.Random(seed)
-    strict_pool: list[ExactMatrix] = []
-    positive_det = 0
-    for idx in range(4):
-        inst = generate_tn_of_order(r, r - 1, seed=seed * 7 + idx)
-        if inst is not None:
-            strict_pool.append(inst.matrix)
-    for idx in range(4):
-        inst = generate_tn_of_order(r, r - 1, seed=seed * 13 + idx, positive_det=True)
-        if inst is not None:
-            strict_pool.append(inst.matrix)
-            positive_det += 1
-    weak_pool: list[ExactMatrix] = []
-    for idx in range(4):
-        inst = generate_tnp((r, r), r - 1, seed=seed * 29 + idx)
-        weak_pool.append(inst.matrix)
-    if not strict_pool or not weak_pool:
-        raise ResourceLimitError("instance pools could not be generated")
-    violations: list[str] = []
-    samples = 0
-    for t in range(trials):
-        x = _sample_blockwise_mixed(rng, r)
-        a = strict_pool[t % len(strict_pool)]
-        samples += 2  # one strict-class and one weak-class (matrix, x) pair
-        ok, _ = sign_non_reversal(a, x, strict=True)
-        if not ok:
-            violations.append(f"strict reversal at x={x} for:\n{a}")
-        satisfied, _, _ = vd_check(a, x)
-        if not satisfied:
-            violations.append(f"variation clause failed at x={x} for:\n{a}")
-        w = weak_pool[t % len(weak_pool)]
-        ok, _ = sign_non_reversal(w, x, strict=False)
-        if not ok:
-            violations.append(f"non-strict reversal at x={x} for:\n{w}")
-        if _tnp_vd_failure(x, w.matvec(x)) is not None:
-            violations.append(f"weak variation clause failed at x={x} for:\n{w}")
-        if len(violations) > 8:
-            break
-    return OrthantSuiteReport(
-        size=r,
-        samples=samples,
-        violations=tuple(violations),
-        strict_pool=len(strict_pool),
-        positive_det_pool=positive_det,
-        weak_pool=len(weak_pool),
-    )
+    check_order(a, k)
+    if max(a.rows, a.cols) > MAX_ALL_SUBMATRIX_DIM:
+        raise ResourceLimitError(f"all-submatrix sweep refused for dimensions beyond {MAX_ALL_SUBMATRIX_DIM}")
+    if cls == TNP and alpha is not None and not alpha.strictly_positive:
+        alpha = None
+    methods = tuple(run_method(a, cls, k, name, alpha) for name in _ALL_METHODS[cls])
+    agree = len({m.holds for m in methods}) == 1
+    if cls != TNP:
+        return CrossValidationReport(k, methods, agree)
+    status = tnp_lcp_sufficient_check(a, k).status
+    agree = agree and (status != TnpLcpStatus.SUFFICIENT or methods[0].holds)
+    return CrossValidationReport(k, methods, agree, status.value)
 
 
 def certificate_digest(a: ExactMatrix, k: int) -> str:

@@ -12,7 +12,6 @@ minor per window, sizes ascending (see :func:`_some_member_has_a_positive_minor`
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -185,36 +184,3 @@ def hull_is_totally_nonpositive(h: IntervalHull, k: int) -> HullVerdict:
         if not verdict.holds:
             return HullVerdict(False, "hull_tnp", (z, zt), verdict.witness)
     raise InvariantError(f"a sign-word member has a positive minor of size at most {k}, yet no member fails")
-
-
-def sample_member(h: IntervalHull, seed: int) -> ExactMatrix:
-    """A deterministic hull member with independent rational mixing weights."""
-    rng = random.Random(seed)
-    m, n = h.shape
-    flat = []
-    for i in range(m * n):
-        den = rng.randint(1, 16)
-        t = Fraction(rng.randint(0, den), den)
-        flat.append(t * h.a.entries[i] + (1 - t) * h.b.entries[i])
-    return ExactMatrix(m, n, tuple(flat))
-
-
-def rohn_inequality_check(h: IntervalHull, c: ExactMatrix, x: Sequence[Fraction]) -> bool:
-    """Coordinatewise comparison against the sign-matched diagonal member.
-
-    With z_i = +1 where x_i >= 0 and -1 otherwise, every hull member C obeys
-    x_i (C x)_i >= x_i (I_{z,z} x)_i; the check returns whether that holds here
-    (it should always be True, and is used as a property test).
-    """
-    m, n = h.shape
-    if m != n:
-        raise DimensionError("the comparison needs square matrices")
-    if len(x) != n:
-        raise DimensionError("vector length does not match")
-    if not h.contains(c):
-        raise ValueError("matrix is not a member of the hull")
-    z = tuple(1 if v >= 0 else -1 for v in x)
-    t = i_matrix(h, z, z)
-    cx = c.matvec(x)
-    tx = t.matvec(x)
-    return all(xi * ci >= xi * ti for xi, ci, ti in zip(x, cx, tx))

@@ -380,23 +380,12 @@ def check_order(a: ExactMatrix, k: int) -> None:
 Window = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def all_windows(m: int, n: int, r: int) -> Iterator[Window]:
-    """Every (rows, cols) pair of r-subsets of an m x n matrix, 0-based, lexicographic."""
-    return itertools.product(itertools.combinations(range(m), r), itertools.combinations(range(n), r))
-
-
 def contiguous_windows(m: int, n: int, r: int) -> Iterator[Window]:
     """The (rows, cols) pairs of consecutive r-runs, 0-based, window starts lexicographic."""
     return itertools.product(
         [tuple(range(i, i + r)) for i in range(m - r + 1)],
         [tuple(range(j, j + r)) for j in range(n - r + 1)],
     )
-
-
-def take(a: ExactMatrix, rows0: Sequence[int], cols0: Sequence[int]) -> ExactMatrix:
-    """Submatrix on 0-based index sets, unchecked (the sweeps' fast path of :func:`submatrix`)."""
-    flat = tuple(a.entries[i * a.cols + j] for i in rows0 for j in cols0)
-    return ExactMatrix(len(rows0), len(cols0), flat)
 
 
 def _one_based(idx: Sequence[int]) -> tuple[int, ...]:
@@ -420,8 +409,8 @@ def index_sets(n: int, r: int, contiguous: bool = False) -> tuple[IndexSet, ...]
     """The r-subsets of range(n), lexicographic (or only its runs of r
     consecutive indices), as :data:`IndexSet`; built once per (n, r).
 
-    A window sweep reads the row sets outer and the column sets inner, which
-    is the order of :func:`all_windows` (:func:`contiguous_windows`).
+    A window sweep reads the row sets outer and the column sets inner, so its
+    windows come in lexicographic (row set, column set) order.
     """
     runs = (range(i, i + r) for i in range(n - r + 1))
     out = []
@@ -556,7 +545,7 @@ class MinorTable:
         return out
 
     def level(self, r: int, coeffs: Sequence[int] | None = None) -> Iterator[SweptWindow]:
-        """Every window of size r >= 2 in :func:`all_windows` order, as
+        """Every window of size r >= 2 in lexicographic (rows, cols) order, as
         ``(rows0, cols0, minor, N)``, N the integers :meth:`adjugate_numerators`
         gives for coeffs, or None without coeffs.
 

@@ -6,7 +6,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 from totneg import (
     TN,
@@ -27,10 +27,31 @@ from totneg import (
     sign_non_reversal,
     solve_lcp,
 )
-from totneg.checks import MAX_ALL_SUBMATRIX_DIM, _entry_violation, _tnp_vd_failure
+from totneg.checks import MAX_ALL_SUBMATRIX_DIM, _entry_violation, _tnp_vd_failure, vd_check
 from totneg.errors import InvariantError
+from totneg.generate import (
+    GeneratedInstance,
+    Rows,
+    _minor_linear_coeff,
+    _sub_rows,
+    _tn_square_rows,
+    _verify_class,
+    generate_tnp,
+)
+from totneg.hull import IntervalHull, i_matrix
 from totneg.lcp import _FM_CONSTRAINT_CAP
-from totneg.matrix import _one_based, all_windows, check_order, contiguous_windows, take
+from totneg.matrix import Window, _one_based, check_order, contiguous_windows, det_of_rows
+
+
+def all_windows(m: int, n: int, r: int) -> Iterator[Window]:
+    """Every (rows, cols) pair of r-subsets of an m x n matrix, 0-based, lexicographic."""
+    return itertools.product(itertools.combinations(range(m), r), itertools.combinations(range(n), r))
+
+
+def take(a: ExactMatrix, rows0: Sequence[int], cols0: Sequence[int]) -> ExactMatrix:
+    """Submatrix on 0-based index sets, unchecked (the sweeps' fast path of :func:`submatrix`)."""
+    flat = tuple(a.entries[i * a.cols + j] for i in rows0 for j in cols0)
+    return ExactMatrix(len(rows0), len(cols0), flat)
 
 
 def det_by_cofactor_expansion(a: ExactMatrix) -> Fraction:
@@ -707,3 +728,227 @@ def check_tnp_vd_sampled(a: ExactMatrix, trials: int = 64, seed: int = 0) -> Ver
         if kind is not None:
             return Verdict(False, method, Violation(kind, rows1, cols1, vector=tuple(x)))
     return Verdict(True, method)
+
+
+def sample_member(h: IntervalHull, seed: int) -> ExactMatrix:
+    """A deterministic hull member with independent rational mixing weights."""
+    rng = random.Random(seed)
+    m, n = h.shape
+    flat = []
+    for i in range(m * n):
+        den = rng.randint(1, 16)
+        t = Fraction(rng.randint(0, den), den)
+        flat.append(t * h.a.entries[i] + (1 - t) * h.b.entries[i])
+    return ExactMatrix(m, n, tuple(flat))
+
+
+def rohn_inequality_check(h: IntervalHull, c: ExactMatrix, x: Sequence[Fraction]) -> bool:
+    """Coordinatewise comparison against the sign-matched diagonal member.
+
+    With z_i = +1 where x_i >= 0 and -1 otherwise, every hull member C obeys
+    x_i (C x)_i >= x_i (I_{z,z} x)_i; the check returns whether that holds here
+    (it should always be True, and is used as a property test).
+    """
+    m, n = h.shape
+    if m != n:
+        raise DimensionError("the comparison needs square matrices")
+    if len(x) != n:
+        raise DimensionError("vector length does not match")
+    if not h.contains(c):
+        raise ValueError("matrix is not a member of the hull")
+    z = tuple(1 if v >= 0 else -1 for v in x)
+    t = i_matrix(h, z, z)
+    cx = c.matvec(x)
+    tx = t.matvec(x)
+    return all(xi * ci >= xi * ti for xi, ci, ti in zip(x, cx, tx))
+
+
+def generate_n_matrix(n: int, seed: int, budget: int = 4000) -> GeneratedInstance:
+    """Entrywise negative with all principal minors negative (not necessarily all minors)."""
+    rng = random.Random(seed)
+    for attempt in range(1, budget + 1):
+        rows = _tn_square_rows(n, rng)
+        if rows is None:
+            continue
+        scale = rng.choice((Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)))
+        perturbed = [
+            [x * (1 + scale * Fraction(rng.randint(-8, 8), 9)) for x in row] for row in rows
+        ]
+        a = ExactMatrix.from_rows(perturbed)
+        if not a.is_entrywise_negative():
+            continue
+        if max(abs(e) for e in a.entries) > 10**8:
+            continue
+        ok = True
+        for size in range(1, n + 1):
+            for idx in itertools.combinations(range(n), size):
+                if det_of_rows(_sub_rows(perturbed, idx, idx)) >= 0:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return GeneratedInstance(a, "n_matrix", n, seed, attempt)
+    raise ResourceLimitError(f"no principal-minor-negative instance found in {budget} attempts")
+
+
+def generate_tn_of_order(
+    size: int, order: int, seed: int, positive_det: bool = False, budget: int = 400
+) -> GeneratedInstance | None:
+    """A size x size matrix totally negative of the given order.
+
+    With ``positive_det`` the determinant is walked up through zero by exact
+    single-entry moves that keep every minor of size <= order negative.
+    Returns None when the search budget runs out (the caller records the gap).
+    """
+    if not 1 <= order <= size:
+        raise ValueError("order out of range")
+    rng = random.Random(seed)
+    for attempt in range(1, budget + 1):
+        rows = _tn_square_rows(size, rng)
+        if rows is None:
+            continue
+        if not positive_det:
+            a = ExactMatrix.from_rows(rows)
+            if _verify_class(a, TN, order):
+                return GeneratedInstance(a, TN, order, seed, attempt)
+            continue
+        walked = _walk_det_positive(rows, order, rng)
+        if walked is None:
+            continue
+        a = ExactMatrix.from_rows(walked)
+        if det_of_rows(walked) > 0 and _verify_class(a, TN, order):
+            return GeneratedInstance(a, TN, order, seed, attempt)
+    return None
+
+
+def _walk_det_positive(rows: Rows, order: int, rng: random.Random, max_steps: int = 300) -> Rows | None:
+    """Greedy exact walk raising the determinant while keeping small minors negative."""
+    n = len(rows)
+    cur = [r[:] for r in rows]
+    for _ in range(max_steps):
+        d = det_of_rows([r[:] for r in cur])
+        if d > 0:
+            return cur
+        i, j = rng.randrange(n), rng.randrange(n)
+        x0 = cur[i][j]
+        full = tuple(range(n))
+        slope = _minor_linear_coeff(cur, full, full, i, j)
+        if slope == 0:
+            continue
+        lo: Fraction | None = None
+        hi: Fraction | None = None
+        for s in range(1, order + 1):
+            for ridx in itertools.combinations(range(n), s):
+                if i not in ridx:
+                    continue
+                for cidx in itertools.combinations(range(n), s):
+                    if j not in cidx:
+                        continue
+                    w = det_of_rows(_sub_rows(cur, ridx, cidx))
+                    c = _minor_linear_coeff(cur, ridx, cidx, i, j)
+                    if c == 0:
+                        if w >= 0:
+                            return None
+                        continue
+                    bound = x0 - w / c  # minor hits zero here
+                    if c > 0:
+                        hi = bound if hi is None or bound < hi else hi
+                    else:
+                        lo = bound if lo is None or bound > lo else lo
+        if lo is not None and hi is not None and lo >= hi:
+            continue
+        if slope > 0:
+            wall = hi
+            x1 = x0 + (wall - x0) * Fraction(3, 4) if wall is not None else x0 + 1 + abs(x0)
+        else:
+            wall = lo
+            x1 = x0 + (wall - x0) * Fraction(3, 4) if wall is not None else x0 - 1 - abs(x0)
+        if x1 == x0:
+            continue
+        cur[i][j] = x1
+    return None
+
+
+@dataclass(frozen=True)
+class OrthantSuiteReport:
+    size: int
+    samples: int
+    violations: tuple[str, ...]
+    strict_pool: int
+    positive_det_pool: int
+    weak_pool: int
+
+    @property
+    def positive_det_found(self) -> bool:
+        return self.positive_det_pool > 0
+
+
+def _sample_blockwise_mixed(rng: random.Random, r: int) -> tuple[Fraction, ...]:
+    """All-nonzero mixed-sign vector that is NOT alternating (needs r >= 3)."""
+    while True:
+        signs = [rng.choice((1, -1)) for _ in range(r)]
+        mixed = any(s > 0 for s in signs) and any(s < 0 for s in signs)
+        has_repeat = any(a == b for a, b in zip(signs, signs[1:]))
+        if mixed and has_repeat:
+            return tuple(
+                Fraction(rng.randint(1, 20), rng.randint(1, 8)) * s for s in signs
+            )
+
+
+def orthant_impossibility_suite(r: int, trials: int, seed: int) -> OrthantSuiteReport:
+    """Non-alternating all-nonzero mixed vectors cannot witness a failure.
+
+    For matrices totally negative of order r-1 (both determinant signs when
+    found), strict sign non-reversal and the variation bound with its equality
+    clause must hold at every such vector; the non-strict analogues must hold
+    for the weak class.  Returns the (expected-empty) violation list.
+    """
+    if r < 3:
+        raise ValueError("the orthant suite needs size at least 3")
+    rng = random.Random(seed)
+    strict_pool: list[ExactMatrix] = []
+    positive_det = 0
+    for idx in range(4):
+        inst = generate_tn_of_order(r, r - 1, seed=seed * 7 + idx)
+        if inst is not None:
+            strict_pool.append(inst.matrix)
+    for idx in range(4):
+        inst = generate_tn_of_order(r, r - 1, seed=seed * 13 + idx, positive_det=True)
+        if inst is not None:
+            strict_pool.append(inst.matrix)
+            positive_det += 1
+    weak_pool: list[ExactMatrix] = []
+    for idx in range(4):
+        inst = generate_tnp((r, r), r - 1, seed=seed * 29 + idx)
+        weak_pool.append(inst.matrix)
+    if not strict_pool or not weak_pool:
+        raise ResourceLimitError("instance pools could not be generated")
+    violations: list[str] = []
+    samples = 0
+    for t in range(trials):
+        x = _sample_blockwise_mixed(rng, r)
+        a = strict_pool[t % len(strict_pool)]
+        samples += 2  # one strict-class and one weak-class (matrix, x) pair
+        ok, _ = sign_non_reversal(a, x, strict=True)
+        if not ok:
+            violations.append(f"strict reversal at x={x} for:\n{a}")
+        satisfied, _, _ = vd_check(a, x)
+        if not satisfied:
+            violations.append(f"variation clause failed at x={x} for:\n{a}")
+        w = weak_pool[t % len(weak_pool)]
+        ok, _ = sign_non_reversal(w, x, strict=False)
+        if not ok:
+            violations.append(f"non-strict reversal at x={x} for:\n{w}")
+        if _tnp_vd_failure(x, w.matvec(x)) is not None:
+            violations.append(f"weak variation clause failed at x={x} for:\n{w}")
+        if len(violations) > 8:
+            break
+    return OrthantSuiteReport(
+        size=r,
+        samples=samples,
+        violations=tuple(violations),
+        strict_pool=len(strict_pool),
+        positive_det_pool=positive_det,
+        weak_pool=len(weak_pool),
+    )

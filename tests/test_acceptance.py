@@ -38,21 +38,24 @@ from totneg import (
     minor_det,
     s_minus,
     s_plus,
-    sample_member,
     solve_lcp,
     submatrix,
     tnp_lcp_sufficient_check,
 )
 from totneg.generate import (
-    generate_n_matrix,
     generate_near_miss,
     generate_tn,
     generate_tnp,
-    orthant_impossibility_suite,
     random_rational_matrix,
 )
 
-from oracles import check_splus_sminus_duality, count_solutions_for_positive_q
+from oracles import (
+    check_splus_sminus_duality,
+    count_solutions_for_positive_q,
+    generate_n_matrix,
+    orthant_impossibility_suite,
+    sample_member,
+)
 
 SHAPES = [(m, n) for m in range(1, 7) for n in range(1, 7)]
 

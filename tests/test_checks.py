@@ -283,7 +283,7 @@ def test_failing_entry_builds_no_minor_level_above_one():
     assert not check_tn_vd_single_vector(a).holds
     assert not check_tnp_snr(a, 3).holds
     assert not check_tnp_vd(a).holds
-    assert not cross_validate(a, 3).tn_holds
+    assert not any(cross_validate(a, 3, cls).holds for cls in ("tn", "tnp"))
     assert a.minor_table.sizes() <= {1}
     # a sweep that fails at size 2 builds nothing above size 2
     b = ExactMatrix.from_rows([[-1, -2, -3], [-2, -5, -5], [-3, -5, -6]])

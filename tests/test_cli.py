@@ -72,6 +72,72 @@ def test_check_with_alpha_flag(files):
     )
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("a procedure of the other class ran")
+
+
+def test_tn_all_runs_no_tnp_procedure(files, monkeypatch, capsys):
+    import totneg.generate
+
+    for name in ("check_tnp_snr", "check_tnp_vd", "tnp_lcp_sufficient_check"):
+        monkeypatch.setattr(totneg.generate, name, _refuse)
+    assert main(["check", str(files["n3"]), "--class", "tn", "--order", "3", "--method", "all"]) == 0
+    assert main(["check", str(files["near_miss"]), "--class", "tn", "--order", "2", "--method", "all"]) == 1
+    assert "agreement" not in capsys.readouterr().out
+
+
+def test_tnp_all_runs_no_tn_procedure(files, monkeypatch, capsys):
+    import totneg.generate
+
+    minors = totneg.generate.check_by_minor_definition
+
+    def tnp_minors_only(a, query):
+        if query.matrix_class != "tnp":
+            _refuse()
+        return minors(a, query)
+
+    monkeypatch.setattr(totneg.generate, "check_by_minor_definition", tnp_minors_only)
+    for name in ("check_by_contiguous_minors", "check_tn_snr_single_vector", "check_tn_vd_single_vector", "lcp_single_vector_check"):
+        monkeypatch.setattr(totneg.generate, name, _refuse)
+    assert main(["check", str(files["tnp"]), "--class", "tnp", "--order", "3", "--method", "all"]) == 0
+    assert main(["check", str(files["near_miss"]), "--class", "tnp", "--order", "2", "--method", "all"]) == 1
+    assert "agreement" not in capsys.readouterr().out
+
+
+def test_tnp_all_swaps_an_alpha_only_the_tn_tests_reject(tmp_path, capsys):
+    """At size 2 the magnitudes "0 0 1" realize the zero vector, which the TN
+    test vectors refuse (exit 2); the non-strict class swaps any alpha that is
+    not strictly positive for the default and gives its own verdict."""
+    path = tmp_path / "fails_tnp.txt"
+    path.write_text("3 3\n-1 -2 -3\n-2 -5 -5\n-3 -5 -6\n")
+    argv = ["check", str(path), "--order", "3", "--method", "all", "--alpha", "0 0 1", "--json"]
+    assert main(argv + ["--class", "tnp"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [m["name"] for m in report["methods"]] == ["minor_definition", "tnp_snr_single_vector", "tnp_vd_single_vector"]
+    assert not any(m["holds"] for m in report["methods"])
+    assert main(argv + ["--class", "tn"]) == 2
+    assert "collapses to the zero vector" in capsys.readouterr().err
+
+
+def test_lcp_sufficient_status_on_a_failing_tnp_matrix_is_a_disagreement(files, monkeypatch, capsys):
+    import totneg.generate
+    from totneg import TnpLcpReport, TnpLcpStatus
+
+    argv = ["check", str(files["near_miss"]), "--class", "tnp", "--order", "2", "--json"]
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["tnp_lcp_status"] == "violation_found"
+    assert "agreement" not in [m["name"] for m in report["methods"]]
+    monkeypatch.setattr(
+        totneg.generate, "tnp_lcp_sufficient_check", lambda a, k: TnpLcpReport(TnpLcpStatus.SUFFICIENT)
+    )
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["tnp_lcp_status"] == "sufficient_condition_holds"
+    assert report["methods"][-1] == {"name": "agreement", "holds": False, "witness": None, "elapsed_ms": 0.0}
+    assert not report["holds"]
+
+
 def test_one_process_reuses_the_parser_without_leaking_state(files, capsys):
     """main builds its parser once per process; no option of one call carries into the next."""
     near = str(files["near_miss"])
@@ -165,6 +231,8 @@ def test_resource_cap_is_exit_3(tmp_path):
     hull = tmp_path / "bighull.txt"
     hull.write_text(big.read_text() + "\n" + big.read_text())
     assert main(["hull", str(hull), "--class", "tnp", "--order", "1"]) == 3
+    for cls in ("tn", "tnp"):
+        assert main(["check", str(big), "--class", cls, "--order", "1", "--method", "all"]) == 3
 
 
 def test_json_report_round_trips(files, capsys):

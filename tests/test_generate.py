@@ -9,15 +9,14 @@ from totneg.errors import ResourceLimitError
 from totneg.generate import (
     certificate_digest,
     cross_validate,
-    generate_n_matrix,
     generate_near_miss,
     generate_tn,
-    generate_tn_of_order,
     generate_tnp,
-    orthant_impossibility_suite,
     random_rational_matrix,
 )
 from totneg.matrix import det_of_rows
+
+from oracles import generate_n_matrix, generate_tn_of_order, orthant_impossibility_suite
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (2, 4), (4, 2), (5, 5)])
@@ -97,32 +96,40 @@ def test_random_rational_matrix_styles():
 
 
 def test_cross_validate_unanimous_on_fixtures(n3, near_miss, zero_row_tnp):
-    rep = cross_validate(n3, 3)
-    assert rep.tn_agree and rep.tn_holds
-    assert rep.tnp_agree and rep.tnp_holds
-    assert rep.tnp_lcp_status == "sufficient_condition_holds"
-    rep2 = cross_validate(near_miss, 2)
-    assert rep2.tn_agree and not rep2.tn_holds
-    assert rep2.tnp_agree and not rep2.tnp_holds
-    witnesses = {m.name: m.witness for m in rep2.tn_methods}
+    rep = cross_validate(n3, 3, "tn")
+    assert rep.agree and rep.holds
+    assert rep.lcp_status is None
+    rep = cross_validate(n3, 3, "tnp")
+    assert rep.agree and rep.holds
+    assert rep.lcp_status == "sufficient_condition_holds"
+    rep2 = cross_validate(near_miss, 2, "tn")
+    assert rep2.agree and not rep2.holds
+    witnesses = {m.name: m.witness for m in rep2.methods}
     assert all(w is not None for w in witnesses.values())
-    rep3 = cross_validate(zero_row_tnp, 3)
-    assert rep3.tn_agree and not rep3.tn_holds
-    assert rep3.tnp_agree and rep3.tnp_holds
-    assert rep3.tnp_lcp_status == "inconclusive"
-    assert rep3.lcp_condition_consistent
+    rep2 = cross_validate(near_miss, 2, "tnp")
+    assert rep2.agree and not rep2.holds
+    rep3 = cross_validate(zero_row_tnp, 3, "tn")
+    assert rep3.agree and not rep3.holds
+    rep3 = cross_validate(zero_row_tnp, 3, "tnp")
+    # an inconclusive complementarity status never counts against agreement
+    assert rep3.agree and rep3.holds
+    assert rep3.lcp_status == "inconclusive"
 
 
 def test_cross_validate_reports_timings(n2):
-    rep = cross_validate(n2, 2)
-    assert all(m.elapsed_ms >= 0 for m in rep.tn_methods + rep.tnp_methods)
-    names = [m.name for m in rep.tn_methods]
-    assert names == [
+    tn, tnp = cross_validate(n2, 2, "tn"), cross_validate(n2, 2, "tnp")
+    assert all(m.elapsed_ms >= 0 for m in tn.methods + tnp.methods)
+    assert [m.name for m in tn.methods] == [
         "minor_definition",
         "contiguous_minors",
         "snr_single_vector",
         "vd_single_vector",
         "lcp_single_vector",
+    ]
+    assert [m.name for m in tnp.methods] == [
+        "minor_definition",
+        "tnp_snr_single_vector",
+        "tnp_vd_single_vector",
     ]
 
 
@@ -163,6 +170,6 @@ def test_cross_validate_builds_one_minor_table(monkeypatch):
 
     monkeypatch.setattr(totneg.matrix.MinorTable, "__init__", counting_init)
     a = generate_tn((4, 4), 4, seed=5).matrix
-    report = cross_validate(a, 4)
-    assert report.tn_holds and report.tn_agree and report.tnp_agree
+    tn, tnp = cross_validate(a, 4, "tn"), cross_validate(a, 4, "tnp")
+    assert tn.holds and tn.agree and tnp.agree
     assert built == [a]

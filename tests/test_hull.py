@@ -21,13 +21,13 @@ from totneg import (
     hull_is_totally_negative,
     hull_is_totally_nonpositive,
     i_matrix,
-    rohn_inequality_check,
-    sample_member,
 )
 from totneg import hull
 from totneg.errors import InvariantError
 from totneg.generate import generate_tn, generate_tnp
 from totneg.signs import alternating_signature
+
+from oracles import rohn_inequality_check, sample_member
 
 
 def fv(*values):

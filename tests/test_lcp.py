@@ -33,25 +33,26 @@ from totneg import (
 from totneg import lcp, matrix
 from totneg.cli import main
 from totneg.errors import InvariantError
-from totneg.generate import generate_near_miss, generate_tn, generate_tn_of_order, generate_tnp
+from totneg.generate import generate_near_miss, generate_tn, generate_tnp
 from totneg.matrix import (
     _rows_as_scaled_ints,
-    all_windows,
     check_order,
     cofactor_minor,
     contiguous_windows,
     det_of_rows,
     minor_det,
-    take,
 )
 
 from oracles import (
     _solve_linear,
+    all_windows,
     count_solutions_for_positive_q,
     disjoint_support_pair_check,
+    generate_tn_of_order,
     has_forbidden_pattern_pair,
     solve_lcp_on_fractions,
     support_solutions_on_fractions,
+    take,
     tnp_lcp_sampled_q,
 )
 
@@ -270,7 +271,7 @@ def test_single_vector_check_zero_entry_fails():
 
 def test_single_vector_prescribed_q_is_positive_on_certified_instances(n3):
     from totneg.generate import generate_tn
-    from totneg.matrix import contiguous_windows, take
+    from totneg.matrix import contiguous_windows
 
     mats = [n3] + [generate_tn((4, 4), 4, seed=900 + s).matrix for s in range(3)]
     for a in mats:
@@ -290,7 +291,7 @@ def test_pattern_pair_equivalence_on_generated_instances():
     certified instance, and a reversal witness always manufactures one."""
     from totneg.checks import check_tn_snr_single_vector
     from totneg.generate import generate_near_miss, generate_tn
-    from totneg.matrix import contiguous_windows, take
+    from totneg.matrix import contiguous_windows
 
     rng = random.Random(64)
     for s in range(4):
@@ -718,7 +719,7 @@ def test_rank_one_tnp_instance_is_checked_on_integers(monkeypatch):
     dims = []
     monkeypatch.setattr(lcp, "_fm_feasible_point", lambda cons, dim: dims.append(dim) or real(cons, dim))
     monkeypatch.setattr(ExactMatrix, "row_list", refuse)
-    monkeypatch.setattr(matrix, "take", refuse)
+    monkeypatch.setattr(matrix, "submatrix", refuse)
     report = tnp_lcp_sufficient_check(a, 5)
     monkeypatch.undo()
     assert dims  # Fourier-Motzkin decided some support

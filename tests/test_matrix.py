@@ -28,9 +28,9 @@ from totneg import (
     to_fraction,
 )
 from totneg import matrix as matrix_module
-from totneg.matrix import MinorTable, all_windows, format_fraction, parse_rational, take
+from totneg.matrix import MinorTable, format_fraction, parse_rational
 
-from oracles import det_by_cofactor_expansion
+from oracles import all_windows, det_by_cofactor_expansion, take
 
 
 def det_by_permutations(a: ExactMatrix) -> Fraction:
