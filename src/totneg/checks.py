@@ -30,7 +30,7 @@ from .matrix import (  # noqa: F401 - adjugate and minors_up_to stay bound here 
     minors_up_to,
     to_fraction,
 )
-from .signs import SignProfile, is_mixed_orthant, s_minus, sign_profile
+from .signs import SignProfile, is_mixed_orthant, sign_profile
 
 TN = "tn"
 TNP = "tnp"
@@ -392,20 +392,31 @@ def check_tnp_snr(
 def _tnp_vd_failure(x: Sequence[RationalLike], y: Sequence[RationalLike]) -> ViolationKind | None:
     """Weak-variation test of x against its image y: s_minus(y) <= s_minus(x)
     plus the end-sign clause; only their signs matter."""
-    smx = s_minus(x)
-    smy = s_minus(y)
+    smx, first_x, last_x = _weak_signs(x)
+    smy, first_y, last_y = _weak_signs(y)
     if smy > smx:
         return ViolationKind.VARIATION_INCREASE
-    if smy < smx or all(v == 0 for v in y):
+    if smy < smx or first_y is None:
         return None
-    if _nonzero_end_signs(x) != _nonzero_end_signs(y):
+    if (first_x, last_x) != (first_y, last_y):
         return ViolationKind.EQUALITY_SIGN_CLAUSE
     return None
 
 
-def _nonzero_end_signs(v: Sequence[RationalLike]) -> tuple[bool | None, bool | None]:
-    """Whether the first and the last nonzero coordinate of v are positive (None for v = 0)."""
-    return next((e > 0 for e in v if e), None), next((e > 0 for e in reversed(v) if e), None)
+def _weak_signs(v: Sequence[RationalLike]) -> tuple[int, bool | None, bool | None]:
+    """One pass over v: (s_minus(v), whether its first and its last nonzero
+    coordinate are positive), with None for both ends when v = 0."""
+    changes = 0
+    first = last = None
+    for e in v:
+        if e:
+            positive = e > 0
+            if last is None:
+                first = positive
+            elif positive is not last:
+                changes += 1
+            last = positive
+    return changes, first, last
 
 
 def _tnp_vd_judge(x: Sequence[int], y: Sequence[int]) -> ViolationKind | None:

@@ -10,9 +10,11 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -97,9 +99,41 @@ def _violation_from_json(obj: dict[str, Any]) -> Violation:
     )
 
 
+def _dumps(o: Any, newline: str = "\n") -> str:
+    """``json.dumps(o, indent=2, sort_keys=True)``, byte for byte, for string
+    keys, without the pure-Python encoder that an indent selects in the
+    standard library; every JSON report goes out through here.  ``newline`` is
+    a line break and the indent of the level ``o`` is nested at."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if math.isfinite(o):
+            return float.__repr__(o)
+        return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+    inner = newline + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in o]) + newline + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _emit(report: dict[str, Any], as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_dumps(report))
         return
     for method in report["methods"]:
         line = f"{method['name']}: {'holds' if method['holds'] else 'FAILS'}"
@@ -207,7 +241,7 @@ def cmd_hull(args: argparse.Namespace) -> int:
 
 def _emit_hull(report: dict[str, Any], as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_dumps(report))
         return
     m = report["methods"][0]
     if m["holds"]:
@@ -253,7 +287,7 @@ def cmd_lcp(args: argparse.Namespace) -> int:
             "elapsed_ms": round((time.perf_counter() - start) * 1000, 3),
         }
         if args.json:
-            print(json.dumps(report_obj, indent=2, sort_keys=True))
+            print(_dumps(report_obj))
         else:
             print(f"solution set is {body['kind']}")
             for s in body["solutions"]:

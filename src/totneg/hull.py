@@ -26,7 +26,7 @@ from .checks import (
     check_by_minor_definition,
 )
 from .errors import DimensionError, InvariantError, ResourceLimitError
-from .matrix import ExactMatrix, det_of_rows
+from .matrix import ExactMatrix, _rows_as_scaled_ints, det_of_rows
 from .signs import alternating_signature
 
 SignWord = tuple[int, ...]
@@ -149,13 +149,17 @@ def _some_member_has_a_positive_minor(h: IntervalHull, k: int) -> bool:
     lo, hi = h.bounds
     if any(v > 0 for v in hi):
         return True
+    # row i of (lo | hi) times the lcm of its denominators: a positive row scale keeps every minor's sign
+    rows, _ = _rows_as_scaled_ints([lo[i * n : (i + 1) * n] + hi[i * n : (i + 1) * n] for i in range(m)])
     for size in range(2, k + 1):
-        col_sets = list(itertools.combinations(range(n), size))
-        for rows in itertools.combinations(range(m), size):
+        # each column set's columns in (lo | hi), on window rows p even and p odd
+        col_sets = [
+            ([j + n * (q % 2) for q, j in enumerate(cols)], [j + n * (1 - q % 2) for q, j in enumerate(cols)])
+            for cols in itertools.combinations(range(n), size)
+        ]
+        for row_set in itertools.combinations(range(m), size):
             for cols in col_sets:
-                window = [
-                    [(hi if (p + q) % 2 else lo)[i * n + j] for q, j in enumerate(cols)] for p, i in enumerate(rows)
-                ]
+                window = [[rows[i][c] for c in cols[p % 2]] for p, i in enumerate(row_set)]
                 if det_of_rows(window) > 0:
                     return True
     return False

@@ -52,6 +52,9 @@ def to_fraction(value: RationalLike) -> Fraction:
 
 
 _INTEGER_RATIO = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
+#: A plain integer or ratio that ``int`` reads at any int/str digit limit:
+#: 640 is the lowest limit ``sys.set_int_max_str_digits`` accepts.
+_PLAIN_RATIO = re.compile(r"(-?[0-9]{1,640})(?:/([0-9]{1,640}))?")
 _EXPONENT = re.compile(r"[eE][+-]?0*([\d_]*)\s*\Z")
 
 #: Largest decimal exponent a rational literal may carry.  "1e5000000" is ten
@@ -76,8 +79,20 @@ def format_fraction(x: Fraction) -> str:
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal as ``Fraction`` does, and also read back
     integers and ratios longer than the interpreter's int/str digit limit,
-    which :func:`format_fraction` may write.  Raises ValueError for a decimal
-    exponent above :data:`MAX_DECIMAL_EXPONENT` in magnitude."""
+    which :func:`format_fraction` may write.  Raises ValueError for a zero
+    denominator, and for a decimal exponent above
+    :data:`MAX_DECIMAL_EXPONENT` in magnitude."""
+    plain = _PLAIN_RATIO.fullmatch(text)
+    try:
+        if plain is not None:
+            return Fraction(int(plain[1]), int(plain[2])) if plain[2] else Fraction(int(plain[1]))
+        return _parse_literal(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _parse_literal(text: str) -> Fraction:
+    """:func:`parse_rational` for a token other than a plain integer or ratio."""
     exponent = _EXPONENT.search(text)
     if exponent is not None:
         digits = exponent[1].replace("_", "").lstrip("0")
@@ -89,8 +104,10 @@ def parse_rational(text: str) -> Fraction:
         match = _INTEGER_RATIO.fullmatch(text)
         if match is None:
             raise
-    num = int(decimal.Decimal(match[1]))
-    return Fraction(num, int(decimal.Decimal(match[2]))) if match[2] else Fraction(num)
+    den = int(decimal.Decimal(match[2] or 1))
+    if den == 0:
+        raise ZeroDivisionError  # Fraction would print the numerator, past the digit limit, into its message
+    return Fraction(int(decimal.Decimal(match[1])), den)
 
 
 def format_vector(x: Sequence[Fraction]) -> str:
@@ -309,7 +326,8 @@ def _det_int(m: list[list[int]]) -> int:
 
 
 def det_of_rows(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant of a small square matrix given as row lists."""
+    """Exact determinant of a small square matrix given as row lists; rows of
+    ints give the same value."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -697,7 +715,7 @@ def _parse_matrix_lines(lines: list[str]) -> ExactMatrix:
             raise ValueError(f"expected {n} entries per row, got {len(toks)} in {ln!r}")
         try:
             rows.append([parse_rational(t) for t in toks])
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ValueError(f"bad rational in row {ln!r}: {exc}") from exc
     return ExactMatrix.from_rows(rows)
 
@@ -731,7 +749,7 @@ def parse_lcp_input(text: str) -> tuple[ExactMatrix, tuple[Fraction, ...]]:
         raise ValueError(f"expected {a.rows} entries for q, got {len(toks)}")
     try:
         q = tuple(parse_rational(t) for t in toks)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad rational in q: {exc}") from exc
     if not a.is_square:
         raise ValueError("LCP needs a square matrix")

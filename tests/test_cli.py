@@ -1,10 +1,13 @@
 """CLI: file formats, exit codes, JSON reports, and offline witness re-checking."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from totneg.cli import main
+from totneg.cli import _dumps, main
 
 
 @pytest.fixture()
@@ -357,3 +360,76 @@ def test_generate_count_zero_is_usage_error(tmp_path):
         )
         == 2
     )
+
+
+_json_text = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\u00e9\u20ac\U0001f600'), st.characters()))
+_json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(min_value=-(10**400), max_value=10**400),
+        st.floats(),
+        st.sampled_from([-0.0, 1e300, math.nan, math.inf, -math.inf]),
+        _json_text,
+    ),
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(_json_text, inner)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_report_emitter_writes_what_json_dumps_writes(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _assert_canonical(out):
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_every_json_report_is_canonical(files, tmp_path, near_miss, capsys):
+    """check (every method, both classes), hull (holding and failing, both classes) and
+    lcp (both modes) write exactly what json.dumps(indent=2, sort_keys=True) writes."""
+    cpm = tmp_path / "cpm.txt"
+    cpm.write_text("3 2\n-2 -2\n0 0\n-2 -2\n\n3 2\n-1 -1\n0 0\n-1 -1\n")
+    lcp_bad = tmp_path / "lcp_bad.txt"
+    lcp_bad.write_text(near_miss.to_text() + "q: 1 1\n")
+    calls = [
+        (["check", str(files[name]), "--class", cls, "--order", "2", "--method", method], rc)
+        for cls, holding, methods in (
+            ("tn", "n3", ("minors", "contiguous", "snr", "vd", "lcp", "all")),
+            ("tnp", "tnp", ("minors", "contiguous", "snr", "vd", "all")),
+        )
+        for name, rc in ((holding, 0), ("near_miss", 1))
+        for method in methods
+    ]
+    calls += [
+        (["hull", str(files["hull_same"]), "--class", "tn", "--order", "3"], 0),
+        (["hull", str(files["hull"]), "--class", "tn", "--order", "2"], 1),
+        (["hull", str(files["hull_same"]), "--class", "tnp", "--order", "3"], 0),
+        (["hull", str(cpm), "--class", "tnp", "--order", "2"], 1),
+        (["lcp", str(files["lcp"]), "--enumerate"], 0),
+        (["lcp", str(files["lcp_scalar"]), "--enumerate"], 0),
+        (["lcp", str(files["lcp_n2"]), "--single-vector", "--order", "2"], 0),
+        (["lcp", str(lcp_bad), "--single-vector", "--order", "2"], 1),
+    ]
+    for argv, rc in calls:
+        assert main(argv + ["--json"]) == rc, argv
+        _assert_canonical(capsys.readouterr().out)
+
+
+def test_a_zero_denominator_is_a_usage_error(files, tmp_path, capsys):
+    """In --alpha and in a report handed to verify-witness, as in a matrix file."""
+    near = str(files["near_miss"])
+    assert main(["check", near, "--class", "tn", "--order", "2", "--alpha", "1/0 1"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+    assert main(["check", near, "--class", "tn", "--order", "2", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    report["methods"][0]["witness"]["detail"] = "1/0"
+    report_path = tmp_path / "zero.json"
+    report_path.write_text(json.dumps(report))
+    assert main(["verify-witness", str(report_path)]) == 2
+    entry = tmp_path / "entry.txt"
+    entry.write_text("1 1\n-1/0\n")
+    assert main(["check", str(entry), "--class", "tn", "--order", "1"]) == 2

@@ -282,18 +282,20 @@ def test_holding_tnp_hull_builds_no_member(monkeypatch):
 @pytest.mark.parametrize("shape", [(5, 5), (3, 6), (4, 2)])
 def test_holding_tnp_hull_reads_one_minor_per_window(monkeypatch, shape):
     """At full order the decision eliminates once per window of size 2..k, sum_s C(m,s) C(n,s)
-    minors, and builds no member."""
+    minors, on integer-scaled rows though the bounds have denominators, and builds no member."""
     m, n = shape
     h = bumped_tn_hull(shape)
+    assert any(v.denominator > 1 for v in h.bounds[1])
     eliminate, calls = hull.det_of_rows, []
 
     def refuse(*args):
         raise AssertionError("i_matrix called")
 
-    monkeypatch.setattr(hull, "det_of_rows", lambda rows: calls.append(len(rows)) or eliminate(rows))
+    monkeypatch.setattr(hull, "det_of_rows", lambda rows: calls.append(rows) or eliminate(rows))
     monkeypatch.setattr(hull, "i_matrix", refuse)
     assert hull_is_totally_nonpositive(h, min(shape)).holds
     assert len(calls) == sum(math.comb(m, s) * math.comb(n, s) for s in range(2, min(shape) + 1))
+    assert all(type(v) is int for rows in calls for row in rows for v in row)
 
 
 @st.composite

@@ -320,6 +320,43 @@ def test_rationals_beyond_the_int_str_digit_limit_round_trip():
         parse_rational("1" * 5000 + ".5")
 
 
+def _value_or_error(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.from_regex(r"-?[0-9]{1,40}(/0*[1-9][0-9]{0,40})?", fullmatch=True))
+def test_plain_rational_literals_parse_as_fraction_does(text):
+    assert parse_rational(text) == Fraction(text)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+def test_plain_literals_at_the_lowest_int_str_digit_limit():
+    """640 digits are read by int() at any limit; 641 take the path past the limit."""
+    texts = ["7" * 640, "-" + "9" * 641, "1" * 640 + "/" + "3" * 641, "0" * 641 + "12/" + "0" * 700 + "8", "-0", "-0/7"]
+    expected = [Fraction(t) for t in texts]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert [parse_rational(t) for t in texts] == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_literals_other_than_plain_ratios_parse_as_fraction_does():
+    for text in ("+3", " 3", "3 ", "1_0", "\u0663", "3/-4", "0.5", "1e3", "-1.5e-2", "--3", "3/", "/4", "", "x"):
+        assert _value_or_error(parse_rational, text) == _value_or_error(Fraction, text), text
+
+
+def test_a_zero_denominator_is_a_value_error():
+    for text in ("1/0", "-5/00", "0/0", " 1/0", "+1/0", "1" * 5000 + "/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational(text)
+
+
 @st.composite
 def solve_windows(draw):
     """A window of size 1 to 6 in a matrix with mixed denominators, sparse or with
