@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .checks import MAX_ALL_SUBMATRIX_DIM, Verdict, Violation, ViolationKind
 from .errors import DimensionError, InvariantError, ResourceLimitError
@@ -36,6 +36,7 @@ from .matrix import (
     IndexSet,
     MinorTable,
     RationalLike,
+    _one_based,
     _rows_as_scaled_ints,
     check_order,
     index_sets,
@@ -415,19 +416,28 @@ def _single_vector_ints(
     window's minor without its row i and column j; a 1x1 window uses M_11 = -1,
     the convention that the empty determinant is -1.  M_ij is the table minor on
     the rows R - i over scale(R - i), so L is a common denominator of the
-    w_i / scale(R - i).
+    w_i / scale(R - i).  The default weight w_1 = 1 gives X_j = M_1j itself and
+    L = scale(R - R_1).
     """
     rows0, _, row_deletions = rows
     col_deletions = cols[2]
     r = len(rows0)
+    xs = [0] * r
     if weights is None:
-        weights = {1: Fraction(1)}
+        if r == 1:
+            xs[0] = -1
+            return xs, 1
+        values, shift, head = table._values, table._ncols, row_deletions[0]
+        key = head << shift
+        for j in range(0, r, 2):
+            v = values.get(key | col_deletions[j])
+            xs[j] = table.minor_of_masks(head, col_deletions[j]) if v is None else v
+        return xs, table.scale(rows0[1:])
     terms = []  # (mask of R - i, numerator, denominator) of w_i / scale(R - i)
     for i, w in weights.items():
         if i <= r:
             terms.append((row_deletions[i - 1], w.numerator, w.denominator * table.scale(rows0[: i - 1] + rows0[i:])))
     lcm = math.lcm(*(den for _, _, den in terms))
-    xs = [0] * r
     for j in range(0, r, 2):
         for rmask, num, den in terms:
             xs[j] += num * (lcm // den) * (table.minor_of_masks(rmask, col_deletions[j]) if r > 1 else -1)
@@ -435,16 +445,61 @@ def _single_vector_ints(
 
 
 def _scaled_image(table: MinorTable, rows0: Sequence[int], cols0: Sequence[int], xs: Sequence[int]) -> list[int]:
-    """Q with (A_w x)_i = Q_i / (L s_i), for X = L x (the slack of the empty support)."""
-    return [
-        sum(v * table.minor_of_masks(1 << i, 1 << j) for v, j in zip(xs, cols0) if v)
-        for i in rows0
-    ]
+    """Q with (A_w x)_i = Q_i / (L s_i), for X = L x (the slack of the empty support):
+    X times the window's scaled rows."""
+    live = [(col, v) for col, v in zip(cols0, xs) if v]
+    qs = []
+    for i in rows0:
+        row = table._ints[i]
+        total = 0
+        for col, v in live:
+            total += row[col] * v
+        qs.append(total)
+    return qs
 
 
 def _image_fractions(table: MinorTable, rows0: Sequence[int], qs: Sequence[int], lcm: int) -> tuple[Fraction, ...]:
     """A_w x itself, from the Q of :func:`_scaled_image` and L."""
     return tuple(Fraction(v, lcm * table.scale((i,))) for v, i in zip(qs, rows0))
+
+
+#: One support S of a window, by positions 0..r-1: its positions, their bit
+#: mask, and the count of its positions below each position p (bytes, so
+#: below[p] is an int).  The counts give every sign of the support's candidate.
+Plan = tuple[tuple[int, ...], int, bytes]
+
+#: The plans of each window size up to MAX_ALL_SUBMATRIX_DIM, built on first
+#: use.  A support's plan does not depend on the window size, so every size
+#: shares one plan object per support: at most 2^12 - 1 plans, about 1 MB.
+_PLANS: dict[int, tuple[Plan, ...]] = {}
+
+
+def _plan(support: tuple[int, ...], span: int) -> Plan:
+    smask = 0
+    below = bytearray(span)
+    for p in range(span):
+        below[p] = smask.bit_count()
+        if p in support:
+            smask |= 1 << p
+    return support, smask, bytes(below)
+
+
+def _support_plans(r: int) -> Iterable[Plan]:
+    """The plans of the nonempty supports of a size-r window, sizes ascending
+    and each size lexicographic.  Sizes up to MAX_ALL_SUBMATRIX_DIM are kept;
+    a larger size is built as it is read and kept nowhere, since 2^20 plans
+    would take hundreds of MB."""
+    plans = _PLANS.get(r)
+    if plans is not None:
+        return plans
+    supports = itertools.chain.from_iterable(itertools.combinations(range(r), s) for s in range(1, r + 1))
+    if r > MAX_ALL_SUBMATRIX_DIM:
+        return (_plan(support, r) for support in supports)
+    shared = {plan[1]: plan for plan in _support_plans(r - 1)} if r > 1 else {}
+    plans = _PLANS[r] = tuple(
+        shared.get(sum(1 << p for p in support)) or _plan(support, MAX_ALL_SUBMATRIX_DIM) for support in supports
+    )
+    return plans
 
 
 def _support_candidates(
@@ -461,70 +516,87 @@ def _support_candidates(
         w_i d = sum_{j not in S} X_j s'_ij T(S + i, S + j)            (i not in S),
 
     where s_lj is -1 to the number of S strictly between l and j, and s'_ij is
-    -1 to the number of S above i plus the number above j.  Each minor is
-    expanded along its row that is not among its column positions, and d along
-    a row where X is nonzero, so it reads only minors that the supports one
-    smaller have read; no submatrix, no Fractions.  A support with a zero
+    -1 to the number of S above i plus the number above j.  With b(p) the
+    number of S below position p (the support's plan) and Y_j = (-1)^b(j) X_j,
+    these are
+
+        z_l d = -X_l d + (-1)^b(l) (sum_{j > l} Y_j T(S, S - l + j) - sum_{j < l} Y_j T(S, S - l + j)),
+        w_i d = (-1)^b(i) sum_{j not in S} Y_j T(S + i, S + j).
+
+    Each minor is expanded along its row that is not among its column
+    positions, and d along its highest row where X is nonzero, so it reads only
+    minors that the supports one smaller have read; no submatrix, no Fractions.
+    Every z-minor is read, and the w-minors up to the first negative w, since
+    they seed the expansions of larger supports.  A support with a zero
     principal minor goes to :func:`_support_solutions` on the table's scaled
     rows of the window and Q, whose points are candidates as they are; at its
     first solution family this yields None and stops, since the family already
     decides the window.
     """
     table = a.minor_table
+    values, minor, shift = table._values, table.minor_of_masks, table._ncols
     r = len(rows0)
     rbit = [1 << i for i in rows0]
     cbit = [1 << j for j in cols0]
-    live = [j for j in range(r) if xs[j]]
-    minor = table.minor_of_masks
+    # the row keys (row mask << shift) and column masks of every set of positions,
+    # indexed by its position mask: the sets without position p, then each with p
+    rkeys = [0]
+    cmasks = [0]
+    for rb, cb in zip(rbit, cbit):
+        rb <<= shift
+        rkeys += [key | rb for key in rkeys]
+        cmasks += [mask | cb for mask in cmasks]
+    live = [(j, 1 << j, cbit[j], v) for j, v in enumerate(xs) if v]
+    live_mask = sum(bit for _, bit, _, _ in live)
     window = None  # the table's scaled rows of the window, read at the first zero principal minor
-    for size in range(1, r + 1):
-        for support in itertools.combinations(range(r), size):
-            smask = rm = cm = 0
-            along = 0
-            for p in support:
-                smask |= 1 << p
-                rm |= rbit[p]
-                cm |= cbit[p]
-                if xs[p]:
-                    along = rbit[p]
-            d = minor(rm, cm, along)
-            if d == 0:
-                if window is None:
-                    window = table.scaled_rows(rows0, cols0)
-                points, families = _support_solutions(window, qs, support)
-                if families:
-                    yield None
-                    return
-                yield from points
+    for support, smask, below in _support_plans(r):
+        rk = rkeys[smask]
+        cm = cmasks[smask]
+        d = values.get(rk | cm)
+        if d is None:
+            top = smask & live_mask
+            d = minor(rk >> shift, cm, rbit[top.bit_length() - 1] if top else 0)
+        if d == 0:
+            if window is None:
+                window = table.scaled_rows(rows0, cols0)
+            points, families = _support_solutions(window, qs, support)
+            if families:
+                yield None
+                return
+            yield from points
+            continue
+        outside = [(j, cj, -v if below[j] & 1 else v) for j, bit, cj, v in live if not smask & bit]
+        zs = [0] * r
+        for rank, l in enumerate(support):
+            cl = cm ^ cbit[l]
+            acc = 0
+            for j, cj, y in outside:
+                m = values.get(rk | cl | cj)
+                if m is None:
+                    m = minor(rk >> shift, cl | cj, rbit[l])
+                acc = acc + y * m if j > l else acc - y * m
+            total = -xs[l] * d - acc if rank & 1 else acc - xs[l] * d
+            zs[l] = total if d > 0 else -total
+        if min(zs) < 0:
+            continue
+        ws = [0] * r
+        for i in range(r):
+            if smask >> i & 1:
                 continue
-            outside = [j for j in live if not smask >> j & 1]
-            zs = [0] * r
-            for l in support:
-                total = -xs[l] * d
-                cl = cm ^ cbit[l]
-                for j in outside:
-                    term = xs[j] * minor(rm, cl | cbit[j], rbit[l])
-                    lo, hi = (l, j) if l < j else (j, l)
-                    between = smask >> (lo + 1) & ((1 << (hi - lo - 1)) - 1)
-                    total = total + term if between.bit_count() % 2 else total - term
-                zs[l] = total if d > 0 else -total
-            if any(v < 0 for v in zs):
-                continue
-            ws = [0] * r
-            for i in range(r):
-                if smask >> i & 1:
-                    continue
-                total = 0
-                ri = rm | rbit[i]
-                above = (smask >> i).bit_count()
-                for j in outside:
-                    term = xs[j] * minor(ri, cm | cbit[j], rbit[i])
-                    total = total - term if (above + (smask >> j).bit_count()) % 2 else total + term
-                ws[i] = total if d > 0 else -total
-                if ws[i] < 0:
-                    break
-            else:
-                yield abs(d), zs, ws
+            rik = rkeys[smask | 1 << i]
+            acc = 0
+            for j, cj, y in outside:
+                m = values.get(rik | cm | cj)
+                if m is None:
+                    m = minor(rik >> shift, cm | cj, rbit[i])
+                acc += y * m
+            if (below[i] & 1) == (d > 0):
+                acc = -acc
+            ws[i] = acc
+            if acc < 0:
+                break
+        else:
+            yield abs(d), zs, ws
 
 
 def _window_holds(a: ExactMatrix, rows0: Sequence[int], cols0: Sequence[int], xs: Sequence[int]) -> bool:
@@ -618,13 +690,11 @@ def tnp_lcp_sufficient_check(a: ExactMatrix, k: int) -> TnpLcpReport:
             xs, lcm = _single_vector_ints(table, rows, cols)
             rows0, cols0 = rows[0], cols[0]
             qs = _scaled_image(table, rows0, cols0, xs)
-            rows1 = tuple(i + 1 for i in rows0)
-            cols1 = tuple(j + 1 for j in cols0)
-            if any(v < 0 for v in qs):
+            if min(qs) < 0:
                 return TnpLcpReport(
                     TnpLcpStatus.VIOLATION,
-                    rows=rows1,
-                    cols=cols1,
+                    rows=_one_based(rows0),
+                    cols=_one_based(cols0),
                     q=_image_fractions(table, rows0, qs, lcm),
                     note="zero vector is not a solution of the prescribed instance",
                 )
@@ -635,7 +705,7 @@ def tnp_lcp_sufficient_check(a: ExactMatrix, k: int) -> TnpLcpReport:
                     # a solution family: the image condition quantifies over the
                     # whole (infinite) set, so it cannot be verified here
                     if saw_family is None:
-                        saw_family = (rows1, cols1)
+                        saw_family = (_one_based(rows0), _one_based(cols0))
                     break
                 if any(cand[1]):
                     candidates.append(cand)
@@ -644,8 +714,8 @@ def tnp_lcp_sufficient_check(a: ExactMatrix, k: int) -> TnpLcpReport:
                 if pair is not None:
                     return TnpLcpReport(
                         TnpLcpStatus.VIOLATION,
-                        rows=rows1,
-                        cols=cols1,
+                        rows=_one_based(rows0),
+                        cols=_one_based(cols0),
                         q=_image_fractions(table, rows0, qs, lcm),
                         witness_pair=tuple(tuple(Fraction(z, d * lcm) for z in zs) for d, zs, _ in pair),
                         note="two nonzero solutions with different images",
@@ -674,12 +744,17 @@ def _pair_with_distinct_images(candidates: list[Point]) -> tuple[Point, Point] |
     """The first pair, in the sorted order ``solve_lcp`` lists solutions in, whose
     images under A_w differ: the least solution u and the least v whose image is not u's.
 
-    Images differ exactly where slacks do, and slack i is W_i / d over a common positive factor.
+    Images differ exactly where slacks do, and slack i is W_i / d over a common
+    positive factor.  When every slack is the first candidate's there is no
+    pair, and nothing is sorted.
     """
     if not candidates:
+        return None
+    d0, _, w0 = candidates[0]
+    if all(w * d0 == v * d for d, _, ws in candidates for w, v in zip(ws, w0)):
         return None
     key = functools.cmp_to_key(_compare_candidates)
     u = min(candidates, key=key)
     du, _, wu = u
     others = [c for c in candidates if any(w * du != v * c[0] for w, v in zip(c[2], wu))]
-    return (u, min(others, key=key)) if others else None
+    return u, min(others, key=key)

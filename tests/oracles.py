@@ -2,6 +2,7 @@
 and the sampled sign-reversal, variation and complementarity sweeps that only
 the tests run."""
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ from totneg.generate import (
     generate_tnp,
 )
 from totneg.hull import IntervalHull, i_matrix
-from totneg.lcp import _FM_CONSTRAINT_CAP
+from totneg.lcp import _FM_CONSTRAINT_CAP, Point, _compare_candidates, _support_solutions
 from totneg.matrix import Window, _one_based, check_order, contiguous_windows, det_of_rows
 
 
@@ -365,6 +366,109 @@ def solve_lcp_on_fractions(inst: LCPInstance) -> LCPSolutionSet:
             found.update(dict.fromkeys(points))
             families.extend(fams)
     return LCPSolutionSet(solutions=tuple(sorted(found)), families=tuple(families))
+
+
+def reference_support_candidates(
+    a: ExactMatrix, rows0: Sequence[int], cols0: Sequence[int], xs: Sequence[int], qs: Sequence[int]
+) -> Iterator[Point | None]:
+    """The library's previous support enumerator, kept as the reference for
+    ``lcp._support_candidates``: the same stream, built support by support with
+    ``itertools.combinations``, the support's masks and each term's sign from
+    scratch.
+
+    The feasible solutions of LCP(A_w, A_w x) on the nonempty supports of the
+    window w = (rows0, cols0), sizes ascending, from X = L x and the Q of
+    ``lcp._scaled_image``.
+
+    With T the table's minor on the window rows/columns at the given positions
+    and d = T(S, S) != 0, Cramer's rule and the Schur complement give
+
+        z_l d = -X_l d - sum_{j not in S} X_j s_lj T(S, S - l + j)   (l in S),
+        w_i d = sum_{j not in S} X_j s'_ij T(S + i, S + j)            (i not in S),
+
+    where s_lj is -1 to the number of S strictly between l and j, and s'_ij is
+    -1 to the number of S above i plus the number above j.  Each minor is
+    expanded along its row that is not among its column positions, and d along
+    a row where X is nonzero, so it reads only minors that the supports one
+    smaller have read; no submatrix, no Fractions.  A support with a zero
+    principal minor goes to ``lcp._support_solutions`` on the table's scaled
+    rows of the window and Q, whose points are candidates as they are; at its
+    first solution family this yields None and stops, since the family already
+    decides the window.
+    """
+    table = a.minor_table
+    r = len(rows0)
+    rbit = [1 << i for i in rows0]
+    cbit = [1 << j for j in cols0]
+    live = [j for j in range(r) if xs[j]]
+    minor = table.minor_of_masks
+    window = None  # the table's scaled rows of the window, read at the first zero principal minor
+    for size in range(1, r + 1):
+        for support in itertools.combinations(range(r), size):
+            smask = rm = cm = 0
+            along = 0
+            for p in support:
+                smask |= 1 << p
+                rm |= rbit[p]
+                cm |= cbit[p]
+                if xs[p]:
+                    along = rbit[p]
+            d = minor(rm, cm, along)
+            if d == 0:
+                if window is None:
+                    window = table.scaled_rows(rows0, cols0)
+                points, families = _support_solutions(window, qs, support)
+                if families:
+                    yield None
+                    return
+                yield from points
+                continue
+            outside = [j for j in live if not smask >> j & 1]
+            zs = [0] * r
+            for l in support:
+                total = -xs[l] * d
+                cl = cm ^ cbit[l]
+                for j in outside:
+                    term = xs[j] * minor(rm, cl | cbit[j], rbit[l])
+                    lo, hi = (l, j) if l < j else (j, l)
+                    between = smask >> (lo + 1) & ((1 << (hi - lo - 1)) - 1)
+                    total = total + term if between.bit_count() % 2 else total - term
+                zs[l] = total if d > 0 else -total
+            if any(v < 0 for v in zs):
+                continue
+            ws = [0] * r
+            for i in range(r):
+                if smask >> i & 1:
+                    continue
+                total = 0
+                ri = rm | rbit[i]
+                above = (smask >> i).bit_count()
+                for j in outside:
+                    term = xs[j] * minor(ri, cm | cbit[j], rbit[i])
+                    total = total - term if (above + (smask >> j).bit_count()) % 2 else total + term
+                ws[i] = total if d > 0 else -total
+                if ws[i] < 0:
+                    break
+            else:
+                yield abs(d), zs, ws
+
+
+def reference_pair_with_distinct_images(candidates: list[Point]) -> tuple[Point, Point] | None:
+    """The library's previous pair finder, kept as the reference for
+    ``lcp._pair_with_distinct_images``; it always sorts.
+
+    The first pair, in the sorted order ``solve_lcp`` lists solutions in, whose
+    images under A_w differ: the least solution u and the least v whose image is not u's.
+
+    Images differ exactly where slacks do, and slack i is W_i / d over a common positive factor.
+    """
+    if not candidates:
+        return None
+    key = functools.cmp_to_key(_compare_candidates)
+    u = min(candidates, key=key)
+    du, _, wu = u
+    others = [c for c in candidates if any(w * du != v * c[0] for w, v in zip(c[2], wu))]
+    return (u, min(others, key=key)) if others else None
 
 
 @dataclass(frozen=True)

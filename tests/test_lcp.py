@@ -40,7 +40,9 @@ from totneg.matrix import (
     cofactor_minor,
     contiguous_windows,
     det_of_rows,
+    index_sets,
     minor_det,
+    parse_matrix,
 )
 
 from oracles import (
@@ -50,6 +52,8 @@ from oracles import (
     disjoint_support_pair_check,
     generate_tn_of_order,
     has_forbidden_pattern_pair,
+    reference_pair_with_distinct_images,
+    reference_support_candidates,
     solve_lcp_on_fractions,
     support_solutions_on_fractions,
     take,
@@ -735,3 +739,131 @@ def test_fourier_motzkin_blow_up_refuses_with_exit_3(monkeypatch, tmp_path, caps
     monkeypatch.setattr(lcp, "_FM_CONSTRAINT_CAP", 1)
     assert main(["lcp", str(path), "--enumerate", "--json"]) == 3
     assert "Fourier-Motzkin constraint blow-up" in capsys.readouterr().err
+
+
+def window_stream(enumerate_supports, a, rows0, cols0, xs=None):
+    """The candidate stream of one window and the count of minors its table then
+    keeps; X is the window's test vector unless given."""
+    table = a.minor_table
+    if xs is None:
+        xs, _ = lcp._single_vector_ints(table, index_set(rows0), index_set(cols0))
+    qs = lcp._scaled_image(table, rows0, cols0, xs)
+    return list(enumerate_supports(a, rows0, cols0, xs, qs)), table.stored()
+
+
+def assert_streams_match(rows, windows, xs=None):
+    """The kernel and the reference give the same candidates, in the same order and
+    with the same integers, and read the same minors, window after window on one
+    table each."""
+    new, old = ExactMatrix.from_rows(rows), ExactMatrix.from_rows(rows)
+    for rows0, cols0 in windows:
+        expected = window_stream(reference_support_candidates, old, rows0, cols0, xs)
+        assert window_stream(lcp._support_candidates, new, rows0, cols0, xs) == expected
+
+
+@st.composite
+def lcp_windows(draw):
+    """A matrix of up to 7x7 and one window of it, with the window's test vector or
+    a drawn X: small integer entries, some rows and columns zero or repeats of
+    earlier ones (singular supports), every row over its own denominator."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    small = st.integers(-3, 3)
+    ints = [[draw(small) for _ in range(n)] for _ in range(m)]
+    for i in range(1, m):
+        how = draw(st.sampled_from(("keep", "keep", "repeat", "zero")))
+        if how != "keep":
+            ints[i] = list(ints[draw(st.integers(0, i - 1))]) if how == "repeat" else [0] * n
+    for j in range(1, n):
+        how = draw(st.sampled_from(("keep", "keep", "repeat", "zero")))
+        if how != "keep":
+            src = draw(st.integers(0, j - 1))
+            for row in ints:
+                row[j] = row[src] if how == "repeat" else 0
+    dens = [draw(st.sampled_from((1, 2, 3, 6, 7))) for _ in range(m)]
+    rows = [[Fraction(v, d) for v in row] for row, d in zip(ints, dens)]
+    r = draw(st.integers(1, min(m, n)))
+    rows0 = tuple(sorted(draw(st.lists(st.integers(0, m - 1), min_size=r, max_size=r, unique=True))))
+    cols0 = tuple(sorted(draw(st.lists(st.integers(0, n - 1), min_size=r, max_size=r, unique=True))))
+    xs = draw(st.one_of(st.none(), st.lists(st.integers(-3, 3), min_size=r, max_size=r)))
+    return rows, rows0, cols0, xs
+
+
+@settings(max_examples=200, deadline=None)
+@given(lcp_windows())
+def test_support_plans_give_the_reference_stream_on_random_windows(window):
+    rows, rows0, cols0, xs = window
+    assert_streams_match(rows, [(rows0, cols0)], xs)
+
+
+def test_support_plans_give_the_reference_stream_on_every_window_of_certified_instances():
+    """Every window of a certified 7x7 TN and of a rank-one 6x6 TNP instance (whose
+    supports of size 2 or more are singular), sizes ascending as the sweeps read them."""
+    for a in (generate_tn((7, 7), 7, seed=0).matrix, generate_tnp((6, 6), 6, seed=1).matrix):
+        windows = [
+            (rows[0], cols[0])
+            for r in range(1, a.rows + 1)
+            for rows, cols in itertools.product(index_sets(a.rows, r), index_sets(a.cols, r))
+        ]
+        assert_streams_match(a.row_list(), windows)
+
+
+def test_a_window_past_the_retained_plans_matches_the_reference():
+    """A 13x13 window is enumerated from plans built as it is read, none of them kept."""
+    n = 13
+    assert lcp.MAX_ALL_SUBMATRIX_DIM == 12
+    band = [[-(1 + i * j % 3) if abs(i - j) <= 1 else 0 for j in range(n)] for i in range(n)]
+    full = tuple(range(n))
+    xs = [-1] + [0] * (n - 1)
+    new = window_stream(lcp._support_candidates, ExactMatrix.from_rows(band), full, full, xs)
+    assert new == window_stream(reference_support_candidates, ExactMatrix.from_rows(band), full, full, xs)
+    assert len(new[0]) == 6143
+    assert max(lcp._PLANS) <= 12
+
+
+@st.composite
+def candidate_lists(draw):
+    """Candidates (d, Z, W) of one window: copies of a few solutions, each times some
+    d > 0, whose slacks may coincide (repeated -x copies), differ (distinct images)
+    or belong to an equal solution (ties in the sorted order)."""
+    r = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-2, 3), min_size=r, max_size=r)
+    sols = draw(st.lists(st.tuples(vec, vec), min_size=1, max_size=3))
+    out = []
+    for _ in range(draw(st.integers(0, 6))):
+        zs, ws = draw(st.sampled_from(sols))
+        d = draw(st.integers(1, 4))
+        out.append((d, [v * d for v in zs], [v * d for v in ws]))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_lists())
+def test_pair_with_distinct_images_matches_the_reference(candidates):
+    assert lcp._pair_with_distinct_images(candidates) == reference_pair_with_distinct_images(candidates)
+
+
+def test_pair_with_distinct_images_on_copies_distinct_images_and_ties():
+    x = [-2, 0, -6]
+    copies = [(d, [-v * d for v in x], [0, 5 * d, 0]) for d in (3, 1, 2)]
+    assert lcp._pair_with_distinct_images(copies) is None
+    assert reference_pair_with_distinct_images(copies) is None
+    other = (1, [0, 0, 1], [2, 0, 0])
+    for candidates in (copies + [other], [other] + copies):
+        pair = lcp._pair_with_distinct_images(candidates)
+        assert pair == reference_pair_with_distinct_images(candidates) == (other, copies[0])
+    # two copies of one solution with different slacks tie in the order: the first one listed is u
+    tie = [(2, [0, 0, 2], [4, 0, 0]), (1, [0, 0, 1], [1, 0, 0])]
+    assert lcp._pair_with_distinct_images(tie) == reference_pair_with_distinct_images(tie) == (tie[0], tie[1])
+
+
+def test_a_cold_single_vector_check_eliminates_no_more_minors(monkeypatch):
+    """Reading every z- and w-minor of a support seeds the Laplace expansions of the
+    larger ones: a cold 7x7 check eliminates at most 35 minors and keeps 1,719.
+    Stopping at the first negative z takes it to 154 eliminations."""
+    a = parse_matrix(generate_tn((7, 7), 7, seed=0).matrix.to_text())
+    sizes = []
+    real = matrix.det_of_rows
+    monkeypatch.setattr(matrix, "det_of_rows", lambda rows: sizes.append(len(rows)) or real(rows))
+    assert lcp_single_vector_check(a, 7).holds
+    assert len(sizes) <= 35
+    assert a.minor_table.stored() == 1719
