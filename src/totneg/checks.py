@@ -27,7 +27,9 @@ from .matrix import (  # noqa: F401 - adjugate and minors_up_to stay bound here 
     adjugate,
     check_order,
     contiguous_windows,
+    det,
     minors_up_to,
+    submatrix,
     to_fraction,
 )
 from .signs import SignProfile, is_mixed_orthant, sign_profile
@@ -170,8 +172,9 @@ def _minor_sweep(a: ExactMatrix, k: int, contiguous: bool, strict: bool) -> Viol
     return None
 
 
-#: Judges one window from integer vectors with the signs of x = adj(S) @ alpha
-#: and of its image S x = det(S) alpha; returns the violation kind, or None.
+#: Judges one window from vectors with the signs of x = adj(S) @ alpha and of its
+#: image S x = det(S) alpha (integers in the sweeps, the recorded Fractions in
+#: ``verify_vector_witness``); returns the violation kind, or None.
 Judge = Callable[[Sequence[int], Sequence[int]], ViolationKind | None]
 
 
@@ -274,22 +277,6 @@ def _tnp_snr_judge(x: Sequence[int], y: Sequence[int]) -> ViolationKind | None:
     return None
 
 
-def check_tn_snr_single_vector(
-    a: ExactMatrix, k: int, alpha: AlphaChoice | None = None
-) -> Verdict:
-    """Single-test-vector sign non-reversal decision for total negativity of order k.
-
-    Checks that the matrix is entrywise negative, then that each contiguous
-    square submatrix of size 2..k does not reverse the sign of
-    adj(submatrix) @ alpha.  At k = 1 this degenerates to the entry check.
-    """
-    check_order(a, k)
-    alpha = alpha or DEFAULT_ALPHA
-    method = "snr_single_vector"
-    bad = _entry_violation(a, strict=True) or _test_vector_sweep(a, k, alpha, _tn_snr_judge, contiguous=True)
-    return Verdict(bad is None, method, bad)
-
-
 def _tn_equality_clause_holds(profile_in: SignProfile, profile_out: SignProfile) -> bool:
     """The end signs of Ax at the maximum are forced and agree with x's first / last nonzero coordinate."""
     for sset, ref in (
@@ -329,64 +316,17 @@ def _variation_verdict(x: Sequence[RationalLike], y: Sequence[RationalLike]) -> 
     return ok, profile_in, profile_out
 
 
-def check_tn_vd_single_vector(
-    a: ExactMatrix,
-    alpha: AlphaChoice | None = None,
-    k: int | None = None,
-) -> Verdict:
-    """Single-test-vector variation-diminution decision for total negativity.
-
-    With the default ``k = min(m, n)`` this decides full total negativity;
-    passing a smaller k restricts the sweep to contiguous submatrices of size
-    at most k and decides total negativity of that order.
-    """
-    if k is None:
-        k = min(a.rows, a.cols)
-    check_order(a, k)
-    alpha = alpha or DEFAULT_ALPHA
-    method = "vd_single_vector"
-
-    def judge(x: Sequence[int], y: Sequence[int]) -> ViolationKind | None:
-        if not is_mixed_orthant(x):
-            # degenerate adjugate: cannot happen while all smaller
-            # contiguous minors are negative, so this already certifies failure
-            return ViolationKind.VARIATION_INCREASE
-        ok, profile_in, profile_out = _variation_verdict(x, y)
-        if ok:
-            return None
-        if profile_out.s_plus > profile_in.s_minus:
-            return ViolationKind.VARIATION_INCREASE
-        return ViolationKind.EQUALITY_SIGN_CLAUSE
-
-    bad = _entry_violation(a, strict=True) or _test_vector_sweep(a, k, alpha, judge, contiguous=True)
-    return Verdict(bad is None, method, bad)
-
-
-def check_tnp_snr(
-    a: ExactMatrix,
-    k: int,
-    alpha: AlphaChoice | None = None,
-) -> Verdict:
-    """Non-strict sign non-reversal decision for total non-positivity of order k.
-
-    Sweeps every square submatrix of size 2..k (not only contiguous ones) and
-    tests the vector adj(submatrix) @ alpha, where alpha must have strictly
-    positive magnitudes.
-    """
-    check_order(a, k)
-    method = "tnp_snr_single_vector"
-    bad = _entry_violation(a, strict=False)
-    if bad is not None:
-        return Verdict(False, method, bad)
-    if k == 1:
-        return Verdict(True, method)
-    if max(a.rows, a.cols) > MAX_ALL_SUBMATRIX_DIM:
-        raise ResourceLimitError(f"all-submatrix sweep refused for dimensions beyond {MAX_ALL_SUBMATRIX_DIM}")
-    alpha = alpha or DEFAULT_ALPHA
-    if not alpha.strictly_positive:
-        raise ValueError("the single-vector non-positive test needs strictly positive alpha magnitudes")
-    bad = _test_vector_sweep(a, k, alpha, _tnp_snr_judge, contiguous=False)
-    return Verdict(bad is None, method, bad)
+def _tn_vd_judge(x: Sequence[int], y: Sequence[int]) -> ViolationKind | None:
+    if not is_mixed_orthant(x):
+        # degenerate adjugate: cannot happen while all smaller
+        # contiguous minors are negative, so this already certifies failure
+        return ViolationKind.VARIATION_INCREASE
+    ok, profile_in, profile_out = _variation_verdict(x, y)
+    if ok:
+        return None
+    if profile_out.s_plus > profile_in.s_minus:
+        return ViolationKind.VARIATION_INCREASE
+    return ViolationKind.EQUALITY_SIGN_CLAUSE
 
 
 def _tnp_vd_failure(x: Sequence[RationalLike], y: Sequence[RationalLike]) -> ViolationKind | None:
@@ -423,6 +363,90 @@ def _tnp_vd_judge(x: Sequence[int], y: Sequence[int]) -> ViolationKind | None:
     return _tnp_vd_failure(x, y) if any(x) else None
 
 
+#: Each single-vector procedure, keyed by the method name of its verdict: the
+#: class it decides, whether it sweeps the contiguous windows only, and its judge.
+SINGLE_VECTOR: dict[str, tuple[MatrixClass, bool, Judge]] = {
+    "snr_single_vector": (TN, True, _tn_snr_judge),
+    "vd_single_vector": (TN, True, _tn_vd_judge),
+    "tnp_snr_single_vector": (TNP, False, _tnp_snr_judge),
+    "tnp_vd_single_vector": (TNP, False, _tnp_vd_judge),
+}
+
+
+def check_all_window_dims(a: ExactMatrix) -> None:
+    """Refuse a sweep over every square submatrix of a matrix with a dimension
+    beyond ``MAX_ALL_SUBMATRIX_DIM``: their count grows exponentially."""
+    if max(a.rows, a.cols) > MAX_ALL_SUBMATRIX_DIM:
+        raise ResourceLimitError(f"all-submatrix sweep refused for dimensions beyond {MAX_ALL_SUBMATRIX_DIM}")
+
+
+def check_alpha(alpha: AlphaChoice | None, cls: MatrixClass, k: int) -> None:
+    """Refuse test coefficients that the class's sweeps up to order k cannot use
+    (None stands for the default, which every class can).  The magnitudes
+    cycle, so a pattern that collapses at some size collapses at size 2."""
+    if alpha is None or k < 2:
+        return
+    if cls == TNP and not alpha.strictly_positive:
+        raise ValueError("the single-vector non-positive test needs strictly positive alpha magnitudes")
+    alpha.realized(2)
+
+
+def _single_vector_check(a: ExactMatrix, k: int | None, alpha: AlphaChoice | None, method: str) -> Verdict:
+    """The single-vector procedure ``method`` at order k (full order when None):
+    the entry precondition, then the judge on each window's test vector."""
+    cls, contiguous, judge = SINGLE_VECTOR[method]
+    if k is None:
+        k = min(a.rows, a.cols)
+    check_order(a, k)
+    check_alpha(alpha, cls, k)
+    bad = _entry_violation(a, strict=cls == TN)
+    if bad is None and k > 1:
+        if not contiguous:
+            check_all_window_dims(a)
+        bad = _test_vector_sweep(a, k, alpha or DEFAULT_ALPHA, judge, contiguous)
+    return Verdict(bad is None, method, bad)
+
+
+def check_tn_snr_single_vector(
+    a: ExactMatrix, k: int, alpha: AlphaChoice | None = None
+) -> Verdict:
+    """Single-test-vector sign non-reversal decision for total negativity of order k.
+
+    Checks that the matrix is entrywise negative, then that each contiguous
+    square submatrix of size 2..k does not reverse the sign of
+    adj(submatrix) @ alpha.  At k = 1 this degenerates to the entry check.
+    """
+    return _single_vector_check(a, k, alpha, "snr_single_vector")
+
+
+def check_tn_vd_single_vector(
+    a: ExactMatrix,
+    alpha: AlphaChoice | None = None,
+    k: int | None = None,
+) -> Verdict:
+    """Single-test-vector variation-diminution decision for total negativity.
+
+    With the default ``k = min(m, n)`` this decides full total negativity;
+    passing a smaller k restricts the sweep to contiguous submatrices of size
+    at most k and decides total negativity of that order.
+    """
+    return _single_vector_check(a, k, alpha, "vd_single_vector")
+
+
+def check_tnp_snr(
+    a: ExactMatrix,
+    k: int,
+    alpha: AlphaChoice | None = None,
+) -> Verdict:
+    """Non-strict sign non-reversal decision for total non-positivity of order k.
+
+    Sweeps every square submatrix of size 2..k (not only contiguous ones) and
+    tests the vector adj(submatrix) @ alpha, where alpha must have strictly
+    positive magnitudes.
+    """
+    return _single_vector_check(a, k, alpha, "tnp_snr_single_vector")
+
+
 def check_tnp_vd(
     a: ExactMatrix,
     alpha: AlphaChoice | None = None,
@@ -434,20 +458,36 @@ def check_tnp_vd(
     adj(submatrix) @ alpha and decides total non-positivity of order k (full
     order by default).
     """
-    kmax = min(a.rows, a.cols)
-    if k is None:
-        k = kmax
-    check_order(a, k)
-    method = "tnp_vd_single_vector"
-    bad = _entry_violation(a, strict=False)
-    if bad is not None:
-        return Verdict(False, method, bad)
-    if k == 1:
-        return Verdict(True, method)
-    if max(a.rows, a.cols) > MAX_ALL_SUBMATRIX_DIM:
-        raise ResourceLimitError(f"all-submatrix sweep refused for dimensions beyond {MAX_ALL_SUBMATRIX_DIM}")
-    alpha = alpha or DEFAULT_ALPHA
-    if not alpha.strictly_positive:
-        raise ValueError("the single-vector non-positive test needs strictly positive alpha magnitudes")
-    bad = _test_vector_sweep(a, k, alpha, _tnp_vd_judge, contiguous=False)
-    return Verdict(bad is None, method, bad)
+    return _single_vector_check(a, k, alpha, "tnp_vd_single_vector")
+
+
+def verify_vector_witness(a: ExactMatrix, method: str, v: Violation) -> str | None:
+    """Re-check a test-vector witness of the single-vector procedure ``method``
+    on ``a``: None when it verifies, else what is wrong.
+
+    The judge must give the recorded kind on (x, S x), S the witness window.  A
+    determinant d of S that breaks the class is a witness by itself; otherwise
+    x = adj(S) alpha' for alpha' = S x / d, which must be test coefficients the
+    class admits.  On every such x, each window of size 2 or more of a matrix
+    in the class passes the judge.
+    """
+    if method not in SINGLE_VECTOR or v.vector is None or len(v.rows) < 2:
+        return "a test vector witness needs a single-vector method, a vector and a window of size 2 or more"
+    cls, _, judge = SINGLE_VECTOR[method]
+    s = submatrix(a, v.rows, v.cols)
+    y = s.matvec(v.vector)
+    kind = judge(v.vector, y)
+    if kind is not v.kind:
+        return f"the judge finds {kind.value if kind else 'no violation'}, not {v.kind.value}"
+    d = det(s)
+    if d >= 0 if cls == TN else d > 0:
+        return None
+    if d == 0 or not any(y):
+        return "vector is not the test vector of a nonsingular window"
+    alpha = tuple(t / d for t in y)
+    mags = tuple(abs(t) for t in alpha)
+    if not any(AlphaChoice(mags, g).realized(len(mags)) == alpha for g in (1, -1)):
+        return "S x / det(S) does not alternate in sign"
+    if cls == TNP and not all(mags):
+        return "S x / det(S) has a zero coordinate, which the non-positive test does not admit"
+    return None

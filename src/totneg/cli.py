@@ -24,8 +24,7 @@ from .checks import (
     AlphaChoice,
     Violation,
     ViolationKind,
-    sign_non_reversal,
-    vd_check,
+    verify_vector_witness,
 )
 from .errors import ResourceLimitError
 from .generate import (
@@ -53,7 +52,6 @@ from .matrix import (
     parse_rational,
     submatrix,
 )
-from .signs import is_mixed_orthant, s_minus, s_plus, sign_profile
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -373,52 +371,18 @@ def _verify_witness_entry(a: ExactMatrix, method: str, v: Violation) -> str | No
     """Re-check one recorded violation against the parsed input; None when it verifies."""
     if v.kind in (ViolationKind.NONNEGATIVE_MINOR, ViolationKind.POSITIVE_MINOR):
         return _verify_minor_witness(a, v)
+    if v.kind is not ViolationKind.LCP_SOLUTION_MISMATCH:
+        return verify_vector_witness(a, method, v)
+    # the construction of lcp._single_vector_ints, rebuilt from Bareiss minors
     sub = submatrix(a, v.rows, v.cols)
-    if v.kind is ViolationKind.SIGN_REVERSAL:
-        if v.vector is None:
-            return "reversal witness lacks the vector"
-        if all(x == 0 for x in v.vector):
-            return None  # degenerate adjugate: trivially no positive product
-        strict = "tnp" not in method
-        ok, _ = sign_non_reversal(sub, v.vector, strict=strict)
-        return "vector does not exhibit a reversal" if ok else None
-    if v.kind is ViolationKind.VARIATION_INCREASE:
-        if v.vector is None:
-            return "variation witness lacks the vector"
-        y = sub.matvec(v.vector)
-        if "tnp" in method:
-            return None if s_minus(y) > s_minus(v.vector) else "weak variation did not grow"
-        if not is_mixed_orthant(v.vector):
-            return None  # degenerate test vector is itself the certificate
-        return None if s_plus(y) > s_minus(v.vector) else "variation did not grow"
-    if v.kind is ViolationKind.EQUALITY_SIGN_CLAUSE:
-        if v.vector is None:
-            return "clause witness lacks the vector"
-        y = sub.matvec(v.vector)
-        if "tnp" in method:
-            if s_minus(y) != s_minus(v.vector) or all(val == 0 for val in y):
-                return "equality case not reached"
-            pin, pout = sign_profile(v.vector), sign_profile(y)
-            bad = (
-                pin.first_nonzero_sign != pout.first_nonzero_sign
-                or pin.last_nonzero_sign != pout.last_nonzero_sign
-            )
-            return None if bad else "end signs agree after all"
-        satisfied, pin, pout = vd_check(sub, v.vector)
-        if pout.s_plus != pin.s_minus:
-            return "equality case not reached"
-        return None if not satisfied else "clause holds after all"
-    if v.kind is ViolationKind.LCP_SOLUTION_MISMATCH:
-        # the construction of lcp._single_vector_ints, rebuilt from Bareiss minors
-        x = tuple(cofactor_minor(sub, 1, j) if j % 2 else Fraction(0) for j in range(1, sub.rows + 1))
-        if v.vector is not None and tuple(-t for t in x) != v.vector:
-            return "recorded expected solution does not match the construction"
-        sols = solve_lcp(LCPInstance(sub, sub.matvec(x)))
-        zero = tuple(Fraction(0) for _ in range(sub.rows))
-        expected = {zero, tuple(-t for t in x)}
-        mismatch = not (sols.is_finite and set(sols.solutions) == expected)
-        return None if mismatch else "solution set matches after all"
-    return f"unknown witness kind {v.kind}"
+    x = tuple(cofactor_minor(sub, 1, j) if j % 2 else Fraction(0) for j in range(1, sub.rows + 1))
+    if v.vector is not None and tuple(-t for t in x) != v.vector:
+        return "recorded expected solution does not match the construction"
+    sols = solve_lcp(LCPInstance(sub, sub.matvec(x)))
+    zero = tuple(Fraction(0) for _ in range(sub.rows))
+    expected = {zero, tuple(-t for t in x)}
+    mismatch = not (sols.is_finite and set(sols.solutions) == expected)
+    return None if mismatch else "solution set matches after all"
 
 
 def cmd_verify_witness(args: argparse.Namespace) -> int:

@@ -22,13 +22,14 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .checks import (
-    MAX_ALL_SUBMATRIX_DIM,
     TN,
     TNP,
     AlphaChoice,
     ClassQuery,
     Verdict,
     Violation,
+    check_all_window_dims,
+    check_alpha,
     check_by_contiguous_minors,
     check_by_minor_definition,
     check_tn_snr_single_vector,
@@ -443,15 +444,16 @@ def cross_validate(a: ExactMatrix, k: int, cls: str, alpha: AlphaChoice | None =
 
     The procedures must agree exactly, and the non-positive class's
     one-directional complementarity condition must not certify a matrix its
-    minor definition rejects.  A dimension beyond ``MAX_ALL_SUBMATRIX_DIM`` is
-    refused before any sweep runs.  The non-positive tests need strictly
-    positive alpha magnitudes, so any other alpha gives way to the default.
+    minor definition rejects.  A dimension beyond ``MAX_ALL_SUBMATRIX_DIM`` and
+    an alpha the class's tests cannot use are refused before any sweep runs.
+    The non-positive tests need strictly positive alpha magnitudes, so any
+    other alpha gives way to the default.
     """
     check_order(a, k)
-    if max(a.rows, a.cols) > MAX_ALL_SUBMATRIX_DIM:
-        raise ResourceLimitError(f"all-submatrix sweep refused for dimensions beyond {MAX_ALL_SUBMATRIX_DIM}")
+    check_all_window_dims(a)
     if cls == TNP and alpha is not None and not alpha.strictly_positive:
         alpha = None
+    check_alpha(alpha, cls, k)
     methods = tuple(run_method(a, cls, k, name, alpha) for name in _ALL_METHODS[cls])
     agree = len({m.holds for m in methods}) == 1
     if cls != TNP:

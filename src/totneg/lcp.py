@@ -29,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .checks import MAX_ALL_SUBMATRIX_DIM, Verdict, Violation, ViolationKind
+from .checks import MAX_ALL_SUBMATRIX_DIM, Verdict, Violation, ViolationKind, check_all_window_dims
 from .errors import DimensionError, InvariantError, ResourceLimitError
 from .matrix import (
     ExactMatrix,
@@ -681,8 +681,7 @@ def tnp_lcp_sufficient_check(a: ExactMatrix, k: int) -> TnpLcpReport:
     the check reports inconclusive rather than claiming either way.
     """
     check_order(a, k)
-    if max(a.rows, a.cols) > MAX_ALL_SUBMATRIX_DIM:
-        raise ResourceLimitError(f"all-submatrix sweep refused for dimensions beyond {MAX_ALL_SUBMATRIX_DIM}")
+    check_all_window_dims(a)
     table = a.minor_table
     saw_family: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     for r in range(1, k + 1):

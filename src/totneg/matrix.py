@@ -191,11 +191,6 @@ class ExactMatrix:
         c = self.cols
         return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        if not 1 <= j <= self.cols:
-            raise DimensionError(f"column {j} out of bounds")
-        return tuple(self.entries[i * self.cols + (j - 1)] for i in range(self.rows))
-
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(
             self.cols,
@@ -232,14 +227,6 @@ class ExactMatrix:
         if self.shape != other.shape:
             raise DimensionError("shape mismatch in addition")
         return ExactMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def sub(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.shape != other.shape:
-            raise DimensionError("shape mismatch in subtraction")
-        return ExactMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def entrywise_abs(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, tuple(abs(e) for e in self.entries))
 
     def is_entrywise_negative(self) -> bool:
         return all(e < 0 for e in self.entries)

@@ -1,5 +1,6 @@
 """CLI: file formats, exit codes, JSON reports, and offline witness re-checking."""
 
+import itertools
 import json
 import math
 
@@ -279,6 +280,116 @@ def test_verify_witness_rejects_tampered_reports(files, tmp_path, capsys):
     report_path = tmp_path / "tampered.json"
     report_path.write_text(json.dumps(report))
     assert main(["verify-witness", str(report_path)]) == 1
+
+
+def _matrix_file(tmp_path, rows):
+    path = tmp_path / f"m{len(list(tmp_path.iterdir()))}.txt"
+    path.write_text(f"{len(rows)} {len(rows[0])}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    return path
+
+
+TN2 = [[-1, -2], [-3, -1]]  # totally negative
+TNP_ZERO = [[0, -4], [-1, -2]]  # totally non-positive; adj(S) (0, -1) = (-4, 0) fails the weak variation judge
+NOT_TN3 = [[-3, -1, -3], [-2, -3, -3], [-3, -1, -4]]  # det -7, a positive 2x2 minor; adj(S) (1, -1, 1) = (4, -5, 0)
+
+
+@pytest.mark.parametrize(
+    "rows, cls, method, kind, vector, rc",
+    [
+        (TN2, "tn", "snr", "sign_reversal", ["1", "1"], 1),
+        (TN2, "tn", "snr", "sign_reversal", ["0", "0"], 1),
+        (TN2, "tn", "snr", "sign_reversal", ["1"], 1),  # a 1x1 window reverses every vector
+        (TN2, "tn", "vd", "variation_increase", ["1", "1"], 1),
+        (TN2, "tn", "vd", "equality_sign_clause", ["1", "1"], 1),
+        (TN2, "tnp", "snr", "sign_reversal", ["0", "0"], 1),
+        (TN2, "tnp", "vd", "equality_sign_clause", ["1", "1"], 1),
+        (TNP_ZERO, "tnp", "vd", "equality_sign_clause", ["-4", "0"], 1),
+        (NOT_TN3, "tn", "snr", "sign_reversal", ["4", "-5", "0"], 0),
+    ],
+)
+def test_verify_witness_rechecks_a_vector_witness_with_its_procedures_judge(
+    tmp_path, capsys, rows, cls, method, kind, vector, rc
+):
+    """A vector witness verifies only when it is the test vector adj(S) alpha of
+    its window S for an alpha the class admits, or S's determinant breaks the
+    class.  Every row but the last is a hand-written witness on a matrix that
+    does not fail that way; the last is a genuine one off the determinant path."""
+    path = _matrix_file(tmp_path, rows)
+    main(["check", str(path), "--class", cls, "--order", str(len(rows)), "--method", method, "--json"])
+    report = json.loads(capsys.readouterr().out)
+    window = list(range(1, len(vector) + 1))
+    witness = {"kind": kind, "rows": window, "cols": window, "vector": vector, "detail": None}
+    report["methods"][0].update(holds=False, witness=witness)
+    report_path = tmp_path / "forged.json"
+    report_path.write_text(json.dumps(report))
+    assert main(["verify-witness", str(report_path)]) == rc
+    captured = capsys.readouterr()
+    assert ("witness FAILED" in captured.err) == (rc == 1)
+
+
+def test_verify_witness_accepts_every_single_vector_witness(tmp_path, capsys):
+    """Every failing report verifies, and a test vector witness relabelled with
+    another kind does not."""
+    vector_kinds = ("sign_reversal", "variation_increase", "equality_sign_clause")
+    matrices = [
+        [[-1, -2], [-2, -5]],
+        [[-5, -1, -13], [-8, -5, -5], [-5, -13, -1]],
+        [[-1, -2, -3], [-1, -2, -1], [-3, -3, -1]],
+        [[-1, -5, -1], [-3, -3, -2], [0, -1, -8]],
+        [[-1, -1], [-3, -2], [-3, -2]],
+    ]
+    alphas = ([], ["--alpha", "1 1/2 3", "--alpha-sign", "-1"], ["--alpha", "0 1"])
+    seen = set()
+    for rows in matrices:
+        path = _matrix_file(tmp_path, rows)
+        for cls, method, alpha in itertools.product(("tn", "tnp"), ("snr", "vd"), alphas):
+            if cls == "tnp" and "0 1" in alpha:
+                continue
+            argv = ["check", str(path), "--class", cls, "--order", str(min(len(rows), len(rows[0])))]
+            if main(argv + ["--method", method, "--json", *alpha]) == 0:
+                capsys.readouterr()
+                continue
+            out = capsys.readouterr().out
+            witness = json.loads(out)["methods"][0]["witness"]
+            seen.add((cls, witness["kind"]))
+            report_path = tmp_path / "report.json"
+            report_path.write_text(out)
+            assert main(["verify-witness", str(report_path)]) == 0, (rows, cls, method, alpha)
+            capsys.readouterr()
+            if witness["kind"] in vector_kinds:
+                report = json.loads(out)
+                report["methods"][0]["witness"]["kind"] = next(k for k in vector_kinds if k != witness["kind"])
+                report_path.write_text(json.dumps(report))
+                assert main(["verify-witness", str(report_path)]) == 1
+                assert "the judge finds" in capsys.readouterr().err
+    assert {("tn", k) for k in vector_kinds} | {("tnp", "sign_reversal"), ("tnp", "equality_sign_clause")} <= seen
+
+
+def test_an_unusable_alpha_is_refused_before_any_sweep(tmp_path, monkeypatch, capsys):
+    import totneg.generate
+
+    fails = _matrix_file(tmp_path, [[-1, -2, -3], [-2, -5, -5], [-3, -5, -6]])
+    monkeypatch.setattr(totneg.generate, "check_by_minor_definition", _refuse)
+    argv = ["check", str(fails), "--class", "tn", "--order", "3", "--method", "all", "--alpha", "0 0 1"]
+    assert main(argv) == 2
+    assert "collapses to the zero vector" in capsys.readouterr().err
+    positive_entry = str(_matrix_file(tmp_path, [[1, -1], [-1, -1]]))
+    for cls, alpha, message in (("tn", "0 0 1", "collapses"), ("tnp", "0 1", "strictly positive")):
+        for method in ("snr", "vd"):
+            assert main(["check", positive_entry, "--class", cls, "--order", "2", "--method", method, "--alpha", alpha]) == 2
+            assert message in capsys.readouterr().err
+
+
+def test_single_vector_table_is_keyed_by_each_procedures_method(n3):
+    from totneg import checks
+
+    methods = {
+        checks.check_tn_snr_single_vector(n3, 3).method: "tn",
+        checks.check_tn_vd_single_vector(n3).method: "tn",
+        checks.check_tnp_snr(n3, 3).method: "tnp",
+        checks.check_tnp_vd(n3).method: "tnp",
+    }
+    assert methods == {method: cls for method, (cls, _, _) in checks.SINGLE_VECTOR.items()}
 
 
 def test_generate_subcommand(tmp_path, capsys):
