@@ -394,18 +394,26 @@ def cmd_verify_witness(args: argparse.Namespace) -> int:
         if m.get("holds") or not m.get("witness"):
             continue
         checked += 1
+        w = m["witness"]
+        v = _violation_from_json(w["violation"] if kind == "hull" else w)
+        order = report["order"]
+        if type(order) is not int:
+            raise ValueError(f"a report with a witness needs an integer order, got {order!r}")
+        if len(v.rows) > order:
+            # a window of size r shows failure only at orders r and above
+            problems.append(f"{m['name']}: a window of size {len(v.rows)} cannot fail order {order}")
+            continue
         if kind == "hull":
-            w = m["witness"]
             member = _matrix_from_json(w["member"])
             h = IntervalHull(_matrix_from_json(report["input"]["a"]), _matrix_from_json(report["input"]["b"]))
             z, zt = tuple(w["z"]), tuple(w["zt"])
             if i_matrix(h, z, zt) != member:
                 problems.append(f"{m['name']}: recorded member does not match its sign words")
                 continue
-            problem = _verify_minor_witness(member, _violation_from_json(w["violation"]))
+            problem = _verify_minor_witness(member, v)
         else:
             a = _matrix_from_json(report["input"]["matrix"])
-            problem = _verify_witness_entry(a, m["name"], _violation_from_json(m["witness"]))
+            problem = _verify_witness_entry(a, m["name"], v)
         if problem:
             problems.append(f"{m['name']}: {problem}")
     if problems:

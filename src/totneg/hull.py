@@ -65,13 +65,6 @@ class IntervalHull:
         pairs = [(x, y) if x <= y else (y, x) for x, y in zip(self.a.entries, self.b.entries)]
         return tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
 
-    def contains(self, c: ExactMatrix) -> bool:
-        """Exact entrywise membership test."""
-        if c.shape != self.shape:
-            return False
-        lo, hi = self.bounds
-        return all(x <= v <= y for x, v, y in zip(lo, c.entries, hi))
-
 
 @dataclass(frozen=True)
 class HullVerdict:

@@ -12,8 +12,13 @@ step builds no Fraction.
 ``solve_lcp`` scales each row of [A | q] to integers once and runs the step on
 every support, building Fractions only for the solution set it returns.  The
 single-vector checks ask of each window w only whether LCP(A_w, A_w x) has a
-prescribed solution set, so they enumerate its supports on integers read from
-the matrix's minor table (:func:`_support_candidates`) and stop as soon as the
+prescribed solution set.  A 1x1 window [t] has x = -1 and q = -t, so its
+solutions are exactly 0 and 1 when t < 0, form the family of LCP(0, 0) when
+t = 0, and exclude 0 when t > 0: one row-major pass over the entries settles
+every 1x1 window.  From size 2 on, the sweeps read row sets outer and column
+sets inner, build the keys of every set of window positions once per row set
+and per column set, and enumerate each window's supports on integers read from
+the matrix's minor table (:func:`_support_candidates`), stopping as soon as the
 answer is known.  A support with a zero principal minor, which may hold a
 solution family, goes to the same step on the table's scaled rows, and the
 first family ends its window.
@@ -405,16 +410,18 @@ class TnpLcpReport:
     note: str = ""
 
 
+_NOT_SOLVED_BY_ZERO = "zero vector is not a solution of the prescribed instance"
+
+
 def _single_vector_ints(
     table: MinorTable, rows: IndexSet, cols: IndexSet, weights: Mapping[int, Fraction] | None = None
 ) -> tuple[list[int], int]:
     """(X, L) with L > 0 and x = X / L the test vector of the window on the
-    index sets rows and cols: weighted row-i deletion minors at odd positions,
-    zeros elsewhere.
+    index sets rows and cols, of size 2 or more: weighted row-i deletion minors
+    at odd positions, zeros elsewhere.
 
     Position j (1-based, odd) of x holds sum_i w_i M_ij, where M_ij is the
-    window's minor without its row i and column j; a 1x1 window uses M_11 = -1,
-    the convention that the empty determinant is -1.  M_ij is the table minor on
+    window's minor without its row i and column j.  M_ij is the table minor on
     the rows R - i over scale(R - i), so L is a common denominator of the
     w_i / scale(R - i).  The default weight w_1 = 1 gives X_j = M_1j itself and
     L = scale(R - R_1).
@@ -424,9 +431,6 @@ def _single_vector_ints(
     r = len(rows0)
     xs = [0] * r
     if weights is None:
-        if r == 1:
-            xs[0] = -1
-            return xs, 1
         values, shift, head = table._values, table._ncols, row_deletions[0]
         key = head << shift
         for j in range(0, r, 2):
@@ -440,7 +444,7 @@ def _single_vector_ints(
     lcm = math.lcm(*(den for _, _, den in terms))
     for j in range(0, r, 2):
         for rmask, num, den in terms:
-            xs[j] += num * (lcm // den) * (table.minor_of_masks(rmask, col_deletions[j]) if r > 1 else -1)
+            xs[j] += num * (lcm // den) * table.minor_of_masks(rmask, col_deletions[j])
     return xs, lcm
 
 
@@ -502,12 +506,30 @@ def _support_plans(r: int) -> Iterable[Plan]:
     return plans
 
 
+def _position_keys(bits: Iterable[int]) -> list[int]:
+    """The union of every subset of bits, indexed by the subset's position mask:
+    the subsets without position p, then each with p.  Given the row bits of a
+    window shifted by the table's column count, these are the row parts of the
+    table keys; given its column bits, the column masks."""
+    keys = [0]
+    for bit in bits:
+        keys += [key | bit for key in keys]
+    return keys
+
+
 def _support_candidates(
-    a: ExactMatrix, rows0: Sequence[int], cols0: Sequence[int], xs: Sequence[int], qs: Sequence[int]
+    a: ExactMatrix,
+    rows0: Sequence[int],
+    cols0: Sequence[int],
+    xs: Sequence[int],
+    qs: Sequence[int],
+    rkeys: Sequence[int],
+    cmasks: Sequence[int],
 ) -> Iterator[Point | None]:
     """The feasible solutions of LCP(A_w, A_w x) on the nonempty supports of the
-    window w = (rows0, cols0), sizes ascending, from X = L x and the Q of
-    :func:`_scaled_image`.
+    window w = (rows0, cols0), sizes ascending, from X = L x, the Q of
+    :func:`_scaled_image`, and the :func:`_position_keys` of its rows (shifted)
+    and of its columns.
 
     With T the table's minor on the window rows/columns at the given positions
     and d = T(S, S) != 0, Cramer's rule and the Schur complement give
@@ -538,14 +560,6 @@ def _support_candidates(
     r = len(rows0)
     rbit = [1 << i for i in rows0]
     cbit = [1 << j for j in cols0]
-    # the row keys (row mask << shift) and column masks of every set of positions,
-    # indexed by its position mask: the sets without position p, then each with p
-    rkeys = [0]
-    cmasks = [0]
-    for rb, cb in zip(rbit, cbit):
-        rb <<= shift
-        rkeys += [key | rb for key in rkeys]
-        cmasks += [mask | cb for mask in cmasks]
     live = [(j, 1 << j, cbit[j], v) for j, v in enumerate(xs) if v]
     live_mask = sum(bit for _, bit, _, _ in live)
     window = None  # the table's scaled rows of the window, read at the first zero principal minor
@@ -599,14 +613,21 @@ def _support_candidates(
             yield abs(d), zs, ws
 
 
-def _window_holds(a: ExactMatrix, rows0: Sequence[int], cols0: Sequence[int], xs: Sequence[int]) -> bool:
+def _window_holds(
+    a: ExactMatrix,
+    rows0: Sequence[int],
+    cols0: Sequence[int],
+    xs: Sequence[int],
+    rkeys: Sequence[int],
+    cmasks: Sequence[int],
+) -> bool:
     """Whether LCP(A_w, A_w x) on the window w = (rows0, cols0) has exactly the
     solutions 0 and -x, for x = X / L with any L > 0."""
     qs = _scaled_image(a.minor_table, rows0, cols0, xs)
     # 0 is a solution iff A_w x >= 0, and -x iff x <= 0
     if any(v > 0 for v in xs) or any(v < 0 for v in qs):
         return False
-    for cand in _support_candidates(a, rows0, cols0, xs, qs):
+    for cand in _support_candidates(a, rows0, cols0, xs, qs, rkeys, cmasks):
         if cand is None:
             return False
         d, zs, _ = cand
@@ -618,25 +639,32 @@ def _window_holds(a: ExactMatrix, rows0: Sequence[int], cols0: Sequence[int], xs
 def _check_single_vector_windows(
     a: ExactMatrix, k: int, weights: Mapping[int, Fraction] | None, method: str
 ) -> Verdict:
+    """The 1x1 windows from entry signs: LCP(t, -w_1 t) has exactly the solutions
+    0 and w_1 iff t < 0.  Then every contiguous window of size 2..k."""
+    if weights is not None and 1 not in weights:
+        raise ValueError("no weight applies to submatrices of size 1")
+    hit = a.first_entry_violating(strict=True)
+    if hit is not None:
+        w1 = Fraction(1) if weights is None else weights[1]
+        return Verdict(False, method, Violation(ViolationKind.LCP_SOLUTION_MISMATCH, hit[:1], hit[1:2], vector=(w1,)))
     table = a.minor_table
-    for r in range(1, k + 1):
-        if weights is not None and not any(i <= r for i in weights):
-            raise ValueError(f"no weight applies to submatrices of size {r}")
-        runs = itertools.product(index_sets(a.rows, r, contiguous=True), index_sets(a.cols, r, contiguous=True))
-        for rows, cols in runs:
-            _check_lcp_size(r)
-            xs, lcm = _single_vector_ints(table, rows, cols, weights)
-            rows0, cols0 = rows[0], cols[0]
-            if not _window_holds(a, rows0, cols0, xs):
-                rows1 = tuple(i + 1 for i in rows0)
-                cols1 = tuple(j + 1 for j in cols0)
-                return Verdict(
-                    False,
-                    method,
-                    Violation(
-                        ViolationKind.LCP_SOLUTION_MISMATCH, rows1, cols1, vector=tuple(Fraction(-v, lcm) for v in xs)
-                    ),
-                )
+    shift = a.cols
+    for r in range(2, k + 1):
+        col_sets = [(cols, _position_keys(1 << j for j in cols[0])) for cols in index_sets(a.cols, r, contiguous=True)]
+        for rows in index_sets(a.rows, r, contiguous=True):
+            rows0 = rows[0]
+            rkeys = _position_keys(1 << i << shift for i in rows0)
+            for cols, cmasks in col_sets:
+                _check_lcp_size(r)
+                xs, lcm = _single_vector_ints(table, rows, cols, weights)
+                if not _window_holds(a, rows0, cols[0], xs, rkeys, cmasks):
+                    violation = Violation(
+                        ViolationKind.LCP_SOLUTION_MISMATCH,
+                        _one_based(rows0),
+                        _one_based(cols[0]),
+                        vector=tuple(Fraction(-v, lcm) for v in xs),
+                    )
+                    return Verdict(False, method, violation)
     return Verdict(True, method)
 
 
@@ -682,43 +710,56 @@ def tnp_lcp_sufficient_check(a: ExactMatrix, k: int) -> TnpLcpReport:
     """
     check_order(a, k)
     check_all_window_dims(a)
-    table = a.minor_table
     saw_family: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    for r in range(1, k + 1):
-        for rows, cols in itertools.product(index_sets(a.rows, r), index_sets(a.cols, r)):
-            xs, lcm = _single_vector_ints(table, rows, cols)
-            rows0, cols0 = rows[0], cols[0]
-            qs = _scaled_image(table, rows0, cols0, xs)
-            if min(qs) < 0:
-                return TnpLcpReport(
-                    TnpLcpStatus.VIOLATION,
-                    rows=_one_based(rows0),
-                    cols=_one_based(cols0),
-                    q=_image_fractions(table, rows0, qs, lcm),
-                    note="zero vector is not a solution of the prescribed instance",
-                )
-            _check_lcp_size(r)
-            candidates: list[Point] = []
-            for cand in _support_candidates(a, rows0, cols0, xs, qs):
-                if cand is None:
-                    # a solution family: the image condition quantifies over the
-                    # whole (infinite) set, so it cannot be verified here
-                    if saw_family is None:
-                        saw_family = (_one_based(rows0), _one_based(cols0))
-                    break
-                if any(cand[1]):
-                    candidates.append(cand)
-            else:
-                pair = _pair_with_distinct_images(candidates)
-                if pair is not None:
+    # a 1x1 window [t] has q = -t: 0 solves it iff t <= 0, its nonzero solution
+    # is 1 alone when t < 0, and t = 0 gives the family of LCP(0, 0)
+    for index, t in enumerate(a.entries):
+        if t >= 0:
+            rows1, cols1 = (index // a.cols + 1,), (index % a.cols + 1,)
+            if t > 0:
+                return TnpLcpReport(TnpLcpStatus.VIOLATION, rows1, cols1, q=(-t,), note=_NOT_SOLVED_BY_ZERO)
+            saw_family = saw_family or (rows1, cols1)
+    table = a.minor_table
+    shift = a.cols
+    for r in range(2, k + 1):
+        col_sets = [(cols, _position_keys(1 << j for j in cols[0])) for cols in index_sets(a.cols, r)]
+        for rows in index_sets(a.rows, r):
+            rows0 = rows[0]
+            rkeys = _position_keys(1 << i << shift for i in rows0)
+            for cols, cmasks in col_sets:
+                cols0 = cols[0]
+                xs, lcm = _single_vector_ints(table, rows, cols)
+                qs = _scaled_image(table, rows0, cols0, xs)
+                if min(qs) < 0:
                     return TnpLcpReport(
                         TnpLcpStatus.VIOLATION,
                         rows=_one_based(rows0),
                         cols=_one_based(cols0),
                         q=_image_fractions(table, rows0, qs, lcm),
-                        witness_pair=tuple(tuple(Fraction(z, d * lcm) for z in zs) for d, zs, _ in pair),
-                        note="two nonzero solutions with different images",
+                        note=_NOT_SOLVED_BY_ZERO,
                     )
+                _check_lcp_size(r)
+                candidates: list[Point] = []
+                for cand in _support_candidates(a, rows0, cols0, xs, qs, rkeys, cmasks):
+                    if cand is None:
+                        # a solution family: the image condition quantifies over the
+                        # whole (infinite) set, so it cannot be verified here
+                        if saw_family is None:
+                            saw_family = (_one_based(rows0), _one_based(cols0))
+                        break
+                    if any(cand[1]):
+                        candidates.append(cand)
+                else:
+                    pair = _pair_with_distinct_images(candidates)
+                    if pair is not None:
+                        return TnpLcpReport(
+                            TnpLcpStatus.VIOLATION,
+                            rows=_one_based(rows0),
+                            cols=_one_based(cols0),
+                            q=_image_fractions(table, rows0, qs, lcm),
+                            witness_pair=tuple(tuple(Fraction(z, d * lcm) for z in zs) for d, zs, _ in pair),
+                            note="two nonzero solutions with different images",
+                        )
     if saw_family is not None:
         return TnpLcpReport(
             TnpLcpStatus.INCONCLUSIVE,

@@ -110,10 +110,6 @@ def _parse_literal(text: str) -> Fraction:
     return Fraction(int(decimal.Decimal(match[1])), den)
 
 
-def format_vector(x: Sequence[Fraction]) -> str:
-    return "(" + ", ".join(format_fraction(v) for v in x) + ")"
-
-
 def check_index_set(indices: Sequence[int], bound: int, what: str = "index set") -> tuple[int, ...]:
     """Validate a strictly increasing 1-based index set within [1, bound]."""
     idx = tuple(int(i) for i in indices)
@@ -169,10 +165,6 @@ class ExactMatrix:
             flat.extend(to_fraction(v) for v in r)
         return cls(len(rows), n, tuple(flat))
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, tuple(Fraction(1 if i == j else 0) for i in range(n) for j in range(n)))
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -191,13 +183,6 @@ class ExactMatrix:
         c = self.cols
         return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
-
     def matvec(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(x) != self.cols:
             raise DimensionError(f"vector length {len(x)} does not match {self.cols} columns")
@@ -207,22 +192,6 @@ class ExactMatrix:
             for i in range(self.rows)
         )
 
-    def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise DimensionError("inner dimensions do not match")
-        ot = other.transpose()
-        flat = [
-            sum((a * b for a, b in zip(self.entries[i * self.cols : (i + 1) * self.cols],
-                                       ot.entries[j * ot.cols : (j + 1) * ot.cols])), Fraction(0))
-            for i in range(self.rows)
-            for j in range(other.cols)
-        ]
-        return ExactMatrix(self.rows, other.cols, tuple(flat))
-
-    def scale(self, factor: RationalLike) -> "ExactMatrix":
-        f = to_fraction(factor)
-        return ExactMatrix(self.rows, self.cols, tuple(f * e for e in self.entries))
-
     def add(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.shape != other.shape:
             raise DimensionError("shape mismatch in addition")
@@ -230,9 +199,6 @@ class ExactMatrix:
 
     def is_entrywise_negative(self) -> bool:
         return all(e < 0 for e in self.entries)
-
-    def is_entrywise_nonpositive(self) -> bool:
-        return all(e <= 0 for e in self.entries)
 
     def first_entry_violating(self, strict: bool) -> tuple[int, int, Fraction] | None:
         """First (i, j, value) with value >= 0 (strict) or value > 0 (non-strict)."""
@@ -525,10 +491,6 @@ class MinorTable:
         """Product of the row scales on rows0: the minor's exact denominator factor."""
         return math.prod(self._scales[i] for i in rows0)
 
-    def value(self, rows0: Sequence[int], cols0: Sequence[int]) -> Fraction:
-        """The (rows0, cols0) minor of the matrix itself."""
-        return Fraction(self.minor(rows0, cols0), self.scale(rows0))
-
     def adjugate_numerators(self, rows0: Sequence[int], cols0: Sequence[int], coeffs: Sequence[int]) -> list[int]:
         """Integers N with adj(S) @ (coeffs / L) = N / (L * scale(rows0)) for every L > 0,
         where S is the (rows0, cols0) submatrix, of size at least 2.
@@ -638,14 +600,6 @@ class MinorTable:
             total = pivot * row[n] - sum(row[j] * out[j] for j in range(i + 1, n))
             out[i] = total // row[i]
         return sign * pivot, out if sign > 0 else [-v for v in out]
-
-    def stored(self) -> int:
-        """How many minors the table keeps."""
-        return len(self._values)
-
-    def sizes(self) -> set[int]:
-        """The sizes of the minors kept so far."""
-        return {(key >> self._ncols).bit_count() for key in self._values}
 
 
 def minors_up_to(a: ExactMatrix, k: int) -> Iterator[MinorRecord]:

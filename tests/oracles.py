@@ -41,7 +41,7 @@ from totneg.generate import (
 )
 from totneg.hull import IntervalHull, i_matrix
 from totneg.lcp import _FM_CONSTRAINT_CAP, Point, _compare_candidates, _support_solutions
-from totneg.matrix import Window, _one_based, check_order, contiguous_windows, det_of_rows
+from totneg.matrix import MinorTable, Window, _one_based, check_order, contiguous_windows, det_of_rows, to_fraction
 
 
 def all_windows(m: int, n: int, r: int) -> Iterator[Window]:
@@ -53,6 +53,54 @@ def take(a: ExactMatrix, rows0: Sequence[int], cols0: Sequence[int]) -> ExactMat
     """Submatrix on 0-based index sets, unchecked (the sweeps' fast path of :func:`submatrix`)."""
     flat = tuple(a.entries[i * a.cols + j] for i in rows0 for j in cols0)
     return ExactMatrix(len(rows0), len(cols0), flat)
+
+
+def identity(n: int) -> ExactMatrix:
+    return ExactMatrix(n, n, tuple(Fraction(1 if i == j else 0) for i in range(n) for j in range(n)))
+
+
+def transpose(a: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix(a.cols, a.rows, tuple(a.entries[i * a.cols + j] for j in range(a.cols) for i in range(a.rows)))
+
+
+def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    if a.cols != b.rows:
+        raise DimensionError("inner dimensions do not match")
+    rows, cols = a.row_list(), transpose(b).row_list()
+    flat = tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for row in rows for col in cols)
+    return ExactMatrix(a.rows, b.cols, flat)
+
+
+def scale(a: ExactMatrix, factor) -> ExactMatrix:
+    f = to_fraction(factor)
+    return ExactMatrix(a.rows, a.cols, tuple(f * e for e in a.entries))
+
+
+def is_entrywise_nonpositive(a: ExactMatrix) -> bool:
+    return all(e <= 0 for e in a.entries)
+
+
+def hull_contains(h: IntervalHull, c: ExactMatrix) -> bool:
+    """Exact entrywise membership of c in the hull."""
+    if c.shape != h.shape:
+        return False
+    lo, hi = h.bounds
+    return all(x <= v <= y for x, v, y in zip(lo, c.entries, hi))
+
+
+def table_value(table: MinorTable, rows0: Sequence[int], cols0: Sequence[int]) -> Fraction:
+    """The (rows0, cols0) minor of the table's matrix itself."""
+    return Fraction(table.minor(rows0, cols0), table.scale(rows0))
+
+
+def stored_minors(table: MinorTable) -> int:
+    """How many minors the table keeps."""
+    return len(table._values)
+
+
+def stored_sizes(table: MinorTable) -> set[int]:
+    """The sizes of the minors the table keeps."""
+    return {(key >> table._ncols).bit_count() for key in table._values}
 
 
 def det_by_cofactor_expansion(a: ExactMatrix) -> Fraction:
@@ -858,7 +906,7 @@ def rohn_inequality_check(h: IntervalHull, c: ExactMatrix, x: Sequence[Fraction]
         raise DimensionError("the comparison needs square matrices")
     if len(x) != n:
         raise DimensionError("vector length does not match")
-    if not h.contains(c):
+    if not hull_contains(h, c):
         raise ValueError("matrix is not a member of the hull")
     z = tuple(1 if v >= 0 else -1 for v in x)
     t = i_matrix(h, z, z)

@@ -365,6 +365,47 @@ def test_verify_witness_accepts_every_single_vector_witness(tmp_path, capsys):
     assert {("tn", k) for k in vector_kinds} | {("tnp", "sign_reversal"), ("tnp", "equality_sign_clause")} <= seen
 
 
+ORDER_2_ONLY = [[-2, -5, -3], [-7, -5, -2], [-9, -4, -1]]  # TN and TNP of order 2; det 2
+VD_ORDER_2_ONLY = [[-1, -3, -4], [-2, -4, -5], [-6, -4, -3]]  # its vd witness is a variation increase
+
+
+@pytest.mark.parametrize(
+    "command, rows, cls, kind",
+    [
+        (["check", "--method", "minors"], ORDER_2_ONLY, "tn", "nonnegative_minor"),
+        (["check", "--method", "minors"], ORDER_2_ONLY, "tnp", "positive_minor"),
+        (["check", "--method", "snr"], ORDER_2_ONLY, "tn", "sign_reversal"),
+        (["check", "--method", "vd"], VD_ORDER_2_ONLY, "tn", "variation_increase"),
+        (["check", "--method", "vd"], ORDER_2_ONLY, "tnp", "equality_sign_clause"),
+        (["check", "--method", "lcp"], ORDER_2_ONLY, "tn", "lcp_solution_mismatch"),
+        (["hull"], ORDER_2_ONLY, "tn", "nonnegative_minor"),
+        (["hull"], ORDER_2_ONLY, "tnp", "positive_minor"),
+    ],
+)
+def test_verify_witness_rejects_a_window_above_the_reports_order(tmp_path, capsys, command, rows, cls, kind):
+    """A witness of each kind that verifies in its order-3 report is rejected
+    once the report claims order 2: a size-3 window shows failure only at
+    orders 3 and above.  A report with a witness and no order is a usage error."""
+    path = _matrix_file(tmp_path, rows)
+    if command == ["hull"]:
+        path.write_text(path.read_text() + "\n" + path.read_text())
+    assert main([command[0], str(path), "--class", cls, "--order", "3", *command[1:], "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    witness = report["methods"][0]["witness"]
+    assert (witness["violation"] if command == ["hull"] else witness)["kind"] == kind
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report))
+    assert main(["verify-witness", str(report_path)]) == 0
+    report["order"] = 2
+    report_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify-witness", str(report_path)]) == 1
+    assert "a window of size 3 cannot fail order 2" in capsys.readouterr().err
+    report["order"] = None
+    report_path.write_text(json.dumps(report))
+    assert main(["verify-witness", str(report_path)]) == 2
+
+
 def test_an_unusable_alpha_is_refused_before_any_sweep(tmp_path, monkeypatch, capsys):
     import totneg.generate
 

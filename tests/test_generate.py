@@ -16,7 +16,7 @@ from totneg.generate import (
 )
 from totneg.matrix import det_of_rows
 
-from oracles import generate_n_matrix, generate_tn_of_order, orthant_impossibility_suite
+from oracles import generate_n_matrix, generate_tn_of_order, is_entrywise_nonpositive, orthant_impossibility_suite
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (2, 4), (4, 2), (5, 5)])
@@ -91,7 +91,7 @@ def test_random_rational_matrix_styles():
     neg = random_rational_matrix((3, 3), seed=1, style="negative")
     assert neg.is_entrywise_negative()
     nonpos = random_rational_matrix((3, 3), seed=2, style="nonpositive")
-    assert nonpos.is_entrywise_nonpositive()
+    assert is_entrywise_nonpositive(nonpos)
     assert random_rational_matrix((2, 2), seed=3) == random_rational_matrix((2, 2), seed=3)
 
 

@@ -52,9 +52,12 @@ from oracles import (
     disjoint_support_pair_check,
     generate_tn_of_order,
     has_forbidden_pattern_pair,
+    identity,
     reference_pair_with_distinct_images,
     reference_support_candidates,
+    scale,
     solve_lcp_on_fractions,
+    stored_minors,
     support_solutions_on_fractions,
     take,
     tnp_lcp_sampled_q,
@@ -209,7 +212,7 @@ def test_solver_matches_cramer_oracle_at_larger_sizes():
 
 
 def test_solver_size_cap():
-    big = ExactMatrix.identity(21).scale(-1)
+    big = scale(identity(21), -1)
     with pytest.raises(ResourceLimitError):
         solve_lcp(LCPInstance.of(big, [1] * 21))
 
@@ -280,7 +283,7 @@ def test_single_vector_prescribed_q_is_positive_on_certified_instances(n3):
     mats = [n3] + [generate_tn((4, 4), 4, seed=900 + s).matrix for s in range(3)]
     for a in mats:
         kmax = min(a.rows, a.cols)
-        for r in range(1, kmax + 1):
+        for r in range(2, kmax + 1):
             for rows0, cols0 in contiguous_windows(a.rows, a.cols, r):
                 sub = take(a, rows0, cols0)
                 x = single_vector_x(sub)
@@ -371,7 +374,7 @@ def test_disjoint_support_pair_on_strict_instances(n2):
     with pytest.raises(ValueError):
         disjoint_support_pair_check(ExactMatrix.from_rows([[-3]]), 5, seed=0)
     with pytest.raises(ValueError):
-        disjoint_support_pair_check(ExactMatrix.identity(2), 5, seed=0)
+        disjoint_support_pair_check(identity(2), 5, seed=0)
 
 
 def test_lcp_instance_validation(n3):
@@ -510,6 +513,60 @@ def test_single_vector_checks_match_the_solver_on_every_window(a, data):
     assert tnp_lcp_sufficient_check(a, k) == solver_tnp_sufficient_check(a, k)
 
 
+def sign_patterns():
+    """Matrices with a positive, a zero and a negative entry in every position:
+    every pattern of 1x1 to 1x3, 3x1 and 2x2 shapes, then 2x3, 3x2 and 3x3 patterns
+    drawn with a fixed seed, the magnitudes varied by position."""
+    entries = (Fraction(3, 2), Fraction(0), Fraction(-2))
+    for m, n in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)):
+        for flat in itertools.product(entries, repeat=m * n):
+            yield ExactMatrix(m, n, flat)
+    rng = random.Random(16)
+    for m, n in ((2, 3), (3, 2), (3, 3)):
+        for _ in range(40):
+            yield ExactMatrix(m, n, tuple(rng.choice(entries) * rng.randint(1, 4) for _ in range(m * n)))
+
+
+def test_one_by_one_windows_are_decided_by_the_sign_of_their_entry():
+    """LCP(t, -t) has exactly the solutions 0 and 1 iff t < 0, a family when t = 0,
+    and no zero solution when t > 0; on every sign pattern both checks and the
+    weighted variant (with and without a weight at size 1) match the solver oracles."""
+    for t, solutions in ((Fraction(-2), {fv(0), fv(1)}), (Fraction(0), None), (Fraction(3, 2), {fv(1)})):
+        sols = solve_lcp_on_fractions(LCPInstance.of(ExactMatrix.from_rows([[t]]), [-t]))
+        assert (set(sols.solutions) if sols.is_finite else None) == solutions
+    weights = {1: Fraction(2, 3), 3: Fraction(5, 2)}
+    for a in sign_patterns():
+        for k in range(1, min(a.rows, a.cols) + 1):
+            assert lcp_single_vector_check(a, k) == solver_single_vector_check(a, k, None, "lcp_single_vector")
+            assert lcp_single_vector_check_variant(a, k, weights) == solver_single_vector_check(
+                a, k, weights, "lcp_single_vector_variant"
+            )
+            assert tnp_lcp_sufficient_check(a, k) == solver_tnp_sufficient_check(a, k)
+            with pytest.raises(ValueError, match="no weight applies to submatrices of size 1"):
+                lcp_single_vector_check_variant(a, k, {3: Fraction(1)})
+            with pytest.raises(ValueError, match="no weight applies to submatrices of size 1"):
+                solver_single_vector_check(a, k, {3: Fraction(1)}, "lcp_single_vector_variant")
+
+
+def test_the_sweeps_enumerate_no_support_of_a_1x1_window(monkeypatch, zero_row_tnp):
+    """The support enumerator sees windows of size 2 and up only, on inputs whose
+    sweeps pass every 1x1 window: TN instances and non-positive ones with zeros."""
+    sizes = []
+    real = lcp._support_candidates
+
+    def spy(a, rows0, cols0, *args):
+        sizes.append(len(rows0))
+        return real(a, rows0, cols0, *args)
+
+    monkeypatch.setattr(lcp, "_support_candidates", spy)
+    tn = generate_tn((4, 4), 4, seed=5).matrix
+    assert lcp_single_vector_check(tn, 4).holds
+    assert lcp_single_vector_check_variant(tn, 4, {1: 1, 3: 2}).holds
+    for a in (tn, zero_row_tnp, generate_tnp((4, 4), 4, seed=2).matrix):
+        tnp_lcp_sufficient_check(a, min(a.rows, a.cols))
+    assert sizes and min(sizes) == 2
+
+
 def test_single_vector_checks_need_no_solver_even_on_singular_windows(monkeypatch, zero_row_tnp):
     a = generate_tn((6, 6), 6, seed=2).matrix
 
@@ -559,6 +616,20 @@ def whole_window(a):
     return lcp._single_vector_ints(a.minor_table, full, full)
 
 
+def window_keys(a, rows0, cols0):
+    """The row keys and column masks that the sweeps pass for the window (rows0, cols0)."""
+    return lcp._position_keys(1 << i << a.cols for i in rows0), lcp._position_keys(1 << j for j in cols0)
+
+
+def support_candidates(a, rows0, cols0, xs, qs):
+    """The library's candidate stream of one window, called as the sweeps call it."""
+    return lcp._support_candidates(a, rows0, cols0, xs, qs, *window_keys(a, rows0, cols0))
+
+
+def window_holds(a, rows0, cols0, xs):
+    return lcp._window_holds(a, rows0, cols0, xs, *window_keys(a, rows0, cols0))
+
+
 def test_finite_singular_window_keeps_an_isolated_point_of_a_one_dimensional_kernel(monkeypatch):
     # rows 1 and 3 are equal; x = (-2, 0, -6, 0), and -x lies only on supports with a
     # singular block and a one-dimensional kernel, whose feasible parameters close to
@@ -567,8 +638,8 @@ def test_finite_singular_window_keeps_an_isolated_point_of_a_one_dimensional_ker
     full = (0, 1, 2, 3)
     seen = spy_on_support_solutions(monkeypatch)
     xs, lcm = whole_window(a)
-    candidates = list(lcp._support_candidates(a, full, full, xs, lcp._scaled_image(a.minor_table, full, full, xs)))
-    holds = lcp._window_holds(a, full, full, xs)
+    candidates = list(support_candidates(a, full, full, xs, lcp._scaled_image(a.minor_table, full, full, xs)))
+    holds = window_holds(a, full, full, xs)
     solutions = lambda points: {tuple(Fraction(z, d * lcm) for z in zs) for d, zs, _ in points}  # noqa: E731
     assert any(fv(2, 0, 6, 0) in solutions(points) and not families for _, _, (points, families) in seen)
     assert None not in candidates
@@ -593,7 +664,7 @@ def test_zero_principal_block_is_decided_by_fourier_motzkin(monkeypatch):
     monkeypatch.setattr(lcp, "_fm_feasible_point", lambda cons, dim: dims.append(dim) or real(cons, dim))
     report = tnp_lcp_sufficient_check(a, 3)
     xs, lcm = whole_window(a)
-    holds = lcp._window_holds(a, (0, 1, 2), (0, 1, 2), xs)
+    holds = window_holds(a, (0, 1, 2), (0, 1, 2), xs)
     assert 2 in dims
     monkeypatch.setattr(lcp, "_fm_feasible_point", real)
     assert report == solver_tnp_sufficient_check(a, 3)
@@ -614,7 +685,7 @@ def test_a_window_ends_at_its_first_solution_family(monkeypatch):
     assert support == (0,) and families
     seen.clear()
     xs, _ = whole_window(a)
-    assert not lcp._window_holds(a, (0, 1, 2), (0, 1, 2), xs)
+    assert not window_holds(a, (0, 1, 2), (0, 1, 2), xs)
     assert len(seen) == 1
     assert report == solver_tnp_sufficient_check(a, 3)
     assert not solve_lcp_on_fractions(LCPInstance(a, a.matvec(single_vector_x(a)))).is_finite
@@ -743,12 +814,12 @@ def test_fourier_motzkin_blow_up_refuses_with_exit_3(monkeypatch, tmp_path, caps
 
 def window_stream(enumerate_supports, a, rows0, cols0, xs=None):
     """The candidate stream of one window and the count of minors its table then
-    keeps; X is the window's test vector unless given."""
+    keeps; X is the window's test vector unless given (-1 on a 1x1 window)."""
     table = a.minor_table
     if xs is None:
-        xs, _ = lcp._single_vector_ints(table, index_set(rows0), index_set(cols0))
+        xs = [-1] if len(rows0) == 1 else lcp._single_vector_ints(table, index_set(rows0), index_set(cols0))[0]
     qs = lcp._scaled_image(table, rows0, cols0, xs)
-    return list(enumerate_supports(a, rows0, cols0, xs, qs)), table.stored()
+    return list(enumerate_supports(a, rows0, cols0, xs, qs)), stored_minors(table)
 
 
 def assert_streams_match(rows, windows, xs=None):
@@ -758,7 +829,7 @@ def assert_streams_match(rows, windows, xs=None):
     new, old = ExactMatrix.from_rows(rows), ExactMatrix.from_rows(rows)
     for rows0, cols0 in windows:
         expected = window_stream(reference_support_candidates, old, rows0, cols0, xs)
-        assert window_stream(lcp._support_candidates, new, rows0, cols0, xs) == expected
+        assert window_stream(support_candidates, new, rows0, cols0, xs) == expected
 
 
 @st.composite
@@ -814,7 +885,7 @@ def test_a_window_past_the_retained_plans_matches_the_reference():
     band = [[-(1 + i * j % 3) if abs(i - j) <= 1 else 0 for j in range(n)] for i in range(n)]
     full = tuple(range(n))
     xs = [-1] + [0] * (n - 1)
-    new = window_stream(lcp._support_candidates, ExactMatrix.from_rows(band), full, full, xs)
+    new = window_stream(support_candidates, ExactMatrix.from_rows(band), full, full, xs)
     assert new == window_stream(reference_support_candidates, ExactMatrix.from_rows(band), full, full, xs)
     assert len(new[0]) == 6143
     assert max(lcp._PLANS) <= 12
@@ -866,4 +937,4 @@ def test_a_cold_single_vector_check_eliminates_no_more_minors(monkeypatch):
     monkeypatch.setattr(matrix, "det_of_rows", lambda rows: sizes.append(len(rows)) or real(rows))
     assert lcp_single_vector_check(a, 7).holds
     assert len(sizes) <= 35
-    assert a.minor_table.stored() == 1719
+    assert stored_minors(a.minor_table) == 1719
