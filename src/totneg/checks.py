@@ -142,9 +142,7 @@ def _minor_kind(strict: bool) -> ViolationKind:
 def _entry_violation(a: ExactMatrix, strict: bool) -> Violation | None:
     """The first entry (size-1 minor) of the wrong sign, in row-major order."""
     hit = a.first_entry_violating(strict)
-    if hit is None:
-        return None
-    return Violation(_minor_kind(strict), (hit[0],), (hit[1],), detail=hit[2])
+    return None if hit is None else Violation(_minor_kind(strict), hit[:1], hit[1:2], detail=hit[2])
 
 
 def _contiguous_minors(table: MinorTable, m: int, n: int, r: int) -> Iterator[SweptWindow]:

@@ -71,8 +71,19 @@ def _matrix_json(a: ExactMatrix) -> dict[str, Any]:
     }
 
 
-def _matrix_from_json(obj: dict[str, Any]) -> ExactMatrix:
-    return ExactMatrix.from_rows([[parse_rational(t) for t in row] for row in obj["entries"]])
+def _key(obj: Any, key: str, kind: type | tuple[type, ...], item: type | None = None) -> Any:
+    """``obj[key]`` if it is a ``kind`` (a list of ``item`` when item is given); else a ValueError."""
+    value = obj.get(key, ...) if isinstance(obj, dict) else ...
+    if not isinstance(value, kind) or item is not None and not all(isinstance(x, item) for x in value or ()):
+        raise ValueError(f"malformed report: key {key!r} is missing or of the wrong type")
+    return value
+
+
+def _matrix_from_json(obj: Any) -> ExactMatrix:
+    rows = _key(obj, "entries", list, list)
+    if not all(isinstance(t, str) for row in rows for t in row):
+        raise ValueError("malformed report: a matrix entry is not a string")
+    return ExactMatrix.from_rows([[parse_rational(t) for t in row] for row in rows])
 
 
 def _violation_json(v: Violation | None) -> dict[str, Any] | None:
@@ -87,13 +98,14 @@ def _violation_json(v: Violation | None) -> dict[str, Any] | None:
     }
 
 
-def _violation_from_json(obj: dict[str, Any]) -> Violation:
+def _violation_from_json(obj: Any) -> Violation:
+    vector, detail = _key(obj, "vector", (list, type(None)), str), _key(obj, "detail", (str, type(None)))
     return Violation(
-        kind=ViolationKind(obj["kind"]),
-        rows=tuple(obj["rows"]),
-        cols=tuple(obj["cols"]),
-        vector=tuple(parse_rational(t) for t in obj["vector"]) if obj.get("vector") else None,
-        detail=parse_rational(obj["detail"]) if obj.get("detail") else None,
+        kind=ViolationKind(_key(obj, "kind", str)),
+        rows=tuple(_key(obj, "rows", list, int)),
+        cols=tuple(_key(obj, "cols", list, int)),
+        vector=tuple(parse_rational(t) for t in vector) if vector else None,
+        detail=parse_rational(detail) if detail else None,
     )
 
 
@@ -387,40 +399,43 @@ def _verify_witness_entry(a: ExactMatrix, method: str, v: Violation) -> str | No
 
 def cmd_verify_witness(args: argparse.Namespace) -> int:
     report = json.loads(Path(args.path).read_text())
-    problems: list[str] = []
-    kind = report["input"]["kind"]
-    checked = 0
-    for m in report["methods"]:
-        if m.get("holds") or not m.get("witness"):
+    given = _key(report, "input", dict)
+    hull = _key(given, "kind", str) == "hull"
+    # every key the checks read is read and typed here, before any witness is checked
+    witnessed: list[tuple[str, Violation, tuple[ExactMatrix, list[int], list[int]] | None]] = []
+    for m in _key(report, "methods", list):
+        w = _key(m, "witness", (dict, type(None)))
+        if _key(m, "holds", bool) or not w:
             continue
-        checked += 1
-        w = m["witness"]
-        v = _violation_from_json(w["violation"] if kind == "hull" else w)
-        order = report["order"]
-        if type(order) is not int:
-            raise ValueError(f"a report with a witness needs an integer order, got {order!r}")
+        member = _matrix_from_json(_key(w, "member", dict)) if hull else None
+        signs = (member, _key(w, "z", list, int), _key(w, "zt", list, int)) if hull else None
+        v = _violation_from_json(_key(w, "violation", dict) if hull else w)
+        witnessed.append((_key(m, "name", str), v, signs))
+    order = report.get("order")
+    if witnessed and type(order) is not int:
+        raise ValueError(f"a report with a witness needs an integer order, got {order!r}")
+    if witnessed and hull:
+        h = IntervalHull(_matrix_from_json(_key(given, "a", dict)), _matrix_from_json(_key(given, "b", dict)))
+    elif witnessed:
+        a = _matrix_from_json(_key(given, "matrix", dict))
+    problems: list[str] = []
+    for name, v, signs in witnessed:
         if len(v.rows) > order:
             # a window of size r shows failure only at orders r and above
-            problems.append(f"{m['name']}: a window of size {len(v.rows)} cannot fail order {order}")
-            continue
-        if kind == "hull":
-            member = _matrix_from_json(w["member"])
-            h = IntervalHull(_matrix_from_json(report["input"]["a"]), _matrix_from_json(report["input"]["b"]))
-            z, zt = tuple(w["z"]), tuple(w["zt"])
-            if i_matrix(h, z, zt) != member:
-                problems.append(f"{m['name']}: recorded member does not match its sign words")
-                continue
-            problem = _verify_minor_witness(member, v)
+            problem = f"a window of size {len(v.rows)} cannot fail order {order}"
+        elif signs is None:
+            problem = _verify_witness_entry(a, name, v)
+        elif i_matrix(h, signs[1], signs[2]) != signs[0]:
+            problem = "recorded member does not match its sign words"
         else:
-            a = _matrix_from_json(report["input"]["matrix"])
-            problem = _verify_witness_entry(a, m["name"], v)
+            problem = _verify_minor_witness(signs[0], v)
         if problem:
-            problems.append(f"{m['name']}: {problem}")
+            problems.append(f"{name}: {problem}")
     if problems:
         for p in problems:
             print(f"witness FAILED: {p}", file=sys.stderr)
         return EXIT_FAILS
-    print(f"all witnesses verified ({checked} checked)")
+    print(f"all witnesses verified ({len(witnessed)} checked)")
     return EXIT_HOLDS
 
 
@@ -475,13 +490,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on first use; parsing leaves no state in it."""
-    return build_parser()
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The process's one parser and the subcommand parsers it registers, built
+    on first use; parsing leaves no state in them."""
+    parser = build_parser()
+    return parser, next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The top-level ``parse_args(argv)``, from the one pass of the subcommand's parser
+    over argv[1:] that it delegates; with no subcommand first, or arguments left
+    over, the top-level parser runs, so every usage message stays its own."""
+    parser, subparsers = _parsers()
+    if argv and argv[0] in subparsers:
+        args, rest = subparsers[argv[0]].parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except ResourceLimitError as exc:

@@ -335,7 +335,7 @@ def generate_near_miss(shape: tuple[int, int], k: int, seed: int, budget: int = 
             continue
         rows[i][j] = target
         a = ExactMatrix.from_rows(rows)
-        if not a.is_entrywise_negative():
+        if a.first_entry_violating(strict=True) is not None:
             continue
         bad = [rec for rec in minors_up_to(a, k) if rec.value >= 0]
         if len(bad) == 1:

@@ -579,6 +579,10 @@ def _support_candidates(
                 return
             yield from points
             continue
+        if not live_mask & ~smask:  # no outside terms: Z = -X |d| and W = 0
+            if max(xs) <= 0:
+                yield abs(d), [-v * abs(d) for v in xs], [0] * r
+            continue
         outside = [(j, cj, -v if below[j] & 1 else v) for j, bit, cj, v in live if not smask & bit]
         zs = [0] * r
         for rank, l in enumerate(support):
@@ -710,15 +714,13 @@ def tnp_lcp_sufficient_check(a: ExactMatrix, k: int) -> TnpLcpReport:
     """
     check_order(a, k)
     check_all_window_dims(a)
-    saw_family: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     # a 1x1 window [t] has q = -t: 0 solves it iff t <= 0, its nonzero solution
     # is 1 alone when t < 0, and t = 0 gives the family of LCP(0, 0)
-    for index, t in enumerate(a.entries):
-        if t >= 0:
-            rows1, cols1 = (index // a.cols + 1,), (index % a.cols + 1,)
-            if t > 0:
-                return TnpLcpReport(TnpLcpStatus.VIOLATION, rows1, cols1, q=(-t,), note=_NOT_SOLVED_BY_ZERO)
-            saw_family = saw_family or (rows1, cols1)
+    hit = a.first_entry_violating(strict=False)
+    if hit is not None:
+        return TnpLcpReport(TnpLcpStatus.VIOLATION, hit[:1], hit[1:2], q=(-hit[2],), note=_NOT_SOLVED_BY_ZERO)
+    zero = a.first_entry_violating(strict=True)
+    saw_family: tuple[tuple[int, ...], tuple[int, ...]] | None = None if zero is None else (zero[:1], zero[1:2])
     table = a.minor_table
     shift = a.cols
     for r in range(2, k + 1):

@@ -197,17 +197,16 @@ class ExactMatrix:
             raise DimensionError("shape mismatch in addition")
         return ExactMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
 
-    def is_entrywise_negative(self) -> bool:
-        return all(e < 0 for e in self.entries)
+    @cached_property
+    def _entry_signs(self) -> tuple[int | None, int | None]:
+        """Row-major index of the first entry >= 0 and of the first entry > 0, or None; read once."""
+        nums = [e.numerator for e in self.entries]
+        return tuple(next((i for i, v in enumerate(nums) if v >= least), None) for least in (0, 1))
 
     def first_entry_violating(self, strict: bool) -> tuple[int, int, Fraction] | None:
         """First (i, j, value) with value >= 0 (strict) or value > 0 (non-strict)."""
-        for i in range(self.rows):
-            for j in range(self.cols):
-                v = self.entries[i * self.cols + j]
-                if (v >= 0) if strict else (v > 0):
-                    return (i + 1, j + 1, v)
-        return None
+        index = self._entry_signs[0 if strict else 1]
+        return None if index is None else (index // self.cols + 1, index % self.cols + 1, self.entries[index])
 
     def to_text(self) -> str:
         lines = [f"{self.rows} {self.cols}"]
@@ -278,14 +277,16 @@ def _det_int(m: list[list[int]]) -> int:
     return sign * m[-1][-1] if sign else 0
 
 
-def det_of_rows(rows: list[list[Fraction]]) -> Fraction:
+def det_of_rows(rows: list[list[Fraction]] | list[list[int]]) -> Fraction | int:
     """Exact determinant of a small square matrix given as row lists; rows of
-    ints give the same value."""
+    ints are eliminated as they are and give the same value, as an int."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    if all(type(x) is int for r in rows for x in r):
+        return _det_int([r[:] for r in rows])
     ints, scales = _rows_as_scaled_ints(rows)
     return Fraction(_det_int(ints), math.prod(scales))
 
@@ -441,7 +442,7 @@ class MinorTable:
             if value is None:
                 rows = [self._ints[i] for i in _bits(rmask)]
                 cols = list(_bits(cmask))
-                value = det_of_rows([[r[j] for j in cols] for r in rows]).numerator
+                value = det_of_rows([[r[j] for j in cols] for r in rows])
             if len(self._values) < MAX_STORED_MINORS:
                 self._values[key] = value
         return value
@@ -649,16 +650,16 @@ def _parse_matrix_lines(lines: list[str]) -> ExactMatrix:
         raise ValueError(f"matrix shape must be positive, got {m}x{n}")
     if len(lines) < 1 + m:
         raise ValueError(f"expected {m} data rows, found {len(lines) - 1}")
-    rows = []
+    flat: list[Fraction] = []
     for ln in lines[1 : 1 + m]:
         toks = ln.split()
         if len(toks) != n:
             raise ValueError(f"expected {n} entries per row, got {len(toks)} in {ln!r}")
         try:
-            rows.append([parse_rational(t) for t in toks])
+            flat.extend([parse_rational(t) for t in toks])
         except ValueError as exc:
             raise ValueError(f"bad rational in row {ln!r}: {exc}") from exc
-    return ExactMatrix.from_rows(rows)
+    return ExactMatrix(m, n, tuple(flat))
 
 
 def parse_matrix_pair(text: str) -> tuple[ExactMatrix, ExactMatrix]:

@@ -76,6 +76,22 @@ def scale(a: ExactMatrix, factor) -> ExactMatrix:
     return ExactMatrix(a.rows, a.cols, tuple(f * e for e in a.entries))
 
 
+def is_entrywise_negative(a: ExactMatrix) -> bool:
+    return all(e < 0 for e in a.entries)
+
+
+def first_entry_violating(a: ExactMatrix, strict: bool) -> tuple[int, int, Fraction] | None:
+    """First (i, j, value) with value >= 0 (strict) or value > 0 (non-strict): a
+    row-major scan comparing each entry as a Fraction, against which the signs
+    ``ExactMatrix.first_entry_violating`` reads once per matrix are tested."""
+    for i in range(a.rows):
+        for j in range(a.cols):
+            v = a.entries[i * a.cols + j]
+            if (v >= 0) if strict else (v > 0):
+                return (i + 1, j + 1, v)
+    return None
+
+
 def is_entrywise_nonpositive(a: ExactMatrix) -> bool:
     return all(e <= 0 for e in a.entries)
 
@@ -546,7 +562,7 @@ def count_solutions_for_positive_q(
         raise DimensionError("needs a square matrix")
     if trials < 1:
         raise ValueError("at least one trial required")
-    if not a.is_entrywise_negative():
+    if not is_entrywise_negative(a):
         raise ValueError("the two-solution sweep applies to entrywise negative matrices")
     rng = random.Random(seed)
     for _ in range(trials):
@@ -927,7 +943,7 @@ def generate_n_matrix(n: int, seed: int, budget: int = 4000) -> GeneratedInstanc
             [x * (1 + scale * Fraction(rng.randint(-8, 8), 9)) for x in row] for row in rows
         ]
         a = ExactMatrix.from_rows(perturbed)
-        if not a.is_entrywise_negative():
+        if not is_entrywise_negative(a):
             continue
         if max(abs(e) for e in a.entries) > 10**8:
             continue

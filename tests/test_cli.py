@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from totneg.cli import _dumps, main
+from totneg import cli
+from totneg.cli import _dumps, build_parser, main
 
 
 @pytest.fixture()
@@ -165,6 +166,63 @@ def test_one_process_reuses_the_parser_without_leaking_state(files, capsys):
         assert main(["check", str(files["n3"]), "--class", "tn", "--order", "3"]) == 0
         assert capsys.readouterr().out.endswith("verdict: holds\n")
     assert main(["lcp", str(files["lcp_n2"]), "--single-vector", "--order", "2"]) == 0
+
+
+def _outcome(run, argv, capsys):
+    """(exit code, stdout, stderr) of run(argv), a usage error's SystemExit included."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def _top_level_main(argv):
+    """``main`` as it reads argv with the top-level parser alone."""
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["frobnicate", "{near}"],
+        ["--json", "check", "{near}", "--class", "tn", "--order", "2"],
+        ["check", "{near}", "--order", "2"],
+        ["check", "{near}", "--class", "tx", "--order", "2"],
+        ["check", "{near}", "--class", "tn", "--order", "1", "--bogus"],
+        ["check", "{near}", "--class", "tn", "--order", "1", "extra"],
+        ["check", "{near}", "--class", "tn", "--ord", "2"],
+        ["check", "-h"],
+        ["check", "{near}", "--class", "tn", "--order", "x"],
+        ["lcp", "{lcp_n2}", "--enumerate", "--single-vector"],
+        ["hull", "{hull}", "--class", "tn", "--order", "2"],
+    ],
+)
+def test_one_pass_parsing_matches_the_top_level_parser(files, capsys, argv):
+    """Every exit code, stdout and stderr byte is what the top-level parser gives."""
+    argv = [a.format(near=files["near_miss"], lcp_n2=files["lcp_n2"], hull=files["hull"]) for a in argv]
+    assert _outcome(main, argv, capsys) == _outcome(_top_level_main, argv, capsys)
+
+
+@pytest.mark.parametrize("command", ["check", "hull"])
+def test_a_valid_command_is_parsed_once_by_its_subcommand_parser(files, monkeypatch, capsys, command):
+    """A valid argv never reaches the top-level parser, and yields its namespace;
+    one with arguments left over goes to it."""
+    path = str(files["near_miss"] if command == "check" else files["hull"])
+    argv = [command, path, "--class", "tn", "--order", "2", "--json"]
+    parser, _ = cli._parsers()
+    seen = []
+    monkeypatch.setattr(parser, "parse_args", lambda args: seen.append(args) or build_parser().parse_args(args))
+    assert cli._parse(argv) == build_parser().parse_args(argv)
+    assert main(argv) == 1 and json.loads(capsys.readouterr().out)["holds"] is False
+    assert seen == []
+    with pytest.raises(SystemExit):
+        main(argv + ["--bogus"])
+    assert seen == [argv + ["--bogus"]]
+    assert "totneg: error: unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
 def test_hull_exit_codes(files):
@@ -404,6 +462,63 @@ def test_verify_witness_rejects_a_window_above_the_reports_order(tmp_path, capsy
     report["order"] = None
     report_path.write_text(json.dumps(report))
     assert main(["verify-witness", str(report_path)]) == 2
+
+
+def _edited(report, path):
+    """A copy of report without the key at path, or with a new value where path ends in (key, value)."""
+    copy = json.loads(json.dumps(report))
+    *head, last = path
+    parent = copy
+    for step in head:
+        parent = parent[step]
+    if isinstance(last, tuple):
+        parent[last[0]] = last[1]
+    else:
+        del parent[last]
+    return copy
+
+
+@pytest.mark.parametrize("command", ["check", "hull"])
+def test_verify_witness_refuses_a_malformed_report_as_a_usage_error(tmp_path, capsys, command):
+    """Removing any key the witness checks read, or giving it a value of another
+    type, is exit 2 with a message, never a traceback or exit 1."""
+    path = _matrix_file(tmp_path, [[-2, -1], [-1, -2]])
+    if command == "hull":
+        path.write_text(path.read_text() + "\n" + path.read_text())
+    assert main([command, str(path), "--class", "tn", "--order", "2", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report))
+    assert main(["verify-witness", str(report_path)]) == 0
+    capsys.readouterr()
+    method = ["methods", 0]
+    witness = method + ["witness"] + (["violation"] if command == "hull" else [])
+    matrices = [["input", "matrix"]]
+    if command == "hull":
+        matrices = [["input", "a"], ["input", "b"], method + ["witness", "member"]]
+    paths = [["input"], ["input", "kind"], ["methods"], ["order"], *matrices]
+    paths += [p + ["entries"] for p in matrices] + [method + [key] for key in ("name", "holds", "witness")]
+    paths += [witness + [key] for key in ("kind", "rows", "cols", "vector", "detail")]
+    if command == "hull":
+        paths += [method + ["witness", key] for key in ("violation", "z", "zt")]
+    mistyped = [
+        [("methods", {})],
+        method + [("holds", "no")],
+        method + [("witness", [])],
+        witness + [("rows", "12")],
+        witness + [("cols", [1, "2"])],
+        witness + [("vector", [1, 1])],
+        witness + [("detail", 3)],
+        matrices[0] + [("entries", [[-2, -1], [-1, -2]])],
+    ]
+    for edit in paths + mistyped:
+        report_path.write_text(json.dumps(_edited(report, edit)))
+        assert main(["verify-witness", str(report_path)]) == 2, edit
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err, edit
+    report_path.write_text("[]")
+    assert main(["verify-witness", str(report_path)]) == 2
+    assert "malformed report" in capsys.readouterr().err
 
 
 def test_an_unusable_alpha_is_refused_before_any_sweep(tmp_path, monkeypatch, capsys):

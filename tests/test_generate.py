@@ -16,7 +16,13 @@ from totneg.generate import (
 )
 from totneg.matrix import det_of_rows
 
-from oracles import generate_n_matrix, generate_tn_of_order, is_entrywise_nonpositive, orthant_impossibility_suite
+from oracles import (
+    generate_n_matrix,
+    generate_tn_of_order,
+    is_entrywise_negative,
+    is_entrywise_nonpositive,
+    orthant_impossibility_suite,
+)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (2, 4), (4, 2), (5, 5)])
@@ -57,7 +63,7 @@ def test_near_miss_fails_at_exactly_one_minor(shape, k):
     inst = generate_near_miss(shape, k, seed=7 * shape[0] + k)
     bad = [rec for rec in minors_up_to(inst.matrix, k) if rec.value >= 0]
     assert len(bad) == 1
-    assert inst.matrix.is_entrywise_negative() or k == 1
+    assert is_entrywise_negative(inst.matrix) or k == 1
 
 
 def test_near_miss_order_one_zeroes_one_entry():
@@ -73,7 +79,7 @@ def test_generate_n_matrix_has_negative_principal_minors():
     for n in (2, 3, 4):
         inst = generate_n_matrix(n, seed=50 + n)
         rows = inst.matrix.row_list()
-        assert inst.matrix.is_entrywise_negative()
+        assert is_entrywise_negative(inst.matrix)
         for size in range(1, n + 1):
             for idx in itertools.combinations(range(n), size):
                 assert det_of_rows([[rows[i][j] for j in idx] for i in idx]) < 0
@@ -89,7 +95,7 @@ def test_generate_tn_of_order_with_positive_determinant():
 
 def test_random_rational_matrix_styles():
     neg = random_rational_matrix((3, 3), seed=1, style="negative")
-    assert neg.is_entrywise_negative()
+    assert is_entrywise_negative(neg)
     nonpos = random_rational_matrix((3, 3), seed=2, style="nonpositive")
     assert is_entrywise_nonpositive(nonpos)
     assert random_rational_matrix((2, 2), seed=3) == random_rational_matrix((2, 2), seed=3)

@@ -28,11 +28,12 @@ from totneg import (
     to_fraction,
 )
 from totneg import matrix as matrix_module
-from totneg.matrix import MinorTable, format_fraction, parse_rational
+from totneg.matrix import MinorTable, det_of_rows, format_fraction, parse_rational
 
 from oracles import (
     all_windows,
     det_by_cofactor_expansion,
+    first_entry_violating,
     identity,
     matmul,
     scale,
@@ -200,6 +201,40 @@ def test_minors_validate_order(n3):
 def test_det_matches_permutation_oracle_hypothesis(rows):
     a = ExactMatrix.from_rows(rows)
     assert det(a) == det_by_permutations(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-10**30, 10**30), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+def test_integer_rows_are_eliminated_as_they_are(rows):
+    """``det_of_rows`` on rows of ints gives ``minor_det``'s value as an int, and
+    leaves the rows as they were."""
+    copy = [r[:] for r in rows]
+    value = det_of_rows(rows)
+    full = tuple(range(1, len(rows) + 1))
+    assert type(value) is int and value == minor_det(ExactMatrix.from_rows(rows), full, full)
+    assert rows == copy
+
+
+_SIGNED_ENTRIES = st.sampled_from([Fraction(-3, 2), Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(_SIGNED_ENTRIES, min_size=n, max_size=n), min_size=1, max_size=5)
+    ),
+    st.booleans(),
+)
+def test_first_entry_violating_matches_a_fraction_scan(rows, strict_first):
+    """The entry signs, read once per matrix, give the old Fraction scan's answer
+    for both ``strict`` values, whichever is asked first."""
+    a = ExactMatrix.from_rows(rows)
+    for strict in (strict_first, not strict_first, strict_first):
+        assert a.first_entry_violating(strict) == first_entry_violating(a, strict)
 
 
 def test_minor_det_matches_submatrix_det(n3):
