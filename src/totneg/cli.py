@@ -341,7 +341,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ValueError(f"bad --shape {args.shape!r}, expected MxN") from exc
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     order = args.order if args.order is not None else min(shape)
     for idx in range(args.count):
         seed = args.seed + idx
@@ -351,6 +350,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             inst = generate_tnp(shape, order, seed)
         else:
             inst = generate_near_miss(shape, order, seed)
+        out_dir.mkdir(parents=True, exist_ok=True)
         stem = f"{inst.klass}_{shape[0]}x{shape[1]}_k{order}_seed{seed}"
         (out_dir / f"{stem}.txt").write_text(inst.matrix.to_text())
         meta = "\n".join(

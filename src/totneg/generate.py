@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .checks import (
+    MAX_ALL_SUBMATRIX_DIM,
     TN,
     TNP,
     AlphaChoice,
@@ -39,7 +40,7 @@ from .checks import (
 )
 from .errors import InvariantError, ResourceLimitError
 from .lcp import TnpLcpStatus, lcp_single_vector_check, tnp_lcp_sufficient_check
-from .matrix import ExactMatrix, _rows_as_scaled_ints, check_order, det_of_rows, format_fraction, minors_up_to
+from .matrix import ExactMatrix, _int_minor, _rows_as_scaled_ints, check_order, format_fraction, minors_up_to
 
 Rows = list[list[Fraction]]
 
@@ -133,61 +134,73 @@ def _normalize_negative_rows(rows: Rows) -> Rows:
 
 
 def _tn_square_rows(n: int, rng: random.Random, tries: int = 60) -> Rows | None:
-    """An n x n matrix with every minor negative, or None if unlucky."""
+    """An n x n matrix with every minor negative, or None if unlucky.
+
+    Each try scales the base's rows to integers once (d_i for row i).  A window
+    holding the corner, with the integer minor W and the integer corner
+    coefficient Cf, stays positive for corner values above x0 - W / (Cf * d_last),
+    so the largest bound is the least W / Cf, compared by cross-multiplication.
+    """
     if n == 1:
         return [[-Fraction(rng.randint(1, 9), rng.randint(1, 4))]]
+    last = n - 1
     for _ in range(tries):
         b = _random_tp_rows(n, rng)
-        x0 = b[n - 1][n - 1]
-        det_b = det_of_rows([r[:] for r in b])
-        corner_cof = det_of_rows(_sub_rows(b, range(n - 1), range(n - 1)))
+        ints, scales = _rows_as_scaled_ints(b)
+        corner_cof = _int_minor(ints[:last], range(last))
+        det_b = _int_minor(ints, range(n))
         if corner_cof <= 0 or det_b <= 0:
             continue
-        x_det = x0 - det_b / corner_cof  # determinant crosses zero here
-        lower: Fraction | None = None
+        # the proper window of least W / Cf, the first one on ties; at size 1, W is the scaled corner and Cf = 1
+        w_low, cof_low = ints[last][last], 1
         degenerate = False
-        for s in range(1, n):
-            for ridx in itertools.combinations(range(n), s):
-                if ridx[-1] != n - 1:
-                    continue
-                for cidx in itertools.combinations(range(n), s):
-                    if cidx[-1] != n - 1:
-                        continue
-                    cof = (
-                        det_of_rows(_sub_rows(b, ridx[:-1], cidx[:-1]))
-                        if s > 1
-                        else Fraction(1)
-                    )
+        for s in range(2, n):
+            for ridx in itertools.combinations(range(last), s - 1):
+                sel = [ints[i] for i in ridx]
+                for cidx in itertools.combinations(range(last), s - 1):
+                    cof = _int_minor(sel, cidx)
                     if cof <= 0:
                         degenerate = True
                         break
-                    w = det_of_rows(_sub_rows(b, ridx, cidx))
-                    bound = x0 - w / cof  # this proper minor stays positive above
-                    if lower is None or bound > lower:
-                        lower = bound
+                    w = _int_minor(sel + [ints[last]], cidx + (last,))
+                    if w * cof_low < w_low * cof:
+                        w_low, cof_low = w, cof
                 if degenerate:
                     break
             if degenerate:
                 break
-        if degenerate or lower is None or lower >= x_det:
-            continue
-        x = lower + (x_det - lower) * Fraction(rng.randint(2, 7), 16)
-        b[n - 1][n - 1] = x
-        new_det = det_of_rows([r[:] for r in b])
+        if degenerate or w_low * corner_cof <= det_b * cof_low:
+            continue  # some proper minor turns before the determinant does
+        x0, d_last = b[last][last], scales[last]
+        lower = x0 - Fraction(w_low, cof_low * d_last)
+        x_det = x0 - Fraction(det_b, corner_cof * d_last)  # determinant crosses zero here
+        b[last][last] = lower + (x_det - lower) * Fraction(rng.randint(2, 7), 16)
+        ints, scales = _rows_as_scaled_ints(b)
+        new_det = _int_minor(ints, range(n))
         if new_det >= 0:
-            raise InvariantError(f"corner move left the determinant at {new_det}, not negative")
-        # conjugated inverse: entry (i,j) = (-1)^(i+j) * cofactor(j,i) / det
+            raise InvariantError(
+                f"corner move left the determinant at {Fraction(new_det, math.prod(scales))}, not negative"
+            )
+        # conjugated inverse: entry (i,j) = (-1)^(i+j) * cofactor(j,i) / det = M_ji * d_j / new_det,
+        # M_ji the integer minor without row j and column i
+        without = [ints[:j] + ints[j + 1 :] for j in range(n)]
         inv_scaled: Rows = []
         for i in range(n):
-            row = []
-            for j in range(n):
-                minor = det_of_rows(
-                    _sub_rows(b, [r for r in range(n) if r != j], [c for c in range(n) if c != i])
-                )
-                row.append(minor / new_det)
-            inv_scaled.append(row)
+            cols = [c for c in range(n) if c != i]
+            inv_scaled.append([Fraction(_int_minor(without[j], cols) * scales[j], new_det) for j in range(n)])
         return _normalize_negative_rows(inv_scaled)
     return None
+
+
+def _check_request(shape: tuple[int, int], k: int) -> None:
+    """Reject an order outside [1, min(m, n)], and refuse a dimension beyond
+    ``MAX_ALL_SUBMATRIX_DIM`` before anything is built: the construction and
+    the certificate both read every square submatrix."""
+    m, n = shape
+    if not 1 <= k <= min(m, n):
+        raise ValueError(f"order {k} out of range for shape {m}x{n}")
+    if max(m, n) > MAX_ALL_SUBMATRIX_DIM:
+        raise ResourceLimitError(f"generation refused for dimensions beyond {MAX_ALL_SUBMATRIX_DIM}")
 
 
 def _verify_class(a: ExactMatrix, klass: str, k: int) -> bool:
@@ -197,9 +210,8 @@ def _verify_class(a: ExactMatrix, klass: str, k: int) -> bool:
 
 def generate_tn(shape: tuple[int, int], k: int, seed: int, budget: int = 2000) -> GeneratedInstance:
     """A matrix totally negative of order k, certified by full minor enumeration."""
+    _check_request(shape, k)
     m, n = shape
-    if not 1 <= k <= min(m, n):
-        raise ValueError(f"order {k} out of range for shape {m}x{n}")
     rng = random.Random(seed)
     size = max(m, n)
     for attempt in range(1, budget + 1):
@@ -231,9 +243,8 @@ def _insert_zero(rows: Rows, index: int, axis: int) -> Rows:
 
 def generate_tnp(shape: tuple[int, int], k: int, seed: int, budget: int = 2000) -> GeneratedInstance:
     """A matrix totally non-positive of order k, built by degrading a strict instance."""
+    _check_request(shape, k)
     m, n = shape
-    if not 1 <= k <= min(m, n):
-        raise ValueError(f"order {k} out of range for shape {m}x{n}")
     rng = random.Random(seed)
     for attempt in range(1, budget + 1):
         strategies = ["tn", "rank1"]
@@ -277,25 +288,14 @@ def generate_tnp(shape: tuple[int, int], k: int, seed: int, budget: int = 2000) 
     raise ResourceLimitError(f"no totally non-positive instance found in {budget} attempts")
 
 
-def _minor_linear_coeff(rows: Rows, ridx: Sequence[int], cidx: Sequence[int], i: int, j: int) -> Fraction:
-    """d det(window) / d entry(i,j) for (i,j) inside the window."""
-    pi, pj = ridx.index(i), cidx.index(j)
-    if len(ridx) == 1:
-        return Fraction(1)
-    rest = _sub_rows(rows, [r for r in ridx if r != i], [c for c in cidx if c != j])
-    sign = 1 if (pi + pj) % 2 == 0 else -1
-    return sign * det_of_rows(rest)
-
-
 def generate_near_miss(shape: tuple[int, int], k: int, seed: int, budget: int = 4000) -> GeneratedInstance:
     """An entrywise-negative matrix violating order-k total negativity at one minor.
 
     Built by sliding a single entry of a certified instance to just past the
     first minor's sign crossing (for k = 1, one entry is zeroed instead).
     """
+    _check_request(shape, k)
     m, n = shape
-    if not 1 <= k <= min(m, n):
-        raise ValueError(f"order {k} out of range for shape {m}x{n}")
     rng = random.Random(seed)
     for attempt in range(1, budget + 1):
         base = generate_tn(shape, min(m, n), rng.randrange(2**30))
@@ -310,19 +310,27 @@ def generate_near_miss(shape: tuple[int, int], k: int, seed: int, budget: int = 
             continue
         i, j = rng.randrange(m), rng.randrange(n)
         x0 = rows[i][j]
+        # A window holding (i, j) has the minor W / d(R) and the entry's
+        # coefficient C / d(R minus row i), with W and C minors of the scaled
+        # rows and C signed by the entry's position; it is zero at x0 - W / (C * d_i).
+        ints, scales = _rows_as_scaled_ints(rows)
         crossings: list[Fraction] = []
         for s in range(2, k + 1):
             for ridx in itertools.combinations(range(m), s):
                 if i not in ridx:
                     continue
+                pi = ridx.index(i)
+                sel = [ints[r] for r in ridx]
+                rest = sel[:pi] + sel[pi + 1 :]
                 for cidx in itertools.combinations(range(n), s):
                     if j not in cidx:
                         continue
-                    w = det_of_rows(_sub_rows(rows, ridx, cidx))
-                    c = _minor_linear_coeff(rows, ridx, cidx, i, j)
+                    pj = cidx.index(j)
+                    c = _int_minor(rest, cidx[:pj] + cidx[pj + 1 :])
                     if c == 0:
                         continue
-                    root = x0 - w / c
+                    w = _int_minor(sel, cidx)
+                    root = x0 - Fraction(w, (c if (pi + pj) % 2 == 0 else -c) * scales[i])
                     if x0 < root < 0:
                         crossings.append(root)
         if not crossings:

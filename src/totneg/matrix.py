@@ -18,7 +18,9 @@ from one Bareiss solve, on the same loop as the determinant;
 minors one size down.
 ``det``, ``minor_det``, ``cofactor_minor``, ``adjugate``, ``minors_up_to`` and
 ``contiguous_minors_up_to`` stay on fraction-free Bareiss elimination, so
-witnesses and the tests' reference minors are independent of the table.
+witnesses and the tests' reference minors are independent of the table; the
+two minor streams scale the matrix's rows once and eliminate every minor on
+those integers.
 """
 
 from __future__ import annotations
@@ -275,6 +277,17 @@ def _det_int(m: list[list[int]]) -> int:
     """Bareiss fraction-free determinant of an integer matrix (mutates m)."""
     sign = _eliminate(m)
     return sign * m[-1][-1] if sign else 0
+
+
+def _int_minor(rows: Sequence[Sequence[int]], cols: Sequence[int]) -> int:
+    """The minor of the integer rows on the columns cols (as many as rows),
+    a Bareiss determinant from size 3 on; rows are left unchanged."""
+    if len(cols) == 1:
+        return rows[0][cols[0]]
+    if len(cols) == 2:
+        j, l = cols
+        return rows[0][j] * rows[1][l] - rows[0][l] * rows[1][j]
+    return _det_int([[r[j] for j in cols] for r in rows])
 
 
 def det_of_rows(rows: list[list[Fraction]] | list[list[int]]) -> Fraction | int:
@@ -606,28 +619,33 @@ class MinorTable:
 def minors_up_to(a: ExactMatrix, k: int) -> Iterator[MinorRecord]:
     """All minors of size 1..k, sizes ascending, index sets lexicographic.
 
-    Each minor is its own Bareiss determinant, independent of the minor table,
-    so this stream is the reference the table-backed procedures are tested against.
+    The rows are scaled to integers once (:func:`_rows_as_scaled_ints`), and each
+    minor is its own Bareiss determinant of the scaled rows over the product of
+    their scales, independent of the minor table, so this stream is the
+    reference the table-backed procedures are tested against.
     """
     check_order(a, k)
-    rows = a.row_list()
+    ints, scales = _rows_as_scaled_ints(a.row_list())
     for size in range(1, k + 1):
+        col_sets = [(cidx, _one_based(cidx)) for cidx in itertools.combinations(range(a.cols), size)]
         for ridx in itertools.combinations(range(a.rows), size):
-            sel_rows = [rows[i] for i in ridx]
-            for cidx in itertools.combinations(range(a.cols), size):
-                val = det_of_rows([[r[j] for j in cidx] for r in sel_rows])
-                yield MinorRecord(_one_based(ridx), _one_based(cidx), val)
+            sel = [ints[i] for i in ridx]
+            scale = math.prod(scales[i] for i in ridx)
+            rows1 = _one_based(ridx)
+            for cidx, cols1 in col_sets:
+                yield MinorRecord(rows1, cols1, Fraction(_int_minor(sel, cidx), scale))
 
 
 def contiguous_minors_up_to(a: ExactMatrix, k: int) -> Iterator[MinorRecord]:
     """Minors on consecutive row/column windows, sizes 1..k, window starts lexicographic;
-    Bareiss determinants, independent of the minor table."""
+    Bareiss determinants of the rows scaled once, independent of the minor table."""
     check_order(a, k)
-    rows = a.row_list()
+    ints, scales = _rows_as_scaled_ints(a.row_list())
     for size in range(1, k + 1):
         for ridx, cidx in contiguous_windows(a.rows, a.cols, size):
-            val = det_of_rows([[rows[i][j] for j in cidx] for i in ridx])
-            yield MinorRecord(_one_based(ridx), _one_based(cidx), val)
+            scale = math.prod(scales[i] for i in ridx)
+            value = _int_minor([ints[i] for i in ridx], cidx)
+            yield MinorRecord(_one_based(ridx), _one_based(cidx), Fraction(value, scale))
 
 
 def parse_matrix(text: str) -> ExactMatrix:

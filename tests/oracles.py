@@ -33,7 +33,6 @@ from totneg.errors import InvariantError
 from totneg.generate import (
     GeneratedInstance,
     Rows,
-    _minor_linear_coeff,
     _sub_rows,
     _tn_square_rows,
     _verify_class,
@@ -41,7 +40,16 @@ from totneg.generate import (
 )
 from totneg.hull import IntervalHull, i_matrix
 from totneg.lcp import _FM_CONSTRAINT_CAP, Point, _compare_candidates, _support_solutions
-from totneg.matrix import MinorTable, Window, _one_based, check_order, contiguous_windows, det_of_rows, to_fraction
+from totneg.matrix import (
+    MinorRecord,
+    MinorTable,
+    Window,
+    _one_based,
+    check_order,
+    contiguous_windows,
+    det_of_rows,
+    to_fraction,
+)
 
 
 def all_windows(m: int, n: int, r: int) -> Iterator[Window]:
@@ -117,6 +125,30 @@ def stored_minors(table: MinorTable) -> int:
 def stored_sizes(table: MinorTable) -> set[int]:
     """The sizes of the minors the table keeps."""
     return {(key >> table._ncols).bit_count() for key in table._values}
+
+
+def reference_minors_up_to(a: ExactMatrix, k: int) -> Iterator[MinorRecord]:
+    """``minors_up_to`` with every minor a Fraction ``det_of_rows`` of its own
+    entries: sizes ascending, index sets lexicographic."""
+    check_order(a, k)
+    rows = a.row_list()
+    for size in range(1, k + 1):
+        for ridx in itertools.combinations(range(a.rows), size):
+            sel_rows = [rows[i] for i in ridx]
+            for cidx in itertools.combinations(range(a.cols), size):
+                val = det_of_rows([[r[j] for j in cidx] for r in sel_rows])
+                yield MinorRecord(_one_based(ridx), _one_based(cidx), val)
+
+
+def reference_contiguous_minors_up_to(a: ExactMatrix, k: int) -> Iterator[MinorRecord]:
+    """``contiguous_minors_up_to`` with every minor a Fraction ``det_of_rows``
+    of its own entries, window starts lexicographic."""
+    check_order(a, k)
+    rows = a.row_list()
+    for size in range(1, k + 1):
+        for ridx, cidx in contiguous_windows(a.rows, a.cols, size):
+            val = det_of_rows([[rows[i][j] for j in cidx] for i in ridx])
+            yield MinorRecord(_one_based(ridx), _one_based(cidx), val)
 
 
 def det_by_cofactor_expansion(a: ExactMatrix) -> Fraction:
@@ -958,6 +990,16 @@ def generate_n_matrix(n: int, seed: int, budget: int = 4000) -> GeneratedInstanc
         if ok:
             return GeneratedInstance(a, "n_matrix", n, seed, attempt)
     raise ResourceLimitError(f"no principal-minor-negative instance found in {budget} attempts")
+
+
+def _minor_linear_coeff(rows: Rows, ridx: Sequence[int], cidx: Sequence[int], i: int, j: int) -> Fraction:
+    """d det(window) / d entry(i,j) for (i,j) inside the window."""
+    pi, pj = ridx.index(i), cidx.index(j)
+    if len(ridx) == 1:
+        return Fraction(1)
+    rest = _sub_rows(rows, [r for r in ridx if r != i], [c for c in cidx if c != j])
+    sign = 1 if (pi + pj) % 2 == 0 else -1
+    return sign * det_of_rows(rest)
 
 
 def generate_tn_of_order(

@@ -1,10 +1,14 @@
 """Generators must emit oracle-certified instances, deterministically per seed."""
 
+import hashlib
 import random
 
 import pytest
 
+import totneg.generate
 from totneg import ClassQuery, check_by_minor_definition, det, minors_up_to
+from totneg.checks import MAX_ALL_SUBMATRIX_DIM
+from totneg.cli import main
 from totneg.errors import ResourceLimitError
 from totneg.generate import (
     certificate_digest,
@@ -179,3 +183,66 @@ def test_cross_validate_builds_one_minor_table(monkeypatch):
     tn, tnp = cross_validate(a, 4, "tn"), cross_validate(a, 4, "tnp")
     assert tn.holds and tn.agree and tnp.agree
     assert built == [a]
+
+
+#: (class, shape, order, seed, SHA-256 of the emitted text, certificate digest,
+#: attempts) as the construction on Fraction rows gave them; every byte must
+#: stay.  The 5x5 tnp seeds 0, 1, 2, 5, 7 and 19 end on the zero-row, rank-one,
+#: tn, duplicate-column, duplicate-row and zero-column strategies.
+GOLDEN = [
+    ("tn", (7, 7), 7, 0, "4f3ee47569222faae2acb25de89951aa0de973a39e833b26bd2ddf5fbd31fad4", "5534813b6ce0c055ec5d29fe14cee17bdbc2723240310779982430688d7cb3df", 1),
+    ("tn", (7, 7), 7, 1, "9ef53c0a7ad80de901a57cda806d45a81753af719b09d6d87ab3ab6f794ab72a", "2382e5b6af5d05bd2ee1fdf9470a669fc6adaadd04f02fa591b8aa580936df76", 1),
+    ("tn", (3, 5), 3, 4, "d8c8865a70eef0e150bf4a65abd6ff8ab552e2afc9c2f7ae130f13d502ab3492", "cfdad8fe6ee189b558ea119a3192d813b7e53bb33904514fbaf596b1617c48d9", 1),
+    ("tn", (6, 2), 2, 9, "1890ab12192eb9054e9e88a59c9299dd9354be7f7a9a25b7d66a59c32383c3c0", "ca84a237bb767ec88d724ffe62e9b06bf4a0b6b964cbc98eec29351e34d1faf0", 1),
+    ("tnp", (5, 5), 5, 0, "8551414d2ed857f75216d5cb815d083bed71387790c59b503489b99965c3dc7d", "b70275a8dacd8cc8d78d9c7c7bcc620c1fdac8803529d5caa5628beff6823c71", 1),
+    ("tnp", (5, 5), 5, 1, "689cb3565d62e9c229a17b211a6b8806c294447ff2f4e4c58004547669e340da", "703048d0062fc8764720b0a6c8a34ea6d7307efbd3800ee86537fc737275afa2", 1),
+    ("tnp", (5, 5), 5, 2, "47a3a3b6b1b1f59c1acace08bd71463e07e830d54665a1fe7af1914103e692e8", "2d0a22bd7bffdfa7ba7f08ba14db4fb3cb514d4dfed3154a8779d5c22d651cb8", 1),
+    ("tnp", (5, 5), 5, 5, "efd750243e91afff2e12246a2fead56926c5b3401a23bb8eadefcc95cb3bc913", "bfe8affcc007ab60a53228594b79fa2570a6f05aae5d6a46805952d66fc3b186", 1),
+    ("tnp", (5, 5), 5, 7, "8995ab065fcabfc9f54a63c727034d58435af36d3a66ce6722f279267ce10e8a", "9f733ee8888a9563893f390fb6787bfa3121452ecb82f2c7e89f52d236392f8e", 1),
+    ("tnp", (5, 5), 5, 19, "ff331cab631a374a44791af54437f95540c1631526288d18db5175e62de525b6", "615a6a14c7d921c742b58551a38eec36b8aae342b36b36a4ab38d39daf981921", 1),
+    ("tnp", (3, 4), 3, 2, "3ebbf224d1748c4cf8a10522d766883e1fe32f8e5bf0ef9c8bfdabbd08feb086", "db56a5b57533b676bfa26213196776f0bb157e75e8da9e2c8dc36fecd73f15b9", 1),
+    ("near_miss", (3, 3), 1, 3, "0b256aa7781fb6a3c44be2a1875ab9c18fb499cbcf6eaf56a2b61844e6babb2a", "811cd342ef4247d5068237fd4b5e59df3da36daaf051ce3eb23067040466d295", 1),
+    ("near_miss", (4, 4), 2, 8, "ab1cc966630d8980e153cbca34bbbf150bc568cb3450e0cbf3d704d328e8b64e", "8cd923093550de1c28e1a29c90204469d9d4dbe75608468c987efe18af73481e", 1),
+    ("near_miss", (4, 4), 3, 11, "6122a06db6ff40dd30d0b6e79effdfa4c5e27fc8577d5989f7fb98f2afa0e656", "8febb53e6342a5f525fcb60fb780de054693c1ce822645d870b66ca4dc79ddde", 2),
+    ("near_miss", (5, 5), 4, 2, "5f2f0e2389721a1557507f72ce749a1fbe0d1c066d83e731831a4e306220b783", "ec0a85119a26d1f793eb5441be781743044bc65a618bbc4b55671f64aa8ade66", 2),
+]
+
+GENERATORS = {"tn": generate_tn, "tnp": generate_tnp, "near_miss": generate_near_miss}
+
+
+@pytest.mark.parametrize("klass,shape,k,seed,text_sha,certificate,attempts", GOLDEN)
+def test_generated_instances_keep_every_byte(klass, shape, k, seed, text_sha, certificate, attempts):
+    inst = GENERATORS[klass](shape, k, seed)
+    assert hashlib.sha256(inst.matrix.to_text().encode()).hexdigest() == text_sha
+    assert certificate_digest(inst.matrix, k) == certificate
+    assert inst.attempts == attempts
+
+
+class _Built(Exception):
+    """Raised by the construction spy: a generator started building."""
+
+
+def _construction_spy(n, rng, tries=60):
+    raise _Built(n)
+
+
+@pytest.mark.parametrize("klass", ["tn", "tnp", "near-miss"])
+def test_generators_refuse_a_dimension_past_the_cap_before_building(klass, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(totneg.generate, "_tn_square_rows", _construction_spy)
+    generate = GENERATORS[klass.replace("-", "_")]
+    past = MAX_ALL_SUBMATRIX_DIM + 1
+    for shape in ((past, past), (past, 1), (2, past)):
+        with pytest.raises(ResourceLimitError):
+            generate(shape, 1, seed=0)
+    out_dir = tmp_path / "big"
+    argv = ["generate", "--class", klass, "--shape", f"{past}x{past}", "--count", "1", "--seed", "0", "--out-dir", str(out_dir)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"resource cap: generation refused for dimensions beyond {MAX_ALL_SUBMATRIX_DIM}\n"
+    assert not out_dir.exists()
+
+
+def test_generation_at_the_cap_reaches_the_construction(monkeypatch):
+    monkeypatch.setattr(totneg.generate, "_tn_square_rows", _construction_spy)
+    for generate, shape in ((generate_tn, (MAX_ALL_SUBMATRIX_DIM, MAX_ALL_SUBMATRIX_DIM)), (generate_near_miss, (1, MAX_ALL_SUBMATRIX_DIM))):
+        with pytest.raises(_Built):
+            generate(shape, 1, seed=0)

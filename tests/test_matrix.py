@@ -36,6 +36,8 @@ from oracles import (
     first_entry_violating,
     identity,
     matmul,
+    reference_contiguous_minors_up_to,
+    reference_minors_up_to,
     scale,
     stored_minors,
     table_value,
@@ -317,6 +319,26 @@ def test_minor_table_expands_along_a_named_row(a):
             along = 1 << rows0[sum(cols0) % size]
             value = table.minor_of_masks(sum(1 << i for i in rows0), sum(1 << j for j in cols0), along)
             assert Fraction(value, table.scale(rows0)) == det_by_cofactor_expansion(take(a, rows0, cols0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(table_matrices(), st.data())
+def test_minor_streams_match_the_per_minor_fraction_reference(a, data):
+    k = data.draw(st.integers(1, min(a.rows, a.cols)))
+    for stream, reference in ((minors_up_to, reference_minors_up_to), (contiguous_minors_up_to, reference_contiguous_minors_up_to)):
+        records = list(stream(a, k))
+        assert records == list(reference(a, k))
+        assert all(type(rec.value) is Fraction for rec in records)
+
+
+def test_minor_streams_build_no_minor_table(monkeypatch):
+    def refuse(self, a):
+        raise AssertionError("a minor stream read the minor table")
+
+    monkeypatch.setattr(MinorTable, "__init__", refuse)
+    a = ExactMatrix.from_rows([[-1, Fraction(-2, 3), -4], [Fraction(-5, 2), -3, -5], [-4, -5, Fraction(-6, 7)]])
+    assert len(list(minors_up_to(a, 3))) == 19
+    assert len(list(contiguous_minors_up_to(a, 3))) == 14
 
 
 def test_minor_table_beyond_its_storage_cap_still_matches(monkeypatch):
