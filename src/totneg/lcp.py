@@ -15,13 +15,15 @@ single-vector checks ask of each window w only whether LCP(A_w, A_w x) has a
 prescribed solution set.  A 1x1 window [t] has x = -1 and q = -t, so its
 solutions are exactly 0 and 1 when t < 0, form the family of LCP(0, 0) when
 t = 0, and exclude 0 when t > 0: one row-major pass over the entries settles
-every 1x1 window.  From size 2 on, the sweeps read row sets outer and column
-sets inner, build the keys of every set of window positions once per row set
-and per column set, and enumerate each window's supports on integers read from
-the matrix's minor table (:func:`_support_candidates`), stopping as soon as the
-answer is known.  A support with a zero principal minor, which may hold a
-solution family, goes to the same step on the table's scaled rows, and the
-first family ends its window.
+every 1x1 window.  From size 2 on, both sweeps read one window generator
+(:func:`_lcp_windows`), each with its own per-window judge.  It reads row sets
+outer and column sets inner, builds the keys of every set of window positions
+once per row set and per column set, and hands each window the lazy stream of
+its supports, solved on integers read from the matrix's minor table
+(:func:`_support_candidates`); a judge stops it as soon as the answer is
+known.  A support with a zero principal minor, which may hold a solution
+family, goes to the same step on the table's scaled rows, and the first family
+ends its window.
 """
 
 from __future__ import annotations
@@ -617,21 +619,37 @@ def _support_candidates(
             yield abs(d), zs, ws
 
 
-def _window_holds(
-    a: ExactMatrix,
-    rows0: Sequence[int],
-    cols0: Sequence[int],
-    xs: Sequence[int],
-    rkeys: Sequence[int],
-    cmasks: Sequence[int],
-) -> bool:
-    """Whether LCP(A_w, A_w x) on the window w = (rows0, cols0) has exactly the
-    solutions 0 and -x, for x = X / L with any L > 0."""
-    qs = _scaled_image(a.minor_table, rows0, cols0, xs)
+def _lcp_windows(
+    a: ExactMatrix, k: int, contiguous: bool, weights: Mapping[int, Fraction] | None = None
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], list[int], int, list[int], Iterator[Point | None]]]:
+    """(rows0, cols0, X, L, Q, candidates) of every window w of size 2..k,
+    contiguous or all, row sets outer and column sets inner: X = L x the test
+    vector of :func:`_single_vector_ints`, Q the image of :func:`_scaled_image`
+    and candidates the lazy :func:`_support_candidates` stream of LCP(A_w, A_w x).
+
+    A size beyond MAX_LCP_SIZE is refused before any of its windows is built.
+    """
+    table = a.minor_table
+    for r in range(2, k + 1):
+        _check_lcp_size(r)
+        col_sets = [(cols, _position_keys(1 << j for j in cols[0])) for cols in index_sets(a.cols, r, contiguous)]
+        for rows in index_sets(a.rows, r, contiguous):
+            rows0 = rows[0]
+            rkeys = _position_keys(1 << i << a.cols for i in rows0)
+            for cols, cmasks in col_sets:
+                cols0 = cols[0]
+                xs, lcm = _single_vector_ints(table, rows, cols, weights)
+                qs = _scaled_image(table, rows0, cols0, xs)
+                yield rows0, cols0, xs, lcm, qs, _support_candidates(a, rows0, cols0, xs, qs, rkeys, cmasks)
+
+
+def _window_holds(xs: Sequence[int], qs: Sequence[int], candidates: Iterable[Point | None]) -> bool:
+    """Whether a window's LCP(A_w, A_w x), x = X / L with any L > 0, has exactly
+    the solutions 0 and -x, from X, its image Q and its candidate stream."""
     # 0 is a solution iff A_w x >= 0, and -x iff x <= 0
     if any(v > 0 for v in xs) or any(v < 0 for v in qs):
         return False
-    for cand in _support_candidates(a, rows0, cols0, xs, qs, rkeys, cmasks):
+    for cand in candidates:
         if cand is None:
             return False
         d, zs, _ = cand
@@ -651,24 +669,15 @@ def _check_single_vector_windows(
     if hit is not None:
         w1 = Fraction(1) if weights is None else weights[1]
         return Verdict(False, method, Violation(ViolationKind.LCP_SOLUTION_MISMATCH, hit[:1], hit[1:2], vector=(w1,)))
-    table = a.minor_table
-    shift = a.cols
-    for r in range(2, k + 1):
-        col_sets = [(cols, _position_keys(1 << j for j in cols[0])) for cols in index_sets(a.cols, r, contiguous=True)]
-        for rows in index_sets(a.rows, r, contiguous=True):
-            rows0 = rows[0]
-            rkeys = _position_keys(1 << i << shift for i in rows0)
-            for cols, cmasks in col_sets:
-                _check_lcp_size(r)
-                xs, lcm = _single_vector_ints(table, rows, cols, weights)
-                if not _window_holds(a, rows0, cols[0], xs, rkeys, cmasks):
-                    violation = Violation(
-                        ViolationKind.LCP_SOLUTION_MISMATCH,
-                        _one_based(rows0),
-                        _one_based(cols[0]),
-                        vector=tuple(Fraction(-v, lcm) for v in xs),
-                    )
-                    return Verdict(False, method, violation)
+    for rows0, cols0, xs, lcm, qs, candidates in _lcp_windows(a, k, True, weights):
+        if not _window_holds(xs, qs, candidates):
+            violation = Violation(
+                ViolationKind.LCP_SOLUTION_MISMATCH,
+                _one_based(rows0),
+                _one_based(cols0),
+                vector=tuple(Fraction(-v, lcm) for v in xs),
+            )
+            return Verdict(False, method, violation)
     return Verdict(True, method)
 
 
@@ -693,8 +702,8 @@ def lcp_single_vector_check_variant(
         raise ValueError("at least one weight is required")
     weights: dict[int, Fraction] = {}
     for key, value in odd_weights.items():
-        if key % 2 == 0 or key < 1:
-            raise ValueError(f"weights are indexed by odd positions, got {key}")
+        if not isinstance(key, int) or key % 2 == 0 or key < 1:
+            raise ValueError(f"weights are indexed by odd positions, got {key!r}")
         w = to_fraction(value)
         if w <= 0:
             raise ValueError("weights must be strictly positive")
@@ -721,47 +730,36 @@ def tnp_lcp_sufficient_check(a: ExactMatrix, k: int) -> TnpLcpReport:
         return TnpLcpReport(TnpLcpStatus.VIOLATION, hit[:1], hit[1:2], q=(-hit[2],), note=_NOT_SOLVED_BY_ZERO)
     zero = a.first_entry_violating(strict=True)
     saw_family: tuple[tuple[int, ...], tuple[int, ...]] | None = None if zero is None else (zero[:1], zero[1:2])
-    table = a.minor_table
-    shift = a.cols
-    for r in range(2, k + 1):
-        col_sets = [(cols, _position_keys(1 << j for j in cols[0])) for cols in index_sets(a.cols, r)]
-        for rows in index_sets(a.rows, r):
-            rows0 = rows[0]
-            rkeys = _position_keys(1 << i << shift for i in rows0)
-            for cols, cmasks in col_sets:
-                cols0 = cols[0]
-                xs, lcm = _single_vector_ints(table, rows, cols)
-                qs = _scaled_image(table, rows0, cols0, xs)
-                if min(qs) < 0:
-                    return TnpLcpReport(
-                        TnpLcpStatus.VIOLATION,
-                        rows=_one_based(rows0),
-                        cols=_one_based(cols0),
-                        q=_image_fractions(table, rows0, qs, lcm),
-                        note=_NOT_SOLVED_BY_ZERO,
-                    )
-                _check_lcp_size(r)
-                candidates: list[Point] = []
-                for cand in _support_candidates(a, rows0, cols0, xs, qs, rkeys, cmasks):
-                    if cand is None:
-                        # a solution family: the image condition quantifies over the
-                        # whole (infinite) set, so it cannot be verified here
-                        if saw_family is None:
-                            saw_family = (_one_based(rows0), _one_based(cols0))
-                        break
-                    if any(cand[1]):
-                        candidates.append(cand)
-                else:
-                    pair = _pair_with_distinct_images(candidates)
-                    if pair is not None:
-                        return TnpLcpReport(
-                            TnpLcpStatus.VIOLATION,
-                            rows=_one_based(rows0),
-                            cols=_one_based(cols0),
-                            q=_image_fractions(table, rows0, qs, lcm),
-                            witness_pair=tuple(tuple(Fraction(z, d * lcm) for z in zs) for d, zs, _ in pair),
-                            note="two nonzero solutions with different images",
-                        )
+    for rows0, cols0, xs, lcm, qs, candidates in _lcp_windows(a, k, False):
+        if min(qs) < 0:
+            return TnpLcpReport(
+                TnpLcpStatus.VIOLATION,
+                rows=_one_based(rows0),
+                cols=_one_based(cols0),
+                q=_image_fractions(a.minor_table, rows0, qs, lcm),
+                note=_NOT_SOLVED_BY_ZERO,
+            )
+        nonzero: list[Point] = []
+        for cand in candidates:
+            if cand is None:
+                # a solution family: the image condition quantifies over the
+                # whole (infinite) set, so it cannot be verified here
+                if saw_family is None:
+                    saw_family = (_one_based(rows0), _one_based(cols0))
+                break
+            if any(cand[1]):
+                nonzero.append(cand)
+        else:
+            pair = _pair_with_distinct_images(nonzero)
+            if pair is not None:
+                return TnpLcpReport(
+                    TnpLcpStatus.VIOLATION,
+                    rows=_one_based(rows0),
+                    cols=_one_based(cols0),
+                    q=_image_fractions(a.minor_table, rows0, qs, lcm),
+                    witness_pair=tuple(tuple(Fraction(z, d * lcm) for z in zs) for d, zs, _ in pair),
+                    note="two nonzero solutions with different images",
+                )
     if saw_family is not None:
         return TnpLcpReport(
             TnpLcpStatus.INCONCLUSIVE,

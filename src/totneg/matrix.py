@@ -544,8 +544,9 @@ class MinorTable:
             lower = {1 << i << shift | 1 << j: v for i, row in enumerate(ints) for j, v in enumerate(row)}
         else:
             lower = values
-        col_sets = index_sets(shift, r)
-        for rows0, rmask, rdels in index_sets(len(ints), r):
+        # contiguous passed as the complementarity sweeps pass it: one cache entry per (n, r)
+        col_sets = index_sets(shift, r, False)
+        for rows0, rmask, rdels in index_sets(len(ints), r, False):
             first = ints[rows0[0]]
             head = rdels[0]
             head_key = head << shift

@@ -464,6 +464,32 @@ def test_verify_witness_rejects_a_window_above_the_reports_order(tmp_path, capsy
     assert main(["verify-witness", str(report_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "window, vector, message",
+    [
+        ([1, 2, 3], ["1", "0", "1"], "does not match the construction"),
+        # the construction on the leading 2x2 window [[-2, -5], [-7, -5]]: -x = (5, 0)
+        ([1, 2], ["5", "0"], "solution set matches after all"),
+    ],
+)
+def test_verify_witness_rejects_a_forged_complementarity_witness(tmp_path, capsys, window, vector, message):
+    """The complementarity witness of ORDER_2_ONLY at order 3 verifies; a vector
+    that is not the construction, or a window whose solution set is 0 and -x, does not."""
+    path = _matrix_file(tmp_path, ORDER_2_ONLY)
+    assert main(["check", str(path), "--class", "tn", "--order", "3", "--method", "lcp", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    witness = report["methods"][0]["witness"]
+    assert witness["kind"] == "lcp_solution_mismatch" and witness["vector"] == ["3", "0", "17"]
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report))
+    assert main(["verify-witness", str(report_path)]) == 0
+    capsys.readouterr()
+    witness.update(rows=window, cols=window, vector=vector)
+    report_path.write_text(json.dumps(report))
+    assert main(["verify-witness", str(report_path)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def _edited(report, path):
     """A copy of report without the key at path, or with a new value where path ends in (key, value)."""
     copy = json.loads(json.dumps(report))

@@ -343,6 +343,9 @@ def test_single_vector_variant_agrees(n2, n3, near_miss):
         lcp_single_vector_check_variant(n2, 2, {1: 0})
     with pytest.raises(ValueError):
         lcp_single_vector_check_variant(n2, 2, {3: 1})  # nothing applies at sizes 1 and 2
+    for position in (1.0, "1"):  # refused as a position, not by a TypeError from the sweep
+        with pytest.raises(ValueError, match="weights are indexed by odd positions, got"):
+            lcp_single_vector_check_variant(n2, 2, {position: 1})
 
 
 def test_tnp_sufficient_check_single_q(n3, near_miss, zero_row_tnp):
@@ -580,11 +583,24 @@ def test_single_vector_checks_need_no_solver_even_on_singular_windows(monkeypatc
 
 
 def test_single_vector_check_refuses_windows_beyond_the_lcp_size(monkeypatch):
+    """Both complementarity sweeps refuse a size beyond the cap before they build
+    any test vector of that size."""
     a = generate_tn((4, 4), 4, seed=3).matrix
     monkeypatch.setattr(lcp, "MAX_LCP_SIZE", 3)
+    sizes = []
+    real = lcp._single_vector_ints
+
+    def spy(table, rows, cols, weights=None):
+        sizes.append(len(rows[0]))
+        return real(table, rows, cols, weights)
+
+    monkeypatch.setattr(lcp, "_single_vector_ints", spy)
     assert lcp_single_vector_check(a, 3).holds
     with pytest.raises(ResourceLimitError):
         lcp_single_vector_check(a, 4)
+    with pytest.raises(ResourceLimitError):
+        tnp_lcp_sufficient_check(a, 4)
+    assert sizes and max(sizes) == 3
     with pytest.raises(ResourceLimitError):
         solve_lcp(LCPInstance(a, (Fraction(1),) * 4))
 
@@ -627,7 +643,9 @@ def support_candidates(a, rows0, cols0, xs, qs):
 
 
 def window_holds(a, rows0, cols0, xs):
-    return lcp._window_holds(a, rows0, cols0, xs, *window_keys(a, rows0, cols0))
+    """The single-vector judge on one window, given what the window generator yields."""
+    qs = lcp._scaled_image(a.minor_table, rows0, cols0, xs)
+    return lcp._window_holds(xs, qs, support_candidates(a, rows0, cols0, xs, qs))
 
 
 def test_finite_singular_window_keeps_an_isolated_point_of_a_one_dimensional_kernel(monkeypatch):
