@@ -40,7 +40,16 @@ from .checks import (
 )
 from .errors import InvariantError, ResourceLimitError
 from .lcp import TnpLcpStatus, lcp_single_vector_check, tnp_lcp_sufficient_check
-from .matrix import ExactMatrix, _int_minor, _rows_as_scaled_ints, check_order, format_fraction, minors_up_to
+from .matrix import (
+    ExactMatrix,
+    _int_minor,
+    _int_minor_levels,
+    _int_str,
+    _one_based,
+    _rows_as_scaled_ints,
+    check_order,
+    minors_up_to,
+)
 
 Rows = list[list[Fraction]]
 
@@ -133,13 +142,49 @@ def _normalize_negative_rows(rows: Rows) -> Rows:
     return out
 
 
+def _corner_bounds(ints: list[list[int]]) -> tuple[int, int, int, int] | None:
+    """``(W, Cf, corner Cf, det)`` of the integer n x n rows, n >= 2: the minor and
+    corner coefficient of the proper window holding the corner with the least
+    W / Cf (the first on ties, windows by size, then rows and columns
+    lexicographic), the corner's coefficient in the determinant, and the
+    determinant; None when a coefficient is not positive.  Every value is read
+    from :func:`_int_minor_levels`: a window on R + corner row and C + corner
+    column has W at level s and Cf = M(R, C) at level s - 1.
+    """
+    n = len(ints)
+    last = n - 1
+    w_low, cof_low = ints[last][last], 1  # the size-1 window: W is the corner and Cf = 1
+    cofs: dict[tuple[int, ...], Sequence[int]] = {(): [1]}  # previous level's rows on row sets without the corner's
+    cof_at = {(): 0}  # previous level's column sets -> position
+    for s, level in enumerate(_int_minor_levels(ints, n), 1):
+        col_at = {c: i for i, c in enumerate(itertools.combinations(range(n), s))}
+        windows = [(cof_at[c], col_at[c + (last,)]) for c in itertools.combinations(range(last), s - 1)]
+        below: dict[tuple[int, ...], Sequence[int]] = {}
+        for ridx, values in zip(itertools.combinations(range(n), s), level):
+            if ridx[-1] != last:
+                below[ridx] = values
+                continue
+            row_cofs = cofs[ridx[:-1]]
+            for at_cof, at_w in windows:
+                cof, w = row_cofs[at_cof], values[at_w]
+                if cof <= 0:
+                    return None
+                if s == n:
+                    return w_low, cof_low, cof, w
+                if w * cof_low < w_low * cof:
+                    w_low, cof_low = w, cof
+        cofs, cof_at = below, col_at
+    raise InvariantError("the last level held no determinant")
+
+
 def _tn_square_rows(n: int, rng: random.Random, tries: int = 60) -> Rows | None:
     """An n x n matrix with every minor negative, or None if unlucky.
 
     Each try scales the base's rows to integers once (d_i for row i).  A window
     holding the corner, with the integer minor W and the integer corner
-    coefficient Cf, stays positive for corner values above x0 - W / (Cf * d_last),
-    so the largest bound is the least W / Cf, compared by cross-multiplication.
+    coefficient Cf, stays positive for corner values above
+    x0 - W / (Cf * d_last), so the largest bound is the least W / Cf
+    (:func:`_corner_bounds`, compared by cross-multiplication).
     """
     if n == 1:
         return [[-Fraction(rng.randint(1, 9), rng.randint(1, 4))]]
@@ -147,29 +192,11 @@ def _tn_square_rows(n: int, rng: random.Random, tries: int = 60) -> Rows | None:
     for _ in range(tries):
         b = _random_tp_rows(n, rng)
         ints, scales = _rows_as_scaled_ints(b)
-        corner_cof = _int_minor(ints[:last], range(last))
-        det_b = _int_minor(ints, range(n))
-        if corner_cof <= 0 or det_b <= 0:
+        bounds = _corner_bounds(ints)
+        if bounds is None:
             continue
-        # the proper window of least W / Cf, the first one on ties; at size 1, W is the scaled corner and Cf = 1
-        w_low, cof_low = ints[last][last], 1
-        degenerate = False
-        for s in range(2, n):
-            for ridx in itertools.combinations(range(last), s - 1):
-                sel = [ints[i] for i in ridx]
-                for cidx in itertools.combinations(range(last), s - 1):
-                    cof = _int_minor(sel, cidx)
-                    if cof <= 0:
-                        degenerate = True
-                        break
-                    w = _int_minor(sel + [ints[last]], cidx + (last,))
-                    if w * cof_low < w_low * cof:
-                        w_low, cof_low = w, cof
-                if degenerate:
-                    break
-            if degenerate:
-                break
-        if degenerate or w_low * corner_cof <= det_b * cof_low:
+        w_low, cof_low, corner_cof, det_b = bounds
+        if det_b <= 0 or w_low * corner_cof <= det_b * cof_low:
             continue  # some proper minor turns before the determinant does
         x0, d_last = b[last][last], scales[last]
         lower = x0 - Fraction(w_low, cof_low * d_last)
@@ -472,8 +499,22 @@ def cross_validate(a: ExactMatrix, k: int, cls: str, alpha: AlphaChoice | None =
 
 
 def certificate_digest(a: ExactMatrix, k: int) -> str:
-    """Digest of the full minor enumeration at order k (the instance certificate)."""
+    """Digest of the full minor enumeration at order k (the instance certificate):
+    the SHA-256 of one line ``rows|cols|value`` per minor, in the order of
+    :func:`minors_up_to`, each value a reduced fraction, read from
+    :func:`_int_minor_levels` on the scaled rows; one update per row set."""
+    check_order(a, k)
+    ints, scales = _rows_as_scaled_ints(a.row_list())
     h = hashlib.sha256()
-    for rec in minors_up_to(a, k):
-        h.update(f"{rec.rows}|{rec.cols}|{format_fraction(rec.value)}\n".encode())
+    for size, level in enumerate(_int_minor_levels(ints, k), 1):
+        col_sets = [f"{_one_based(cidx)}|" for cidx in itertools.combinations(range(a.cols), size)]
+        for ridx, values in zip(itertools.combinations(range(a.rows), size), level):
+            scale = math.prod(scales[i] for i in ridx)
+            head = f"{_one_based(ridx)}|"
+            lines = []
+            for cols, value in zip(col_sets, values):
+                g = math.gcd(value, scale)
+                num = _int_str(value // g)
+                lines.append(f"{head}{cols}{num}\n" if g == scale else f"{head}{cols}{num}/{_int_str(scale // g)}\n")
+            h.update("".join(lines).encode())
     return h.hexdigest()

@@ -16,11 +16,14 @@ matrix itself is the scaled minor over the product of d_i on its rows.
 from one Bareiss solve, on the same loop as the determinant;
 ``MinorTable.level`` gives both for every window of one size from the kept
 minors one size down.
-``det``, ``minor_det``, ``cofactor_minor``, ``adjugate``, ``minors_up_to`` and
-``contiguous_minors_up_to`` stay on fraction-free Bareiss elimination, so
-witnesses and the tests' reference minors are independent of the table; the
-two minor streams scale the matrix's rows once and eliminate every minor on
-those integers.
+``det``, ``minor_det``, ``cofactor_minor``, ``adjugate`` and
+``contiguous_minors_up_to`` stay on fraction-free Bareiss elimination.
+``minors_up_to`` scales the matrix's rows once and reads the condensation
+sweep :func:`_int_minor_levels`: each minor of size s >= 3 comes in O(1) from
+four minors of size s-1 and one of size s-2 (Desnanot-Jacobi), and a minor
+whose inner minor is 0, or one that needs a level over ``MAX_STORED_MINORS``,
+is a Bareiss determinant.  The sweep never reads the minor table, so
+witnesses and the tests' reference minors stay independent of it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionError
 
@@ -617,24 +620,84 @@ class MinorTable:
         return sign * pivot, out if sign > 0 else [-v for v in out]
 
 
+@lru_cache(maxsize=256)
+def _condensation_sets(n: int, s: int) -> tuple[tuple[tuple[int, ...], int, int, int], ...]:
+    """The s-subsets of range(n), s >= 2, lexicographic, each with the positions
+    of the subset without its first index and without its last among the
+    lexicographic (s-1)-subsets, and of the subset without both among the
+    (s-2)-subsets; built once per (n, s)."""
+    lower = {c: i for i, c in enumerate(itertools.combinations(range(n), s - 1))}
+    inner = {c: i for i, c in enumerate(itertools.combinations(range(n), s - 2))}
+    return tuple((c, lower[c[1:]], lower[c[:-1]], inner[c[1:-1]]) for c in itertools.combinations(range(n), s))
+
+
+def _condensed_rows(
+    ints: Sequence[Sequence[int]], s: int, lower: Sequence[Sequence[int]] | None, inner: Sequence[Sequence[int]] | None
+) -> Iterator[list[int]]:
+    """The size-s minors of the integer rows, one list per row set (row sets and,
+    within a list, column sets lexicographic), from the size-(s-1) and size-(s-2)
+    levels by the Desnanot-Jacobi identity; a minor whose inner minor is 0, or
+    any minor when a level below is missing, is a Bareiss determinant."""
+    col_sets = _condensation_sets(len(ints[0]), s)
+    for rows, r_first, r_last, r_inner in _condensation_sets(len(ints), s):
+        if lower is None or inner is None:
+            yield [_int_minor([ints[i] for i in rows], cols) for cols, _, _, _ in col_sets]
+            continue
+        top, bottom, mid = lower[r_first], lower[r_last], inner[r_inner]
+        out = []
+        for cols, c_first, c_last, c_inner in col_sets:
+            d = mid[c_inner]
+            if d:
+                out.append((top[c_first] * bottom[c_last] - top[c_last] * bottom[c_first]) // d)
+            else:
+                out.append(_int_minor([ints[i] for i in rows], cols))
+        yield out
+
+
+def _int_minor_levels(ints: Sequence[Sequence[int]], k: int) -> Iterator[Iterable[Sequence[int]]]:
+    """The minors of sizes 1..k of the integer rows, one level per size: each
+    level gives one list per row set, row sets lexicographic, holding the
+    minors on every column set, lexicographic.
+
+    Size 1 is the rows themselves.  A minor M(R, C) of size s >= 2 is
+    (M(R-r0, C-c0) M(R-r1, C-c1) - M(R-r0, C-c1) M(R-r1, C-c0)) / M(R-r0-r1, C-c0-c1)
+    with r0, r1 the first and last rows of R and c0, c1 the first and last
+    columns of C (Desnanot-Jacobi; the size-0 minor is 1), an exact quotient;
+    when the inner minor is 0 the minor is eliminated.  Only the two levels
+    below are kept, and a level of more than ``MAX_STORED_MINORS`` minors is
+    not kept: it is yielded lazily, and the minors that need it are eliminated.
+    """
+    m, n = len(ints), len(ints[0])
+    inner: Sequence[Sequence[int]] | None = [[1]]
+    lower: Sequence[Sequence[int]] | None = ints
+    yield ints
+    for s in range(2, k + 1):
+        level: Iterable[Sequence[int]] = _condensed_rows(ints, s, lower, inner)
+        if math.comb(m, s) * math.comb(n, s) <= MAX_STORED_MINORS:
+            level = list(level)
+            inner, lower = lower, level
+        else:
+            inner, lower = lower, None
+        yield level
+
+
 def minors_up_to(a: ExactMatrix, k: int) -> Iterator[MinorRecord]:
     """All minors of size 1..k, sizes ascending, index sets lexicographic.
 
-    The rows are scaled to integers once (:func:`_rows_as_scaled_ints`), and each
-    minor is its own Bareiss determinant of the scaled rows over the product of
-    their scales, independent of the minor table, so this stream is the
-    reference the table-backed procedures are tested against.
+    The rows are scaled to integers once (:func:`_rows_as_scaled_ints`), and the
+    minors come from :func:`_int_minor_levels` on those integers, each over the
+    product of its rows' scales.  The sweep never reads the minor table, so this
+    stream is the reference the table-backed procedures are tested against.
     """
     check_order(a, k)
     ints, scales = _rows_as_scaled_ints(a.row_list())
-    for size in range(1, k + 1):
-        col_sets = [(cidx, _one_based(cidx)) for cidx in itertools.combinations(range(a.cols), size)]
-        for ridx in itertools.combinations(range(a.rows), size):
-            sel = [ints[i] for i in ridx]
+    for size, level in enumerate(_int_minor_levels(ints, k), 1):
+        col_sets = [_one_based(cidx) for cidx in itertools.combinations(range(a.cols), size)]
+        for ridx, values in zip(itertools.combinations(range(a.rows), size), level):
             scale = math.prod(scales[i] for i in ridx)
             rows1 = _one_based(ridx)
-            for cidx, cols1 in col_sets:
-                yield MinorRecord(rows1, cols1, Fraction(_int_minor(sel, cidx), scale))
+            for cols1, value in zip(col_sets, values):
+                yield MinorRecord(rows1, cols1, Fraction(value, scale))
 
 
 def contiguous_minors_up_to(a: ExactMatrix, k: int) -> Iterator[MinorRecord]:

@@ -1,8 +1,10 @@
-"""Shared fixtures: small certified matrices used across the suite."""
+"""Shared fixtures: small certified matrices used across the suite, and a
+counter of Bareiss eliminations."""
 
 import pytest
 
 from totneg import ExactMatrix
+from totneg import matrix as matrix_module
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +29,17 @@ def near_miss() -> ExactMatrix:
 def zero_row_tnp() -> ExactMatrix:
     """Non-positive 3x3 with a zero first row; in the weak class, not the strict one."""
     return ExactMatrix.from_rows([[0, 0, 0], [-1, -3, -3], [-1, -1, -1]])
+
+
+@pytest.fixture
+def eliminations(monkeypatch) -> list[int]:
+    """The size of every Bareiss elimination ``matrix._det_int`` runs while the test does."""
+    sizes: list[int] = []
+    original = matrix_module._det_int
+
+    def counting(m):
+        sizes.append(len(m))
+        return original(m)
+
+    monkeypatch.setattr(matrix_module, "_det_int", counting)
+    return sizes

@@ -935,10 +935,11 @@ def sample_member(h: IntervalHull, seed: int) -> ExactMatrix:
     rng = random.Random(seed)
     m, n = h.shape
     flat = []
-    for i in range(m * n):
+    for a, b in zip(h.a.entries, h.b.entries):
         den = rng.randint(1, 16)
-        t = Fraction(rng.randint(0, den), den)
-        flat.append(t * h.a.entries[i] + (1 - t) * h.b.entries[i])
+        p = rng.randint(0, den)  # the weight t = p / den; t * a + (1 - t) * b as one Fraction
+        a_n, a_d, b_n, b_d = a.numerator, a.denominator, b.numerator, b.denominator
+        flat.append(Fraction(p * a_n * b_d + (den - p) * b_n * a_d, den * a_d * b_d))
     return ExactMatrix(m, n, tuple(flat))
 
 

@@ -218,6 +218,17 @@ def test_generated_instances_keep_every_byte(klass, shape, k, seed, text_sha, ce
     assert inst.attempts == attempts
 
 
+def test_generation_and_its_certificate_read_minors_from_the_levels_below(eliminations):
+    """Only the moved determinant and the 49 minors of the inverse are
+    eliminated while building a 7x7 instance, and none while certifying it: every
+    other minor comes from the two levels below it."""
+    inst = generate_tn((7, 7), 7, seed=0)
+    assert len(eliminations) <= 50
+    eliminations.clear()
+    certificate_digest(inst.matrix, 7)
+    assert eliminations == []
+
+
 class _Built(Exception):
     """Raised by the construction spy: a generator started building."""
 

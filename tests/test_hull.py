@@ -172,6 +172,20 @@ def test_sample_member_is_deterministic_and_contained(pair_hull):
     assert hull_contains(pair_hull, pair_hull.a) and hull_contains(pair_hull, pair_hull.b)
     mid = scale(pair_hull.a.add(pair_hull.b), Fraction(1, 2))
     assert hull_contains(pair_hull, mid)
+    # each entry is the mixture t * a + (1 - t) * b of the same two draws
+    rational_hull = IntervalHull(
+        ExactMatrix.from_rows([["-1/3", "5/2", 0], ["-7/4", "-2", "3/8"]]),
+        ExactMatrix.from_rows([["-2/5", "-3", "1/6"], ["-9/4", "-1/6", "3/8"]]),
+    )
+    for h in (pair_hull, rational_hull):
+        for seed in (0, 1, 123, 4096, 99_991):
+            rng = random.Random(seed)
+            mixed = []
+            for a, b in zip(h.a.entries, h.b.entries):
+                den = rng.randint(1, 16)
+                t = Fraction(rng.randint(0, den), den)
+                mixed.append(t * a + (1 - t) * b)
+            assert sample_member(h, seed).entries == tuple(mixed)
 
 
 def test_rohn_comparison_trivial_cases(n2):

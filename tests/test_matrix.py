@@ -28,6 +28,7 @@ from totneg import (
     to_fraction,
 )
 from totneg import matrix as matrix_module
+from totneg.generate import generate_tn
 from totneg.matrix import MinorTable, det_of_rows, format_fraction, parse_rational
 
 from oracles import (
@@ -282,10 +283,20 @@ def test_entry_access_is_one_based(n3):
 
 @st.composite
 def table_matrices(draw):
-    """Shapes 1x1 to 5x5 (1 x n and m x 1 included), mixed denominators, some zero rows."""
+    """Shapes 1x1 to 5x5 (1 x n and m x 1 included), mixed denominators, some rows
+    and columns repeats of earlier ones (so that inner minors vanish without a
+    zero row), and some zero rows."""
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     entry = st.fractions(min_value=-12, max_value=12, max_denominator=9)
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    for i in range(1, m):
+        if draw(st.sampled_from(("keep", "keep", "repeat"))) == "repeat":
+            rows[i] = list(rows[draw(st.integers(0, i - 1))])
+    for j in range(1, n):
+        if draw(st.sampled_from(("keep", "keep", "repeat"))) == "repeat":
+            src = draw(st.integers(0, j - 1))
+            for row in rows:
+                row[j] = row[src]
     for i in draw(st.sets(st.integers(0, m - 1), max_size=m // 2)):
         rows[i] = [Fraction(0)] * n
     return ExactMatrix.from_rows(rows)
@@ -349,6 +360,37 @@ def test_minor_table_beyond_its_storage_cap_still_matches(monkeypatch):
     values = [table_value(table, tuple(i - 1 for i in rec.rows), tuple(j - 1 for j in rec.cols)) for rec in minors_up_to(a, 5)]
     assert values == [rec.value for rec in minors_up_to(a, 5)]
     assert stored_minors(table) == 40
+
+
+@pytest.mark.parametrize(
+    "cap,eliminated",
+    [(matrix_module.MAX_STORED_MINORS, 0), (500, 1225 + 441 + 49), (40, 1225 + 1225 + 441 + 49 + 1), (0, 1225 + 1225 + 441 + 49 + 1)],
+)
+def test_minor_stream_beyond_its_level_cap_still_matches(monkeypatch, eliminations, cap, eliminated):
+    """A level of more than ``MAX_STORED_MINORS`` minors is not kept, and the
+    minors that need it are eliminated.  On 7x7 (levels of 49, 441, 1225, 1225,
+    441, 49 and 1 minors) a cap of 500 keeps levels 2, 5, 6 and 7: level 3 is
+    condensed from levels 2 and 1, levels 4, 5 and 6 are eliminated, and level
+    7 is condensed from the kept levels 6 and 5."""
+    monkeypatch.setattr(matrix_module, "MAX_STORED_MINORS", cap)
+    rng = random.Random(5)
+    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(7)] for _ in range(7)]
+    rows[5] = list(rows[2])
+    a = ExactMatrix.from_rows(rows)
+    assert list(minors_up_to(a, 7)) == list(reference_minors_up_to(a, 7))
+    # a totally negative instance has no zero minor, so every elimination is the cap's;
+    # below 49, only level 2 is condensed (from the entries, which are always kept)
+    tn = generate_tn((7, 7), 7, seed=0).matrix
+    eliminations.clear()
+    assert all(rec.value < 0 for rec in minors_up_to(tn, 7))
+    assert len(eliminations) == eliminated
+
+
+def test_minor_stream_eliminates_a_minor_whose_inner_minor_is_zero(eliminations):
+    """[[1, 1, 0], [1, 0, 1], [0, 1, 1]] has the inner minor 0 and the determinant -2."""
+    a = ExactMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    assert list(minors_up_to(a, 3))[-1].value == -2
+    assert eliminations == [3]
 
 
 def test_minor_table_eliminates_a_large_window_without_its_subminors():
