@@ -28,6 +28,7 @@ from .matrix import (  # noqa: F401 - adjugate and minors_up_to stay bound here 
     check_order,
     contiguous_windows,
     det,
+    index_sets,
     minors_up_to,
     submatrix,
     to_fraction,
@@ -145,9 +146,14 @@ def _entry_violation(a: ExactMatrix, strict: bool) -> Violation | None:
     return None if hit is None else Violation(_minor_kind(strict), hit[:1], hit[1:2], detail=hit[2])
 
 
-def _contiguous_minors(table: MinorTable, m: int, n: int, r: int) -> Iterator[SweptWindow]:
-    for rows0, cols0 in contiguous_windows(m, n, r):
-        yield rows0, cols0, table.minor(rows0, cols0), None
+def _level_minors(table: MinorTable, m: int, n: int, k: int, least: int) -> Iterator[SweptWindow]:
+    """Every window of size 2..k with its minor, read off the table's levels a
+    row set at a time; a row set whose minors are all below ``least`` is skipped."""
+    for r, level in enumerate(table.levels(k), 1):
+        col_sets = index_sets(n, r, False)
+        for (rows0, _, _), values in zip(index_sets(m, r, False), level):
+            if r > 1 and max(values) >= least:
+                yield from ((rows0, cols0, v, None) for (cols0, _, _), v in zip(col_sets, values))
 
 
 def _minor_sweep(a: ExactMatrix, k: int, contiguous: bool, strict: bool) -> Violation | None:
@@ -161,12 +167,16 @@ def _minor_sweep(a: ExactMatrix, k: int, contiguous: bool, strict: bool) -> Viol
     if bad is not None:
         return bad
     table = a.minor_table
-    for r in range(2, k + 1):
-        windows = _contiguous_minors(table, a.rows, a.cols, r) if contiguous else table.level(r)
-        for rows0, cols0, v, _ in windows:
-            if v >= 0 if strict else v > 0:
-                detail = Fraction(v, table.scale(rows0))
-                return Violation(_minor_kind(strict), _one_based(rows0), _one_based(cols0), detail=detail)
+    least = 0 if strict else 1  # the least integer minor that breaks the class
+    if contiguous:
+        spans = (contiguous_windows(a.rows, a.cols, r) for r in range(2, k + 1))
+        windows = ((rows0, cols0, table.minor(rows0, cols0), None) for w in spans for rows0, cols0 in w)
+    else:
+        windows = _level_minors(table, a.rows, a.cols, k, least)
+    for rows0, cols0, v, _ in windows:
+        if v >= least:
+            detail = Fraction(v, table.scale(rows0))
+            return Violation(_minor_kind(strict), _one_based(rows0), _one_based(cols0), detail=detail)
     return None
 
 

@@ -337,29 +337,32 @@ def generate_near_miss(shape: tuple[int, int], k: int, seed: int, budget: int = 
             continue
         i, j = rng.randrange(m), rng.randrange(n)
         x0 = rows[i][j]
-        # A window holding (i, j) has the minor W / d(R) and the entry's
-        # coefficient C / d(R minus row i), with W and C minors of the scaled
-        # rows and C signed by the entry's position; it is zero at x0 - W / (C * d_i).
+        # A window holding (i, j) has the minor W / d(R) and the entry's coefficient
+        # C / d(R minus row i), signed by its position, W and C at levels s and s - 1 of
+        # the scaled rows' condensation sweep; the minor is zero at x0 - W / (C * d_i).
         ints, scales = _rows_as_scaled_ints(rows)
         crossings: list[Fraction] = []
-        for s in range(2, k + 1):
-            for ridx in itertools.combinations(range(m), s):
+        cofactors = {((), ()): 1}  # level s - 1 off row i and column j; the size-0 minor is 1
+        for s, level in enumerate(_int_minor_levels(ints, k), 1):
+            col_sets = list(itertools.combinations(range(n), s))
+            below = {}
+            for ridx, values in zip(itertools.combinations(range(m), s), level):
                 if i not in ridx:
+                    below.update(((ridx, cidx), v) for cidx, v in zip(col_sets, values) if j not in cidx)
                     continue
                 pi = ridx.index(i)
-                sel = [ints[r] for r in ridx]
-                rest = sel[:pi] + sel[pi + 1 :]
-                for cidx in itertools.combinations(range(n), s):
+                rest = ridx[:pi] + ridx[pi + 1 :]
+                for cidx, w in zip(col_sets, values):
                     if j not in cidx:
                         continue
                     pj = cidx.index(j)
-                    c = _int_minor(rest, cidx[:pj] + cidx[pj + 1 :])
+                    c = cofactors[rest, cidx[:pj] + cidx[pj + 1 :]]
                     if c == 0:
                         continue
-                    w = _int_minor(sel, cidx)
                     root = x0 - Fraction(w, (c if (pi + pj) % 2 == 0 else -c) * scales[i])
                     if x0 < root < 0:
                         crossings.append(root)
+            cofactors = below
         if not crossings:
             continue
         crossings.sort()

@@ -19,7 +19,7 @@ every 1x1 window.  From size 2 on, both sweeps read one window generator
 (:func:`_lcp_windows`), each with its own per-window judge.  It reads row sets
 outer and column sets inner, builds the keys of every set of window positions
 once per row set and per column set, and hands each window the lazy stream of
-its supports, solved on integers read from the matrix's minor table
+its supports, solved on integers looked up in the matrix's minor table
 (:func:`_support_candidates`); a judge stops it as soon as the answer is
 known.  A support with a zero principal minor, which may hold a solution
 family, goes to the same step on the table's scaled rows, and the first family
@@ -547,11 +547,12 @@ def _support_candidates(
         z_l d = -X_l d + (-1)^b(l) (sum_{j > l} Y_j T(S, S - l + j) - sum_{j < l} Y_j T(S, S - l + j)),
         w_i d = (-1)^b(i) sum_{j not in S} Y_j T(S + i, S + j).
 
-    Each minor is expanded along its row that is not among its column
+    Each minor is a lookup in the levels :func:`_lcp_windows` has drawn; one
+    past the table's cap is expanded along its row that is not among its column
     positions, and d along its highest row where X is nonzero, so it reads only
     minors that the supports one smaller have read; no submatrix, no Fractions.
     Every z-minor is read, and the w-minors up to the first negative w, since
-    they seed the expansions of larger supports.  A support with a zero
+    past the cap they seed the expansions of larger supports.  A support with a zero
     principal minor goes to :func:`_support_solutions` on the table's scaled
     rows of the window and Q, whose points are candidates as they are; at its
     first solution family this yields None and stops, since the family already
@@ -627,11 +628,13 @@ def _lcp_windows(
     vector of :func:`_single_vector_ints`, Q the image of :func:`_scaled_image`
     and candidates the lazy :func:`_support_candidates` stream of LCP(A_w, A_w x).
 
-    A size beyond MAX_LCP_SIZE is refused before any of its windows is built.
+    A size beyond MAX_LCP_SIZE is refused before any of its windows is built;
+    otherwise the table draws the levels up to it that fit (``MinorTable.fill``).
     """
     table = a.minor_table
     for r in range(2, k + 1):
         _check_lcp_size(r)
+        table.fill(r)
         col_sets = [(cols, _position_keys(1 << j for j in cols[0])) for cols in index_sets(a.cols, r, contiguous)]
         for rows in index_sets(a.rows, r, contiguous):
             rows0 = rows[0]

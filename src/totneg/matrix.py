@@ -7,23 +7,18 @@ public API are 1-based (storage is row-major internally).
 Every decision procedure reads its minors from one :class:`MinorTable` per
 matrix (``ExactMatrix.minor_table``, built on first use and cached on the
 instance).  The table scales row i by the positive lcm d_i of its
-denominators, which keeps every minor's sign, and computes the integer minors
-of the scaled matrix on demand: a size-s minor is the Laplace expansion of
-kept size-(s-1) minors along its first row (or a row the caller names) when
-those are all kept, and a Bareiss determinant otherwise.  A minor of the
-matrix itself is the scaled minor over the product of d_i on its rows.
-``MinorTable.solve`` gives a window's minor and its adjugate times a vector
-from one Bareiss solve, on the same loop as the determinant;
-``MinorTable.level`` gives both for every window of one size from the kept
-minors one size down.
-``det``, ``minor_det``, ``cofactor_minor``, ``adjugate`` and
-``contiguous_minors_up_to`` stay on fraction-free Bareiss elimination.
-``minors_up_to`` scales the matrix's rows once and reads the condensation
-sweep :func:`_int_minor_levels`: each minor of size s >= 3 comes in O(1) from
-four minors of size s-1 and one of size s-2 (Desnanot-Jacobi), and a minor
-whose inner minor is 0, or one that needs a level over ``MAX_STORED_MINORS``,
-is a Bareiss determinant.  The sweep never reads the minor table, so
-witnesses and the tests' reference minors stay independent of it.
+denominators, which keeps every minor's sign; a minor of the matrix is the
+scaled minor over the product of d_i on its rows.  The table reads the minors
+of all windows a level at a time, sizes ascending and only up to the size a
+sweep reaches, from the condensation sweep :func:`_int_minor_levels` (each
+minor of size s >= 3 in O(1) from the two levels below by Desnanot-Jacobi, or
+a Bareiss determinant when its inner minor is 0), and keeps a level whole
+while it fits under ``MAX_STORED_MINORS``.  A minor asked for alone (a
+contiguous window, or one past the cap) is a Laplace expansion of kept minors
+or a Bareiss determinant.  ``minors_up_to`` and the certificate of ``totneg
+generate`` read the same sweep without a table; ``det``, ``minor_det``,
+``cofactor_minor``, ``adjugate``, ``contiguous_minors_up_to`` and
+``MinorTable.solve`` stay on Bareiss elimination, independent of it.
 """
 
 from __future__ import annotations
@@ -32,6 +27,7 @@ import decimal
 import itertools
 import math
 import re
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -141,6 +137,9 @@ class ExactMatrix:
     rows: int
     cols: int
     entries: tuple[Fraction, ...]
+
+    def __getstate__(self) -> dict:  # a pickle or copy builds its own minor table
+        return {k: v for k, v in self.__dict__.items() if k != "minor_table"}
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
@@ -409,8 +408,8 @@ def index_sets(n: int, r: int, contiguous: bool = False) -> tuple[IndexSet, ...]
     return tuple(out)
 
 
-#: Most minors one table stores; beyond it, minors are still computed but not
-#: kept, so later ones fall back to elimination and memory stays bounded.
+#: Most minors one table stores: a level whole while it fits, a minor computed
+#: alone while there is room; past it, minors are computed but not kept.
 MAX_STORED_MINORS = 1 << 18
 
 
@@ -423,26 +422,63 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 class MinorTable:
-    """Lazily computed minors of one matrix, over row-scaled integers.
+    """Minors of one matrix over row-scaled integers, kept as they are computed.
 
     Row i of the matrix is scaled by ``d_i`` (:func:`_rows_as_scaled_ints`),
     a positive diagonal that keeps the sign of every minor.  ``minor(R, C)``
     is the integer minor of the scaled matrix; the minor of the matrix itself
-    is ``minor(R, C) / scale(R)``.  A minor is computed on first request and
-    kept: by Laplace expansion along its first row (or a row the caller names,
-    see :meth:`minor_of_masks`) when every minor one size smaller that the
-    expansion needs is already kept (O(s)), otherwise by
-    :func:`det_of_rows` elimination on the scaled rows (O(s^3)).  A sweep over
-    all windows with sizes ascending thus expands every minor from the level
-    below, a sweep over contiguous windows eliminates each window once, and a
-    sweep that stops at size s computes nothing above s.  Index sets are
-    0-based and strictly increasing; they are not validated.
+    is ``minor(R, C) / scale(R)``.  The minors of all windows come a level at a
+    time, sizes ascending and only up to the size a sweep asks for, from
+    :func:`_int_minor_levels` on the scaled rows (:meth:`levels`, :meth:`fill`);
+    a level is kept whole when it fits under ``MAX_STORED_MINORS``.  A minor
+    asked for alone and not kept is the Laplace expansion of kept minors one
+    size smaller (see :meth:`minor_of_masks`), else a :func:`det_of_rows`
+    elimination, and is kept while there is room.  Index sets are 0-based and
+    strictly increasing; they are not validated.
     """
 
     def __init__(self, a: ExactMatrix) -> None:
         self._ints, self._scales = _rows_as_scaled_ints(a.row_list())
         self._ncols = a.cols
         self._values: dict[int, int] = {}  # (row mask << ncols) | column mask -> minor
+        self._sweep = _int_minor_levels(self._ints, min(a.rows, a.cols))
+        self._drawn = 0  # the levels of sizes 1.._drawn have been drawn from the sweep
+        self._lock = threading.Lock()
+
+    def _fits(self, r: int) -> bool:
+        return len(self._values) + math.comb(len(self._ints), r) * math.comb(self._ncols, r) <= MAX_STORED_MINORS
+
+    def _draw(self, r: int) -> Iterable[Sequence[int]] | None:
+        """Level r from the sweep, kept whole when it fits, if it is the next
+        level to draw, else None; one thread draws at a time."""
+        with self._lock:
+            if r != self._drawn + 1:
+                return None
+            level = next(self._sweep)
+            self._drawn = r
+            if self._fits(r):  # then the sweep has built the level as a list
+                cmasks = [cmask for _, cmask, _ in index_sets(self._ncols, r, False)]
+                for (_, rmask, _), values in zip(index_sets(len(self._ints), r, False), level):
+                    rkey = rmask << self._ncols
+                    self._values.update(zip([rkey | cmask for cmask in cmasks], values))
+            return level
+
+    def fill(self, r: int) -> None:
+        """Draw the levels up to size r, sizes ascending, while each one fits."""
+        while self._drawn < r and self._fits(self._drawn + 1):
+            self._draw(self._drawn + 1)
+
+    def levels(self, k: int) -> Iterator[Iterable[Sequence[int]]]:
+        """The minors of every window of sizes 1..k, a level per size: one list per
+        row set of its minors on every column set, both lexicographic.  A level
+        not drawn yet is drawn, one drawn before is read back; lazy by level."""
+        for r in range(1, k + 1):
+            level = self._draw(r)
+            if level is None:  # drawn before: read it back
+                cmasks = [cm for _, cm, _ in index_sets(self._ncols, r, False)]
+                rmasks = (rm for _, rm, _ in index_sets(len(self._ints), r, False))
+                level = ([self.minor_of_masks(rm, cm) for cm in cmasks] for rm in rmasks)
+            yield level
 
     def minor_of_masks(self, rmask: int, cmask: int, along: int = 0) -> int:
         """The minor on the rows and columns whose bits are set in rmask and cmask.
@@ -533,62 +569,40 @@ class MinorTable:
         ``(rows0, cols0, minor, N)``, N the integers :meth:`adjugate_numerators`
         gives for coeffs, or None without coeffs.
 
-        For the row set R and each column set C' of size r - 1 the sweep reads
-        M(R - R_0, C') and G(C') = sum_j (-1)^j c_j d_(R_j) M(R - R_j, C') once,
-        and every column window C that contains C' reuses them: the minor is the
-        first-row expansion sum_l (-1)^l T[R_0, C_l] M(R - R_0, C - C_l), and
-        N_l = (-1)^l G(C - C_l).  The size-(r-1) minors are read from the kept
-        values, and ``minor_of_masks`` computes one that is missing; a minor
-        already kept is not expanded again.  Lazy: nothing is computed past the
-        last window taken.
+        After :meth:`fill`, the minor is read from level r and N from level r - 1:
+        for the row set R and each C' of size r - 1, G(C') = sum_j (-1)^j c_j
+        d_(R_j) M(R - R_j, C') is computed once, and every column window C that
+        contains C' has N_l = (-1)^l G(C - C_l).  Lazy: nothing is computed past
+        the last window taken.
         """
+        self.fill(r)
         ints, scales, values, shift = self._ints, self._scales, self._values, self._ncols
-        if r == 2:  # the sub-minors are the entries, which the table does not keep
-            lower = {1 << i << shift | 1 << j: v for i, row in enumerate(ints) for j, v in enumerate(row)}
-        else:
-            lower = values
         # contiguous passed as the complementarity sweeps pass it: one cache entry per (n, r)
         col_sets = index_sets(shift, r, False)
         for rows0, rmask, rdels in index_sets(len(ints), r, False):
-            first = ints[rows0[0]]
-            head = rdels[0]
-            head_key = head << shift
             weighted = [
                 (rm, rm << shift, -c * scales[i] if j % 2 else c * scales[i])
                 for j, (i, rm, c) in enumerate(zip(rows0, rdels, coeffs or ()))
                 if c
             ]
-            shared: dict[int, tuple[int, int]] = {}  # C' -> (M(R - R_0, C'), G(C'))
+            shared: dict[int, int] = {}  # C' -> G(C')
             rkey = rmask << shift
             for cols0, cmask, cdels in col_sets:
                 det = values.get(rkey | cmask)
-                expand = det is None
-                x = None if coeffs is None else []
-                if expand or x is not None:
-                    if expand:
-                        det = 0
-                    odd = False
-                    for col, cm in zip(cols0, cdels):
-                        pair = shared.get(cm)
-                        if pair is None:
-                            m0 = lower.get(head_key | cm)
-                            if m0 is None:
-                                m0 = self.minor_of_masks(head, cm)
+                if det is None:
+                    det = self.minor_of_masks(rmask, cmask)
+                x = None
+                if coeffs is not None:
+                    x = []
+                    for l, cm in enumerate(cdels):
+                        g = shared.get(cm)
+                        if g is None:
                             g = 0
                             for rm, rk, w in weighted:
-                                sub = lower.get(rk | cm)
-                                if sub is None:
-                                    sub = self.minor_of_masks(rm, cm)
-                                g += w * sub
-                            pair = shared[cm] = (m0, g)
-                        if expand:
-                            term = first[col] * pair[0]
-                            det = det - term if odd else det + term
-                        if x is not None:
-                            x.append(-pair[1] if odd else pair[1])
-                        odd = not odd
-                    if expand and len(values) < MAX_STORED_MINORS:
-                        values[rkey | cmask] = det
+                                sub = values.get(rk | cm)
+                                g += w * (self.minor_of_masks(rm, cm) if sub is None else sub)
+                            shared[cm] = g
+                        x.append(-g if l % 2 else g)
                 yield rows0, cols0, det, x
 
     def solve(self, rows0: Sequence[int], cols0: Sequence[int], coeffs: Sequence[int]) -> tuple[int, list[int] | None]:
@@ -686,8 +700,8 @@ def minors_up_to(a: ExactMatrix, k: int) -> Iterator[MinorRecord]:
 
     The rows are scaled to integers once (:func:`_rows_as_scaled_ints`), and the
     minors come from :func:`_int_minor_levels` on those integers, each over the
-    product of its rows' scales.  The sweep never reads the minor table, so this
-    stream is the reference the table-backed procedures are tested against.
+    product of its rows' scales.  It builds no minor table, but the table reads
+    the same sweep, so the tests check both against a per-minor Fraction reference.
     """
     check_order(a, k)
     ints, scales = _rows_as_scaled_ints(a.row_list())

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from totneg import (
     check_tnp_vd,
     contiguous_minors_up_to,
     det,
+    minors_up_to,
     is_alternating_orthant,
     sign_non_reversal,
     submatrix,
@@ -27,7 +30,8 @@ from totneg import (
 )
 from totneg import matrix as matrix_module
 from totneg.generate import cross_validate, generate_near_miss, generate_tnp, random_rational_matrix
-from totneg.matrix import MinorTable
+from totneg.lcp import tnp_lcp_sufficient_check
+from totneg.matrix import MinorTable, _bits
 
 from oracles import (
     check_tn_snr_all_vectors,
@@ -347,3 +351,42 @@ def test_all_window_sweeps_at_7x7_read_the_level_sweep(monkeypatch):
     assert check_by_minor_definition(a, ClassQuery("tnp", 7)).holds
     assert check_by_minor_definition(b, ClassQuery("tnp", 7)).holds
     assert check_tnp_vd(b, alpha=AlphaChoice.of(["1/2", 3], global_sign=-1)).holds
+
+
+def test_threads_sharing_one_matrix_get_the_verdicts_of_one_thread():
+    """Threads that sweep one matrix at once, with a switch interval of a
+    microsecond, get the verdicts one thread gets and leave only true minors
+    in the shared table: the table draws one level at a time, and a level
+    another thread drew is read back."""
+    base = generate_tnp((6, 6), 6, seed=2).matrix
+    sweeps = [
+        lambda a: check_by_minor_definition(a, ClassQuery("tnp", 6)),
+        lambda a: check_tnp_snr(a, 6),
+        lambda a: check_tnp_vd(a),
+        lambda a: tnp_lcp_sufficient_check(a, 6).status,
+    ]
+    expected = [sweep(ExactMatrix(base.rows, base.cols, base.entries)) for sweep in sweeps]
+    minors = {(rec.rows, rec.cols): rec.value for rec in minors_up_to(base, 6)}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            a = ExactMatrix(base.rows, base.cols, base.entries)
+            results = [None] * 8
+
+            def run(i):
+                results[i] = sweeps[i % len(sweeps)](a)
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert results == expected * 2
+            table = a.minor_table
+            for key, value in table._values.items():
+                rows0, cols0 = tuple(_bits(key >> a.cols)), tuple(_bits(key & ((1 << a.cols) - 1)))
+                assert Fraction(value, table.scale(rows0)) == minors[tuple(i + 1 for i in rows0), tuple(j + 1 for j in cols0)]
+    finally:
+        sys.setswitchinterval(switch)

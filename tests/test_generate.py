@@ -205,6 +205,7 @@ GOLDEN = [
     ("near_miss", (4, 4), 2, 8, "ab1cc966630d8980e153cbca34bbbf150bc568cb3450e0cbf3d704d328e8b64e", "8cd923093550de1c28e1a29c90204469d9d4dbe75608468c987efe18af73481e", 1),
     ("near_miss", (4, 4), 3, 11, "6122a06db6ff40dd30d0b6e79effdfa4c5e27fc8577d5989f7fb98f2afa0e656", "8febb53e6342a5f525fcb60fb780de054693c1ce822645d870b66ca4dc79ddde", 2),
     ("near_miss", (5, 5), 4, 2, "5f2f0e2389721a1557507f72ce749a1fbe0d1c066d83e731831a4e306220b783", "ec0a85119a26d1f793eb5441be781743044bc65a618bbc4b55671f64aa8ade66", 2),
+    ("near_miss", (6, 6), 5, 3, "2f378dd47749fe6f8ff741bfd340eddca58975f22e8e8b5de90dfbb3ed954e99", "ff0f13baaf34fe1716cbf7da016f01d94502c73a335c53d784e36447633842a3", 1),
 ]
 
 GENERATORS = {"tn": generate_tn, "tnp": generate_tnp, "near_miss": generate_near_miss}
@@ -227,6 +228,21 @@ def test_generation_and_its_certificate_read_minors_from_the_levels_below(elimin
     eliminations.clear()
     certificate_digest(inst.matrix, 7)
     assert eliminations == []
+
+
+def test_near_miss_reads_its_crossings_from_the_levels(eliminations):
+    """Each window holding the moved entry reads its minor W and the entry's
+    coefficient C off the condensation levels of the certified base, so a 5x5
+    order-4 near miss eliminates only inside its base constructions: 52 in
+    all, where reading W and C window by window eliminated 136 more."""
+    inst = generate_near_miss((5, 5), 4, 2)
+    near_miss = len(eliminations)
+    eliminations.clear()
+    rng = random.Random(2)
+    for _ in range(inst.attempts):
+        generate_tn((5, 5), 5, rng.randrange(2**30))
+        rng.randrange(5), rng.randrange(5)
+    assert near_miss == len(eliminations) == 52
 
 
 class _Built(Exception):

@@ -946,13 +946,13 @@ def test_pair_with_distinct_images_on_copies_distinct_images_and_ties():
 
 
 def test_a_cold_single_vector_check_eliminates_no_more_minors(monkeypatch):
-    """Reading every z- and w-minor of a support seeds the Laplace expansions of the
-    larger ones: a cold 7x7 check eliminates at most 35 minors and keeps 1,719.
-    Stopping at the first negative z takes it to 154 eliminations."""
+    """The levels up to r are drawn before the windows of size r, so every
+    support minor is a lookup: a cold 7x7 check eliminates no minor and keeps
+    all 3,431 (the sum over s of C(7, s)^2)."""
     a = parse_matrix(generate_tn((7, 7), 7, seed=0).matrix.to_text())
     sizes = []
     real = matrix.det_of_rows
     monkeypatch.setattr(matrix, "det_of_rows", lambda rows: sizes.append(len(rows)) or real(rows))
     assert lcp_single_vector_check(a, 7).holds
-    assert len(sizes) <= 35
-    assert stored_minors(a.minor_table) == 1719
+    assert sizes == []
+    assert stored_minors(a.minor_table) == 3431

@@ -1,14 +1,16 @@
 """Exact matrix substrate: determinants against independent oracles, adjugate
 identity, minor streams and their closed-form counts."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from totneg import (
@@ -285,9 +287,12 @@ def test_entry_access_is_one_based(n3):
 def table_matrices(draw):
     """Shapes 1x1 to 5x5 (1 x n and m x 1 included), mixed denominators, some rows
     and columns repeats of earlier ones (so that inner minors vanish without a
-    zero row), and some zero rows."""
+    zero row), some zero rows, and in half the cases about half the entries
+    zero (so that a minor whose inner minor vanishes need not vanish)."""
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     entry = st.fractions(min_value=-12, max_value=12, max_denominator=9)
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(Fraction(0)), entry)
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
     for i in range(1, m):
         if draw(st.sampled_from(("keep", "keep", "repeat"))) == "repeat":
@@ -340,6 +345,51 @@ def test_minor_streams_match_the_per_minor_fraction_reference(a, data):
         records = list(stream(a, k))
         assert records == list(reference(a, k))
         assert all(type(rec.value) is Fraction for rec in records)
+
+
+@pytest.mark.parametrize("cap", [matrix_module.MAX_STORED_MINORS, 40, 0])
+@settings(max_examples=40, deadline=None)
+@given(
+    table_matrices(),
+    st.lists(st.integers(1, 5), min_size=3, max_size=3),
+    st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+    st.randoms(use_true_random=False),
+)
+@example(ExactMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]]), [1, 2, 3], [1, -2, 3, 0, 0], random.Random(0))
+def test_condensed_levels_match_the_per_minor_fraction_reference(cap, a, fills, coeffs, rng):
+    """After a fill to a drawn size, ``levels``, ``level(r)``, ``level(r, c)`` and
+    ``minor_of_masks`` (windows in a shuffled order) give the minors of the
+    per-minor Fraction reference, and ``level(r, c)`` the numerators of a
+    Fraction adjugate.  Zero and repeated rows make inner minors vanish, and the
+    example's determinant -2 has the inner minor 0; a cap of 40 keeps the small
+    levels and streams the rest, and a cap of 0 keeps none, so every level
+    above 2 is eliminated."""
+    k = min(a.rows, a.cols)
+    expected = {
+        (tuple(i - 1 for i in rec.rows), tuple(j - 1 for j in rec.cols)): rec.value
+        for rec in reference_minors_up_to(a, k)
+    }
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrix_module, "MAX_STORED_MINORS", cap)
+        tables = [MinorTable(a) for _ in range(3)]
+        for table, fill in zip(tables, fills):
+            table.fill(min(fill, k))
+        streamed, swept, looked_up = tables
+        values = [v for level in streamed.levels(k) for row in level for v in row]
+        windows = [w for r in range(1, k + 1) for w in all_windows(a.rows, a.cols, r)]
+        assert [Fraction(v, streamed.scale(rows0)) for (rows0, _), v in zip(windows, values)] == list(expected.values())
+        assert len(values) == len(expected)
+        for r in range(2, k + 1):
+            for (rows0, cols0, v, x), (_, _, w, none) in zip(swept.level(r, coeffs[:r]), swept.level(r)):
+                assert Fraction(v, swept.scale(rows0)) == Fraction(w, swept.scale(rows0)) == expected[rows0, cols0]
+                assert none is None
+                adj = adjugate(take(a, rows0, cols0)).matvec([Fraction(c) for c in coeffs[:r]])
+                assert [Fraction(n, swept.scale(rows0)) for n in x] == list(adj)
+        rng.shuffle(windows)
+        for rows0, cols0 in windows:
+            v = looked_up.minor_of_masks(sum(1 << i for i in rows0), sum(1 << j for j in cols0))
+            assert Fraction(v, looked_up.scale(rows0)) == expected[rows0, cols0]
+        assert all(stored_minors(table) <= cap for table in tables)
 
 
 def test_minor_streams_build_no_minor_table(monkeypatch):
@@ -559,3 +609,11 @@ def test_level_sweep_matches_a_fresh_table_window_by_window(cap, case):
             assert list(minors_first.level(r)) == [(rows0, cols0, v, None) for rows0, cols0, v, _ in expected]
             assert list(minors_first.level(r, coeffs)) == expected
         assert stored_minors(reference) <= cap and stored_minors(vectors) <= cap
+
+
+def test_a_matrix_pickles_and_copies_without_its_minor_table():
+    a = generate_tn((5, 5), 5, seed=0).matrix
+    a.minor_table.fill(5)
+    for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
+        assert b == a and "minor_table" not in vars(b)
+        assert list(map(list, b.minor_table.levels(5))) == list(map(list, a.minor_table.levels(5)))
