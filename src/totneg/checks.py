@@ -180,8 +180,8 @@ def _minor_sweep(a: ExactMatrix, k: int, contiguous: bool, strict: bool) -> Viol
     return None
 
 
-#: Judges one window from vectors with the signs of x = adj(S) @ alpha and of its
-#: image S x = det(S) alpha (integers in the sweeps, the recorded Fractions in
+#: Judges one window from the signs of x = adj(S) @ alpha and of S x = det(S) alpha
+#: (integers and the sign pattern of S x in the sweeps, the recorded Fractions in
 #: ``verify_vector_witness``); returns the violation kind, or None.
 Judge = Callable[[Sequence[int], Sequence[int]], ViolationKind | None]
 
@@ -202,9 +202,9 @@ def _test_vector_sweep(a: ExactMatrix, k: int, alpha: AlphaChoice, judge: Judge,
     (or every window) S of size 2..k.
 
     With alpha = c / L over integers c, x = N / (L * scale(S)) where N are the
-    table's adjugate numerators, and S x = det(S) alpha, whose signs are those
-    of minor(S) * c.  Both denominators are positive, so the judge sees integers
-    with the right signs; the Fraction vector is built for a witness only.
+    table's adjugate numerators, and S x = det(S) alpha has the signs of c, -c
+    or 0 by the sign of minor(S).  Both denominators are positive, so the judge
+    sees the right signs; the Fraction vector is built for a witness only.
 
     A contiguous window keeps none of its deletion minors, so it gets minor(S)
     and N from one solve on the table (deletion minors only when S is
@@ -214,12 +214,13 @@ def _test_vector_sweep(a: ExactMatrix, k: int, alpha: AlphaChoice, judge: Judge,
     table = a.minor_table
     for r in range(2, k + 1):
         (coeffs,), (lcm,) = _rows_as_scaled_ints([alpha.realized(r)])  # alpha = coeffs / lcm
+        images = ([0] * r, coeffs, [-c for c in coeffs])  # sign patterns of S x, indexed by sign(det)
         if contiguous:
             windows = _contiguous_solves(table, a.rows, a.cols, r, coeffs)
         else:
             windows = table.level(r, coeffs)
         for rows0, cols0, det, x in windows:
-            kind = judge(x, [det * c for c in coeffs])
+            kind = judge(x, images[(det > 0) - (det < 0)])
             if kind is not None:
                 denominator = lcm * table.scale(rows0)
                 vector = tuple(Fraction(v, denominator) for v in x)

@@ -12,13 +12,14 @@ scaled minor over the product of d_i on its rows.  The table reads the minors
 of all windows a level at a time, sizes ascending and only up to the size a
 sweep reaches, from the condensation sweep :func:`_int_minor_levels` (each
 minor of size s >= 3 in O(1) from the two levels below by Desnanot-Jacobi, or
-a Bareiss determinant when its inner minor is 0), and keeps a level whole
-while it fits under ``MAX_STORED_MINORS``.  A minor asked for alone (a
-contiguous window, or one past the cap) is a Laplace expansion of kept minors
-or a Bareiss determinant.  ``minors_up_to`` and the certificate of ``totneg
-generate`` read the same sweep without a table; ``det``, ``minor_det``,
-``cofactor_minor``, ``adjugate``, ``contiguous_minors_up_to`` and
-``MinorTable.solve`` stay on Bareiss elimination, independent of it.
+in O(s) from the level below when its inner minor is 0), and keeps a level
+whole while it fits under ``MAX_STORED_MINORS``, stored at its first lookup.
+A minor asked for alone (a contiguous window, or one past the cap) is a
+Laplace expansion of kept minors or a Bareiss determinant.  ``minors_up_to``
+and the certificate of ``totneg generate`` read the same sweep without a
+table; ``det``, ``minor_det``, ``cofactor_minor``, ``adjugate``,
+``contiguous_minors_up_to`` and ``MinorTable.solve`` stay on Bareiss
+elimination, independent of it.
 """
 
 from __future__ import annotations
@@ -430,9 +431,10 @@ class MinorTable:
     is ``minor(R, C) / scale(R)``.  The minors of all windows come a level at a
     time, sizes ascending and only up to the size a sweep asks for, from
     :func:`_int_minor_levels` on the scaled rows (:meth:`levels`, :meth:`fill`);
-    a level is kept whole when it fits under ``MAX_STORED_MINORS``.  A minor
-    asked for alone and not kept is the Laplace expansion of kept minors one
-    size smaller (see :meth:`minor_of_masks`), else a :func:`det_of_rows`
+    a level is kept whole when it fits under ``MAX_STORED_MINORS``, and is
+    stored at the first lookup after its draw, so a scan stores nothing.  A
+    minor asked for alone and not kept is the Laplace expansion of kept minors
+    one size smaller (see :meth:`minor_of_masks`), else a :func:`det_of_rows`
     elimination, and is kept while there is room.  Index sets are 0-based and
     strictly increasing; they are not validated.
     """
@@ -443,30 +445,42 @@ class MinorTable:
         self._values: dict[int, int] = {}  # (row mask << ncols) | column mask -> minor
         self._sweep = _int_minor_levels(self._ints, min(a.rows, a.cols))
         self._drawn = 0  # the levels of sizes 1.._drawn have been drawn from the sweep
+        self._pending: dict[int, Sequence[Sequence[int]]] = {}  # size -> drawn level kept, not yet stored
         self._lock = threading.Lock()
 
     def _fits(self, r: int) -> bool:
-        return len(self._values) + math.comb(len(self._ints), r) * math.comb(self._ncols, r) <= MAX_STORED_MINORS
+        counts = (math.comb(len(self._ints), s) * math.comb(self._ncols, s) for s in (r, *self._pending))
+        return len(self._values) + sum(counts) <= MAX_STORED_MINORS
 
     def _draw(self, r: int) -> Iterable[Sequence[int]] | None:
         """Level r from the sweep, kept whole when it fits, if it is the next
-        level to draw, else None; one thread draws at a time."""
+        level to draw, else None; one thread draws at a time, and a kept level
+        waits in ``_pending`` for a lookup."""
         with self._lock:
             if r != self._drawn + 1:
                 return None
             level = next(self._sweep)
             self._drawn = r
             if self._fits(r):  # then the sweep has built the level as a list
+                self._pending[r] = level
+            return level
+
+    def _flush(self) -> None:
+        """Store the kept levels that wait for a lookup, under the draw lock."""
+        with self._lock:
+            for r, level in self._pending.items():
                 cmasks = [cmask for _, cmask, _ in index_sets(self._ncols, r, False)]
                 for (_, rmask, _), values in zip(index_sets(len(self._ints), r, False), level):
                     rkey = rmask << self._ncols
                     self._values.update(zip([rkey | cmask for cmask in cmasks], values))
-            return level
+            self._pending.clear()
 
     def fill(self, r: int) -> None:
-        """Draw the levels up to size r, sizes ascending, while each one fits."""
+        """Draw the levels up to size r, sizes ascending, while each one fits; store them."""
         while self._drawn < r and self._fits(self._drawn + 1):
             self._draw(self._drawn + 1)
+        if self._pending:
+            self._flush()
 
     def levels(self, k: int) -> Iterator[Iterable[Sequence[int]]]:
         """The minors of every window of sizes 1..k, a level per size: one list per
@@ -488,6 +502,8 @@ class MinorTable:
         minors it has already read passes the row whose expansion needs only those.
         """
         key = rmask << self._ncols | cmask
+        if self._pending:
+            self._flush()
         value = self._values.get(key)
         if value is None:
             value = self._expand(rmask, cmask, along)
@@ -622,6 +638,8 @@ class MinorTable:
         sign = _eliminate(m)
         pivot = m[-1][n - 1] if sign else 0
         key = _mask(rows0) << self._ncols | _mask(cols0)
+        if self._pending:  # the cap counts the kept levels
+            self._flush()
         if len(self._values) < MAX_STORED_MINORS:
             self._values[key] = sign * pivot
         if not pivot:
@@ -635,14 +653,16 @@ class MinorTable:
 
 
 @lru_cache(maxsize=256)
-def _condensation_sets(n: int, s: int) -> tuple[tuple[tuple[int, ...], int, int, int], ...]:
+def _condensation_sets(n: int, s: int) -> tuple[tuple[tuple[int, ...], int, int, int, tuple[int, ...]], ...]:
     """The s-subsets of range(n), s >= 2, lexicographic, each with the positions
     of the subset without its first index and without its last among the
-    lexicographic (s-1)-subsets, and of the subset without both among the
-    (s-2)-subsets; built once per (n, s)."""
+    lexicographic (s-1)-subsets, of the subset without both among the
+    (s-2)-subsets, and of the subset without each index in turn among the
+    (s-1)-subsets; built once per (n, s)."""
     lower = {c: i for i, c in enumerate(itertools.combinations(range(n), s - 1))}
     inner = {c: i for i, c in enumerate(itertools.combinations(range(n), s - 2))}
-    return tuple((c, lower[c[1:]], lower[c[:-1]], inner[c[1:-1]]) for c in itertools.combinations(range(n), s))
+    deletions = ((c, tuple(lower[c[:q] + c[q + 1 :]] for q in range(s))) for c in itertools.combinations(range(n), s))
+    return tuple((c, d[0], d[-1], inner[c[1:-1]], d) for c, d in deletions)
 
 
 def _condensed_rows(
@@ -650,21 +670,23 @@ def _condensed_rows(
 ) -> Iterator[list[int]]:
     """The size-s minors of the integer rows, one list per row set (row sets and,
     within a list, column sets lexicographic), from the size-(s-1) and size-(s-2)
-    levels by the Desnanot-Jacobi identity; a minor whose inner minor is 0, or
-    any minor when a level below is missing, is a Bareiss determinant."""
+    levels by the Desnanot-Jacobi identity; a minor whose inner minor is 0 is its
+    first-row expansion over the level below.  When a level below is missing,
+    every minor is a Bareiss determinant."""
     col_sets = _condensation_sets(len(ints[0]), s)
-    for rows, r_first, r_last, r_inner in _condensation_sets(len(ints), s):
+    for rows, r_first, r_last, r_inner, _ in _condensation_sets(len(ints), s):
         if lower is None or inner is None:
-            yield [_int_minor([ints[i] for i in rows], cols) for cols, _, _, _ in col_sets]
+            yield [_int_minor([ints[i] for i in rows], cols) for cols, _, _, _, _ in col_sets]
             continue
         top, bottom, mid = lower[r_first], lower[r_last], inner[r_inner]
         out = []
-        for cols, c_first, c_last, c_inner in col_sets:
+        for cols, c_first, c_last, c_inner, deletions in col_sets:
             d = mid[c_inner]
             if d:
                 out.append((top[c_first] * bottom[c_last] - top[c_last] * bottom[c_first]) // d)
             else:
-                out.append(_int_minor([ints[i] for i in rows], cols))
+                terms = [ints[rows[0]][c] * top[p] for c, p in zip(cols, deletions)]
+                out.append(sum(terms[::2]) - sum(terms[1::2]))
         yield out
 
 
@@ -677,9 +699,10 @@ def _int_minor_levels(ints: Sequence[Sequence[int]], k: int) -> Iterator[Iterabl
     (M(R-r0, C-c0) M(R-r1, C-c1) - M(R-r0, C-c1) M(R-r1, C-c0)) / M(R-r0-r1, C-c0-c1)
     with r0, r1 the first and last rows of R and c0, c1 the first and last
     columns of C (Desnanot-Jacobi; the size-0 minor is 1), an exact quotient;
-    when the inner minor is 0 the minor is eliminated.  Only the two levels
-    below are kept, and a level of more than ``MAX_STORED_MINORS`` minors is
-    not kept: it is yielded lazily, and the minors that need it are eliminated.
+    when the inner minor is 0 it is sum_q (-1)^q a(r0, c_q) M(R-r0, C-c_q), so
+    no minor is eliminated while both levels below are kept.  Only those two
+    are kept, and a level of more than ``MAX_STORED_MINORS`` minors is not
+    kept: it is yielded lazily, and the minors that need it are eliminated.
     """
     m, n = len(ints), len(ints[0])
     inner: Sequence[Sequence[int]] | None = [[1]]

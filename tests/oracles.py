@@ -122,9 +122,9 @@ def stored_minors(table: MinorTable) -> int:
     return len(table._values)
 
 
-def stored_sizes(table: MinorTable) -> set[int]:
-    """The sizes of the minors the table keeps."""
-    return {(key >> table._ncols).bit_count() for key in table._values}
+def levels_drawn(table: MinorTable) -> int:
+    """The largest size whose level the table has drawn from its sweep (0: none)."""
+    return table._drawn
 
 
 def reference_minors_up_to(a: ExactMatrix, k: int) -> Iterator[MinorRecord]:

@@ -1,5 +1,6 @@
 """Characterization checks: frozen worked examples plus structural identities."""
 
+import itertools
 import math
 import random
 import sys
@@ -29,7 +30,7 @@ from totneg import (
     vd_check,
 )
 from totneg import matrix as matrix_module
-from totneg.generate import cross_validate, generate_near_miss, generate_tnp, random_rational_matrix
+from totneg.generate import certificate_digest, cross_validate, generate_near_miss, generate_tnp, random_rational_matrix
 from totneg.lcp import tnp_lcp_sufficient_check
 from totneg.matrix import MinorTable, _bits
 
@@ -38,8 +39,9 @@ from oracles import (
     check_tnp_snr_sampled,
     check_tnp_vd_sampled,
     identity,
+    levels_drawn,
+    reference_minors_up_to,
     stored_minors,
-    stored_sizes,
     transpose,
 )
 
@@ -296,11 +298,13 @@ def test_failing_entry_builds_no_minor_level_above_one():
     assert not check_tnp_snr(a, 3).holds
     assert not check_tnp_vd(a).holds
     assert not any(cross_validate(a, 3, cls).holds for cls in ("tn", "tnp"))
-    assert stored_sizes(a.minor_table) <= {1}
-    # a sweep that fails at size 2 builds nothing above size 2
+    assert levels_drawn(a.minor_table) <= 1
+    # a sweep that fails at size 2 builds nothing above size 2, and the minor
+    # definition only scans the levels, so it stores none of their minors
     b = ExactMatrix.from_rows([[-1, -2, -3], [-2, -5, -5], [-3, -5, -6]])
     assert check_by_minor_definition(b, q3).witness.size == 2
-    assert max(stored_sizes(b.minor_table)) == 2
+    assert levels_drawn(b.minor_table) == 2
+    assert stored_minors(b.minor_table) == 0
 
 
 def _pascal_tn(n, delta):
@@ -351,6 +355,60 @@ def test_all_window_sweeps_at_7x7_read_the_level_sweep(monkeypatch):
     assert check_by_minor_definition(a, ClassQuery("tnp", 7)).holds
     assert check_by_minor_definition(b, ClassQuery("tnp", 7)).holds
     assert check_tnp_vd(b, alpha=AlphaChoice.of(["1/2", 3], global_sign=-1)).holds
+
+
+def test_zero_inner_minors_are_expanded_not_eliminated(eliminations):
+    """The rank-one 5x5 TNP instance (seed 1) and the singular 6x6 one (seed 1)
+    have level minors whose inner minor is 0; each is expanded over the level
+    below, so the certificate and the sign non-reversal sweep eliminate none,
+    and a lookup after the minor definition reads the level it scanned."""
+    five = generate_tnp((5, 5), 5, seed=1).matrix
+    six = generate_tnp((6, 6), 6, seed=1).matrix
+    scanned = ExactMatrix(six.rows, six.cols, six.entries)
+    eliminations.clear()
+    certificate_digest(five, 5)
+    assert check_tnp_snr(six, 6).holds
+    assert check_by_minor_definition(scanned, ClassQuery("tnp", 6)).holds
+    assert scanned.minor_table.minor(range(6), range(6)) == 0
+    assert eliminations == []
+    for a, k in ((five, 5), (six, 6)):
+        assert list(minors_up_to(a, k)) == list(reference_minors_up_to(a, k))
+        minors = {(rec.rows, rec.cols): rec.value for rec in minors_up_to(a, k)}
+        assert any(minors[rows[1:-1], cols[1:-1]] == 0 for rows, cols in minors if len(rows) >= 3)
+
+
+@pytest.mark.parametrize("cap", [matrix_module.MAX_STORED_MINORS, 40])
+def test_sweeps_after_a_minor_definition_match_a_fresh_matrix(cap):
+    """The minor definition only scans the levels it draws and stores none of
+    them; the sweeps and lookups that follow on the same matrix store them
+    first and give what they give on a fresh matrix, also past a storage cap."""
+    rng = random.Random(7)
+    verdicts = []
+    bases = [generate_tnp((6, 6), 6, seed=1).matrix, random_rational_matrix((5, 6), seed=3, style="negative")]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrix_module, "MAX_STORED_MINORS", cap)
+        for base in bases:
+            k = min(base.shape)
+
+            def fresh():
+                return ExactMatrix(base.rows, base.cols, base.entries)
+
+            a = fresh()
+            verdicts.append(check_by_minor_definition(a, ClassQuery("tnp", k)).holds)
+            assert stored_minors(a.minor_table) == 0
+            assert check_tnp_snr(a, k) == check_tnp_snr(fresh(), k)
+            assert tnp_lcp_sufficient_check(a, k) == tnp_lcp_sufficient_check(fresh(), k)
+            windows = [(rows, cols) for r in range(1, k + 1) for rows in itertools.combinations(range(a.rows), r)
+                       for cols in itertools.combinations(range(a.cols), r)]
+            rng.shuffle(windows)
+            b = fresh()
+            check_by_minor_definition(b, ClassQuery("tnp", k))
+            c = fresh().minor_table
+            for rows, cols in windows:
+                rmask, cmask = sum(1 << i for i in rows), sum(1 << j for j in cols)
+                assert b.minor_table.minor_of_masks(rmask, cmask) == c.minor_of_masks(rmask, cmask)
+            assert stored_minors(a.minor_table) <= cap and stored_minors(b.minor_table) <= cap
+    assert verdicts == [True, False]  # the failing sweep leaves the levels below its failure pending
 
 
 def test_threads_sharing_one_matrix_get_the_verdicts_of_one_thread():

@@ -436,11 +436,12 @@ def test_minor_stream_beyond_its_level_cap_still_matches(monkeypatch, eliminatio
     assert len(eliminations) == eliminated
 
 
-def test_minor_stream_eliminates_a_minor_whose_inner_minor_is_zero(eliminations):
-    """[[1, 1, 0], [1, 0, 1], [0, 1, 1]] has the inner minor 0 and the determinant -2."""
+def test_minor_stream_expands_a_minor_whose_inner_minor_is_zero(eliminations):
+    """[[1, 1, 0], [1, 0, 1], [0, 1, 1]] has the inner minor 0 and the determinant
+    -2, which is expanded along its first row over level 2, not eliminated."""
     a = ExactMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
     assert list(minors_up_to(a, 3))[-1].value == -2
-    assert eliminations == [3]
+    assert eliminations == []
 
 
 def test_minor_table_eliminates_a_large_window_without_its_subminors():
