@@ -11,25 +11,27 @@ certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from .errors import DimensionError, ResourceLimitError
 from .matrix import (  # noqa: F401 - adjugate and minors_up_to stay bound here for the benchmark's tracer
     ExactMatrix,
-    MinorTable,
     RationalLike,
+    MinorWindow,
     SweptWindow,
+    _contiguous_int_minors,
     _one_based,
     _rows_as_scaled_ints,
     adjugate,
     check_order,
-    contiguous_windows,
     det,
     index_sets,
     minors_up_to,
+    solve_window,
     submatrix,
     to_fraction,
 )
@@ -146,36 +148,27 @@ def _entry_violation(a: ExactMatrix, strict: bool) -> Violation | None:
     return None if hit is None else Violation(_minor_kind(strict), hit[:1], hit[1:2], detail=hit[2])
 
 
-def _level_minors(table: MinorTable, m: int, n: int, k: int, least: int) -> Iterator[SweptWindow]:
+def _scale(a: ExactMatrix, rows0: Sequence[int]) -> int:
+    """Product of the row scales on rows0: a scaled minor's denominator factor."""
+    return math.prod(map(a.integer_rows[1].__getitem__, rows0))
+
+
+def _level_minors(a: ExactMatrix, k: int, least: int) -> Iterator[MinorWindow]:
     """Every window of size 2..k with its minor, read off the table's levels a
     row set at a time; a row set whose minors are all below ``least`` is skipped."""
-    for r, level in enumerate(table.levels(k), 1):
-        col_sets = index_sets(n, r, False)
-        for (rows0, _, _), values in zip(index_sets(m, r, False), level):
+    for r, level in enumerate(a.minor_table.levels(k), 1):
+        col_sets = index_sets(a.cols, r, False)
+        for (rows0, _, _), values in zip(index_sets(a.rows, r, False), level):
             if r > 1 and max(values) >= least:
-                yield from ((rows0, cols0, v, None) for (cols0, _, _), v in zip(col_sets, values))
+                yield from ((rows0, cols0, v) for (cols0, _, _), v in zip(col_sets, values))
 
 
-def _minor_sweep(a: ExactMatrix, k: int, contiguous: bool, strict: bool) -> Violation | None:
-    """The first minor of size 1..k on the contiguous windows (or on every
-    window) whose sign breaks the class.
-
-    Sizes ascend and windows keep their order within a size; signs are read
-    from the integer minor table, and a Fraction is built for the witness only.
-    """
-    bad = _entry_violation(a, strict)
-    if bad is not None:
-        return bad
-    table = a.minor_table
+def _minor_sweep(a: ExactMatrix, windows: Iterable[MinorWindow], strict: bool) -> Violation | None:
+    """The first of the windows whose minor breaks the class; a Fraction is built for the witness only."""
     least = 0 if strict else 1  # the least integer minor that breaks the class
-    if contiguous:
-        spans = (contiguous_windows(a.rows, a.cols, r) for r in range(2, k + 1))
-        windows = ((rows0, cols0, table.minor(rows0, cols0), None) for w in spans for rows0, cols0 in w)
-    else:
-        windows = _level_minors(table, a.rows, a.cols, k, least)
-    for rows0, cols0, v, _ in windows:
+    for rows0, cols0, v in windows:
         if v >= least:
-            detail = Fraction(v, table.scale(rows0))
+            detail = Fraction(v, _scale(a, rows0))
             return Violation(_minor_kind(strict), _one_based(rows0), _one_based(cols0), detail=detail)
     return None
 
@@ -186,15 +179,15 @@ def _minor_sweep(a: ExactMatrix, k: int, contiguous: bool, strict: bool) -> Viol
 Judge = Callable[[Sequence[int], Sequence[int]], ViolationKind | None]
 
 
-def _contiguous_solves(table: MinorTable, m: int, n: int, r: int, coeffs: Sequence[int]) -> Iterator[SweptWindow]:
-    """Each contiguous window's minor and adjugate numerators from one solve
-    (from the deletion minors when the window is singular)."""
-    for rows0, cols0 in contiguous_windows(m, n, r):
-        det, x = table.solve(rows0, cols0, coeffs)
-        if x is None:
-            x = table.adjugate_numerators(rows0, cols0, coeffs)
-            det = table.minor(rows0, cols0)
-        yield rows0, cols0, det, x
+def _contiguous_solves(a: ExactMatrix, r: int, coeffs: Sequence[int]) -> Iterator[SweptWindow]:
+    """Each contiguous window's minor and adjugate numerators from one solve on
+    the scaled rows; only a singular window (minor 0), where the solve says
+    nothing of adj(S) @ c, reads its deletion minors, from the minor table."""
+    col_runs = index_sets(a.cols, r, True)
+    for rows0, _, _ in index_sets(a.rows, r, True):
+        for cols0, _, _ in col_runs:
+            det, x = solve_window(a, rows0, cols0, coeffs)
+            yield rows0, cols0, det, a.minor_table.adjugate_numerators(rows0, cols0, coeffs) if x is None else x
 
 
 def _test_vector_sweep(a: ExactMatrix, k: int, alpha: AlphaChoice, judge: Judge, contiguous: bool) -> Violation | None:
@@ -206,23 +199,19 @@ def _test_vector_sweep(a: ExactMatrix, k: int, alpha: AlphaChoice, judge: Judge,
     or 0 by the sign of minor(S).  Both denominators are positive, so the judge
     sees the right signs; the Fraction vector is built for a witness only.
 
-    A contiguous window keeps none of its deletion minors, so it gets minor(S)
-    and N from one solve on the table (deletion minors only when S is
-    singular); a sweep over all windows reads them off the table's level sweep,
-    which shares each row set's deletion-minor sums across its column windows.
+    A contiguous window gets minor(S) and N from one solve on the scaled rows,
+    with no minor table; a sweep over all windows reads them off the table's
+    level sweep, which shares each row set's deletion-minor sums across its
+    column windows.
     """
-    table = a.minor_table
     for r in range(2, k + 1):
         (coeffs,), (lcm,) = _rows_as_scaled_ints([alpha.realized(r)])  # alpha = coeffs / lcm
         images = ([0] * r, coeffs, [-c for c in coeffs])  # sign patterns of S x, indexed by sign(det)
-        if contiguous:
-            windows = _contiguous_solves(table, a.rows, a.cols, r, coeffs)
-        else:
-            windows = table.level(r, coeffs)
+        windows = _contiguous_solves(a, r, coeffs) if contiguous else a.minor_table.level(r, coeffs)
         for rows0, cols0, det, x in windows:
             kind = judge(x, images[(det > 0) - (det < 0)])
             if kind is not None:
-                denominator = lcm * table.scale(rows0)
+                denominator = lcm * _scale(a, rows0)
                 vector = tuple(Fraction(v, denominator) for v in x)
                 return Violation(kind, _one_based(rows0), _one_based(cols0), vector=vector)
     return None
@@ -231,7 +220,8 @@ def _test_vector_sweep(a: ExactMatrix, k: int, alpha: AlphaChoice, judge: Judge,
 def check_by_minor_definition(a: ExactMatrix, query: ClassQuery) -> Verdict:
     """Decide the class by enumerating every minor of size at most the order."""
     check_order(a, query.order)
-    bad = _minor_sweep(a, query.order, contiguous=False, strict=query.matrix_class == TN)
+    strict = query.matrix_class == TN
+    bad = _entry_violation(a, strict) or _minor_sweep(a, _level_minors(a, query.order, 0 if strict else 1), strict)
     return Verdict(bad is None, "minor_definition", bad)
 
 
@@ -240,12 +230,14 @@ def check_by_contiguous_minors(a: ExactMatrix, query: ClassQuery) -> Verdict:
 
     The contiguous reduction is an equivalence for the strictly negative class;
     for the non-positive class it is merely necessary, so that mode delegates
-    to the full minor enumeration instead of claiming an equivalence.
+    to the full minor enumeration instead of claiming an equivalence.  Each
+    window is eliminated on its own (:func:`_contiguous_int_minors`), apart from
+    the minor table, so this check is independent of the condensation.
     """
     check_order(a, query.order)
     if query.matrix_class == TNP:
         return check_by_minor_definition(a, query)
-    bad = _minor_sweep(a, query.order, contiguous=True, strict=True)
+    bad = _entry_violation(a, True) or _minor_sweep(a, _contiguous_int_minors(a, range(2, query.order + 1)), True)
     return Verdict(bad is None, "contiguous_minors", bad)
 
 

@@ -450,11 +450,15 @@ _ALL_METHODS = {TN: ("minors", "contiguous", "snr", "vd", "lcp"), TNP: ("minors"
 
 
 def run_method(a: ExactMatrix, cls: str, k: int, method: str, alpha: AlphaChoice | None = None) -> MethodOutcome:
-    """Decide class ``cls`` at order k by the procedure named ``method``, timed."""
+    """Decide class ``cls`` at order k by the procedure named ``method``, timed; a minor
+    enumeration past ``MAX_ALL_SUBMATRIX_DIM`` is refused before it starts, as in ``--method all``."""
     query = ClassQuery(cls, k)
     procedure = _PROCEDURES[query.matrix_class].get(method)
     if procedure is None:
         raise ValueError(f"unknown method {method}")
+    if method == "minors" or (cls, method) == (TNP, "contiguous"):  # tnp contiguous is the minor definition
+        check_order(a, k)
+        check_all_window_dims(a)
     start = time.perf_counter()
     verdict = procedure(a, query, alpha)
     elapsed = (time.perf_counter() - start) * 1000
@@ -507,7 +511,7 @@ def certificate_digest(a: ExactMatrix, k: int) -> str:
     :func:`minors_up_to`, each value a reduced fraction, read from
     :func:`_int_minor_levels` on the scaled rows; one update per row set."""
     check_order(a, k)
-    ints, scales = _rows_as_scaled_ints(a.row_list())
+    ints, scales = a.integer_rows
     h = hashlib.sha256()
     for size, level in enumerate(_int_minor_levels(ints, k), 1):
         col_sets = [f"{_one_based(cidx)}|" for cidx in itertools.combinations(range(a.cols), size)]

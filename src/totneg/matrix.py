@@ -4,22 +4,18 @@ Everything here works over ``fractions.Fraction`` so that strict-sign tests
 downstream never depend on a tolerance.  Matrices are immutable; indices in the
 public API are 1-based (storage is row-major internally).
 
-Every decision procedure reads its minors from one :class:`MinorTable` per
-matrix (``ExactMatrix.minor_table``, built on first use and cached on the
-instance).  The table scales row i by the positive lcm d_i of its
-denominators, which keeps every minor's sign; a minor of the matrix is the
-scaled minor over the product of d_i on its rows.  The table reads the minors
-of all windows a level at a time, sizes ascending and only up to the size a
-sweep reaches, from the condensation sweep :func:`_int_minor_levels` (each
-minor of size s >= 3 in O(1) from the two levels below by Desnanot-Jacobi, or
-in O(s) from the level below when its inner minor is 0), and keeps a level
-whole while it fits under ``MAX_STORED_MINORS``, stored at its first lookup.
-A minor asked for alone (a contiguous window, or one past the cap) is a
-Laplace expansion of kept minors or a Bareiss determinant.  ``minors_up_to``
-and the certificate of ``totneg generate`` read the same sweep without a
-table; ``det``, ``minor_det``, ``cofactor_minor``, ``adjugate``,
-``contiguous_minors_up_to`` and ``MinorTable.solve`` stay on Bareiss
-elimination, independent of it.
+Each matrix scales row i once by the positive lcm d_i of its denominators
+(``ExactMatrix.integer_rows``), which keeps every minor's sign; a minor of the
+matrix is the scaled minor over the product of d_i on its rows.  The
+all-window sweeps read one :class:`MinorTable` per matrix
+(``ExactMatrix.minor_table``), which reads the minors a level at a time, sizes
+ascending, from the condensation sweep :func:`_int_minor_levels` (each minor of
+size s >= 3 in O(1) from the two levels below by Desnanot-Jacobi, in O(s) from
+the level below alone, or eliminated past the cap) and keeps a level whole under
+``MAX_STORED_MINORS``.  ``minors_up_to`` and the certificate of ``totneg
+generate`` read the same sweep.  The contiguous TN sweeps
+(:func:`_contiguous_int_minors`, :func:`solve_window`), ``det``, ``minor_det``,
+``cofactor_minor`` and ``adjugate`` eliminate on their own, independent of it.
 """
 
 from __future__ import annotations
@@ -157,6 +153,12 @@ class ExactMatrix:
     def minor_table(self) -> "MinorTable":
         """The shared minor table of this matrix, built on first use."""
         return MinorTable(self)
+
+    @cached_property
+    def integer_rows(self) -> tuple[list[list[int]], list[int]]:
+        """The rows scaled to integers and their scales (:func:`_rows_as_scaled_ints`),
+        built once and shared by every sweep of this matrix; read only."""
+        return _rows_as_scaled_ints(self.row_list())
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[RationalLike]]) -> "ExactMatrix":
@@ -365,17 +367,6 @@ def check_order(a: ExactMatrix, k: int) -> None:
         raise ValueError(f"order {k} out of range [1, {min(a.rows, a.cols)}]")
 
 
-Window = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def contiguous_windows(m: int, n: int, r: int) -> Iterator[Window]:
-    """The (rows, cols) pairs of consecutive r-runs, 0-based, window starts lexicographic."""
-    return itertools.product(
-        [tuple(range(i, i + r)) for i in range(m - r + 1)],
-        [tuple(range(j, j + r)) for j in range(n - r + 1)],
-    )
-
-
 def _one_based(idx: Sequence[int]) -> tuple[int, ...]:
     return tuple(i + 1 for i in idx)
 
@@ -384,8 +375,11 @@ def _mask(idx: Sequence[int]) -> int:
     return sum(map((1).__lshift__, idx))
 
 
-#: One window of a sweep: (rows0, cols0, minor, adjugate numerators or None).
-SweptWindow = tuple[tuple[int, ...], tuple[int, ...], int, list[int] | None]
+#: One window of a sweep: (rows0, cols0, minor of the scaled rows).
+MinorWindow = tuple[tuple[int, ...], tuple[int, ...], int]
+
+#: One window of a test-vector sweep: (rows0, cols0, minor, adjugate numerators).
+SweptWindow = tuple[tuple[int, ...], tuple[int, ...], int, list[int]]
 
 #: An index set, its bit mask, and the masks of the sets without one of its
 #: indices, in the set's order.
@@ -423,24 +417,25 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 class MinorTable:
-    """Minors of one matrix over row-scaled integers, kept as they are computed.
+    """Minors of one matrix over its row-scaled integers (``ExactMatrix.integer_rows``),
+    kept as they are computed, for the all-window sweeps and the complementarity supports.
 
-    Row i of the matrix is scaled by ``d_i`` (:func:`_rows_as_scaled_ints`),
-    a positive diagonal that keeps the sign of every minor.  ``minor(R, C)``
-    is the integer minor of the scaled matrix; the minor of the matrix itself
-    is ``minor(R, C) / scale(R)``.  The minors of all windows come a level at a
-    time, sizes ascending and only up to the size a sweep asks for, from
-    :func:`_int_minor_levels` on the scaled rows (:meth:`levels`, :meth:`fill`);
-    a level is kept whole when it fits under ``MAX_STORED_MINORS``, and is
-    stored at the first lookup after its draw, so a scan stores nothing.  A
-    minor asked for alone and not kept is the Laplace expansion of kept minors
-    one size smaller (see :meth:`minor_of_masks`), else a :func:`det_of_rows`
-    elimination, and is kept while there is room.  Index sets are 0-based and
-    strictly increasing; they are not validated.
+    Row i of the matrix is scaled by ``d_i``, a positive diagonal that keeps
+    the sign of every minor.  ``minor_of_masks`` gives the integer minor of the
+    scaled matrix; the minor of the matrix itself is that over ``scale(R)``.
+    The minors of all windows come a level at a time, sizes ascending and only
+    up to the size a sweep asks for, from :func:`_int_minor_levels` on the
+    scaled rows (:meth:`levels`, :meth:`fill`); a level is kept whole when it
+    fits under ``MAX_STORED_MINORS``, and is stored at the first lookup after
+    its draw, so a scan stores nothing.  A minor asked for and not kept (past
+    the cap, or a deletion minor of a singular contiguous window) is the
+    Laplace expansion of kept minors one size smaller, else a
+    :func:`det_of_rows` elimination, and is kept while there is room.  Index
+    sets are 0-based and strictly increasing; they are not validated.
     """
 
     def __init__(self, a: ExactMatrix) -> None:
-        self._ints, self._scales = _rows_as_scaled_ints(a.row_list())
+        self._ints, self._scales = a.integer_rows
         self._ncols = a.cols
         self._values: dict[int, int] = {}  # (row mask << ncols) | column mask -> minor
         self._sweep = _int_minor_levels(self._ints, min(a.rows, a.cols))
@@ -548,10 +543,6 @@ class MinorTable:
             negate = not negate
         return value
 
-    def minor(self, rows0: Sequence[int], cols0: Sequence[int]) -> int:
-        """The (rows0, cols0) minor of the row-scaled integer matrix."""
-        return self.minor_of_masks(_mask(rows0), _mask(cols0))
-
     def scaled_rows(self, rows0: Sequence[int], cols0: Sequence[int]) -> list[list[int]]:
         """The (rows0, cols0) submatrix of the row-scaled integer matrix."""
         return [[self._ints[i][j] for j in cols0] for i in rows0]
@@ -580,10 +571,10 @@ class MinorTable:
             out.append(-total if i % 2 else total)
         return out
 
-    def level(self, r: int, coeffs: Sequence[int] | None = None) -> Iterator[SweptWindow]:
+    def level(self, r: int, coeffs: Sequence[int]) -> Iterator[SweptWindow]:
         """Every window of size r >= 2 in lexicographic (rows, cols) order, as
         ``(rows0, cols0, minor, N)``, N the integers :meth:`adjugate_numerators`
-        gives for coeffs, or None without coeffs.
+        gives for coeffs.
 
         After :meth:`fill`, the minor is read from level r and N from level r - 1:
         for the row set R and each C' of size r - 1, G(C') = sum_j (-1)^j c_j
@@ -598,7 +589,7 @@ class MinorTable:
         for rows0, rmask, rdels in index_sets(len(ints), r, False):
             weighted = [
                 (rm, rm << shift, -c * scales[i] if j % 2 else c * scales[i])
-                for j, (i, rm, c) in enumerate(zip(rows0, rdels, coeffs or ()))
+                for j, (i, rm, c) in enumerate(zip(rows0, rdels, coeffs))
                 if c
             ]
             shared: dict[int, int] = {}  # C' -> G(C')
@@ -607,49 +598,17 @@ class MinorTable:
                 det = values.get(rkey | cmask)
                 if det is None:
                     det = self.minor_of_masks(rmask, cmask)
-                x = None
-                if coeffs is not None:
-                    x = []
-                    for l, cm in enumerate(cdels):
-                        g = shared.get(cm)
-                        if g is None:
-                            g = 0
-                            for rm, rk, w in weighted:
-                                sub = values.get(rk | cm)
-                                g += w * (self.minor_of_masks(rm, cm) if sub is None else sub)
-                            shared[cm] = g
-                        x.append(-g if l % 2 else g)
+                x = []
+                for l, cm in enumerate(cdels):
+                    g = shared.get(cm)
+                    if g is None:
+                        g = 0
+                        for rm, rk, w in weighted:
+                            sub = values.get(rk | cm)
+                            g += w * (self.minor_of_masks(rm, cm) if sub is None else sub)
+                        shared[cm] = g
+                    x.append(-g if l % 2 else g)
                 yield rows0, cols0, det, x
-
-    def solve(self, rows0: Sequence[int], cols0: Sequence[int], coeffs: Sequence[int]) -> tuple[int, list[int] | None]:
-        """``(minor(rows0, cols0), N)`` from one Bareiss solve, with N the integers
-        :meth:`adjugate_numerators` gives, or None when the minor is 0.
-
-        With T the scaled submatrix and D its row scales, N = adj(T) @ D c =
-        scale(rows0) * adj(S) @ c.  Eliminating [T | D c] leaves det(P T) as the
-        last pivot, P the row swaps; back substitution of P T x = P D c, scaled
-        by det(P T), gives det(P T) x = sign(P) N, each entry an exact quotient
-        by the pivot of its row.  O(r^3) against O(r^5) for the r^2 deletion
-        minors of a window whose sub-minors are not kept.  The minor is kept
-        like any other.
-        """
-        n = len(rows0)
-        m = [[self._ints[i][j] for j in cols0] + [self._scales[i] * c] for i, c in zip(rows0, coeffs)]
-        sign = _eliminate(m)
-        pivot = m[-1][n - 1] if sign else 0
-        key = _mask(rows0) << self._ncols | _mask(cols0)
-        if self._pending:  # the cap counts the kept levels
-            self._flush()
-        if len(self._values) < MAX_STORED_MINORS:
-            self._values[key] = sign * pivot
-        if not pivot:
-            return 0, None
-        out = [0] * n
-        for i in range(n - 1, -1, -1):
-            row = m[i]
-            total = pivot * row[n] - sum(row[j] * out[j] for j in range(i + 1, n))
-            out[i] = total // row[i]
-        return sign * pivot, out if sign > 0 else [-v for v in out]
 
 
 @lru_cache(maxsize=256)
@@ -670,12 +629,15 @@ def _condensed_rows(
 ) -> Iterator[list[int]]:
     """The size-s minors of the integer rows, one list per row set (row sets and,
     within a list, column sets lexicographic), from the size-(s-1) and size-(s-2)
-    levels by the Desnanot-Jacobi identity; a minor whose inner minor is 0 is its
-    first-row expansion over the level below.  When a level below is missing,
-    every minor is a Bareiss determinant."""
+    levels by the Desnanot-Jacobi identity; a minor whose inner minor is 0, or
+    every minor when the size-(s-2) level is missing, is its first-row expansion
+    over the level below.  When the level below is missing, every minor is a
+    Bareiss determinant."""
     col_sets = _condensation_sets(len(ints[0]), s)
+    if inner is None:  # as if every inner minor were 0
+        inner = [[0] * math.comb(len(ints[0]), s - 2)] * math.comb(len(ints), s - 2)
     for rows, r_first, r_last, r_inner, _ in _condensation_sets(len(ints), s):
-        if lower is None or inner is None:
+        if lower is None:
             yield [_int_minor([ints[i] for i in rows], cols) for cols, _, _, _, _ in col_sets]
             continue
         top, bottom, mid = lower[r_first], lower[r_last], inner[r_inner]
@@ -700,9 +662,10 @@ def _int_minor_levels(ints: Sequence[Sequence[int]], k: int) -> Iterator[Iterabl
     with r0, r1 the first and last rows of R and c0, c1 the first and last
     columns of C (Desnanot-Jacobi; the size-0 minor is 1), an exact quotient;
     when the inner minor is 0 it is sum_q (-1)^q a(r0, c_q) M(R-r0, C-c_q), so
-    no minor is eliminated while both levels below are kept.  Only those two
-    are kept, and a level of more than ``MAX_STORED_MINORS`` minors is not
-    kept: it is yielded lazily, and the minors that need it are eliminated.
+    no minor is eliminated while the level below is kept.  Only the two levels
+    below are kept, and a level of more than ``MAX_STORED_MINORS`` minors is
+    not kept: it is yielded lazily, the level above it is eliminated, and the
+    level above that is expanded over the level below.
     """
     m, n = len(ints), len(ints[0])
     inner: Sequence[Sequence[int]] | None = [[1]]
@@ -721,13 +684,13 @@ def _int_minor_levels(ints: Sequence[Sequence[int]], k: int) -> Iterator[Iterabl
 def minors_up_to(a: ExactMatrix, k: int) -> Iterator[MinorRecord]:
     """All minors of size 1..k, sizes ascending, index sets lexicographic.
 
-    The rows are scaled to integers once (:func:`_rows_as_scaled_ints`), and the
-    minors come from :func:`_int_minor_levels` on those integers, each over the
-    product of its rows' scales.  It builds no minor table, but the table reads
-    the same sweep, so the tests check both against a per-minor Fraction reference.
+    The minors come from :func:`_int_minor_levels` on the matrix's scaled rows
+    (``ExactMatrix.integer_rows``), each over the product of its rows' scales.
+    It builds no minor table, but the table reads the same sweep, so the tests
+    check both against a per-minor Fraction reference.
     """
     check_order(a, k)
-    ints, scales = _rows_as_scaled_ints(a.row_list())
+    ints, scales = a.integer_rows
     for size, level in enumerate(_int_minor_levels(ints, k), 1):
         col_sets = [_one_based(cidx) for cidx in itertools.combinations(range(a.cols), size)]
         for ridx, values in zip(itertools.combinations(range(a.rows), size), level):
@@ -737,16 +700,53 @@ def minors_up_to(a: ExactMatrix, k: int) -> Iterator[MinorRecord]:
                 yield MinorRecord(rows1, cols1, Fraction(value, scale))
 
 
+def _contiguous_int_minors(a: ExactMatrix, sizes: Iterable[int]) -> Iterator[MinorWindow]:
+    """``(rows0, cols0, minor)`` for every contiguous window of the sizes, window
+    starts lexicographic: the minor of the scaled rows, one :func:`_int_minor`
+    per window, independent of the minor table and of the condensation."""
+    ints, _ = a.integer_rows
+    for r in sizes:
+        col_runs = index_sets(a.cols, r, True)
+        for rows0, _, _ in index_sets(a.rows, r, True):
+            rows = [ints[i] for i in rows0]
+            for cols0, _, _ in col_runs:
+                yield rows0, cols0, _int_minor(rows, cols0)
+
+
 def contiguous_minors_up_to(a: ExactMatrix, k: int) -> Iterator[MinorRecord]:
-    """Minors on consecutive row/column windows, sizes 1..k, window starts lexicographic;
-    Bareiss determinants of the rows scaled once, independent of the minor table."""
+    """Minors on consecutive row/column windows, sizes 1..k, window starts
+    lexicographic: :func:`_contiguous_int_minors` over the row scales."""
     check_order(a, k)
-    ints, scales = _rows_as_scaled_ints(a.row_list())
-    for size in range(1, k + 1):
-        for ridx, cidx in contiguous_windows(a.rows, a.cols, size):
-            scale = math.prod(scales[i] for i in ridx)
-            value = _int_minor([ints[i] for i in ridx], cidx)
-            yield MinorRecord(_one_based(ridx), _one_based(cidx), Fraction(value, scale))
+    scales = a.integer_rows[1]
+    for rows0, cols0, value in _contiguous_int_minors(a, range(1, k + 1)):
+        yield MinorRecord(_one_based(rows0), _one_based(cols0), Fraction(value, math.prod(scales[i] for i in rows0)))
+
+
+def solve_window(
+    a: ExactMatrix, rows0: Sequence[int], cols0: Sequence[int], coeffs: Sequence[int]
+) -> tuple[int, list[int] | None]:
+    """``(M, N)`` for the window S on rows0 and cols0, from one Bareiss solve
+    that stores nothing: M its minor on the scaled rows, and N the integers
+    ``MinorTable.adjugate_numerators`` gives for coeffs, or None when M is 0.
+
+    With T the scaled window and D its row scales, N = adj(T) @ D c.
+    Eliminating [T | D c] leaves det(P T) as the last pivot, P the row swaps;
+    back substitution of P T x = P D c, scaled by det(P T), gives det(P T) x =
+    sign(P) N, each entry an exact quotient by the pivot of its row: O(r^3).
+    """
+    ints, scales = a.integer_rows
+    n = len(rows0)
+    m = [[ints[i][j] for j in cols0] + [scales[i] * c] for i, c in zip(rows0, coeffs)]
+    sign = _eliminate(m)
+    pivot = m[-1][n - 1] if sign else 0
+    if not pivot:
+        return 0, None
+    out = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        total = pivot * row[n] - sum(row[j] * out[j] for j in range(i + 1, n))
+        out[i] = total // row[i]
+    return sign * pivot, out if sign > 0 else [-v for v in out]
 
 
 def parse_matrix(text: str) -> ExactMatrix:

@@ -43,13 +43,26 @@ from totneg.lcp import _FM_CONSTRAINT_CAP, Point, _compare_candidates, _support_
 from totneg.matrix import (
     MinorRecord,
     MinorTable,
-    Window,
     _one_based,
     check_order,
-    contiguous_windows,
     det_of_rows,
     to_fraction,
 )
+
+Window = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def contiguous_windows(m: int, n: int, r: int) -> Iterator[Window]:
+    """The (rows, cols) pairs of consecutive r-runs, 0-based, window starts lexicographic."""
+    return itertools.product(
+        [tuple(range(i, i + r)) for i in range(m - r + 1)],
+        [tuple(range(j, j + r)) for j in range(n - r + 1)],
+    )
+
+
+def masks(rows0: Sequence[int], cols0: Sequence[int]) -> tuple[int, int]:
+    """The bit masks of a window's 0-based index sets, as ``MinorTable.minor_of_masks`` takes them."""
+    return sum(1 << i for i in rows0), sum(1 << j for j in cols0)
 
 
 def all_windows(m: int, n: int, r: int) -> Iterator[Window]:
@@ -114,7 +127,7 @@ def hull_contains(h: IntervalHull, c: ExactMatrix) -> bool:
 
 def table_value(table: MinorTable, rows0: Sequence[int], cols0: Sequence[int]) -> Fraction:
     """The (rows0, cols0) minor of the table's matrix itself."""
-    return Fraction(table.minor(rows0, cols0), table.scale(rows0))
+    return Fraction(table.minor_of_masks(*masks(rows0, cols0)), table.scale(rows0))
 
 
 def stored_minors(table: MinorTable) -> int:

@@ -30,7 +30,14 @@ from totneg import (
     vd_check,
 )
 from totneg import matrix as matrix_module
-from totneg.generate import certificate_digest, cross_validate, generate_near_miss, generate_tnp, random_rational_matrix
+from totneg.generate import (
+    certificate_digest,
+    cross_validate,
+    generate_near_miss,
+    generate_tn,
+    generate_tnp,
+    random_rational_matrix,
+)
 from totneg.lcp import tnp_lcp_sufficient_check
 from totneg.matrix import MinorTable, _bits
 
@@ -40,6 +47,7 @@ from oracles import (
     check_tnp_vd_sampled,
     identity,
     levels_drawn,
+    masks,
     reference_minors_up_to,
     stored_minors,
     transpose,
@@ -317,8 +325,45 @@ def test_contiguous_sweep_at_16x16_computes_each_window_once():
     a = _pascal_tn(16, Fraction(1, 2**40))
     assert all(rec.value < 0 for rec in contiguous_minors_up_to(a, 16))
     assert check_by_contiguous_minors(a, ClassQuery("tn", 16)).holds
-    # one kept minor per contiguous window of size 2..16, none of their subminors
-    assert stored_minors(a.minor_table) == sum((17 - s) ** 2 for s in range(2, 17))
+    # each contiguous window is eliminated on the scaled rows; no minor table is built
+    assert "minor_table" not in a.__dict__
+
+
+def test_contiguous_tn_sweeps_build_no_minor_table():
+    """On a totally negative input, the contiguous minor check and both TN
+    single-vector checks eliminate each window on the scaled rows and build no
+    minor table; the rows are scaled once, for all three."""
+    for base in (generate_tn((6, 6), 6, seed=0).matrix, _pascal_tn(9, Fraction(1, 2**40))):
+        a = ExactMatrix(base.rows, base.cols, base.entries)  # generation built a table on its own matrix
+        k = min(a.shape)
+        assert check_by_contiguous_minors(a, ClassQuery("tn", k)).holds
+        assert check_tn_snr_single_vector(a, k).holds
+        assert check_tn_vd_single_vector(a).holds
+        assert "minor_table" not in a.__dict__ and "integer_rows" in a.__dict__
+
+
+def test_contiguous_minors_check_the_condensation_independently(monkeypatch):
+    """A fault in the condensation (here the size-3 minor on rows and columns
+    1-3 of a totally negative 5x5 with its sign flipped) fails the minor
+    definition, while the contiguous check, which eliminates each window, still
+    holds: ``cross_validate`` reports the disagreement."""
+    real = matrix_module._condensed_rows
+
+    def corrupted(ints, s, lower, inner):
+        for i, row in enumerate(real(ints, s, lower, inner)):
+            if s == 3 and i == 0:
+                row = [-row[0], *row[1:]]
+            yield row
+
+    base = generate_tn((5, 5), 5, seed=0).matrix
+    a = ExactMatrix(base.rows, base.cols, base.entries)
+    monkeypatch.setattr(matrix_module, "_condensed_rows", corrupted)
+    report = cross_validate(a, 5, "tn")
+    verdicts = {m.name: m for m in report.methods}
+    assert not verdicts["minor_definition"].holds
+    assert verdicts["minor_definition"].witness.rows == verdicts["minor_definition"].witness.cols == (1, 2, 3)
+    assert verdicts["contiguous_minors"].holds
+    assert not report.agree and not report.holds
 
 
 def test_single_vector_sweeps_at_12x12_hold_on_a_totally_negative_matrix():
@@ -369,7 +414,7 @@ def test_zero_inner_minors_are_expanded_not_eliminated(eliminations):
     certificate_digest(five, 5)
     assert check_tnp_snr(six, 6).holds
     assert check_by_minor_definition(scanned, ClassQuery("tnp", 6)).holds
-    assert scanned.minor_table.minor(range(6), range(6)) == 0
+    assert scanned.minor_table.minor_of_masks(*masks(range(6), range(6))) == 0
     assert eliminations == []
     for a, k in ((five, 5), (six, 6)):
         assert list(minors_up_to(a, k)) == list(reference_minors_up_to(a, k))

@@ -297,6 +297,21 @@ def test_resource_cap_is_exit_3(tmp_path):
         assert main(["check", str(big), "--class", cls, "--order", "1", "--method", "all"]) == 3
 
 
+def test_minor_enumeration_past_the_cap_is_exit_3(tmp_path, capsys):
+    """``--method minors`` of either class, and ``--class tnp --method contiguous``,
+    which delegates to it, refuse a dimension past 12 before any sweep, even when
+    a positive entry alone fails the class (exit 1 before the refusal); the TN
+    contiguous check, which reads only the contiguous windows, still decides."""
+    rows = [["-1"] * 13 for _ in range(13)]
+    rows[6][6] = "1"
+    big = tmp_path / "big.txt"
+    big.write_text("13 13\n" + "\n".join(" ".join(row) for row in rows) + "\n")
+    for cls, method in (("tn", "minors"), ("tnp", "minors"), ("tnp", "contiguous")):
+        assert main(["check", str(big), "--class", cls, "--order", "13", "--method", method]) == 3
+        assert capsys.readouterr().err == "resource cap: all-submatrix sweep refused for dimensions beyond 12\n"
+    assert main(["check", str(big), "--class", "tn", "--order", "13", "--method", "contiguous"]) == 1
+
+
 def test_json_report_round_trips(files, capsys):
     assert main(["check", str(files["near_miss"]), "--class", "tn", "--order", "2", "--json"]) == 1
     report = json.loads(capsys.readouterr().out)

@@ -38,7 +38,6 @@ from totneg.matrix import (
     _rows_as_scaled_ints,
     check_order,
     cofactor_minor,
-    contiguous_windows,
     det_of_rows,
     index_sets,
     minor_det,
@@ -48,6 +47,7 @@ from totneg.matrix import (
 from oracles import (
     _solve_linear,
     all_windows,
+    contiguous_windows,
     count_solutions_for_positive_q,
     disjoint_support_pair_check,
     generate_tn_of_order,
@@ -278,7 +278,6 @@ def test_single_vector_check_zero_entry_fails():
 
 def test_single_vector_prescribed_q_is_positive_on_certified_instances(n3):
     from totneg.generate import generate_tn
-    from totneg.matrix import contiguous_windows
 
     mats = [n3] + [generate_tn((4, 4), 4, seed=900 + s).matrix for s in range(3)]
     for a in mats:
@@ -298,7 +297,6 @@ def test_pattern_pair_equivalence_on_generated_instances():
     certified instance, and a reversal witness always manufactures one."""
     from totneg.checks import check_tn_snr_single_vector
     from totneg.generate import generate_near_miss, generate_tn
-    from totneg.matrix import contiguous_windows
 
     rng = random.Random(64)
     for s in range(4):

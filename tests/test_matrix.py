@@ -1,6 +1,7 @@
 """Exact matrix substrate: determinants against independent oracles, adjugate
 identity, minor streams and their closed-form counts."""
 
+import collections
 import copy
 import itertools
 import math
@@ -31,13 +32,14 @@ from totneg import (
 )
 from totneg import matrix as matrix_module
 from totneg.generate import generate_tn
-from totneg.matrix import MinorTable, det_of_rows, format_fraction, parse_rational
+from totneg.matrix import MinorTable, det_of_rows, format_fraction, parse_rational, solve_window
 
 from oracles import (
     all_windows,
     det_by_cofactor_expansion,
     first_entry_violating,
     identity,
+    masks,
     matmul,
     reference_contiguous_minors_up_to,
     reference_minors_up_to,
@@ -357,7 +359,7 @@ def test_minor_streams_match_the_per_minor_fraction_reference(a, data):
 )
 @example(ExactMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]]), [1, 2, 3], [1, -2, 3, 0, 0], random.Random(0))
 def test_condensed_levels_match_the_per_minor_fraction_reference(cap, a, fills, coeffs, rng):
-    """After a fill to a drawn size, ``levels``, ``level(r)``, ``level(r, c)`` and
+    """After a fill to a drawn size, ``levels``, ``level(r, c)`` and
     ``minor_of_masks`` (windows in a shuffled order) give the minors of the
     per-minor Fraction reference, and ``level(r, c)`` the numerators of a
     Fraction adjugate.  Zero and repeated rows make inner minors vanish, and the
@@ -380,9 +382,10 @@ def test_condensed_levels_match_the_per_minor_fraction_reference(cap, a, fills, 
         assert [Fraction(v, streamed.scale(rows0)) for (rows0, _), v in zip(windows, values)] == list(expected.values())
         assert len(values) == len(expected)
         for r in range(2, k + 1):
-            for (rows0, cols0, v, x), (_, _, w, none) in zip(swept.level(r, coeffs[:r]), swept.level(r)):
+            *_, level = swept.levels(r)
+            minors = [w for row in level for w in row]
+            for (rows0, cols0, v, x), w in zip(swept.level(r, coeffs[:r]), minors, strict=True):
                 assert Fraction(v, swept.scale(rows0)) == Fraction(w, swept.scale(rows0)) == expected[rows0, cols0]
-                assert none is None
                 adj = adjugate(take(a, rows0, cols0)).matvec([Fraction(c) for c in coeffs[:r]])
                 assert [Fraction(n, swept.scale(rows0)) for n in x] == list(adj)
         rng.shuffle(windows)
@@ -414,14 +417,15 @@ def test_minor_table_beyond_its_storage_cap_still_matches(monkeypatch):
 
 @pytest.mark.parametrize(
     "cap,eliminated",
-    [(matrix_module.MAX_STORED_MINORS, 0), (500, 1225 + 441 + 49), (40, 1225 + 1225 + 441 + 49 + 1), (0, 1225 + 1225 + 441 + 49 + 1)],
+    [(matrix_module.MAX_STORED_MINORS, 0), (500, 1225 + 441), (40, 1225 + 1225 + 441 + 49 + 1), (0, 1225 + 1225 + 441 + 49 + 1)],
 )
 def test_minor_stream_beyond_its_level_cap_still_matches(monkeypatch, eliminations, cap, eliminated):
     """A level of more than ``MAX_STORED_MINORS`` minors is not kept, and the
-    minors that need it are eliminated.  On 7x7 (levels of 49, 441, 1225, 1225,
-    441, 49 and 1 minors) a cap of 500 keeps levels 2, 5, 6 and 7: level 3 is
-    condensed from levels 2 and 1, levels 4, 5 and 6 are eliminated, and level
-    7 is condensed from the kept levels 6 and 5."""
+    level above it is eliminated.  On 7x7 (levels of 49, 441, 1225, 1225, 441,
+    49 and 1 minors) a cap of 500 keeps levels 2, 5, 6 and 7: level 3 is
+    condensed from levels 2 and 1, levels 4 and 5 are eliminated, level 6 is
+    expanded over the kept level 5, and level 7 is condensed from the kept
+    levels 6 and 5."""
     monkeypatch.setattr(matrix_module, "MAX_STORED_MINORS", cap)
     rng = random.Random(5)
     rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(7)] for _ in range(7)]
@@ -434,6 +438,33 @@ def test_minor_stream_beyond_its_level_cap_still_matches(monkeypatch, eliminatio
     eliminations.clear()
     assert all(rec.value < 0 for rec in minors_up_to(tn, 7))
     assert len(eliminations) == eliminated
+
+
+def test_a_12x12_sweep_expands_level_9_over_level_8(eliminations):
+    """At the default cap a 12x12 sweep keeps level 8 (245,025 minors) but not
+    level 7 (627,264), so level 9 (48,400 minors of size 9) has no inner level:
+    each of its minors is expanded along its first row over level 8, with no
+    elimination, and equals the minor condensed from levels 8 and 7 when every
+    level is kept."""
+    routes = []
+    real = matrix_module._condensed_rows
+
+    def route(ints, s, lower, inner):  # records which levels below a level has, computes nothing
+        routes.append((s, lower is not None, inner is not None))
+        return ([0] * math.comb(12, s) for _ in range(math.comb(12, s)))
+
+    rng = random.Random(12)
+    ints = [[rng.randint(-3, 3) for _ in range(12)] for _ in range(12)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrix_module, "_condensed_rows", route)
+        collections.deque(matrix_module._int_minor_levels(ints, 12), maxlen=0)
+    assert routes == [(s, s not in (6, 7, 8), s not in (7, 8, 9)) for s in range(2, 13)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrix_module, "MAX_STORED_MINORS", math.comb(12, 6) ** 2)
+        level8, level9 = collections.deque(matrix_module._int_minor_levels(ints, 9), maxlen=2)
+    eliminations.clear()
+    assert list(real(ints, 9, level8, None)) == level9
+    assert eliminations == [] and sum(map(len, level9)) == 48_400
 
 
 def test_minor_stream_expands_a_minor_whose_inner_minor_is_zero(eliminations):
@@ -549,16 +580,16 @@ def test_window_solve_returns_the_minor_and_the_adjugate_numerators(case):
     realized = alpha.realized(r)
     lcm = math.lcm(*(v.denominator for v in realized))
     coeffs = [int(v * lcm) for v in realized]
-    table = MinorTable(a)
-    value, numerators = table.solve(rows0, cols0, coeffs)
+    value, numerators = solve_window(a, rows0, cols0, coeffs)
+    assert "minor_table" not in vars(a)
     reference = MinorTable(a)
-    assert value == reference.minor(rows0, cols0) == table.minor(rows0, cols0)
+    assert value == reference.minor_of_masks(*masks(rows0, cols0))
     assert (numerators is None) == (value == 0)
     if numerators is None:
         return
     if r > 1:
         assert numerators == reference.adjugate_numerators(rows0, cols0, coeffs)
-    denominator = lcm * table.scale(rows0)
+    denominator = lcm * reference.scale(rows0)
     assert [Fraction(v, denominator) for v in numerators] == list(adjugate(take(a, rows0, cols0)).matvec(realized))
 
 
@@ -592,8 +623,9 @@ def level_cases(draw):
 @given(level_cases())
 def test_level_sweep_matches_a_fresh_table_window_by_window(cap, case):
     """Each window's minor and adjugate numerators from the level sweep equal a
-    fresh table's ``minor`` and ``adjugate_numerators``, in ``all_windows`` order;
-    with minors already kept (a minor sweep first) and without, and past a storage cap."""
+    fresh table's ``minor_of_masks`` and ``adjugate_numerators``, in ``all_windows``
+    order; with the levels already scanned (a minor sweep first) and without, and
+    past a storage cap."""
     a, alpha = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matrix_module, "MAX_STORED_MINORS", cap)
@@ -603,11 +635,12 @@ def test_level_sweep_matches_a_fresh_table_window_by_window(cap, case):
             lcm = math.lcm(*(v.denominator for v in realized))
             coeffs = [int(v * lcm) for v in realized]
             expected = [
-                (rows0, cols0, reference.minor(rows0, cols0), reference.adjugate_numerators(rows0, cols0, coeffs))
+                (rows0, cols0, reference.minor_of_masks(*masks(rows0, cols0)), reference.adjugate_numerators(rows0, cols0, coeffs))
                 for rows0, cols0 in all_windows(a.rows, a.cols, r)
             ]
             assert list(vectors.level(r, coeffs)) == expected
-            assert list(minors_first.level(r)) == [(rows0, cols0, v, None) for rows0, cols0, v, _ in expected]
+            *_, level = minors_first.levels(r)
+            assert [v for row in level for v in row] == [v for _, _, v, _ in expected]
             assert list(minors_first.level(r, coeffs)) == expected
         assert stored_minors(reference) <= cap and stored_minors(vectors) <= cap
 
