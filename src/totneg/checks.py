@@ -181,13 +181,11 @@ Judge = Callable[[Sequence[int], Sequence[int]], ViolationKind | None]
 
 def _contiguous_solves(a: ExactMatrix, r: int, coeffs: Sequence[int]) -> Iterator[SweptWindow]:
     """Each contiguous window's minor and adjugate numerators from one solve on
-    the scaled rows; only a singular window (minor 0), where the solve says
-    nothing of adj(S) @ c, reads its deletion minors, from the minor table."""
+    the scaled rows (:func:`solve_window`), with no minor table."""
     col_runs = index_sets(a.cols, r, True)
     for rows0, _, _ in index_sets(a.rows, r, True):
         for cols0, _, _ in col_runs:
-            det, x = solve_window(a, rows0, cols0, coeffs)
-            yield rows0, cols0, det, a.minor_table.adjugate_numerators(rows0, cols0, coeffs) if x is None else x
+            yield rows0, cols0, *solve_window(a, rows0, cols0, coeffs)
 
 
 def _test_vector_sweep(a: ExactMatrix, k: int, alpha: AlphaChoice, judge: Judge, contiguous: bool) -> Violation | None:
@@ -195,7 +193,7 @@ def _test_vector_sweep(a: ExactMatrix, k: int, alpha: AlphaChoice, judge: Judge,
     (or every window) S of size 2..k.
 
     With alpha = c / L over integers c, x = N / (L * scale(S)) where N are the
-    table's adjugate numerators, and S x = det(S) alpha has the signs of c, -c
+    window's adjugate numerators, and S x = det(S) alpha has the signs of c, -c
     or 0 by the sign of minor(S).  Both denominators are positive, so the judge
     sees the right signs; the Fraction vector is built for a witness only.
 
@@ -394,16 +392,17 @@ def check_alpha(alpha: AlphaChoice | None, cls: MatrixClass, k: int) -> None:
 
 def _single_vector_check(a: ExactMatrix, k: int | None, alpha: AlphaChoice | None, method: str) -> Verdict:
     """The single-vector procedure ``method`` at order k (full order when None):
-    the entry precondition, then the judge on each window's test vector."""
+    the dimension refusal of the all-window sweeps, the entry precondition, then
+    the judge on each window's test vector."""
     cls, contiguous, judge = SINGLE_VECTOR[method]
     if k is None:
         k = min(a.rows, a.cols)
     check_order(a, k)
     check_alpha(alpha, cls, k)
+    if not contiguous:
+        check_all_window_dims(a)
     bad = _entry_violation(a, strict=cls == TN)
     if bad is None and k > 1:
-        if not contiguous:
-            check_all_window_dims(a)
         bad = _test_vector_sweep(a, k, alpha or DEFAULT_ALPHA, judge, contiguous)
     return Verdict(bad is None, method, bad)
 

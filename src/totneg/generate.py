@@ -19,7 +19,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .checks import (
     MAX_ALL_SUBMATRIX_DIM,
@@ -42,6 +42,7 @@ from .errors import InvariantError, ResourceLimitError
 from .lcp import TnpLcpStatus, lcp_single_vector_check, tnp_lcp_sufficient_check
 from .matrix import (
     ExactMatrix,
+    _condensation_sets,
     _int_minor,
     _int_minor_levels,
     _int_str,
@@ -142,38 +143,47 @@ def _normalize_negative_rows(rows: Rows) -> Rows:
     return out
 
 
+def _entry_windows(ints: Sequence[Sequence[int]], i: int, j: int, k: int) -> Iterator[tuple[int, int, int]]:
+    """``(s, W, C)`` for every window of sizes 1..k through entry (i, j) of the
+    integer rows, by size, then rows and columns lexicographic: W the window's
+    minor and C the entry's signed coefficient in it, (-1)^(p+q) times the minor
+    without row i and column j (p, q their positions in the window; the size-0
+    minor is 1).  Both are read from :func:`_int_minor_levels`, W at level s and
+    C at level s - 1, at the deletion positions :func:`_condensation_sets` lists.
+    """
+    levels = _int_minor_levels(ints, k)
+    below = next(levels)
+    yield 1, below[i][j], 1
+    for s, level in enumerate(levels, 2):
+        col_sets = _condensation_sets(len(ints[0]), s)
+        cols = [(at, cidx.index(j), cdels) for at, (cidx, *_, cdels) in enumerate(col_sets) if j in cidx]
+        for values, (ridx, *_, rdels) in zip(level, _condensation_sets(len(ints), s)):
+            if i in ridx:
+                p = ridx.index(i)
+                cofactors = below[rdels[p]]
+                for at, q, cdels in cols:
+                    c = cofactors[cdels[q]]
+                    yield s, values[at], -c if (p + q) % 2 else c
+        below = level
+
+
 def _corner_bounds(ints: list[list[int]]) -> tuple[int, int, int, int] | None:
     """``(W, Cf, corner Cf, det)`` of the integer n x n rows, n >= 2: the minor and
     corner coefficient of the proper window holding the corner with the least
-    W / Cf (the first on ties, windows by size, then rows and columns
-    lexicographic), the corner's coefficient in the determinant, and the
-    determinant; None when a coefficient is not positive.  Every value is read
-    from :func:`_int_minor_levels`: a window on R + corner row and C + corner
-    column has W at level s and Cf = M(R, C) at level s - 1.
+    W / Cf (the first on ties, in :func:`_entry_windows` order), the corner's
+    coefficient in the determinant, and the determinant; None when a
+    coefficient is not positive.  A window holding the corner has it last in
+    its rows and columns, so Cf is the minor without the corner's row and column.
     """
     n = len(ints)
-    last = n - 1
-    w_low, cof_low = ints[last][last], 1  # the size-1 window: W is the corner and Cf = 1
-    cofs: dict[tuple[int, ...], Sequence[int]] = {(): [1]}  # previous level's rows on row sets without the corner's
-    cof_at = {(): 0}  # previous level's column sets -> position
-    for s, level in enumerate(_int_minor_levels(ints, n), 1):
-        col_at = {c: i for i, c in enumerate(itertools.combinations(range(n), s))}
-        windows = [(cof_at[c], col_at[c + (last,)]) for c in itertools.combinations(range(last), s - 1)]
-        below: dict[tuple[int, ...], Sequence[int]] = {}
-        for ridx, values in zip(itertools.combinations(range(n), s), level):
-            if ridx[-1] != last:
-                below[ridx] = values
-                continue
-            row_cofs = cofs[ridx[:-1]]
-            for at_cof, at_w in windows:
-                cof, w = row_cofs[at_cof], values[at_w]
-                if cof <= 0:
-                    return None
-                if s == n:
-                    return w_low, cof_low, cof, w
-                if w * cof_low < w_low * cof:
-                    w_low, cof_low = w, cof
-        cofs, cof_at = below, col_at
+    low = (0, 0)
+    for s, w, cof in _entry_windows(ints, n - 1, n - 1, n):
+        if cof <= 0:
+            return None
+        if s == n:
+            return *low, cof, w
+        if s == 1 or w * low[1] < low[0] * cof:
+            low = (w, cof)
     raise InvariantError("the last level held no determinant")
 
 
@@ -338,31 +348,15 @@ def generate_near_miss(shape: tuple[int, int], k: int, seed: int, budget: int = 
         i, j = rng.randrange(m), rng.randrange(n)
         x0 = rows[i][j]
         # A window holding (i, j) has the minor W / d(R) and the entry's coefficient
-        # C / d(R minus row i), signed by its position, W and C at levels s and s - 1 of
-        # the scaled rows' condensation sweep; the minor is zero at x0 - W / (C * d_i).
+        # C / d(R minus row i), W and C from the scaled rows' condensation levels
+        # (_entry_windows); the minor is zero at x0 - W / (C * d_i).
         ints, scales = _rows_as_scaled_ints(rows)
         crossings: list[Fraction] = []
-        cofactors = {((), ()): 1}  # level s - 1 off row i and column j; the size-0 minor is 1
-        for s, level in enumerate(_int_minor_levels(ints, k), 1):
-            col_sets = list(itertools.combinations(range(n), s))
-            below = {}
-            for ridx, values in zip(itertools.combinations(range(m), s), level):
-                if i not in ridx:
-                    below.update(((ridx, cidx), v) for cidx, v in zip(col_sets, values) if j not in cidx)
-                    continue
-                pi = ridx.index(i)
-                rest = ridx[:pi] + ridx[pi + 1 :]
-                for cidx, w in zip(col_sets, values):
-                    if j not in cidx:
-                        continue
-                    pj = cidx.index(j)
-                    c = cofactors[rest, cidx[:pj] + cidx[pj + 1 :]]
-                    if c == 0:
-                        continue
-                    root = x0 - Fraction(w, (c if (pi + pj) % 2 == 0 else -c) * scales[i])
-                    if x0 < root < 0:
-                        crossings.append(root)
-            cofactors = below
+        for _, w, c in _entry_windows(ints, i, j, k):
+            if c:
+                root = x0 - Fraction(w, c * scales[i])
+                if x0 < root < 0:
+                    crossings.append(root)
         if not crossings:
             continue
         crossings.sort()

@@ -10,12 +10,14 @@ matrix is the scaled minor over the product of d_i on its rows.  The
 all-window sweeps read one :class:`MinorTable` per matrix
 (``ExactMatrix.minor_table``), which reads the minors a level at a time, sizes
 ascending, from the condensation sweep :func:`_int_minor_levels` (each minor of
-size s >= 3 in O(1) from the two levels below by Desnanot-Jacobi, in O(s) from
-the level below alone, or eliminated past the cap) and keeps a level whole under
-``MAX_STORED_MINORS``.  ``minors_up_to`` and the certificate of ``totneg
-generate`` read the same sweep.  The contiguous TN sweeps
-(:func:`_contiguous_int_minors`, :func:`solve_window`), ``det``, ``minor_det``,
-``cofactor_minor`` and ``adjugate`` eliminate on their own, independent of it.
+size s >= 3 in O(1) from the two levels below by Desnanot-Jacobi, or in O(s)
+from the level below when its inner minor is 0) and keeps a level whole under
+``MAX_STORED_MINORS``.  The sweep holds its two levels below at every size and
+refuses a level of more than ``MAX_LEVEL_MINORS`` minors.  ``minors_up_to`` and
+the certificate of ``totneg generate`` read the same sweep.  The contiguous TN
+sweeps (:func:`_contiguous_int_minors`, :func:`solve_window`), ``det``,
+``minor_det``, ``cofactor_minor`` and ``adjugate`` eliminate on their own,
+independent of it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DimensionError
+from .errors import DimensionError, ResourceLimitError
 
 RationalLike = Fraction | int | str | float
 
@@ -287,8 +289,8 @@ def _det_int(m: list[list[int]]) -> int:
 def _int_minor(rows: Sequence[Sequence[int]], cols: Sequence[int]) -> int:
     """The minor of the integer rows on the columns cols (as many as rows),
     a Bareiss determinant from size 3 on; rows are left unchanged."""
-    if len(cols) == 1:
-        return rows[0][cols[0]]
+    if len(cols) < 2:
+        return rows[0][cols[0]] if cols else 1  # the size-0 minor is 1
     if len(cols) == 2:
         j, l = cols
         return rows[0][j] * rows[1][l] - rows[0][l] * rows[1][j]
@@ -371,10 +373,6 @@ def _one_based(idx: Sequence[int]) -> tuple[int, ...]:
     return tuple(i + 1 for i in idx)
 
 
-def _mask(idx: Sequence[int]) -> int:
-    return sum(map((1).__lshift__, idx))
-
-
 #: One window of a sweep: (rows0, cols0, minor of the scaled rows).
 MinorWindow = tuple[tuple[int, ...], tuple[int, ...], int]
 
@@ -404,8 +402,16 @@ def index_sets(n: int, r: int, contiguous: bool = False) -> tuple[IndexSet, ...]
 
 
 #: Most minors one table stores: a level whole while it fits, a minor computed
-#: alone while there is room; past it, minors are computed but not kept.
+#: alone while there is room; past it, minors are computed but not kept.  It
+#: caps the table only: the condensation sweep keeps its two levels below at
+#: every size, up to ``MAX_LEVEL_MINORS``.
 MAX_STORED_MINORS = 1 << 18
+
+#: Most minors one level of the condensation sweep may hold: C(12, 6)^2, the
+#: middle level of a 12 x 12 matrix.  The all-window sweeps and generation stop
+#: at 12 rows and columns and hull members have m + n <= 24, so no capped caller
+#: reaches a larger level; one is refused before it is built.
+MAX_LEVEL_MINORS = math.comb(12, 6) ** 2
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -428,8 +434,7 @@ class MinorTable:
     scaled rows (:meth:`levels`, :meth:`fill`); a level is kept whole when it
     fits under ``MAX_STORED_MINORS``, and is stored at the first lookup after
     its draw, so a scan stores nothing.  A minor asked for and not kept (past
-    the cap, or a deletion minor of a singular contiguous window) is the
-    Laplace expansion of kept minors one size smaller, else a
+    the cap) is the Laplace expansion of kept minors one size smaller, else a
     :func:`det_of_rows` elimination, and is kept while there is room.  Index
     sets are 0-based and strictly increasing; they are not validated.
     """
@@ -454,9 +459,11 @@ class MinorTable:
         with self._lock:
             if r != self._drawn + 1:
                 return None
-            level = next(self._sweep)
+            level = next(self._sweep, None)
+            if level is None:  # the sweep refused level r on an earlier draw, and ended
+                raise ResourceLimitError(f"level {r} of the condensation sweep was refused")
             self._drawn = r
-            if self._fits(r):  # then the sweep has built the level as a list
+            if self._fits(r):
                 self._pending[r] = level
             return level
 
@@ -551,30 +558,10 @@ class MinorTable:
         """Product of the row scales on rows0: the minor's exact denominator factor."""
         return math.prod(self._scales[i] for i in rows0)
 
-    def adjugate_numerators(self, rows0: Sequence[int], cols0: Sequence[int], coeffs: Sequence[int]) -> list[int]:
-        """Integers N with adj(S) @ (coeffs / L) = N / (L * scale(rows0)) for every L > 0,
-        where S is the (rows0, cols0) submatrix, of size at least 2.
-
-        Entry i of adj(S) @ c is sum_j (-1)^(i+j) c_j M_ji, and the deletion minor
-        M_ji = minor(R minus R_j, C minus C_i) * d_(R_j) / scale(R).
-        """
-        rmask, cmask = _mask(rows0), _mask(cols0)
-        weighted = [
-            (rmask ^ (1 << row), -c * self._scales[row] if j % 2 else c * self._scales[row])
-            for j, (row, c) in enumerate(zip(rows0, coeffs))
-            if c
-        ]
-        out = []
-        for i, col in enumerate(cols0):
-            cm = cmask ^ (1 << col)
-            total = sum(w * self.minor_of_masks(rm, cm) for rm, w in weighted)
-            out.append(-total if i % 2 else total)
-        return out
-
     def level(self, r: int, coeffs: Sequence[int]) -> Iterator[SweptWindow]:
         """Every window of size r >= 2 in lexicographic (rows, cols) order, as
-        ``(rows0, cols0, minor, N)``, N the integers :meth:`adjugate_numerators`
-        gives for coeffs.
+        ``(rows0, cols0, minor, N)``, N the integers with adj(S) @ (coeffs / L) =
+        N / (L * scale(rows0)) for every L > 0, S the window.
 
         After :meth:`fill`, the minor is read from level r and N from level r - 1:
         for the row set R and each C' of size r - 1, G(C') = sum_j (-1)^j c_j
@@ -625,60 +612,52 @@ def _condensation_sets(n: int, s: int) -> tuple[tuple[tuple[int, ...], int, int,
 
 
 def _condensed_rows(
-    ints: Sequence[Sequence[int]], s: int, lower: Sequence[Sequence[int]] | None, inner: Sequence[Sequence[int]] | None
-) -> Iterator[list[int]]:
+    ints: Sequence[Sequence[int]], s: int, lower: Sequence[Sequence[int]], inner: Sequence[Sequence[int]]
+) -> list[list[int]]:
     """The size-s minors of the integer rows, one list per row set (row sets and,
     within a list, column sets lexicographic), from the size-(s-1) and size-(s-2)
-    levels by the Desnanot-Jacobi identity; a minor whose inner minor is 0, or
-    every minor when the size-(s-2) level is missing, is its first-row expansion
-    over the level below.  When the level below is missing, every minor is a
-    Bareiss determinant."""
+    levels by the Desnanot-Jacobi identity; a minor whose inner minor is 0 is its
+    first-row expansion over the level below."""
     col_sets = _condensation_sets(len(ints[0]), s)
-    if inner is None:  # as if every inner minor were 0
-        inner = [[0] * math.comb(len(ints[0]), s - 2)] * math.comb(len(ints), s - 2)
+    out = []
     for rows, r_first, r_last, r_inner, _ in _condensation_sets(len(ints), s):
-        if lower is None:
-            yield [_int_minor([ints[i] for i in rows], cols) for cols, _, _, _, _ in col_sets]
-            continue
         top, bottom, mid = lower[r_first], lower[r_last], inner[r_inner]
-        out = []
+        minors = []
         for cols, c_first, c_last, c_inner, deletions in col_sets:
             d = mid[c_inner]
             if d:
-                out.append((top[c_first] * bottom[c_last] - top[c_last] * bottom[c_first]) // d)
+                minors.append((top[c_first] * bottom[c_last] - top[c_last] * bottom[c_first]) // d)
             else:
                 terms = [ints[rows[0]][c] * top[p] for c, p in zip(cols, deletions)]
-                out.append(sum(terms[::2]) - sum(terms[1::2]))
-        yield out
+                minors.append(sum(terms[::2]) - sum(terms[1::2]))
+        out.append(minors)
+    return out
 
 
-def _int_minor_levels(ints: Sequence[Sequence[int]], k: int) -> Iterator[Iterable[Sequence[int]]]:
+def _int_minor_levels(ints: Sequence[Sequence[int]], k: int) -> Iterator[Sequence[Sequence[int]]]:
     """The minors of sizes 1..k of the integer rows, one level per size: each
-    level gives one list per row set, row sets lexicographic, holding the
-    minors on every column set, lexicographic.
+    level is one list per row set, row sets lexicographic, holding the minors on
+    every column set, lexicographic.
 
     Size 1 is the rows themselves.  A minor M(R, C) of size s >= 2 is
     (M(R-r0, C-c0) M(R-r1, C-c1) - M(R-r0, C-c1) M(R-r1, C-c0)) / M(R-r0-r1, C-c0-c1)
     with r0, r1 the first and last rows of R and c0, c1 the first and last
     columns of C (Desnanot-Jacobi; the size-0 minor is 1), an exact quotient;
     when the inner minor is 0 it is sum_q (-1)^q a(r0, c_q) M(R-r0, C-c_q), so
-    no minor is eliminated while the level below is kept.  Only the two levels
-    below are kept, and a level of more than ``MAX_STORED_MINORS`` minors is
-    not kept: it is yielded lazily, the level above it is eliminated, and the
-    level above that is expanded over the level below.
+    no minor is eliminated.  The sweep keeps the two levels below the one it
+    builds, and refuses a level of more than ``MAX_LEVEL_MINORS`` minors before
+    building it.
     """
     m, n = len(ints), len(ints[0])
-    inner: Sequence[Sequence[int]] | None = [[1]]
-    lower: Sequence[Sequence[int]] | None = ints
+    inner: Sequence[Sequence[int]] = [[1]]
+    lower: Sequence[Sequence[int]] = ints
     yield ints
     for s in range(2, k + 1):
-        level: Iterable[Sequence[int]] = _condensed_rows(ints, s, lower, inner)
-        if math.comb(m, s) * math.comb(n, s) <= MAX_STORED_MINORS:
-            level = list(level)
-            inner, lower = lower, level
-        else:
-            inner, lower = lower, None
-        yield level
+        count = math.comb(m, s) * math.comb(n, s)
+        if count > MAX_LEVEL_MINORS:
+            raise ResourceLimitError(f"{count} minors of size {s} exceed the {MAX_LEVEL_MINORS} one level may hold")
+        inner, lower = lower, _condensed_rows(ints, s, lower, inner)
+        yield lower
 
 
 def minors_up_to(a: ExactMatrix, k: int) -> Iterator[MinorRecord]:
@@ -722,17 +701,17 @@ def contiguous_minors_up_to(a: ExactMatrix, k: int) -> Iterator[MinorRecord]:
         yield MinorRecord(_one_based(rows0), _one_based(cols0), Fraction(value, math.prod(scales[i] for i in rows0)))
 
 
-def solve_window(
-    a: ExactMatrix, rows0: Sequence[int], cols0: Sequence[int], coeffs: Sequence[int]
-) -> tuple[int, list[int] | None]:
-    """``(M, N)`` for the window S on rows0 and cols0, from one Bareiss solve
-    that stores nothing: M its minor on the scaled rows, and N the integers
-    ``MinorTable.adjugate_numerators`` gives for coeffs, or None when M is 0.
+def solve_window(a: ExactMatrix, rows0: Sequence[int], cols0: Sequence[int], coeffs: Sequence[int]) -> tuple[int, list[int]]:
+    """``(M, N)`` for the window S on rows0 and cols0, storing nothing: M its
+    minor on the scaled rows, and N the integers with adj(S) @ (coeffs / L) =
+    N / (L * scale(rows0)) for every L > 0.
 
     With T the scaled window and D its row scales, N = adj(T) @ D c.
     Eliminating [T | D c] leaves det(P T) as the last pivot, P the row swaps;
     back substitution of P T x = P D c, scaled by det(P T), gives det(P T) x =
     sign(P) N, each entry an exact quotient by the pivot of its row: O(r^3).
+    A singular window, where that says nothing of N, sums its own deletion
+    minors, N_i = sum_j (-1)^(i+j) c_j d_(R_j) M(R - R_j, C - C_i).
     """
     ints, scales = a.integer_rows
     n = len(rows0)
@@ -740,7 +719,12 @@ def solve_window(
     sign = _eliminate(m)
     pivot = m[-1][n - 1] if sign else 0
     if not pivot:
-        return 0, None
+        rows = [ints[i] for i in rows0]
+        weighted = [(j, (-1) ** j * scales[i] * c) for j, (i, c) in enumerate(zip(rows0, coeffs)) if c]
+        return 0, [
+            (-1) ** i * sum(w * _int_minor(rows[:j] + rows[j + 1 :], cols0[:i] + cols0[i + 1 :]) for j, w in weighted)
+            for i in range(n)
+        ]
     out = [0] * n
     for i in range(n - 1, -1, -1):
         row = m[i]

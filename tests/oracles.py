@@ -130,6 +130,26 @@ def table_value(table: MinorTable, rows0: Sequence[int], cols0: Sequence[int]) -
     return Fraction(table.minor_of_masks(*masks(rows0, cols0)), table.scale(rows0))
 
 
+def adjugate_numerators(table: MinorTable, rows0: Sequence[int], cols0: Sequence[int], coeffs: Sequence[int]) -> list[int]:
+    """Integers N with adj(S) @ (coeffs / L) = N / (L * scale(rows0)) for every L > 0,
+    S the (rows0, cols0) submatrix, of size at least 2, read window by window
+    from the table's deletion minors.
+
+    Entry i of adj(S) @ c is sum_j (-1)^(i+j) c_j M_ji, and the deletion minor
+    M_ji = minor(R minus R_j, C minus C_i) * d_(R_j) / scale(R).
+    """
+    rmask, cmask = masks(rows0, cols0)
+    weighted = [
+        (rmask ^ (1 << row), (-1) ** j * c * table.scale((row,)))
+        for j, (row, c) in enumerate(zip(rows0, coeffs))
+        if c
+    ]
+    return [
+        (-1) ** i * sum(w * table.minor_of_masks(rm, cmask ^ (1 << col)) for rm, w in weighted)
+        for i, col in enumerate(cols0)
+    ]
+
+
 def stored_minors(table: MinorTable) -> int:
     """How many minors the table keeps."""
     return len(table._values)

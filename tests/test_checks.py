@@ -29,6 +29,7 @@ from totneg import (
     submatrix,
     vd_check,
 )
+from totneg import checks as checks_module
 from totneg import matrix as matrix_module
 from totneg.generate import (
     certificate_digest,
@@ -39,9 +40,10 @@ from totneg.generate import (
     random_rational_matrix,
 )
 from totneg.lcp import tnp_lcp_sufficient_check
-from totneg.matrix import MinorTable, _bits
+from totneg.matrix import _bits
 
 from oracles import (
+    adjugate_numerators,
     check_tn_snr_all_vectors,
     check_tnp_snr_sampled,
     check_tnp_vd_sampled,
@@ -342,6 +344,35 @@ def test_contiguous_tn_sweeps_build_no_minor_table():
         assert "minor_table" not in a.__dict__ and "integer_rows" in a.__dict__
 
 
+def test_a_singular_contiguous_window_is_solved_without_a_minor_table():
+    """A totally negative 4x4 with its corner moved so that the contiguous 3x3
+    window on rows and columns 2-4 is singular, every smaller contiguous minor
+    staying negative: both TN single-vector tests fail there (S x = 0), with the
+    test vector the oracle reads off a table's deletion minors and a Fraction
+    adjugate gives, and neither builds a minor table."""
+    rows = generate_tn((4, 4), 4, seed=0).matrix.row_list()
+    base = ExactMatrix.from_rows(rows)
+    rows[3][3] -= det(submatrix(base, (2, 3, 4), (2, 3, 4))) / det(submatrix(base, (2, 3), (2, 3)))
+    singular = ExactMatrix.from_rows(rows)
+    window = ((1, 2, 3), (1, 2, 3))
+    for alpha in (None, AlphaChoice.of(["1/2", 3], global_sign=-1)):
+        realized = (alpha or AlphaChoice.of([1])).realized(3)
+        lcm = math.lcm(*(v.denominator for v in realized))
+        table = ExactMatrix(singular.rows, singular.cols, singular.entries).minor_table
+        numerators = adjugate_numerators(table, *window, [int(v * lcm) for v in realized])
+        expected = tuple(Fraction(v, lcm * table.scale(window[0])) for v in numerators)
+        assert expected == adjugate(submatrix(singular, (2, 3, 4), (2, 3, 4))).matvec(realized)
+        a = ExactMatrix(singular.rows, singular.cols, singular.entries)
+        for verdict, kind in (
+            (check_tn_snr_single_vector(a, 4, alpha), ViolationKind.SIGN_REVERSAL),
+            (check_tn_vd_single_vector(a, alpha), ViolationKind.VARIATION_INCREASE),
+        ):
+            assert not verdict.holds and verdict.witness.kind is kind
+            assert verdict.witness.rows == verdict.witness.cols == (2, 3, 4)
+            assert verdict.witness.vector == expected
+        assert "minor_table" not in a.__dict__
+
+
 def test_contiguous_minors_check_the_condensation_independently(monkeypatch):
     """A fault in the condensation (here the size-3 minor on rows and columns
     1-3 of a totally negative 5x5 with its sign flipped) fails the minor
@@ -350,10 +381,10 @@ def test_contiguous_minors_check_the_condensation_independently(monkeypatch):
     real = matrix_module._condensed_rows
 
     def corrupted(ints, s, lower, inner):
-        for i, row in enumerate(real(ints, s, lower, inner)):
-            if s == 3 and i == 0:
-                row = [-row[0], *row[1:]]
-            yield row
+        rows = real(ints, s, lower, inner)
+        if s == 3:
+            rows[0] = [-rows[0][0], *rows[0][1:]]
+        return rows
 
     base = generate_tn((5, 5), 5, seed=0).matrix
     a = ExactMatrix(base.rows, base.cols, base.entries)
@@ -377,7 +408,7 @@ def test_single_vector_sweeps_at_20x20_need_no_deletion_minors(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a nonsingular contiguous window needs no deletion minor or elimination")
 
-    monkeypatch.setattr(MinorTable, "adjugate_numerators", refuse)
+    monkeypatch.setattr(matrix_module, "_int_minor", refuse)
     monkeypatch.setattr(matrix_module, "det_of_rows", refuse)
     a = _pascal_tn(20, Fraction(1, 2**40))
     assert check_tn_snr_single_vector(a, 20).holds
@@ -386,15 +417,15 @@ def test_single_vector_sweeps_at_20x20_need_no_deletion_minors(monkeypatch):
 
 def test_all_window_sweeps_at_7x7_read_the_level_sweep(monkeypatch):
     """The all-window TNP and minor sweeps take every window from the table's
-    level sweep: no per-window adjugate numerators and no index-set masks."""
+    level sweep: no per-window solve and no per-minor elimination."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("an all-window sweep left the level sweep")
 
     a = generate_tnp((7, 7), 7, seed=3).matrix
     b = ExactMatrix(a.rows, a.cols, a.entries)
-    monkeypatch.setattr(MinorTable, "adjugate_numerators", refuse)
-    monkeypatch.setattr(matrix_module, "_mask", refuse)
+    monkeypatch.setattr(checks_module, "solve_window", refuse)
+    monkeypatch.setattr(matrix_module, "_int_minor", refuse)
     assert check_tnp_snr(a, 7).holds
     assert check_tnp_vd(a).holds
     assert check_by_minor_definition(a, ClassQuery("tnp", 7)).holds

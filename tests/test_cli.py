@@ -312,6 +312,22 @@ def test_minor_enumeration_past_the_cap_is_exit_3(tmp_path, capsys):
     assert main(["check", str(big), "--class", "tn", "--order", "13", "--method", "contiguous"]) == 1
 
 
+def test_all_window_single_vector_checks_past_the_cap_refuse_before_the_entry_check(tmp_path, capsys):
+    """The TNP sign non-reversal and variation tests sweep every window, so on a
+    13x13 with a positive entry they refuse (exit 3) before the entry check, as
+    ``--method minors``, ``--method all`` and the complementarity condition do;
+    the TN tests read only the contiguous windows and still fail at the entry."""
+    rows = [["-1"] * 13 for _ in range(13)]
+    rows[6][6] = "1"
+    big = tmp_path / "big.txt"
+    big.write_text("13 13\n" + "\n".join(" ".join(row) for row in rows) + "\n")
+    for order in ("1", "13"):
+        for method in ("snr", "vd"):
+            assert main(["check", str(big), "--class", "tnp", "--order", order, "--method", method]) == 3
+            assert capsys.readouterr().err == "resource cap: all-submatrix sweep refused for dimensions beyond 12\n"
+            assert main(["check", str(big), "--class", "tn", "--order", order, "--method", method]) == 1
+
+
 def test_json_report_round_trips(files, capsys):
     assert main(["check", str(files["near_miss"]), "--class", "tn", "--order", "2", "--json"]) == 1
     report = json.loads(capsys.readouterr().out)

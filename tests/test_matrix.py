@@ -16,9 +16,12 @@ from hypothesis import strategies as st
 
 from totneg import (
     AlphaChoice,
+    ClassQuery,
     DimensionError,
     ExactMatrix,
+    ResourceLimitError,
     adjugate,
+    check_by_minor_definition,
     cofactor_minor,
     contiguous_minors_up_to,
     det,
@@ -35,6 +38,7 @@ from totneg.generate import generate_tn
 from totneg.matrix import MinorTable, det_of_rows, format_fraction, parse_rational, solve_window
 
 from oracles import (
+    adjugate_numerators,
     all_windows,
     det_by_cofactor_expansion,
     first_entry_violating,
@@ -363,9 +367,9 @@ def test_condensed_levels_match_the_per_minor_fraction_reference(cap, a, fills, 
     ``minor_of_masks`` (windows in a shuffled order) give the minors of the
     per-minor Fraction reference, and ``level(r, c)`` the numerators of a
     Fraction adjugate.  Zero and repeated rows make inner minors vanish, and the
-    example's determinant -2 has the inner minor 0; a cap of 40 keeps the small
-    levels and streams the rest, and a cap of 0 keeps none, so every level
-    above 2 is eliminated."""
+    example's determinant -2 has the inner minor 0; a cap of 40 stores the small
+    levels in the table and looks the rest up past it, and a cap of 0 stores
+    none, so every lookup of size 3 or more is computed alone."""
     k = min(a.rows, a.cols)
     expected = {
         (tuple(i - 1 for i in rec.rows), tuple(j - 1 for j in rec.cols)): rec.value
@@ -415,56 +419,87 @@ def test_minor_table_beyond_its_storage_cap_still_matches(monkeypatch):
     assert stored_minors(table) == 40
 
 
-@pytest.mark.parametrize(
-    "cap,eliminated",
-    [(matrix_module.MAX_STORED_MINORS, 0), (500, 1225 + 441), (40, 1225 + 1225 + 441 + 49 + 1), (0, 1225 + 1225 + 441 + 49 + 1)],
-)
-def test_minor_stream_beyond_its_level_cap_still_matches(monkeypatch, eliminations, cap, eliminated):
-    """A level of more than ``MAX_STORED_MINORS`` minors is not kept, and the
-    level above it is eliminated.  On 7x7 (levels of 49, 441, 1225, 1225, 441,
-    49 and 1 minors) a cap of 500 keeps levels 2, 5, 6 and 7: level 3 is
-    condensed from levels 2 and 1, levels 4 and 5 are eliminated, level 6 is
-    expanded over the kept level 5, and level 7 is condensed from the kept
-    levels 6 and 5."""
+@pytest.mark.parametrize("cap", [matrix_module.MAX_STORED_MINORS, 500, 40, 0])
+def test_minor_stream_at_any_table_cap_eliminates_nothing(monkeypatch, eliminations, cap):
+    """The table's cap does not reach the condensation sweep, which keeps its two
+    levels below at every size: at each cap a 7x7 with a repeated row (zero inner
+    minors) still matches the per-minor Fraction reference, and neither it, nor a
+    totally negative 7x7, nor the minor definition's scan of the latter's table
+    eliminates a minor."""
     monkeypatch.setattr(matrix_module, "MAX_STORED_MINORS", cap)
     rng = random.Random(5)
     rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(7)] for _ in range(7)]
     rows[5] = list(rows[2])
     a = ExactMatrix.from_rows(rows)
-    assert list(minors_up_to(a, 7)) == list(reference_minors_up_to(a, 7))
-    # a totally negative instance has no zero minor, so every elimination is the cap's;
-    # below 49, only level 2 is condensed (from the entries, which are always kept)
+    expected = list(reference_minors_up_to(a, 7))
     tn = generate_tn((7, 7), 7, seed=0).matrix
+    fresh = ExactMatrix(tn.rows, tn.cols, tn.entries)
     eliminations.clear()
+    assert list(minors_up_to(a, 7)) == expected
     assert all(rec.value < 0 for rec in minors_up_to(tn, 7))
-    assert len(eliminations) == eliminated
+    assert check_by_minor_definition(fresh, ClassQuery("tn", 7)).holds
+    assert eliminations == []
 
 
-def test_a_12x12_sweep_expands_level_9_over_level_8(eliminations):
-    """At the default cap a 12x12 sweep keeps level 8 (245,025 minors) but not
-    level 7 (627,264), so level 9 (48,400 minors of size 9) has no inner level:
-    each of its minors is expanded along its first row over level 8, with no
-    elimination, and equals the minor condensed from levels 8 and 7 when every
-    level is kept."""
-    routes = []
+def test_a_12x12_sweep_condenses_every_level_from_both_levels_below(eliminations):
+    """A 12x12 sweep keeps both levels below at every size, level 6 (853,776
+    minors, the largest a capped caller reaches) included, whatever the table's
+    cap: each level is condensed from the whole levels s - 1 and s - 2, with no
+    elimination, and its minors are those a Bareiss determinant gives."""
+    routes, kept = [], {}
     real = matrix_module._condensed_rows
 
-    def route(ints, s, lower, inner):  # records which levels below a level has, computes nothing
-        routes.append((s, lower is not None, inner is not None))
-        return ([0] * math.comb(12, s) for _ in range(math.comb(12, s)))
+    def route(ints, s, lower, inner):  # records the levels below that each level gets
+        routes.append((s, sum(map(len, lower)), sum(map(len, inner))))
+        return real(ints, s, lower, inner)
 
     rng = random.Random(12)
     ints = [[rng.randint(-3, 3) for _ in range(12)] for _ in range(12)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matrix_module, "_condensed_rows", route)
-        collections.deque(matrix_module._int_minor_levels(ints, 12), maxlen=0)
-    assert routes == [(s, s not in (6, 7, 8), s not in (7, 8, 9)) for s in range(2, 13)]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(matrix_module, "MAX_STORED_MINORS", math.comb(12, 6) ** 2)
-        level8, level9 = collections.deque(matrix_module._int_minor_levels(ints, 9), maxlen=2)
-    eliminations.clear()
-    assert list(real(ints, 9, level8, None)) == level9
-    assert eliminations == [] and sum(map(len, level9)) == 48_400
+        patch.setattr(matrix_module, "MAX_STORED_MINORS", 0)
+        for s, level in enumerate(matrix_module._int_minor_levels(ints, 12), 1):
+            if s in (6, 9, 12):
+                kept[s] = level
+    assert eliminations == []
+    assert routes == [(s, math.comb(12, s - 1) ** 2, math.comb(12, s - 2) ** 2) for s in range(2, 13)]
+    assert sum(map(len, kept[6])) == matrix_module.MAX_LEVEL_MINORS == 853_776
+    for s, level in kept.items():
+        row_sets = list(itertools.combinations(range(12), s))
+        col_sets = list(itertools.combinations(range(12), s))
+        for at in rng.sample(range(len(row_sets)), min(20, len(row_sets))):
+            for c_at in rng.sample(range(len(col_sets)), min(20, len(col_sets))):
+                rows = [ints[i] for i in row_sets[at]]
+                assert level[at][c_at] == det_of_rows([[r[j] for j in col_sets[c_at]] for r in rows])
+
+
+def test_a_level_past_the_sweeps_bound_is_refused_before_it_is_built(monkeypatch):
+    """On a 13x13, level 5 holds C(13, 5)^2 = 1,656,369 minors, past
+    ``MAX_LEVEL_MINORS``: ``minors_up_to(a, 13)`` gives every minor of sizes 1
+    to 4 and then refuses, and level 5 is never condensed.  The minor
+    definition on the all-zero 13x13 (in the weak class) refuses it too, and so
+    does a second call on the same matrix, whose table's sweep has ended."""
+    built = []
+    real = matrix_module._condensed_rows
+
+    def spy(ints, s, lower, inner):
+        built.append(s)
+        return real(ints, s, lower, inner)
+
+    monkeypatch.setattr(matrix_module, "_condensed_rows", spy)
+    rng = random.Random(13)
+    a = ExactMatrix.from_rows([[rng.randint(-9, 9) for _ in range(13)] for _ in range(13)])
+    sizes = collections.Counter()
+    with pytest.raises(ResourceLimitError, match="1656369 minors of size 5"):
+        for rec in minors_up_to(a, 13):
+            sizes[len(rec.rows)] += 1
+    assert built == [2, 3, 4]
+    assert sizes == {s: math.comb(13, s) ** 2 for s in range(1, 5)}
+    zero = ExactMatrix.from_rows([[0] * 13] * 13)
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError):
+            check_by_minor_definition(zero, ClassQuery("tnp", 13))
+    assert built == [2, 3, 4] * 2
 
 
 def test_minor_stream_expands_a_minor_whose_inner_minor_is_zero(eliminations):
@@ -584,11 +619,8 @@ def test_window_solve_returns_the_minor_and_the_adjugate_numerators(case):
     assert "minor_table" not in vars(a)
     reference = MinorTable(a)
     assert value == reference.minor_of_masks(*masks(rows0, cols0))
-    assert (numerators is None) == (value == 0)
-    if numerators is None:
-        return
     if r > 1:
-        assert numerators == reference.adjugate_numerators(rows0, cols0, coeffs)
+        assert numerators == adjugate_numerators(reference, rows0, cols0, coeffs)
     denominator = lcm * reference.scale(rows0)
     assert [Fraction(v, denominator) for v in numerators] == list(adjugate(take(a, rows0, cols0)).matvec(realized))
 
@@ -623,7 +655,7 @@ def level_cases(draw):
 @given(level_cases())
 def test_level_sweep_matches_a_fresh_table_window_by_window(cap, case):
     """Each window's minor and adjugate numerators from the level sweep equal a
-    fresh table's ``minor_of_masks`` and ``adjugate_numerators``, in ``all_windows``
+    fresh table's ``minor_of_masks`` and the oracle's ``adjugate_numerators``, in ``all_windows``
     order; with the levels already scanned (a minor sweep first) and without, and
     past a storage cap."""
     a, alpha = case
@@ -635,7 +667,7 @@ def test_level_sweep_matches_a_fresh_table_window_by_window(cap, case):
             lcm = math.lcm(*(v.denominator for v in realized))
             coeffs = [int(v * lcm) for v in realized]
             expected = [
-                (rows0, cols0, reference.minor_of_masks(*masks(rows0, cols0)), reference.adjugate_numerators(rows0, cols0, coeffs))
+                (rows0, cols0, reference.minor_of_masks(*masks(rows0, cols0)), adjugate_numerators(reference, rows0, cols0, coeffs))
                 for rows0, cols0 in all_windows(a.rows, a.cols, r)
             ]
             assert list(vectors.level(r, coeffs)) == expected
