@@ -21,7 +21,11 @@ outer and column sets inner, builds the keys of every set of window positions
 once per row set and per column set, and hands each window the lazy stream of
 its supports, solved on integers looked up in the matrix's minor table
 (:func:`_support_candidates`); a judge stops it as soon as the answer is
-known.  A support with a zero principal minor, which may hold a solution
+known.  When the table keeps every level up to the window size, a support's
+slacks are tested first, since most supports fail there, and it is rejected
+at its first negative value.  The supports that hold every position where x is
+nonzero all give -x, which the stream yields once; neither judge counts
+solutions.  A support with a zero principal minor, which may hold a solution
 family, goes to the same step on the table's scaled rows, and the first family
 ends its window.
 """
@@ -527,14 +531,17 @@ def _support_candidates(
     qs: Sequence[int],
     rkeys: Sequence[int],
     cmasks: Sequence[int],
+    whole: bool,
 ) -> Iterator[Point | None]:
     """The feasible solutions of LCP(A_w, A_w x) on the nonempty supports of the
     window w = (rows0, cols0), sizes ascending, from X = L x, the Q of
     :func:`_scaled_image`, and the :func:`_position_keys` of its rows (shifted)
-    and of its columns.
+    and of its columns; ``whole`` says that the table keeps every level up to
+    the window size (``MinorTable.fill``).
 
     With T the table's minor on the window rows/columns at the given positions
-    and d = T(S, S) != 0, Cramer's rule and the Schur complement give
+    and d = T(S, S) != 0, Cramer's rule and the Schur complement (Cottle, Pang
+    and Stone, The Linear Complementarity Problem, 1992, 4.1) give
 
         z_l d = -X_l d - sum_{j not in S} X_j s_lj T(S, S - l + j)   (l in S),
         w_i d = sum_{j not in S} X_j s'_ij T(S + i, S + j)            (i not in S),
@@ -547,16 +554,22 @@ def _support_candidates(
         z_l d = -X_l d + (-1)^b(l) (sum_{j > l} Y_j T(S, S - l + j) - sum_{j < l} Y_j T(S, S - l + j)),
         w_i d = (-1)^b(i) sum_{j not in S} Y_j T(S + i, S + j).
 
-    Each minor is a lookup in the levels :func:`_lcp_windows` has drawn; one
-    past the table's cap is expanded along its row that is not among its column
-    positions, and d along its highest row where X is nonzero, so it reads only
-    minors that the supports one smaller have read; no submatrix, no Fractions.
-    Every z-minor is read, and the w-minors up to the first negative w, since
-    past the cap they seed the expansions of larger supports.  A support with a zero
-    principal minor goes to :func:`_support_solutions` on the table's scaled
-    rows of the window and Q, whose points are candidates as they are; at its
-    first solution family this yields None and stops, since the family already
-    decides the window.
+    No submatrix is built and no Fraction.  When the table is whole every minor
+    is a lookup that cannot miss; the slacks come first, since most supports
+    fail on one, then the z values, and a support stops at its first negative
+    value.  Past the table's cap a missing minor is expanded along its row
+    that is not among its column positions, and d along its highest row where X
+    is nonzero, so it reads only minors that the supports one smaller have read.
+    There every z-minor is read first, then the w-minors up to the first
+    negative w: T(S + i, S + j) expands along row i over d and the z-minors
+    T(S, S - l + j), so the z-minors keep every expansion on kept minors.
+
+    A support with d != 0 that holds every position where X is nonzero has
+    Z = -X |d| and W = 0: -x, yielded at the first such support only.  A support
+    with a zero principal minor goes to :func:`_support_solutions` on the
+    table's scaled rows of the window and Q, whose points are candidates as
+    they are; at its first solution family this yields None and stops, since
+    the family already decides the window.
     """
     table = a.minor_table
     values, minor, shift = table._values, table.minor_of_masks, table._ncols
@@ -565,6 +578,7 @@ def _support_candidates(
     cbit = [1 << j for j in cols0]
     live = [(j, 1 << j, cbit[j], v) for j, v in enumerate(xs) if v]
     live_mask = sum(bit for _, bit, _, _ in live)
+    minus_x = max(xs) <= 0  # whether -x is feasible and not yielded yet
     window = None  # the table's scaled rows of the window, read at the first zero principal minor
     for support, smask, below in _support_plans(r):
         rk = rkeys[smask]
@@ -583,10 +597,41 @@ def _support_candidates(
             yield from points
             continue
         if not live_mask & ~smask:  # no outside terms: Z = -X |d| and W = 0
-            if max(xs) <= 0:
+            if minus_x:
+                minus_x = False
                 yield abs(d), [-v * abs(d) for v in xs], [0] * r
             continue
         outside = [(j, cj, -v if below[j] & 1 else v) for j, bit, cj, v in live if not smask & bit]
+        if whole:
+            ws = [0] * r
+            for i in range(r):
+                if smask >> i & 1:
+                    continue
+                rik = rkeys[smask | 1 << i] | cm
+                acc = 0
+                for _, cj, y in outside:
+                    acc += y * values[rik | cj]
+                if (below[i] & 1) == (d > 0):
+                    acc = -acc
+                if acc < 0:
+                    break
+                ws[i] = acc
+            else:
+                zs = [0] * r
+                for rank, l in enumerate(support):
+                    rcl = rk | cm ^ cbit[l]
+                    acc = 0
+                    for j, cj, y in outside:
+                        acc = acc + y * values[rcl | cj] if j > l else acc - y * values[rcl | cj]
+                    total = -xs[l] * d - acc if rank & 1 else acc - xs[l] * d
+                    if d < 0:
+                        total = -total
+                    if total < 0:
+                        break
+                    zs[l] = total
+                else:
+                    yield abs(d), zs, ws
+            continue
         zs = [0] * r
         for rank, l in enumerate(support):
             cl = cm ^ cbit[l]
@@ -629,12 +674,13 @@ def _lcp_windows(
     and candidates the lazy :func:`_support_candidates` stream of LCP(A_w, A_w x).
 
     A size beyond MAX_LCP_SIZE is refused before any of its windows is built;
-    otherwise the table draws the levels up to it that fit (``MinorTable.fill``).
+    otherwise the table draws the levels up to it that fit (``MinorTable.fill``),
+    and the candidates read it by lookups alone when they all do.
     """
     table = a.minor_table
     for r in range(2, k + 1):
         _check_lcp_size(r)
-        table.fill(r)
+        whole = table.fill(r)
         col_sets = [(cols, _position_keys(1 << j for j in cols[0])) for cols in index_sets(a.cols, r, contiguous)]
         for rows in index_sets(a.rows, r, contiguous):
             rows0 = rows[0]
@@ -643,7 +689,7 @@ def _lcp_windows(
                 cols0 = cols[0]
                 xs, lcm = _single_vector_ints(table, rows, cols, weights)
                 qs = _scaled_image(table, rows0, cols0, xs)
-                yield rows0, cols0, xs, lcm, qs, _support_candidates(a, rows0, cols0, xs, qs, rkeys, cmasks)
+                yield rows0, cols0, xs, lcm, qs, _support_candidates(a, rows0, cols0, xs, qs, rkeys, cmasks, whole)
 
 
 def _window_holds(xs: Sequence[int], qs: Sequence[int], candidates: Iterable[Point | None]) -> bool:

@@ -445,6 +445,7 @@ class MinorTable:
         self._values: dict[int, int] = {}  # (row mask << ncols) | column mask -> minor
         self._sweep = _int_minor_levels(self._ints, min(a.rows, a.cols))
         self._drawn = 0  # the levels of sizes 1.._drawn have been drawn from the sweep
+        self._whole = 0  # the levels of sizes 1.._whole have all been kept whole
         self._pending: dict[int, Sequence[Sequence[int]]] = {}  # size -> drawn level kept, not yet stored
         self._lock = threading.Lock()
 
@@ -465,10 +466,15 @@ class MinorTable:
             self._drawn = r
             if self._fits(r):
                 self._pending[r] = level
+                if self._whole == r - 1:
+                    self._whole = r
             return level
 
-    def _flush(self) -> None:
-        """Store the kept levels that wait for a lookup, under the draw lock."""
+    def _flush(self) -> int:
+        """Store the kept levels that wait for a lookup, under the draw lock, and
+        return how many levels from size 1 up are now stored whole; read under
+        the same lock, so a level another thread draws meanwhile is not counted
+        before it is stored."""
         with self._lock:
             for r, level in self._pending.items():
                 cmasks = [cmask for _, cmask, _ in index_sets(self._ncols, r, False)]
@@ -476,13 +482,15 @@ class MinorTable:
                     rkey = rmask << self._ncols
                     self._values.update(zip([rkey | cmask for cmask in cmasks], values))
             self._pending.clear()
+            return self._whole
 
-    def fill(self, r: int) -> None:
-        """Draw the levels up to size r, sizes ascending, while each one fits; store them."""
-        while self._drawn < r and self._fits(self._drawn + 1):
-            self._draw(self._drawn + 1)
-        if self._pending:
-            self._flush()
+    def fill(self, r: int) -> bool:
+        """Draw the levels up to size r, sizes ascending, while each one fits; store
+        them.  True when every level of sizes 1..r is kept whole, so that every
+        minor of size r or less is a lookup that cannot miss."""
+        while (s := self._drawn + 1) <= r and self._fits(s):
+            self._draw(s)  # None when another thread drew level s first
+        return self._flush() >= r
 
     def levels(self, k: int) -> Iterator[Iterable[Sequence[int]]]:
         """The minors of every window of sizes 1..k, a level per size: one list per

@@ -635,9 +635,10 @@ def window_keys(a, rows0, cols0):
     return lcp._position_keys(1 << i << a.cols for i in rows0), lcp._position_keys(1 << j for j in cols0)
 
 
-def support_candidates(a, rows0, cols0, xs, qs):
-    """The library's candidate stream of one window, called as the sweeps call it."""
-    return lcp._support_candidates(a, rows0, cols0, xs, qs, *window_keys(a, rows0, cols0))
+def support_candidates(a, rows0, cols0, xs, qs, whole=False):
+    """The library's candidate stream of one window, called as the sweeps call it;
+    ``whole`` when its table keeps every level up to the window size."""
+    return lcp._support_candidates(a, rows0, cols0, xs, qs, *window_keys(a, rows0, cols0), whole)
 
 
 def window_holds(a, rows0, cols0, xs):
@@ -838,14 +839,30 @@ def window_stream(enumerate_supports, a, rows0, cols0, xs=None):
     return list(enumerate_supports(a, rows0, cols0, xs, qs)), stored_minors(table)
 
 
+def distinct_values(candidates):
+    """The values of a candidate stream in order of first appearance, each once:
+    (Z / d, W / d) per candidate and None for a solution family."""
+    seen = {}
+    for cand in candidates:
+        if cand is None:
+            seen.setdefault(None)
+        else:
+            d, zs, ws = cand
+            seen.setdefault((tuple(Fraction(z, d) for z in zs), tuple(Fraction(w, d) for w in ws)))
+    return list(seen)
+
+
 def assert_streams_match(rows, windows, xs=None):
-    """The kernel and the reference give the same candidates, in the same order and
-    with the same integers, and read the same minors, window after window on one
-    table each."""
+    """The kernel and the reference give the same candidate values, in the same
+    order of first appearance, and read the same minors, window after window on
+    one table each; the kernel yields -x once per window, the reference at every
+    support that holds each position where x is nonzero."""
     new, old = ExactMatrix.from_rows(rows), ExactMatrix.from_rows(rows)
     for rows0, cols0 in windows:
-        expected = window_stream(reference_support_candidates, old, rows0, cols0, xs)
-        assert window_stream(support_candidates, new, rows0, cols0, xs) == expected
+        expected, expected_stored = window_stream(reference_support_candidates, old, rows0, cols0, xs)
+        candidates, stored = window_stream(support_candidates, new, rows0, cols0, xs)
+        assert distinct_values(candidates) == distinct_values(expected)
+        assert stored == expected_stored
 
 
 @st.composite
@@ -882,16 +899,39 @@ def test_support_plans_give_the_reference_stream_on_random_windows(window):
     assert_streams_match(rows, [(rows0, cols0)], xs)
 
 
+def every_window(a):
+    """(rows0, cols0) of every window of a square matrix, sizes ascending as the sweeps read them."""
+    return [
+        (rows[0], cols[0])
+        for r in range(1, a.rows + 1)
+        for rows, cols in itertools.product(index_sets(a.rows, r), index_sets(a.cols, r))
+    ]
+
+
 def test_support_plans_give_the_reference_stream_on_every_window_of_certified_instances():
     """Every window of a certified 7x7 TN and of a rank-one 6x6 TNP instance (whose
     supports of size 2 or more are singular), sizes ascending as the sweeps read them."""
     for a in (generate_tn((7, 7), 7, seed=0).matrix, generate_tnp((6, 6), 6, seed=1).matrix):
-        windows = [
-            (rows[0], cols[0])
-            for r in range(1, a.rows + 1)
-            for rows, cols in itertools.product(index_sets(a.rows, r), index_sets(a.cols, r))
-        ]
-        assert_streams_match(a.row_list(), windows)
+        assert_streams_match(a.row_list(), every_window(a))
+
+
+def test_slacks_first_on_whole_levels_give_the_reference_stream_and_store_nothing():
+    """With every level up to the window size kept (``fill`` is True), the kernel
+    tests the slacks first and reads lookups alone: the same candidate values as
+    the reference, on every window of the certified instances, and no minor added
+    to the table."""
+    for a in (generate_tn((7, 7), 7, seed=0).matrix, generate_tnp((6, 6), 6, seed=1).matrix):
+        new, old = ExactMatrix.from_rows(a.row_list()), ExactMatrix.from_rows(a.row_list())
+        for rows0, cols0 in every_window(a):
+            assert new.minor_table.fill(len(rows0))
+            stored = stored_minors(new.minor_table)
+            xs = [-1] if len(rows0) == 1 else None
+            candidates, after = window_stream(
+                lambda *args: support_candidates(*args, whole=True), new, rows0, cols0, xs
+            )
+            assert after == stored
+            expected, _ = window_stream(reference_support_candidates, old, rows0, cols0, xs)
+            assert distinct_values(candidates) == distinct_values(expected)
 
 
 def test_a_window_past_the_retained_plans_matches_the_reference():
@@ -901,9 +941,13 @@ def test_a_window_past_the_retained_plans_matches_the_reference():
     band = [[-(1 + i * j % 3) if abs(i - j) <= 1 else 0 for j in range(n)] for i in range(n)]
     full = tuple(range(n))
     xs = [-1] + [0] * (n - 1)
-    new = window_stream(support_candidates, ExactMatrix.from_rows(band), full, full, xs)
-    assert new == window_stream(reference_support_candidates, ExactMatrix.from_rows(band), full, full, xs)
-    assert len(new[0]) == 6143
+    candidates, stored = window_stream(support_candidates, ExactMatrix.from_rows(band), full, full, xs)
+    expected, expected_stored = window_stream(reference_support_candidates, ExactMatrix.from_rows(band), full, full, xs)
+    assert distinct_values(candidates) == distinct_values(expected)
+    assert stored == expected_stored
+    # the reference yields -x at each of the 4,096 supports that hold position 1; the
+    # kernel at the first of them with d != 0 and at the 380 singular ones
+    assert len(candidates) == 2428
     assert max(lcp._PLANS) <= 12
 
 

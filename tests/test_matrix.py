@@ -43,6 +43,7 @@ from oracles import (
     det_by_cofactor_expansion,
     first_entry_violating,
     identity,
+    levels_drawn,
     masks,
     matmul,
     reference_contiguous_minors_up_to,
@@ -471,6 +472,42 @@ def test_a_12x12_sweep_condenses_every_level_from_both_levels_below(eliminations
             for c_at in rng.sample(range(len(col_sets)), min(20, len(col_sets))):
                 rows = [ints[i] for i in row_sets[at]]
                 assert level[at][c_at] == det_of_rows([[r[j] for j in col_sets[c_at]] for r in rows])
+
+
+def test_fill_is_whole_only_while_every_level_up_to_it_is_kept():
+    """The minor definition's scan of a 12x12 (``levels(12)``) draws every level,
+    keeps levels 1-3 and, once the table has room again, 9-12; levels 4-8 do not
+    fit under ``MAX_STORED_MINORS``.  A fill to 10 then draws nothing and is not
+    whole, since the complementarity supports could miss there; a fill to 3 is."""
+    rng = random.Random(12)
+    table = ExactMatrix.from_rows([[rng.randint(-3, 3) for _ in range(12)] for _ in range(12)]).minor_table
+    for level in table.levels(12):
+        for _ in level:
+            pass
+    assert levels_drawn(table) == 12
+    assert not table.fill(10)
+    assert not table.fill(12)
+    assert table.fill(3)
+    assert stored_minors(table) == sum(math.comb(12, s) ** 2 for s in (1, 2, 3, 9, 10, 11, 12))
+
+
+def test_fill_draws_nothing_more_when_another_thread_draws_its_level(monkeypatch):
+    """Another thread may draw the level that ``fill`` has just found to fit,
+    before ``fill`` draws it.  ``fill`` then asks for no further level, which
+    the ended sweep would refuse; every level is stored and the fill is whole."""
+    table = ExactMatrix.from_rows([[-1, -2, -3], [-2, -5, -7], [-3, -7, -12]]).minor_table
+    real = table._fits
+
+    def fits(r):
+        ok = real(r)
+        if r == 3 and levels_drawn(table) == 2:  # the other thread, between the check and the draw
+            table._draw(3)
+        return ok
+
+    monkeypatch.setattr(table, "_fits", fits)
+    assert table.fill(3)
+    assert levels_drawn(table) == 3
+    assert stored_minors(table) == 9 + 9 + 1
 
 
 def test_a_level_past_the_sweeps_bound_is_refused_before_it_is_built(monkeypatch):
