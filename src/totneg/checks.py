@@ -12,6 +12,7 @@ certificate.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -188,31 +189,65 @@ def _contiguous_solves(a: ExactMatrix, r: int, coeffs: Sequence[int]) -> Iterato
             yield rows0, cols0, *solve_window(a, rows0, cols0, coeffs)
 
 
-def _test_vector_sweep(a: ExactMatrix, k: int, alpha: AlphaChoice, judge: Judge, contiguous: bool) -> Violation | None:
+def _first_failure(judges: Sequence[Judge]) -> Judge:
+    """One judge for several: the kind the first failing one finds, else None;
+    a single judge is itself, so a one-method sweep calls it directly."""
+    if len(judges) == 1:
+        return judges[0]
+
+    def judge(x: Sequence[int], y: Sequence[int]) -> ViolationKind | None:
+        for j in judges:
+            kind = j(x, y)
+            if kind is not None:
+                return kind
+        return None
+
+    return judge
+
+
+def _test_vector_sweep(
+    a: ExactMatrix, k: int, alpha: AlphaChoice, judges: Sequence[Judge], contiguous: bool
+) -> list[tuple[Violation | None, float]]:
     """Judge the single test vector adj(S) @ alpha on every contiguous window
-    (or every window) S of size 2..k.
+    (or every window) S of size 2..k, for all the judges in one pass: each
+    judge's first violation (None when it has none) with the ``perf_counter``
+    reading at which it was decided.  A judge retires at its first violation,
+    and the sweep stops when none is left.
 
     With alpha = c / L over integers c, x = N / (L * scale(S)) where N are the
     window's adjugate numerators, and S x = det(S) alpha has the signs of c, -c
-    or 0 by the sign of minor(S).  Both denominators are positive, so the judge
-    sees the right signs; the Fraction vector is built for a witness only.
+    or 0 by the sign of minor(S).  Both denominators are positive, so the judges
+    see the right signs; the Fraction vector is built for a witness only.
 
     A contiguous window gets minor(S) and N from one solve on the scaled rows,
     with no minor table; a sweep over all windows reads them off the table's
     level sweep, which shares each row set's deletion-minor sums across its
     column windows.
     """
+    found: dict[Judge, tuple[Violation, float]] = {}
+    live = list(judges)
+    judge = _first_failure(live)
     for r in range(2, k + 1):
         (coeffs,), (lcm,) = _rows_as_scaled_ints([alpha.realized(r)])  # alpha = coeffs / lcm
         images = ([0] * r, coeffs, [-c for c in coeffs])  # sign patterns of S x, indexed by sign(det)
         windows = _contiguous_solves(a, r, coeffs) if contiguous else a.minor_table.level(r, coeffs)
         for rows0, cols0, det, x in windows:
-            kind = judge(x, images[(det > 0) - (det < 0)])
-            if kind is not None:
-                denominator = lcm * _scale(a, rows0)
-                vector = tuple(Fraction(v, denominator) for v in x)
-                return Violation(kind, _one_based(rows0), _one_based(cols0), vector=vector)
-    return None
+            y = images[(det > 0) - (det < 0)]
+            if judge(x, y) is None:
+                continue
+            decided = time.perf_counter()
+            denominator = lcm * _scale(a, rows0)
+            vector = tuple(Fraction(v, denominator) for v in x)
+            for j in live:  # every judge that fails here retires here
+                kind = j(x, y)
+                if kind is not None:
+                    found[j] = Violation(kind, _one_based(rows0), _one_based(cols0), vector=vector), decided
+            live = [j for j in live if j not in found]
+            if not live:
+                return [found[j] for j in judges]
+            judge = _first_failure(live)
+    end = time.perf_counter()
+    return [found.get(j, (None, end)) for j in judges]
 
 
 def check_by_minor_definition(a: ExactMatrix, query: ClassQuery) -> Verdict:
@@ -390,11 +425,15 @@ def check_alpha(alpha: AlphaChoice | None, cls: MatrixClass, k: int) -> None:
     alpha.realized(2)
 
 
-def _single_vector_check(a: ExactMatrix, k: int | None, alpha: AlphaChoice | None, method: str) -> Verdict:
-    """The single-vector procedure ``method`` at order k (full order when None):
-    the dimension refusal of the all-window sweeps, the entry precondition, then
-    the judge on each window's test vector."""
-    cls, contiguous, judge = SINGLE_VECTOR[method]
+def _single_vector_check(
+    a: ExactMatrix, k: int | None, alpha: AlphaChoice | None, methods: Sequence[str]
+) -> list[tuple[Verdict, float]]:
+    """The single-vector procedures ``methods``, all of one class, at order k
+    (full order when None), from one sweep: the dimension refusal of the
+    all-window sweeps, the entry precondition, then every judge on each window's
+    test vector.  Each verdict comes with the ``perf_counter`` reading at which
+    it was decided."""
+    cls, contiguous, _ = SINGLE_VECTOR[methods[0]]
     if k is None:
         k = min(a.rows, a.cols)
     check_order(a, k)
@@ -403,8 +442,11 @@ def _single_vector_check(a: ExactMatrix, k: int | None, alpha: AlphaChoice | Non
         check_all_window_dims(a)
     bad = _entry_violation(a, strict=cls == TN)
     if bad is None and k > 1:
-        bad = _test_vector_sweep(a, k, alpha or DEFAULT_ALPHA, judge, contiguous)
-    return Verdict(bad is None, method, bad)
+        judges = [SINGLE_VECTOR[m][2] for m in methods]
+        found = _test_vector_sweep(a, k, alpha or DEFAULT_ALPHA, judges, contiguous)
+    else:
+        found = [(bad, time.perf_counter())] * len(methods)
+    return [(Verdict(v is None, m, v), t) for m, (v, t) in zip(methods, found)]
 
 
 def check_tn_snr_single_vector(
@@ -416,7 +458,7 @@ def check_tn_snr_single_vector(
     square submatrix of size 2..k does not reverse the sign of
     adj(submatrix) @ alpha.  At k = 1 this degenerates to the entry check.
     """
-    return _single_vector_check(a, k, alpha, "snr_single_vector")
+    return _single_vector_check(a, k, alpha, ("snr_single_vector",))[0][0]
 
 
 def check_tn_vd_single_vector(
@@ -430,7 +472,7 @@ def check_tn_vd_single_vector(
     passing a smaller k restricts the sweep to contiguous submatrices of size
     at most k and decides total negativity of that order.
     """
-    return _single_vector_check(a, k, alpha, "vd_single_vector")
+    return _single_vector_check(a, k, alpha, ("vd_single_vector",))[0][0]
 
 
 def check_tnp_snr(
@@ -444,7 +486,7 @@ def check_tnp_snr(
     tests the vector adj(submatrix) @ alpha, where alpha must have strictly
     positive magnitudes.
     """
-    return _single_vector_check(a, k, alpha, "tnp_snr_single_vector")
+    return _single_vector_check(a, k, alpha, ("tnp_snr_single_vector",))[0][0]
 
 
 def check_tnp_vd(
@@ -458,7 +500,7 @@ def check_tnp_vd(
     adj(submatrix) @ alpha and decides total non-positivity of order k (full
     order by default).
     """
-    return _single_vector_check(a, k, alpha, "tnp_vd_single_vector")
+    return _single_vector_check(a, k, alpha, ("tnp_vd_single_vector",))[0][0]
 
 
 def verify_vector_witness(a: ExactMatrix, method: str, v: Violation) -> str | None:

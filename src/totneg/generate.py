@@ -23,12 +23,14 @@ from typing import Callable, Iterator, Sequence
 
 from .checks import (
     MAX_ALL_SUBMATRIX_DIM,
+    SINGLE_VECTOR,
     TN,
     TNP,
     AlphaChoice,
     ClassQuery,
     Verdict,
     Violation,
+    _single_vector_check,
     check_all_window_dims,
     check_alpha,
     check_by_contiguous_minors,
@@ -440,6 +442,7 @@ _PROCEDURES: dict[str, dict[str, Procedure]] = {
 #: Each class's ``--method all`` list, in report order.  For the non-positive
 #: class the contiguous reduction is only necessary, so it is left out, and the
 #: complementarity condition is one-directional, so it runs after the list.
+#: ``snr`` and ``vd`` judge the same test vectors, so one sweep decides both.
 _ALL_METHODS = {TN: ("minors", "contiguous", "snr", "vd", "lcp"), TNP: ("minors", "snr", "vd")}
 
 
@@ -457,6 +460,15 @@ def run_method(a: ExactMatrix, cls: str, k: int, method: str, alpha: AlphaChoice
     verdict = procedure(a, query, alpha)
     elapsed = (time.perf_counter() - start) * 1000
     return MethodOutcome(verdict.method, verdict.holds, verdict.witness, elapsed)
+
+
+def _single_vector_outcomes(a: ExactMatrix, cls: str, k: int, alpha: AlphaChoice | None) -> list[MethodOutcome]:
+    """The class's ``snr`` and ``vd`` outcomes from one test-vector sweep, each
+    timed from the sweep's start until its verdict was decided."""
+    methods = [m for m, (c, _, _) in SINGLE_VECTOR.items() if c == cls]
+    start = time.perf_counter()
+    decided = _single_vector_check(a, k, alpha, methods)
+    return [MethodOutcome(v.method, v.holds, v.witness, (t - start) * 1000) for v, t in decided]
 
 
 @dataclass(frozen=True)
@@ -490,7 +502,13 @@ def cross_validate(a: ExactMatrix, k: int, cls: str, alpha: AlphaChoice | None =
     if cls == TNP and alpha is not None and not alpha.strictly_positive:
         alpha = None
     check_alpha(alpha, cls, k)
-    methods = tuple(run_method(a, cls, k, name, alpha) for name in _ALL_METHODS[cls])
+    outcomes: list[MethodOutcome] = []
+    for name in _ALL_METHODS[cls]:
+        if name == "snr":
+            outcomes += _single_vector_outcomes(a, cls, k, alpha)
+        elif name != "vd":
+            outcomes.append(run_method(a, cls, k, name, alpha))
+    methods = tuple(outcomes)
     agree = len({m.holds for m in methods}) == 1
     if cls != TNP:
         return CrossValidationReport(k, methods, agree)

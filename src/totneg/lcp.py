@@ -780,6 +780,13 @@ def tnp_lcp_sufficient_check(a: ExactMatrix, k: int) -> TnpLcpReport:
     zero = a.first_entry_violating(strict=True)
     saw_family: tuple[tuple[int, ...], tuple[int, ...]] | None = None if zero is None else (zero[:1], zero[1:2])
     for rows0, cols0, xs, lcm, qs, candidates in _lcp_windows(a, k, False):
+        if not any(xs):
+            # X = 0 gives q = 0, and every entry is <= 0 by now: a solution u has
+            # A_w u >= 0 and A_w u <= 0, so its image is 0, as is 0's, and u_j > 0
+            # only on a zero column of A_w.  So the window holds no violation, and
+            # a family only where the matrix has a zero entry, the first of which
+            # saw_family already holds.  Nothing in it can change the report.
+            continue
         if min(qs) < 0:
             return TnpLcpReport(
                 TnpLcpStatus.VIOLATION,

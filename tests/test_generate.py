@@ -4,10 +4,14 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import totneg.checks
 import totneg.generate
-from totneg import ClassQuery, check_by_minor_definition, det, minors_up_to
-from totneg.checks import MAX_ALL_SUBMATRIX_DIM
+import totneg.matrix
+from totneg import AlphaChoice, ClassQuery, ExactMatrix, check_by_minor_definition, det, minors_up_to
+from totneg.checks import MAX_ALL_SUBMATRIX_DIM, SINGLE_VECTOR
 from totneg.cli import main
 from totneg.errors import ResourceLimitError
 from totneg.generate import (
@@ -17,6 +21,7 @@ from totneg.generate import (
     generate_tn,
     generate_tnp,
     random_rational_matrix,
+    run_method,
 )
 from totneg.matrix import det_of_rows
 
@@ -183,6 +188,62 @@ def test_cross_validate_builds_one_minor_table(monkeypatch):
     tn, tnp = cross_validate(a, 4, "tn"), cross_validate(a, 4, "tnp")
     assert tn.holds and tn.agree and tnp.agree
     assert built == [a]
+
+
+@st.composite
+def single_vector_matrices(draw):
+    """1x1 to 5x5: generated tn/tnp/near-miss instances, whose sweeps reach the
+    largest windows, or random integer ones with zero and positive entries."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["tn", "tnp", "near-miss", "random"]))
+    if kind == "random":
+        entry = st.sampled_from([-7, -4, -3, -2, -1, -1, 0, 1])
+        return ExactMatrix.from_rows(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)))
+    generator = {"tn": generate_tn, "tnp": generate_tnp, "near-miss": generate_near_miss}[kind]
+    k = min(m, n) if kind != "near-miss" else draw(st.integers(1, min(m, n)))
+    return generator((m, n), k, seed=draw(st.integers(0, 20))).matrix
+
+
+@settings(max_examples=100, deadline=None)
+@given(single_vector_matrices(), st.lists(st.integers(1, 4), min_size=1, max_size=3))
+def test_cross_validate_single_vector_outcomes_match_the_stand_alone_procedures(a, mags):
+    """snr and vd decided by one shared sweep give each stand-alone procedure's
+    verdict and witness: both classes, every order, the default alpha and a
+    custom one of global sign -1 (``--alpha-sign -1``)."""
+    method = {"snr_single_vector": "snr", "vd_single_vector": "vd"}
+    for cls in ("tn", "tnp"):
+        for k in range(1, min(a.rows, a.cols) + 1):
+            for alpha in (None, AlphaChoice.of(mags, -1)):
+                shared = [m for m in cross_validate(a, k, cls, alpha).methods if m.name in SINGLE_VECTOR]
+                assert len(shared) == 2
+                for outcome in shared:
+                    alone = run_method(a, cls, k, method[outcome.name.removeprefix("tnp_")], alpha)
+                    assert (outcome.name, outcome.holds, outcome.witness) == (alone.name, alone.holds, alone.witness)
+
+
+def test_method_all_solves_each_contiguous_window_once_and_reads_each_level_once(monkeypatch):
+    """Under ``--method all`` snr and vd share one sweep: the strict class solves
+    every contiguous window once, and the non-positive class reads the table's
+    test-vector level of each size once."""
+    solved, levels = [], []
+    solve, level = totneg.checks.solve_window, totneg.matrix.MinorTable.level
+
+    def solve_spy(a, rows0, cols0, coeffs):
+        solved.append((rows0, cols0))
+        return solve(a, rows0, cols0, coeffs)
+
+    def level_spy(table, r, coeffs):
+        levels.append(r)
+        return level(table, r, coeffs)
+
+    monkeypatch.setattr(totneg.checks, "solve_window", solve_spy)
+    monkeypatch.setattr(totneg.matrix.MinorTable, "level", level_spy)
+    assert cross_validate(generate_tn((4, 5), 4, seed=3).matrix, 4, "tn").holds
+    runs = [(r, i, j) for r in range(2, 5) for i in range(5 - r) for j in range(6 - r)]  # 4 rows, 5 columns
+    assert solved == [(tuple(range(i, i + r)), tuple(range(j, j + r))) for r, i, j in runs]
+    assert levels == []  # the contiguous windows read no level
+    assert cross_validate(generate_tnp((4, 5), 4, seed=3).matrix, 4, "tnp").holds
+    assert levels == [2, 3, 4]
 
 
 #: (class, shape, order, seed, SHA-256 of the emitted text, certificate digest,

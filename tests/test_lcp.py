@@ -694,18 +694,39 @@ def test_zero_principal_block_is_decided_by_fourier_motzkin(monkeypatch):
 def test_a_window_ends_at_its_first_solution_family(monkeypatch):
     # a zero (1, 1) entry and q = A x = 0: support {1} already holds the ray t * e_1
     a = ExactMatrix.from_rows([[0, -1, -2], [0, -1, -2], [0, -1, -2]])
-    seen = spy_on_support_solutions(monkeypatch)
+    full = (0, 1, 2)
     report = tnp_lcp_sufficient_check(a, 3)
-    calls = [(support, result) for size, support, result in seen if size == 3]
-    assert len(calls) == 1
-    (support, (_, families)), = calls
-    assert support == (0,) and families
-    seen.clear()
+    seen = spy_on_support_solutions(monkeypatch)
     xs, _ = whole_window(a)
-    assert not window_holds(a, (0, 1, 2), (0, 1, 2), xs)
+    assert None in support_candidates(a, full, full, xs, lcp._scaled_image(a.minor_table, full, full, xs))
+    (size, support, (_, families)), = seen
+    assert size == 3 and support == (0,) and families
+    seen.clear()
+    assert not window_holds(a, full, full, xs)
     assert len(seen) == 1
     assert report == solver_tnp_sufficient_check(a, 3)
     assert not solve_lcp_on_fractions(LCPInstance(a, a.matvec(single_vector_x(a)))).is_finite
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, -1, -2], [0, -1, -2], [0, -1, -2]],  # a zero column, so the skipped window holds a family
+        generate_tnp((5, 5), 5, seed=1).matrix.row_list(),  # rank one: every window of size 3 or more
+    ],
+)
+def test_the_complementarity_condition_walks_no_window_whose_test_vector_is_zero(monkeypatch, rows):
+    """A window with X = 0 has q = 0: with every entry <= 0 each solution has the
+    image 0, and a family needs a zero column, so the window cannot change the
+    report and no support of it is solved."""
+    a = ExactMatrix.from_rows(rows)
+    zero = [(r0, c0) for r in range(3, a.rows + 1) for r0, c0 in all_windows(a.rows, a.cols, r)]
+    assert all(not any(lcp._single_vector_ints(a.minor_table, index_set(r0), index_set(c0))[0]) for r0, c0 in zero)
+    seen = spy_on_support_solutions(monkeypatch)
+    report = tnp_lcp_sufficient_check(a, a.rows)
+    assert all(size == 2 for size, _, _ in seen)
+    monkeypatch.undo()
+    assert report == solver_tnp_sufficient_check(a, a.rows)
 
 
 def integer_step(rows, q, support):
@@ -813,6 +834,10 @@ def test_rank_one_tnp_instance_is_checked_on_integers(monkeypatch):
     monkeypatch.setattr(ExactMatrix, "row_list", refuse)
     monkeypatch.setattr(matrix, "submatrix", refuse)
     report = tnp_lcp_sufficient_check(a, 5)
+    # the check skips every window of size 3 or more (X = 0 there), so walk the whole one
+    full = (0, 1, 2, 3, 4)
+    xs, _ = whole_window(a)
+    list(support_candidates(a, full, full, xs, lcp._scaled_image(a.minor_table, full, full, xs)))
     monkeypatch.undo()
     assert dims  # Fourier-Motzkin decided some support
     assert report == expected
