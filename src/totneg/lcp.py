@@ -15,19 +15,21 @@ single-vector checks ask of each window w only whether LCP(A_w, A_w x) has a
 prescribed solution set.  A 1x1 window [t] has x = -1 and q = -t, so its
 solutions are exactly 0 and 1 when t < 0, form the family of LCP(0, 0) when
 t = 0, and exclude 0 when t > 0: one row-major pass over the entries settles
-every 1x1 window.  From size 2 on, both sweeps read one window generator
-(:func:`_lcp_windows`), each with its own per-window judge.  It reads row sets
-outer and column sets inner, builds the keys of every set of window positions
-once per row set and per column set, and hands each window the lazy stream of
-its supports, solved on integers looked up in the matrix's minor table
-(:func:`_support_candidates`); a judge stops it as soon as the answer is
-known.  When the table keeps every level up to the window size, a support's
-slacks are tested first, since most supports fail there, and it is rejected
-at its first negative value.  The supports that hold every position where x is
-nonzero all give -x, which the stream yields once; neither judge counts
-solutions.  A support with a zero principal minor, which may hold a solution
-family, goes to the same step on the table's scaled rows, and the first family
-ends its window.
+every 1x1 window.  The TNP condition decides its 2x2 windows in closed form
+from four scaled entries (:func:`_two_by_two_windows`), since such a window has
+only three supports.  From size 2 on for the TN checks, and from size 3 on for
+the TNP condition, both sweeps read one window generator (:func:`_lcp_windows`),
+each with its own per-window judge.  It reads row sets outer and column sets
+inner, builds the keys of every set of window positions once per row set and
+per column set, and hands each window the lazy stream of its supports, solved
+on integers looked up in the matrix's minor table (:func:`_support_candidates`);
+a judge stops it as soon as the answer is known.  When the table keeps every
+level up to the window size, a support's slacks are tested first, since most
+supports fail there, and it is rejected at its first negative value.  The
+supports that hold every position where x is nonzero all give -x, which the
+stream yields once; neither judge counts solutions.  A support with a zero
+principal minor, which may hold a solution family, goes to the same step on the
+table's scaled rows, and the first family ends its window.
 """
 
 from __future__ import annotations
@@ -468,9 +470,10 @@ def _scaled_image(table: MinorTable, rows0: Sequence[int], cols0: Sequence[int],
     return qs
 
 
-def _image_fractions(table: MinorTable, rows0: Sequence[int], qs: Sequence[int], lcm: int) -> tuple[Fraction, ...]:
-    """A_w x itself, from the Q of :func:`_scaled_image` and L."""
-    return tuple(Fraction(v, lcm * table.scale((i,))) for v, i in zip(qs, rows0))
+def _image_fractions(scales: Sequence[int], rows0: Sequence[int], qs: Sequence[int], lcm: int) -> tuple[Fraction, ...]:
+    """A_w x itself, from the row scales (``ExactMatrix.integer_rows``), the Q of
+    :func:`_scaled_image` and L."""
+    return tuple(Fraction(v, lcm * scales[i]) for v, i in zip(qs, rows0))
 
 
 #: One support S of a window, by positions 0..r-1: its positions, their bit
@@ -666,19 +669,21 @@ def _support_candidates(
 
 
 def _lcp_windows(
-    a: ExactMatrix, k: int, contiguous: bool, weights: Mapping[int, Fraction] | None = None
+    a: ExactMatrix, k: int, contiguous: bool, weights: Mapping[int, Fraction] | None = None, first: int = 2
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], list[int], int, list[int], Iterator[Point | None]]]:
-    """(rows0, cols0, X, L, Q, candidates) of every window w of size 2..k,
+    """(rows0, cols0, X, L, Q, candidates) of every window w of size first..k,
     contiguous or all, row sets outer and column sets inner: X = L x the test
     vector of :func:`_single_vector_ints`, Q the image of :func:`_scaled_image`
     and candidates the lazy :func:`_support_candidates` stream of LCP(A_w, A_w x).
+    The TN checks start at size 2; the TNP condition, which decides its 2x2
+    windows in closed form (:func:`_two_by_two_windows`), at size 3.
 
     A size beyond MAX_LCP_SIZE is refused before any of its windows is built;
     otherwise the table draws the levels up to it that fit (``MinorTable.fill``),
     and the candidates read it by lookups alone when they all do.
     """
     table = a.minor_table
-    for r in range(2, k + 1):
+    for r in range(first, k + 1):
         _check_lcp_size(r)
         whole = table.fill(r)
         col_sets = [(cols, _position_keys(1 << j for j in cols[0])) for cols in index_sets(a.cols, r, contiguous)]
@@ -690,6 +695,41 @@ def _lcp_windows(
                 xs, lcm = _single_vector_ints(table, rows, cols, weights)
                 qs = _scaled_image(table, rows0, cols0, xs)
                 yield rows0, cols0, xs, lcm, qs, _support_candidates(a, rows0, cols0, xs, qs, rkeys, cmasks, whole)
+
+
+def _two_by_two_windows(
+    a: ExactMatrix,
+) -> Iterator[tuple[tuple[int, int], tuple[int, int], list[int], tuple[Point, Point] | None]]:
+    """(rows0, cols0, Q, pair) of each 2x2 window w of a matrix with no positive
+    entry whose LCP(A_w, A_w x) has a solution family (pair None) or two nonzero
+    solutions with distinct images (the pair :func:`_pair_with_distinct_images`
+    picks), in the sweep's order; Q is the image of :func:`_scaled_image`.
+
+    On the scaled rows [[t11, t12], [t21, t22]] of the window, X = (t22, 0) and
+    L is the scale of its second row, so Q = (t11 t22, t21 t22) >= 0 and 0 is a
+    solution.  A window with t22 = 0 has X = 0 and is skipped, as at every
+    size.  Otherwise t22 < 0 and its three supports give: {1} -x when t11 < 0,
+    a family when t11 = 0; {2} the point u_2 = -t21 with slack t11 t22 - t12 t21
+    in row 1, a solution iff that det >= 0, nonzero iff t21 < 0, with -x's
+    image iff det = 0; {1, 2} -x when det != 0, the family -x + t (t22, -t21),
+    t in [0, 1], when det = 0.
+    """
+    ints = a.integer_rows[0]
+    col_pairs = tuple(itertools.combinations(range(a.cols), 2))
+    for rows0 in itertools.combinations(range(a.rows), 2):
+        top, bottom = ints[rows0[0]], ints[rows0[1]]
+        for cols0 in col_pairs:
+            j, l = cols0
+            t22 = bottom[l]
+            if not t22:
+                continue
+            t11, t21 = top[j], bottom[j]
+            det = t11 * t22 - top[l] * t21
+            if not t11 or not det:
+                yield rows0, cols0, [t11 * t22, t21 * t22], None
+            elif det > 0 and t21:
+                pair = _pair_with_distinct_images([(1, [-t22, 0], [0, 0]), (1, [0, -t21], [det, 0])])
+                yield rows0, cols0, [t11 * t22, t21 * t22], pair
 
 
 def _window_holds(xs: Sequence[int], qs: Sequence[int], candidates: Iterable[Point | None]) -> bool:
@@ -769,6 +809,9 @@ def tnp_lcp_sufficient_check(a: ExactMatrix, k: int) -> TnpLcpReport:
     solution sets everywhere the condition certifies the class; infinite
     solution families leave the universally quantified clause unverifiable, so
     the check reports inconclusive rather than claiming either way.
+
+    The 1x1 windows are decided by the signs of the entries and the 2x2 windows
+    in closed form (:func:`_two_by_two_windows`); the support walk starts at size 3.
     """
     check_order(a, k)
     check_all_window_dims(a)
@@ -779,7 +822,13 @@ def tnp_lcp_sufficient_check(a: ExactMatrix, k: int) -> TnpLcpReport:
         return TnpLcpReport(TnpLcpStatus.VIOLATION, hit[:1], hit[1:2], q=(-hit[2],), note=_NOT_SOLVED_BY_ZERO)
     zero = a.first_entry_violating(strict=True)
     saw_family: tuple[tuple[int, ...], tuple[int, ...]] | None = None if zero is None else (zero[:1], zero[1:2])
-    for rows0, cols0, xs, lcm, qs, candidates in _lcp_windows(a, k, False):
+    scales = a.integer_rows[1]
+    for rows0, cols0, qs, pair in _two_by_two_windows(a) if k >= 2 else ():
+        if pair is not None:
+            return _distinct_images_violation(scales, rows0, cols0, qs, scales[rows0[1]], pair)
+        if saw_family is None:
+            saw_family = (_one_based(rows0), _one_based(cols0))
+    for rows0, cols0, xs, lcm, qs, candidates in _lcp_windows(a, k, False, first=3):
         if not any(xs):
             # X = 0 gives q = 0, and every entry is <= 0 by now: a solution u has
             # A_w u >= 0 and A_w u <= 0, so its image is 0, as is 0's, and u_j > 0
@@ -792,7 +841,7 @@ def tnp_lcp_sufficient_check(a: ExactMatrix, k: int) -> TnpLcpReport:
                 TnpLcpStatus.VIOLATION,
                 rows=_one_based(rows0),
                 cols=_one_based(cols0),
-                q=_image_fractions(a.minor_table, rows0, qs, lcm),
+                q=_image_fractions(scales, rows0, qs, lcm),
                 note=_NOT_SOLVED_BY_ZERO,
             )
         nonzero: list[Point] = []
@@ -808,14 +857,7 @@ def tnp_lcp_sufficient_check(a: ExactMatrix, k: int) -> TnpLcpReport:
         else:
             pair = _pair_with_distinct_images(nonzero)
             if pair is not None:
-                return TnpLcpReport(
-                    TnpLcpStatus.VIOLATION,
-                    rows=_one_based(rows0),
-                    cols=_one_based(cols0),
-                    q=_image_fractions(a.minor_table, rows0, qs, lcm),
-                    witness_pair=tuple(tuple(Fraction(z, d * lcm) for z in zs) for d, zs, _ in pair),
-                    note="two nonzero solutions with different images",
-                )
+                return _distinct_images_violation(scales, rows0, cols0, qs, lcm, pair)
     if saw_family is not None:
         return TnpLcpReport(
             TnpLcpStatus.INCONCLUSIVE,
@@ -824,6 +866,25 @@ def tnp_lcp_sufficient_check(a: ExactMatrix, k: int) -> TnpLcpReport:
             note="infinite solution family prevents exhaustive verification of the image condition",
         )
     return TnpLcpReport(TnpLcpStatus.SUFFICIENT)
+
+
+def _distinct_images_violation(
+    scales: Sequence[int],
+    rows0: Sequence[int],
+    cols0: Sequence[int],
+    qs: Sequence[int],
+    lcm: int,
+    pair: tuple[Point, Point],
+) -> TnpLcpReport:
+    """The violation of a window with two nonzero solutions of distinct images."""
+    return TnpLcpReport(
+        TnpLcpStatus.VIOLATION,
+        rows=_one_based(rows0),
+        cols=_one_based(cols0),
+        q=_image_fractions(scales, rows0, qs, lcm),
+        witness_pair=tuple(tuple(Fraction(z, d * lcm) for z in zs) for d, zs, _ in pair),
+        note="two nonzero solutions with different images",
+    )
 
 
 def _compare_candidates(c1: Point, c2: Point) -> int:

@@ -724,9 +724,138 @@ def test_the_complementarity_condition_walks_no_window_whose_test_vector_is_zero
     assert all(not any(lcp._single_vector_ints(a.minor_table, index_set(r0), index_set(c0))[0]) for r0, c0 in zero)
     seen = spy_on_support_solutions(monkeypatch)
     report = tnp_lcp_sufficient_check(a, a.rows)
-    assert all(size == 2 for size, _, _ in seen)
+    assert not seen  # and the 2x2 windows are decided in closed form
     monkeypatch.undo()
     assert report == solver_tnp_sufficient_check(a, a.rows)
+
+
+def pair_fractions(pair):
+    """The solutions Z / d and slacks W / d of a pair of (d, Z, W) points."""
+    return tuple((tuple(Fraction(z, d) for z in zs), tuple(Fraction(w, d) for w in ws)) for d, zs, ws in pair)
+
+
+def generic_two_by_two_outcomes(a):
+    """Each 2x2 window with X != 0 that the generic support stream, read from size
+    2 as the condition reads larger windows, does not pass: (Q, "family") or (Q,
+    the :func:`pair_fractions` of the pair with distinct images)."""
+    out = {}
+    for rows0, cols0, xs, _, qs, candidates in lcp._lcp_windows(a, 2, False):
+        if not any(xs):
+            continue
+        assert min(qs) >= 0  # 0 solves every such window
+        nonzero = []
+        for cand in candidates:
+            if cand is None:
+                out[rows0, cols0] = qs, "family"
+                break
+            if any(cand[1]):
+                nonzero.append(cand)
+        else:
+            pair = lcp._pair_with_distinct_images(nonzero)
+            if pair is not None:
+                out[rows0, cols0] = qs, pair_fractions(pair)
+    return out
+
+
+def closed_form_two_by_two_outcomes(a):
+    """The same windows and outcomes from the closed form."""
+    return {
+        (rows0, cols0): (qs, "family" if pair is None else pair_fractions(pair))
+        for rows0, cols0, qs, pair in lcp._two_by_two_windows(a)
+    }
+
+
+def assert_closed_form_matches(a):
+    """Every order's report equals the Fraction oracle's, and, with no positive
+    entry, every 2x2 window ends as the generic support stream ends it."""
+    for k in range(1, min(a.rows, a.cols) + 1):
+        assert tnp_lcp_sufficient_check(a, k) == solver_tnp_sufficient_check(a, k)
+    if a.first_entry_violating(strict=False) is None:
+        assert closed_form_two_by_two_outcomes(a) == generic_two_by_two_outcomes(a)
+
+
+def test_two_by_two_windows_in_closed_form_on_every_small_pattern():
+    """Every 2x2 matrix over {0, -1, -2, -3/2} under row scales {1, 1/3, 7/2}: each
+    holding, family and violation case of the three-support argument, on
+    integer rows of several scales."""
+    values = (0, -1, -2, Fraction(-3, 2))
+    scales = (1, Fraction(1, 3), Fraction(7, 2))
+    seen = set()
+    for a11, a12, a21, a22 in itertools.product(values, repeat=4):
+        for s1, s2 in itertools.product(scales, repeat=2):
+            a = ExactMatrix.from_rows([[a11 * s1, a12 * s1], [a21 * s2, a22 * s2]])
+            assert_closed_form_matches(a)
+            outcomes = closed_form_two_by_two_outcomes(a).values()
+            seen.update(outcome if outcome == "family" else "violation" for _, outcome in outcomes)
+            seen.add(tnp_lcp_sufficient_check(a, 2).status)
+    assert seen == {"family", "violation", *TnpLcpStatus}
+
+
+@st.composite
+def nonpositive_matrices_with_repeats(draw):
+    """2x2 to 4x5 matrices with no positive entry, zeros included, where a row or
+    a column may repeat an earlier one up to a positive factor (so that 2x2
+    determinants vanish with no zero entry); then every row over its own scale."""
+    m, n = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    entry = st.sampled_from((0, -1, -2, -3, Fraction(-5, 2), Fraction(-7, 3)))
+    rows = [[Fraction(draw(entry)) for _ in range(n)] for _ in range(m)]
+    factor = st.sampled_from((1, 2, Fraction(1, 2), Fraction(3, 5)))
+    for i in range(1, m):
+        if draw(st.booleans()):
+            f = draw(factor)
+            rows[i] = [f * v for v in rows[draw(st.integers(0, i - 1))]]
+    for j in range(1, n):
+        if draw(st.booleans()):
+            f, src = draw(factor), draw(st.integers(0, j - 1))
+            for row in rows:
+                row[j] = f * row[src]
+    rs = [draw(st.sampled_from((1, 2, Fraction(1, 3), Fraction(7, 2)))) for _ in range(m)]
+    return ExactMatrix.from_rows([[v * r for v in row] for row, r in zip(rows, rs)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonpositive_matrices_with_repeats())
+def test_two_by_two_windows_in_closed_form_on_repeated_rows_and_columns(a):
+    assert_closed_form_matches(a)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[-1, -2], [-3, -1]],  # det < 0: holds
+        [[-1, -2], [-2, -4]],  # det = 0 with no zero entry: a family
+        [[-3, -1], [-1, -2]],  # det > 0: a violation
+        [[0, -1, -2], [-1, -1, -2], [-1, -1, -1]],
+        generate_tnp((4, 5), 4, seed=3).matrix.row_list(),
+    ],
+)
+def test_the_complementarity_condition_solves_no_support_of_a_2x2_window(monkeypatch, rows):
+    """The 2x2 windows are decided from four entries of the scaled rows: no test
+    vector, candidate stream or support step at size 2, and at order 2 no level
+    of the minor table is drawn."""
+    a = ExactMatrix.from_rows(rows)
+    sizes = []
+
+    def spy(name, size_of):
+        real = getattr(lcp, name)
+        monkeypatch.setattr(lcp, name, lambda *args: sizes.append((name, size_of(*args))) or real(*args))
+
+    spy("_single_vector_ints", lambda table, rows, cols, weights=None: len(rows[0]))
+    spy("_support_candidates", lambda a, rows0, *rest: len(rows0))
+    spy("_support_solutions", lambda rows, q, support: len(rows))
+    drawn = []
+    real_draw = matrix.MinorTable._draw
+    monkeypatch.setattr(matrix.MinorTable, "_draw", lambda table, r: drawn.append(r) or real_draw(table, r))
+    order = min(a.rows, a.cols)
+    reports = [tnp_lcp_sufficient_check(a, k) for k in range(2, order + 1)]
+    assert all(size >= 3 for _, size in sizes)
+    sizes.clear()
+    drawn.clear()
+    fresh = ExactMatrix.from_rows(rows)
+    assert tnp_lcp_sufficient_check(fresh, 2) == reports[0]
+    assert not sizes and not drawn
+    monkeypatch.undo()
+    assert reports == [solver_tnp_sufficient_check(a, k) for k in range(2, order + 1)]
 
 
 def integer_step(rows, q, support):
