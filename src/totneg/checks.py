@@ -11,7 +11,6 @@ certificate.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -25,6 +24,7 @@ from .matrix import (  # noqa: F401 - adjugate and minors_up_to stay bound here 
     MinorWindow,
     SweptWindow,
     _contiguous_int_minors,
+    _int_minor_levels,
     _one_based,
     _rows_as_scaled_ints,
     adjugate,
@@ -32,6 +32,7 @@ from .matrix import (  # noqa: F401 - adjugate and minors_up_to stay bound here 
     det,
     index_sets,
     minors_up_to,
+    row_scale,
     solve_window,
     submatrix,
     to_fraction,
@@ -149,15 +150,11 @@ def _entry_violation(a: ExactMatrix, strict: bool) -> Violation | None:
     return None if hit is None else Violation(_minor_kind(strict), hit[:1], hit[1:2], detail=hit[2])
 
 
-def _scale(a: ExactMatrix, rows0: Sequence[int]) -> int:
-    """Product of the row scales on rows0: a scaled minor's denominator factor."""
-    return math.prod(map(a.integer_rows[1].__getitem__, rows0))
-
-
 def _level_minors(a: ExactMatrix, k: int, least: int) -> Iterator[MinorWindow]:
-    """Every window of size 2..k with its minor, read off the table's levels a
-    row set at a time; a row set whose minors are all below ``least`` is skipped."""
-    for r, level in enumerate(a.minor_table.levels(k), 1):
+    """Every window of size 2..k with its minor, read off the condensation sweep
+    (:func:`_int_minor_levels`) a row set at a time, with no minor table; a row
+    set whose minors are all below ``least`` is skipped."""
+    for r, level in enumerate(_int_minor_levels(a.integer_rows[0], k), 1):
         col_sets = index_sets(a.cols, r, False)
         for (rows0, _, _), values in zip(index_sets(a.rows, r, False), level):
             if r > 1 and max(values) >= least:
@@ -169,7 +166,7 @@ def _minor_sweep(a: ExactMatrix, windows: Iterable[MinorWindow], strict: bool) -
     least = 0 if strict else 1  # the least integer minor that breaks the class
     for rows0, cols0, v in windows:
         if v >= least:
-            detail = Fraction(v, _scale(a, rows0))
+            detail = Fraction(v, row_scale(a.integer_rows[1], rows0))
             return Violation(_minor_kind(strict), _one_based(rows0), _one_based(cols0), detail=detail)
     return None
 
@@ -236,7 +233,7 @@ def _test_vector_sweep(
             if judge(x, y) is None:
                 continue
             decided = time.perf_counter()
-            denominator = lcm * _scale(a, rows0)
+            denominator = lcm * row_scale(a.integer_rows[1], rows0)
             vector = tuple(Fraction(v, denominator) for v in x)
             for j in live:  # every judge that fails here retires here
                 kind = j(x, y)

@@ -52,6 +52,7 @@ from .matrix import (
     _rows_as_scaled_ints,
     check_order,
     minors_up_to,
+    row_scale,
 )
 
 Rows = list[list[Fraction]]
@@ -528,7 +529,7 @@ def certificate_digest(a: ExactMatrix, k: int) -> str:
     for size, level in enumerate(_int_minor_levels(ints, k), 1):
         col_sets = [f"{_one_based(cidx)}|" for cidx in itertools.combinations(range(a.cols), size)]
         for ridx, values in zip(itertools.combinations(range(a.rows), size), level):
-            scale = math.prod(scales[i] for i in ridx)
+            scale = row_scale(scales, ridx)
             head = f"{_one_based(ridx)}|"
             lines = []
             for cols, value in zip(col_sets, values):

@@ -26,7 +26,7 @@ from .checks import (
     check_by_minor_definition,
 )
 from .errors import DimensionError, InvariantError, ResourceLimitError
-from .matrix import ExactMatrix, _rows_as_scaled_ints, det_of_rows
+from .matrix import ExactMatrix, _rows_as_scaled_ints, check_order, det_of_rows
 from .signs import alternating_signature
 
 SignWord = tuple[int, ...]
@@ -104,8 +104,7 @@ def c_plus_minus(h: IntervalHull) -> tuple[ExactMatrix, ExactMatrix]:
 
 def hull_is_totally_negative(h: IntervalHull, k: int) -> HullVerdict:
     """The entire hull is totally negative of order k iff both checkerboard members are."""
-    if not 1 <= k <= min(h.shape):
-        raise ValueError(f"order {k} out of range [1, {min(h.shape)}]")
+    check_order(h.a, k)
     m, n = h.shape
     d_m = alternating_signature(m)
     d_n = alternating_signature(n)
@@ -166,8 +165,7 @@ def hull_is_totally_nonpositive(h: IntervalHull, k: int) -> HullVerdict:
     swept member by member, in Gray-code order, to name the first failing
     sign-word pair and its minor-definition witness.
     """
-    if not 1 <= k <= min(h.shape):
-        raise ValueError(f"order {k} out of range [1, {min(h.shape)}]")
+    check_order(h.a, k)
     m, n = h.shape
     if m + n > MAX_SWEEP_EXPONENT:
         raise ResourceLimitError(

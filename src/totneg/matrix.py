@@ -6,18 +6,19 @@ public API are 1-based (storage is row-major internally).
 
 Each matrix scales row i once by the positive lcm d_i of its denominators
 (``ExactMatrix.integer_rows``), which keeps every minor's sign; a minor of the
-matrix is the scaled minor over the product of d_i on its rows.  The
-all-window sweeps read one :class:`MinorTable` per matrix
-(``ExactMatrix.minor_table``), which reads the minors a level at a time, sizes
-ascending, from the condensation sweep :func:`_int_minor_levels` (each minor of
-size s >= 3 in O(1) from the two levels below by Desnanot-Jacobi, or in O(s)
-from the level below when its inner minor is 0) and keeps a level whole under
-``MAX_STORED_MINORS``.  The sweep holds its two levels below at every size and
-refuses a level of more than ``MAX_LEVEL_MINORS`` minors.  ``minors_up_to`` and
-the certificate of ``totneg generate`` read the same sweep.  The contiguous TN
-sweeps (:func:`_contiguous_int_minors`, :func:`solve_window`), ``det``,
-``minor_det``, ``cofactor_minor`` and ``adjugate`` eliminate on their own,
-independent of it.
+matrix is the scaled minor over the product of d_i on its rows
+(:func:`row_scale`).  The condensation sweep :func:`_int_minor_levels` gives the
+minors a level at a time, sizes ascending (each minor of size s >= 3 in O(1)
+from the two levels below by Desnanot-Jacobi, or in O(s) from the level below
+when its inner minor is 0); it holds its two levels below at every size and
+refuses a level of more than ``MAX_LEVEL_MINORS`` minors.  Scans that read each
+minor once (the minor definition, ``minors_up_to`` and the certificate of
+``totneg generate``) read the sweep itself.  Lookups read one
+:class:`MinorTable` per matrix (``ExactMatrix.minor_table``), which stores the
+same sweep's levels whole, sizes ascending, while they fit under
+``MAX_STORED_MINORS``.  The contiguous TN sweeps (:func:`_contiguous_int_minors`,
+:func:`solve_window`), ``det``, ``minor_det``, ``cofactor_minor`` and
+``adjugate`` eliminate on their own, independent of it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DimensionError, ResourceLimitError
+from .errors import DimensionError, InvariantError, ResourceLimitError
 
 RationalLike = Fraction | int | str | float
 
@@ -373,6 +374,11 @@ def _one_based(idx: Sequence[int]) -> tuple[int, ...]:
     return tuple(i + 1 for i in idx)
 
 
+def row_scale(scales: Sequence[int], rows0: Iterable[int]) -> int:
+    """Product of the row scales on rows0: a scaled minor's denominator factor."""
+    return math.prod(map(scales.__getitem__, rows0))
+
+
 #: One window of a sweep: (rows0, cols0, minor of the scaled rows).
 MinorWindow = tuple[tuple[int, ...], tuple[int, ...], int]
 
@@ -404,7 +410,8 @@ def index_sets(n: int, r: int, contiguous: bool = False) -> tuple[IndexSet, ...]
 #: Most minors one table stores: a level whole while it fits, a minor computed
 #: alone while there is room; past it, minors are computed but not kept.  It
 #: caps the table only: the condensation sweep keeps its two levels below at
-#: every size, up to ``MAX_LEVEL_MINORS``.
+#: every size, up to ``MAX_LEVEL_MINORS``, which is larger, so the sweep never
+#: refuses a level that fits.
 MAX_STORED_MINORS = 1 << 18
 
 #: Most minors one level of the condensation sweep may hold: C(12, 6)^2, the
@@ -424,19 +431,19 @@ def _bits(mask: int) -> Iterator[int]:
 
 class MinorTable:
     """Minors of one matrix over its row-scaled integers (``ExactMatrix.integer_rows``),
-    kept as they are computed, for the all-window sweeps and the complementarity supports.
+    kept as they are computed, for the lookups of the all-window test-vector
+    sweeps and the complementarity supports.
 
     Row i of the matrix is scaled by ``d_i``, a positive diagonal that keeps
     the sign of every minor.  ``minor_of_masks`` gives the integer minor of the
     scaled matrix; the minor of the matrix itself is that over ``scale(R)``.
-    The minors of all windows come a level at a time, sizes ascending and only
-    up to the size a sweep asks for, from :func:`_int_minor_levels` on the
-    scaled rows (:meth:`levels`, :meth:`fill`); a level is kept whole when it
-    fits under ``MAX_STORED_MINORS``, and is stored at the first lookup after
-    its draw, so a scan stores nothing.  A minor asked for and not kept (past
-    the cap) is the Laplace expansion of kept minors one size smaller, else a
-    :func:`det_of_rows` elimination, and is kept while there is room.  Index
-    sets are 0-based and strictly increasing; they are not validated.
+    :meth:`fill` stores the levels of :func:`_int_minor_levels` on the scaled
+    rows whole, sizes ascending, while each fits under ``MAX_STORED_MINORS``.
+    A minor asked for and not kept is the Laplace expansion of kept minors one
+    size smaller, else a :func:`det_of_rows` elimination, and is kept while
+    there is room.  A scan that reads each minor once reads the sweep itself
+    and builds no table.  Index sets are 0-based and strictly increasing; they
+    are not validated.
     """
 
     def __init__(self, a: ExactMatrix) -> None:
@@ -444,65 +451,29 @@ class MinorTable:
         self._ncols = a.cols
         self._values: dict[int, int] = {}  # (row mask << ncols) | column mask -> minor
         self._sweep = _int_minor_levels(self._ints, min(a.rows, a.cols))
-        self._drawn = 0  # the levels of sizes 1.._drawn have been drawn from the sweep
-        self._whole = 0  # the levels of sizes 1.._whole have all been kept whole
-        self._pending: dict[int, Sequence[Sequence[int]]] = {}  # size -> drawn level kept, not yet stored
+        self._whole = 0  # the levels of sizes 1.._whole are stored whole
         self._lock = threading.Lock()
 
-    def _fits(self, r: int) -> bool:
-        counts = (math.comb(len(self._ints), s) * math.comb(self._ncols, s) for s in (r, *self._pending))
-        return len(self._values) + sum(counts) <= MAX_STORED_MINORS
-
-    def _draw(self, r: int) -> Iterable[Sequence[int]] | None:
-        """Level r from the sweep, kept whole when it fits, if it is the next
-        level to draw, else None; one thread draws at a time, and a kept level
-        waits in ``_pending`` for a lookup."""
-        with self._lock:
-            if r != self._drawn + 1:
-                return None
-            level = next(self._sweep, None)
-            if level is None:  # the sweep refused level r on an earlier draw, and ended
-                raise ResourceLimitError(f"level {r} of the condensation sweep was refused")
-            self._drawn = r
-            if self._fits(r):
-                self._pending[r] = level
-                if self._whole == r - 1:
-                    self._whole = r
-            return level
-
-    def _flush(self) -> int:
-        """Store the kept levels that wait for a lookup, under the draw lock, and
-        return how many levels from size 1 up are now stored whole; read under
-        the same lock, so a level another thread draws meanwhile is not counted
-        before it is stored."""
-        with self._lock:
-            for r, level in self._pending.items():
-                cmasks = [cmask for _, cmask, _ in index_sets(self._ncols, r, False)]
-                for (_, rmask, _), values in zip(index_sets(len(self._ints), r, False), level):
-                    rkey = rmask << self._ncols
-                    self._values.update(zip([rkey | cmask for cmask in cmasks], values))
-            self._pending.clear()
-            return self._whole
-
     def fill(self, r: int) -> bool:
-        """Draw the levels up to size r, sizes ascending, while each one fits; store
-        them.  True when every level of sizes 1..r is kept whole, so that every
-        minor of size r or less is a lookup that cannot miss."""
-        while (s := self._drawn + 1) <= r and self._fits(s):
-            self._draw(s)  # None when another thread drew level s first
-        return self._flush() >= r
-
-    def levels(self, k: int) -> Iterator[Iterable[Sequence[int]]]:
-        """The minors of every window of sizes 1..k, a level per size: one list per
-        row set of its minors on every column set, both lexicographic.  A level
-        not drawn yet is drawn, one drawn before is read back; lazy by level."""
-        for r in range(1, k + 1):
-            level = self._draw(r)
-            if level is None:  # drawn before: read it back
-                cmasks = [cm for _, cm, _ in index_sets(self._ncols, r, False)]
-                rmasks = (rm for _, rm, _ in index_sets(len(self._ints), r, False))
-                level = ([self.minor_of_masks(rm, cm) for cm in cmasks] for rm in rmasks)
-            yield level
+        """Store the levels up to size r, sizes ascending, while each one fits
+        under ``MAX_STORED_MINORS``; one thread stores at a time.  True when
+        every level of sizes 1..r is stored whole, so that every minor of size r
+        or less is a lookup that cannot miss."""
+        nrows, ncols = len(self._ints), self._ncols
+        with self._lock:
+            while (s := self._whole + 1) <= r:
+                if len(self._values) + math.comb(nrows, s) * math.comb(ncols, s) > MAX_STORED_MINORS:
+                    break
+                # a level that fits is below MAX_LEVEL_MINORS, so the sweep does not refuse it
+                level = next(self._sweep, None)
+                if level is None:
+                    raise InvariantError(f"the condensation sweep ended before level {s}")
+                cmasks = [cmask for _, cmask, _ in index_sets(ncols, s, False)]
+                for (_, rmask, _), values in zip(index_sets(nrows, s, False), level):
+                    rkey = rmask << ncols
+                    self._values.update(zip([rkey | cmask for cmask in cmasks], values))
+                self._whole = s
+            return self._whole >= r
 
     def minor_of_masks(self, rmask: int, cmask: int, along: int = 0) -> int:
         """The minor on the rows and columns whose bits are set in rmask and cmask.
@@ -512,8 +483,6 @@ class MinorTable:
         minors it has already read passes the row whose expansion needs only those.
         """
         key = rmask << self._ncols | cmask
-        if self._pending:
-            self._flush()
         value = self._values.get(key)
         if value is None:
             value = self._expand(rmask, cmask, along)
@@ -563,8 +532,8 @@ class MinorTable:
         return [[self._ints[i][j] for j in cols0] for i in rows0]
 
     def scale(self, rows0: Sequence[int]) -> int:
-        """Product of the row scales on rows0: the minor's exact denominator factor."""
-        return math.prod(self._scales[i] for i in rows0)
+        """The minor's exact denominator factor on rows0 (:func:`row_scale`)."""
+        return row_scale(self._scales, rows0)
 
     def level(self, r: int, coeffs: Sequence[int]) -> Iterator[SweptWindow]:
         """Every window of size r >= 2 in lexicographic (rows, cols) order, as
@@ -681,7 +650,7 @@ def minors_up_to(a: ExactMatrix, k: int) -> Iterator[MinorRecord]:
     for size, level in enumerate(_int_minor_levels(ints, k), 1):
         col_sets = [_one_based(cidx) for cidx in itertools.combinations(range(a.cols), size)]
         for ridx, values in zip(itertools.combinations(range(a.rows), size), level):
-            scale = math.prod(scales[i] for i in ridx)
+            scale = row_scale(scales, ridx)
             rows1 = _one_based(ridx)
             for cols1, value in zip(col_sets, values):
                 yield MinorRecord(rows1, cols1, Fraction(value, scale))
@@ -706,7 +675,7 @@ def contiguous_minors_up_to(a: ExactMatrix, k: int) -> Iterator[MinorRecord]:
     check_order(a, k)
     scales = a.integer_rows[1]
     for rows0, cols0, value in _contiguous_int_minors(a, range(1, k + 1)):
-        yield MinorRecord(_one_based(rows0), _one_based(cols0), Fraction(value, math.prod(scales[i] for i in rows0)))
+        yield MinorRecord(_one_based(rows0), _one_based(cols0), Fraction(value, row_scale(scales, rows0)))
 
 
 def solve_window(a: ExactMatrix, rows0: Sequence[int], cols0: Sequence[int], coeffs: Sequence[int]) -> tuple[int, list[int]]:
@@ -742,7 +711,7 @@ def solve_window(a: ExactMatrix, rows0: Sequence[int], cols0: Sequence[int], coe
 
 
 def parse_matrix(text: str) -> ExactMatrix:
-    """Parse the shared text format: a header line "m n", then m rows of n rationals."""
+    """Parse the shared text format: a header line "m n", then exactly m rows of n rationals."""
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     return _parse_matrix_lines(lines)
 
@@ -759,7 +728,7 @@ def _parse_matrix_lines(lines: list[str]) -> ExactMatrix:
         raise ValueError(f"bad header {lines[0]!r}") from exc
     if m < 1 or n < 1:
         raise ValueError(f"matrix shape must be positive, got {m}x{n}")
-    if len(lines) < 1 + m:
+    if len(lines) != 1 + m:
         raise ValueError(f"expected {m} data rows, found {len(lines) - 1}")
     flat: list[Fraction] = []
     for ln in lines[1 : 1 + m]:
@@ -789,15 +758,20 @@ def parse_matrix_pair(text: str) -> tuple[ExactMatrix, ExactMatrix]:
 
 
 def parse_lcp_input(text: str) -> tuple[ExactMatrix, tuple[Fraction, ...]]:
-    """Parse a matrix followed by a "q:" line carrying n rationals."""
+    """Parse a matrix followed by a "q:" line carrying n rationals (or by "q:"
+    and a line of them), and nothing after them."""
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     q_at = next((i for i, ln in enumerate(lines) if ln.startswith("q:")), None)
     if q_at is None:
         raise ValueError("LCP input needs a 'q:' line")
     a = _parse_matrix_lines(lines[:q_at])
     toks = lines[q_at][2:].split()
-    if not toks and q_at + 1 < len(lines):
-        toks = lines[q_at + 1].split()
+    end = q_at + 1
+    if not toks and end < len(lines):
+        toks = lines[end].split()
+        end += 1
+    if end < len(lines):
+        raise ValueError(f"expected no line after the q values, found {len(lines) - end}")
     if len(toks) != a.rows:
         raise ValueError(f"expected {a.rows} entries for q, got {len(toks)}")
     try:

@@ -156,8 +156,9 @@ def stored_minors(table: MinorTable) -> int:
 
 
 def levels_drawn(table: MinorTable) -> int:
-    """The largest size whose level the table has drawn from its sweep (0: none)."""
-    return table._drawn
+    """The largest size whose level the table has drawn from its sweep and
+    stored whole (0: none)."""
+    return table._whole
 
 
 def reference_minors_up_to(a: ExactMatrix, k: int) -> Iterator[MinorRecord]:

@@ -30,6 +30,7 @@ from totneg import (
     vd_check,
 )
 from totneg import checks as checks_module
+from totneg import hull as hull_module
 from totneg import matrix as matrix_module
 from totneg.generate import (
     certificate_digest,
@@ -298,7 +299,7 @@ def test_single_vector_witnesses_equal_the_adjugate_product():
     assert seen > 40
 
 
-def test_failing_entry_builds_no_minor_level_above_one():
+def test_failing_entry_builds_no_minor_level_above_one(monkeypatch):
     a = ExactMatrix.from_rows([[1, -2, -3], [-2, -3, -5], [-3, -5, -6]])
     q3 = ClassQuery("tn", 3)
     assert not check_by_minor_definition(a, q3).holds
@@ -309,12 +310,44 @@ def test_failing_entry_builds_no_minor_level_above_one():
     assert not check_tnp_vd(a).holds
     assert not any(cross_validate(a, 3, cls).holds for cls in ("tn", "tnp"))
     assert levels_drawn(a.minor_table) <= 1
-    # a sweep that fails at size 2 builds nothing above size 2, and the minor
-    # definition only scans the levels, so it stores none of their minors
+    # a sweep that fails at size 2 condenses nothing above size 2, and the minor
+    # definition reads the sweep itself, so it builds no minor table
+    built = []
+    real = matrix_module._condensed_rows
+    monkeypatch.setattr(matrix_module, "_condensed_rows", lambda ints, s, *rest: built.append(s) or real(ints, s, *rest))
     b = ExactMatrix.from_rows([[-1, -2, -3], [-2, -5, -5], [-3, -5, -6]])
     assert check_by_minor_definition(b, q3).witness.size == 2
-    assert levels_drawn(b.minor_table) == 2
-    assert stored_minors(b.minor_table) == 0
+    assert built == [2]
+    assert "minor_table" not in b.__dict__
+
+
+def test_the_minor_definition_and_a_failing_tnp_hulls_member_sweep_build_no_minor_table(monkeypatch):
+    """The minor definition reads the condensation sweep itself: on holding and
+    failing inputs of both classes, in generation's check of its instances, and
+    for every member that a failing TNP hull sweeps to name its witness, no
+    minor table is built."""
+
+    def refuse(self, a):
+        raise AssertionError("the minor definition built a minor table")
+
+    monkeypatch.setattr(matrix_module.MinorTable, "__init__", refuse)
+    tn = generate_tn((5, 5), 5, seed=1).matrix
+    tnp = generate_tnp((6, 6), 6, seed=1).matrix
+    near = generate_near_miss((5, 5), 5, seed=2).matrix
+    for a in (tn, tnp, near):
+        for cls in ("tn", "tnp"):
+            check_by_minor_definition(a, ClassQuery(cls, min(a.shape)))
+        assert "minor_table" not in a.__dict__
+    assert not check_by_minor_definition(near, ClassQuery("tn", 5)).holds
+    base = generate_tn((4, 4), 4, seed=1).matrix
+    bumped = ExactMatrix(base.rows, base.cols, tuple(e + Fraction(1, 50) for e in base.entries))
+    members = []
+    real = hull_module.i_matrix
+    monkeypatch.setattr(hull_module, "i_matrix", lambda *args: members.append(real(*args)) or members[-1])
+    verdict = hull_module.hull_is_totally_nonpositive(hull_module.IntervalHull(base, bumped), 4)
+    assert not verdict.holds and verdict.witness.size == 3
+    assert len(members) == 3
+    assert not any("minor_table" in member.__dict__ for member in members)
 
 
 def _pascal_tn(n, delta):
@@ -436,8 +469,8 @@ def test_all_window_sweeps_at_7x7_read_the_level_sweep(monkeypatch):
 def test_zero_inner_minors_are_expanded_not_eliminated(eliminations):
     """The rank-one 5x5 TNP instance (seed 1) and the singular 6x6 one (seed 1)
     have level minors whose inner minor is 0; each is expanded over the level
-    below, so the certificate and the sign non-reversal sweep eliminate none,
-    and a lookup after the minor definition reads the level it scanned."""
+    below, so the certificate, the sign non-reversal sweep and the minor
+    definition eliminate none, and a lookup after a fill reads the stored level."""
     five = generate_tnp((5, 5), 5, seed=1).matrix
     six = generate_tnp((6, 6), 6, seed=1).matrix
     scanned = ExactMatrix(six.rows, six.cols, six.entries)
@@ -445,6 +478,7 @@ def test_zero_inner_minors_are_expanded_not_eliminated(eliminations):
     certificate_digest(five, 5)
     assert check_tnp_snr(six, 6).holds
     assert check_by_minor_definition(scanned, ClassQuery("tnp", 6)).holds
+    assert scanned.minor_table.fill(6)
     assert scanned.minor_table.minor_of_masks(*masks(range(6), range(6))) == 0
     assert eliminations == []
     for a, k in ((five, 5), (six, 6)):
@@ -455,9 +489,9 @@ def test_zero_inner_minors_are_expanded_not_eliminated(eliminations):
 
 @pytest.mark.parametrize("cap", [matrix_module.MAX_STORED_MINORS, 40])
 def test_sweeps_after_a_minor_definition_match_a_fresh_matrix(cap):
-    """The minor definition only scans the levels it draws and stores none of
-    them; the sweeps and lookups that follow on the same matrix store them
-    first and give what they give on a fresh matrix, also past a storage cap."""
+    """The minor definition reads the condensation sweep and builds no minor
+    table; the sweeps and lookups that follow on the same matrix give what they
+    give on a fresh matrix, also past a storage cap."""
     rng = random.Random(7)
     verdicts = []
     bases = [generate_tnp((6, 6), 6, seed=1).matrix, random_rational_matrix((5, 6), seed=3, style="negative")]
@@ -471,7 +505,7 @@ def test_sweeps_after_a_minor_definition_match_a_fresh_matrix(cap):
 
             a = fresh()
             verdicts.append(check_by_minor_definition(a, ClassQuery("tnp", k)).holds)
-            assert stored_minors(a.minor_table) == 0
+            assert "minor_table" not in vars(a)
             assert check_tnp_snr(a, k) == check_tnp_snr(fresh(), k)
             assert tnp_lcp_sufficient_check(a, k) == tnp_lcp_sufficient_check(fresh(), k)
             windows = [(rows, cols) for r in range(1, k + 1) for rows in itertools.combinations(range(a.rows), r)
@@ -484,7 +518,7 @@ def test_sweeps_after_a_minor_definition_match_a_fresh_matrix(cap):
                 rmask, cmask = sum(1 << i for i in rows), sum(1 << j for j in cols)
                 assert b.minor_table.minor_of_masks(rmask, cmask) == c.minor_of_masks(rmask, cmask)
             assert stored_minors(a.minor_table) <= cap and stored_minors(b.minor_table) <= cap
-    assert verdicts == [True, False]  # the failing sweep leaves the levels below its failure pending
+    assert verdicts == [True, False]  # the second minor definition stops at its failure
 
 
 def test_threads_sharing_one_matrix_get_the_verdicts_of_one_thread():

@@ -253,6 +253,23 @@ def test_parse_failure_is_exit_2(tmp_path):
     assert main(["check", str(missing), "--class", "tn", "--order", "1"]) == 2
 
 
+def test_a_line_past_the_input_is_exit_2(tmp_path, capsys):
+    """A third data row under a 2 x 2 header fails check and hull with exit 2,
+    as does a line after the q values of lcp: none is judged on the leading
+    block alone."""
+    matrix = "2 2\n-1 -2\n-3 -4\n"
+    cases = [
+        (["check", "--class", "tn", "--order", "2"], matrix + "5 6\n", "expected 2 data rows, found 3"),
+        (["hull", "--class", "tnp", "--order", "2"], matrix + "\n" + matrix + "5 6\n", "expected 2 data rows, found 3"),
+        (["lcp", "--enumerate"], matrix + "q: 1 1\n7 7\n", "expected no line after the q values"),
+    ]
+    for i, (argv, text, message) in enumerate(cases):
+        path = tmp_path / f"extra{i}.txt"
+        path.write_text(text)
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_failing_verdict_with_a_long_witness_exits_1(tmp_path, capsys):
     """A witness beyond the 4,300-digit int/str limit still prints and re-checks."""
     src = tmp_path / "huge.txt"

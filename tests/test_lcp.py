@@ -831,8 +831,8 @@ def test_two_by_two_windows_in_closed_form_on_repeated_rows_and_columns(a):
 )
 def test_the_complementarity_condition_solves_no_support_of_a_2x2_window(monkeypatch, rows):
     """The 2x2 windows are decided from four entries of the scaled rows: no test
-    vector, candidate stream or support step at size 2, and at order 2 no level
-    of the minor table is drawn."""
+    vector, candidate stream or support step at size 2, and at order 2 the
+    minor table is not filled."""
     a = ExactMatrix.from_rows(rows)
     sizes = []
 
@@ -843,17 +843,17 @@ def test_the_complementarity_condition_solves_no_support_of_a_2x2_window(monkeyp
     spy("_single_vector_ints", lambda table, rows, cols, weights=None: len(rows[0]))
     spy("_support_candidates", lambda a, rows0, *rest: len(rows0))
     spy("_support_solutions", lambda rows, q, support: len(rows))
-    drawn = []
-    real_draw = matrix.MinorTable._draw
-    monkeypatch.setattr(matrix.MinorTable, "_draw", lambda table, r: drawn.append(r) or real_draw(table, r))
+    filled = []
+    real_fill = matrix.MinorTable.fill
+    monkeypatch.setattr(matrix.MinorTable, "fill", lambda table, r: filled.append(r) or real_fill(table, r))
     order = min(a.rows, a.cols)
     reports = [tnp_lcp_sufficient_check(a, k) for k in range(2, order + 1)]
     assert all(size >= 3 for _, size in sizes)
     sizes.clear()
-    drawn.clear()
+    filled.clear()
     fresh = ExactMatrix.from_rows(rows)
     assert tnp_lcp_sufficient_check(fresh, 2) == reports[0]
-    assert not sizes and not drawn
+    assert not sizes and not filled
     monkeypatch.undo()
     assert reports == [solver_tnp_sufficient_check(a, k) for k in range(2, order + 1)]
 

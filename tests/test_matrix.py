@@ -34,6 +34,7 @@ from totneg import (
     to_fraction,
 )
 from totneg import matrix as matrix_module
+from totneg.errors import InvariantError
 from totneg.generate import generate_tn
 from totneg.matrix import MinorTable, det_of_rows, format_fraction, parse_rational, solve_window
 
@@ -281,6 +282,24 @@ def test_parse_pair_and_lcp_formats(n2):
         parse_lcp_input(n2.to_text())
 
 
+def test_parsers_reject_lines_past_the_input(n2):
+    """A data row past the header's m is an error in a matrix file, in either
+    hull block and in the LCP matrix block, and so is a line after the q values;
+    q on the line after "q:" is still read."""
+    extra = n2.to_text() + "5 6\n"
+    with pytest.raises(ValueError, match="expected 2 data rows, found 3"):
+        parse_matrix(extra)
+    for text in (extra + "\n" + n2.to_text(), n2.to_text() + "\n" + extra):
+        with pytest.raises(ValueError, match="expected 2 data rows, found 3"):
+            parse_matrix_pair(text)
+    with pytest.raises(ValueError, match="expected 2 data rows, found 3"):
+        parse_lcp_input(extra + "q: 1 2\n")
+    for tail in ("q: 1 2\n3 4\n", "q:\n1 2\n3 4\n", "q: 1 2\nq: 3 4\n"):
+        with pytest.raises(ValueError, match="expected no line after the q values, found 1"):
+            parse_lcp_input(n2.to_text() + tail)
+    assert parse_lcp_input(n2.to_text() + "q:\n1 2\n") == (n2, (Fraction(1), Fraction(2)))
+
+
 def test_entry_access_is_one_based(n3):
     assert n3.entry(1, 3) == Fraction(-4)
     assert n3.entry(3, 1) == Fraction(-4)
@@ -364,9 +383,9 @@ def test_minor_streams_match_the_per_minor_fraction_reference(a, data):
 )
 @example(ExactMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]]), [1, 2, 3], [1, -2, 3, 0, 0], random.Random(0))
 def test_condensed_levels_match_the_per_minor_fraction_reference(cap, a, fills, coeffs, rng):
-    """After a fill to a drawn size, ``levels``, ``level(r, c)`` and
-    ``minor_of_masks`` (windows in a shuffled order) give the minors of the
-    per-minor Fraction reference, and ``level(r, c)`` the numerators of a
+    """After a fill to a drawn size, ``minor_of_masks`` (windows in
+    ``all_windows`` order, and shuffled) and ``level(r, c)`` give the minors of
+    the per-minor Fraction reference, and ``level(r, c)`` the numerators of a
     Fraction adjugate.  Zero and repeated rows make inner minors vanish, and the
     example's determinant -2 has the inner minor 0; a cap of 40 stores the small
     levels in the table and looks the rest up past it, and a cap of 0 stores
@@ -381,16 +400,16 @@ def test_condensed_levels_match_the_per_minor_fraction_reference(cap, a, fills, 
         tables = [MinorTable(a) for _ in range(3)]
         for table, fill in zip(tables, fills):
             table.fill(min(fill, k))
-        streamed, swept, looked_up = tables
-        values = [v for level in streamed.levels(k) for row in level for v in row]
+        in_order, swept, looked_up = tables
         windows = [w for r in range(1, k + 1) for w in all_windows(a.rows, a.cols, r)]
-        assert [Fraction(v, streamed.scale(rows0)) for (rows0, _), v in zip(windows, values)] == list(expected.values())
+        values = [in_order.minor_of_masks(*masks(rows0, cols0)) for rows0, cols0 in windows]
+        assert [Fraction(v, in_order.scale(rows0)) for (rows0, _), v in zip(windows, values)] == list(expected.values())
         assert len(values) == len(expected)
         for r in range(2, k + 1):
-            *_, level = swept.levels(r)
-            minors = [w for row in level for w in row]
-            for (rows0, cols0, v, x), w in zip(swept.level(r, coeffs[:r]), minors, strict=True):
-                assert Fraction(v, swept.scale(rows0)) == Fraction(w, swept.scale(rows0)) == expected[rows0, cols0]
+            level = list(swept.level(r, coeffs[:r]))
+            assert [(rows0, cols0) for rows0, cols0, _, _ in level] == list(all_windows(a.rows, a.cols, r))
+            for rows0, cols0, v, x in level:
+                assert Fraction(v, swept.scale(rows0)) == expected[rows0, cols0]
                 adj = adjugate(take(a, rows0, cols0)).matvec([Fraction(c) for c in coeffs[:r]])
                 assert [Fraction(n, swept.scale(rows0)) for n in x] == list(adj)
         rng.shuffle(windows)
@@ -425,7 +444,7 @@ def test_minor_stream_at_any_table_cap_eliminates_nothing(monkeypatch, eliminati
     """The table's cap does not reach the condensation sweep, which keeps its two
     levels below at every size: at each cap a 7x7 with a repeated row (zero inner
     minors) still matches the per-minor Fraction reference, and neither it, nor a
-    totally negative 7x7, nor the minor definition's scan of the latter's table
+    totally negative 7x7, nor the minor definition's scan of the latter
     eliminates a minor."""
     monkeypatch.setattr(matrix_module, "MAX_STORED_MINORS", cap)
     rng = random.Random(5)
@@ -474,40 +493,36 @@ def test_a_12x12_sweep_condenses_every_level_from_both_levels_below(eliminations
                 assert level[at][c_at] == det_of_rows([[r[j] for j in col_sets[c_at]] for r in rows])
 
 
-def test_fill_is_whole_only_while_every_level_up_to_it_is_kept():
-    """The minor definition's scan of a 12x12 (``levels(12)``) draws every level,
-    keeps levels 1-3 and, once the table has room again, 9-12; levels 4-8 do not
-    fit under ``MAX_STORED_MINORS``.  A fill to 10 then draws nothing and is not
-    whole, since the complementarity supports could miss there; a fill to 3 is."""
+def test_fill_is_whole_only_while_every_level_up_to_it_is_kept(monkeypatch):
+    """A fill of a 12x12 to size 12 stores levels 1-3 whole and stops at level
+    4, whose 245,025 minors do not fit beside them under ``MAX_STORED_MINORS``:
+    the sweep condenses nothing past level 3, and the fill is not whole, since
+    the complementarity supports could miss there.  Fills to 10 and 12 stay not
+    whole and draw nothing more; a fill to 3 is whole."""
+    built = []
+    real = matrix_module._condensed_rows
+    monkeypatch.setattr(matrix_module, "_condensed_rows", lambda ints, s, *rest: built.append(s) or real(ints, s, *rest))
     rng = random.Random(12)
     table = ExactMatrix.from_rows([[rng.randint(-3, 3) for _ in range(12)] for _ in range(12)]).minor_table
-    for level in table.levels(12):
-        for _ in level:
-            pass
-    assert levels_drawn(table) == 12
-    assert not table.fill(10)
     assert not table.fill(12)
+    assert not table.fill(10)
     assert table.fill(3)
-    assert stored_minors(table) == sum(math.comb(12, s) ** 2 for s in (1, 2, 3, 9, 10, 11, 12))
-
-
-def test_fill_draws_nothing_more_when_another_thread_draws_its_level(monkeypatch):
-    """Another thread may draw the level that ``fill`` has just found to fit,
-    before ``fill`` draws it.  ``fill`` then asks for no further level, which
-    the ended sweep would refuse; every level is stored and the fill is whole."""
-    table = ExactMatrix.from_rows([[-1, -2, -3], [-2, -5, -7], [-3, -7, -12]]).minor_table
-    real = table._fits
-
-    def fits(r):
-        ok = real(r)
-        if r == 3 and levels_drawn(table) == 2:  # the other thread, between the check and the draw
-            table._draw(3)
-        return ok
-
-    monkeypatch.setattr(table, "_fits", fits)
-    assert table.fill(3)
+    assert built == [2, 3]
     assert levels_drawn(table) == 3
-    assert stored_minors(table) == 9 + 9 + 1
+    assert stored_minors(table) == sum(math.comb(12, s) ** 2 for s in (1, 2, 3))
+
+
+def test_fill_raises_when_the_sweep_ends_before_a_level_that_fits(monkeypatch):
+    """With the sweep's bound below the table's cap, the sweep refuses a level
+    that fits: that fill raises the refusal, and a later one, finding the sweep
+    ended, raises an invariant error (not an assert) and counts no level more."""
+    monkeypatch.setattr(matrix_module, "MAX_LEVEL_MINORS", 5)
+    table = ExactMatrix.from_rows([[-1, -2, -3], [-2, -5, -7], [-3, -7, -12]]).minor_table
+    with pytest.raises(ResourceLimitError):
+        table.fill(2)
+    with pytest.raises(InvariantError, match="ended before level 2"):
+        table.fill(2)
+    assert levels_drawn(table) == 1
 
 
 def test_a_level_past_the_sweeps_bound_is_refused_before_it_is_built(monkeypatch):
@@ -515,7 +530,7 @@ def test_a_level_past_the_sweeps_bound_is_refused_before_it_is_built(monkeypatch
     ``MAX_LEVEL_MINORS``: ``minors_up_to(a, 13)`` gives every minor of sizes 1
     to 4 and then refuses, and level 5 is never condensed.  The minor
     definition on the all-zero 13x13 (in the weak class) refuses it too, and so
-    does a second call on the same matrix, whose table's sweep has ended."""
+    does a second call on the same matrix, which reads a sweep of its own."""
     built = []
     real = matrix_module._condensed_rows
 
@@ -536,7 +551,7 @@ def test_a_level_past_the_sweeps_bound_is_refused_before_it_is_built(monkeypatch
     for _ in range(2):
         with pytest.raises(ResourceLimitError):
             check_by_minor_definition(zero, ClassQuery("tnp", 13))
-    assert built == [2, 3, 4] * 2
+    assert built == [2, 3, 4] * 3
 
 
 def test_minor_stream_expands_a_minor_whose_inner_minor_is_zero(eliminations):
@@ -693,12 +708,13 @@ def level_cases(draw):
 def test_level_sweep_matches_a_fresh_table_window_by_window(cap, case):
     """Each window's minor and adjugate numerators from the level sweep equal a
     fresh table's ``minor_of_masks`` and the oracle's ``adjugate_numerators``, in ``all_windows``
-    order; with the levels already scanned (a minor sweep first) and without, and
-    past a storage cap."""
+    order; with every level already stored (a fill to the full size first) and
+    without, and past a storage cap."""
     a, alpha = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matrix_module, "MAX_STORED_MINORS", cap)
-        reference, vectors, minors_first = MinorTable(a), MinorTable(a), MinorTable(a)
+        reference, vectors, filled = MinorTable(a), MinorTable(a), MinorTable(a)
+        filled.fill(min(a.rows, a.cols))
         for r in range(2, min(a.rows, a.cols) + 1):
             realized = alpha.realized(r)
             lcm = math.lcm(*(v.denominator for v in realized))
@@ -708,9 +724,7 @@ def test_level_sweep_matches_a_fresh_table_window_by_window(cap, case):
                 for rows0, cols0 in all_windows(a.rows, a.cols, r)
             ]
             assert list(vectors.level(r, coeffs)) == expected
-            *_, level = minors_first.levels(r)
-            assert [v for row in level for v in row] == [v for _, _, v, _ in expected]
-            assert list(minors_first.level(r, coeffs)) == expected
+            assert list(filled.level(r, coeffs)) == expected
         assert stored_minors(reference) <= cap and stored_minors(vectors) <= cap
 
 
@@ -719,4 +733,4 @@ def test_a_matrix_pickles_and_copies_without_its_minor_table():
     a.minor_table.fill(5)
     for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
         assert b == a and "minor_table" not in vars(b)
-        assert list(map(list, b.minor_table.levels(5))) == list(map(list, a.minor_table.levels(5)))
+        assert b.minor_table.fill(5) and b.minor_table._values == a.minor_table._values
