@@ -150,11 +150,13 @@ def _entry_violation(a: ExactMatrix, strict: bool) -> Violation | None:
     return None if hit is None else Violation(_minor_kind(strict), hit[:1], hit[1:2], detail=hit[2])
 
 
-def _level_minors(a: ExactMatrix, k: int, least: int) -> Iterator[MinorWindow]:
+def _level_minors(
+    a: ExactMatrix, k: int, least: int, levels: Iterable[Sequence[Sequence[int]]] | None = None
+) -> Iterator[MinorWindow]:
     """Every window of size 2..k with its minor, read off the condensation sweep
-    (:func:`_int_minor_levels`) a row set at a time, with no minor table; a row
-    set whose minors are all below ``least`` is skipped."""
-    for r, level in enumerate(_int_minor_levels(a.integer_rows[0], k), 1):
+    (:func:`_int_minor_levels`, or ``levels`` when given) a row set at a time,
+    with no minor table; a row set whose minors are all below ``least`` is skipped."""
+    for r, level in enumerate(levels or _int_minor_levels(a.integer_rows[0], k), 1):
         col_sets = index_sets(a.cols, r, False)
         for (rows0, _, _), values in zip(index_sets(a.rows, r, False), level):
             if r > 1 and max(values) >= least:
@@ -219,7 +221,9 @@ def _test_vector_sweep(
     A contiguous window gets minor(S) and N from one solve on the scaled rows,
     with no minor table; a sweep over all windows reads them off the table's
     level sweep, which shares each row set's deletion-minor sums across its
-    column windows.
+    column windows.  That sweep is the TNP one, and it skips every window whose
+    minor is 0 (:meth:`MinorTable.level`): S x = 0 there, and neither TNP judge
+    fails on it.
     """
     found: dict[Judge, tuple[Violation, float]] = {}
     live = list(judges)
@@ -247,11 +251,18 @@ def _test_vector_sweep(
     return [found.get(j, (None, end)) for j in judges]
 
 
-def check_by_minor_definition(a: ExactMatrix, query: ClassQuery) -> Verdict:
-    """Decide the class by enumerating every minor of size at most the order."""
+def check_by_minor_definition(
+    a: ExactMatrix, query: ClassQuery, levels: Iterable[Sequence[Sequence[int]]] | None = None
+) -> Verdict:
+    """Decide the class by enumerating every minor of size at most the order.
+
+    ``levels``, when given, is the condensation sweep of the scaled rows to
+    order ``query.order`` that the scan reads in place of a sweep of its own;
+    generation passes one that also digests each level for the certificate."""
     check_order(a, query.order)
     strict = query.matrix_class == TN
-    bad = _entry_violation(a, strict) or _minor_sweep(a, _level_minors(a, query.order, 0 if strict else 1), strict)
+    least = 0 if strict else 1
+    bad = _entry_violation(a, strict) or _minor_sweep(a, _level_minors(a, query.order, least, levels), strict)
     return Verdict(bad is None, "minor_definition", bad)
 
 

@@ -28,7 +28,6 @@ from .checks import (
 )
 from .errors import ResourceLimitError
 from .generate import (
-    certificate_digest,
     cross_validate,
     generate_near_miss,
     generate_tn,
@@ -360,7 +359,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
                 f"shape={shape[0]}x{shape[1]}",
                 f"seed={seed}",
                 f"attempts={inst.attempts}",
-                f"certificate={certificate_digest(inst.matrix, order)}",
+                f"certificate={inst.certificate}",
             ]
         )
         (out_dir / f"{stem}.meta").write_text(meta + "\n")

@@ -65,6 +65,8 @@ class GeneratedInstance:
     order: int
     seed: int
     attempts: int
+    #: :func:`certificate_digest` at ``order``, when the generator records it
+    certificate: str | None = None
 
 
 def _pascal_rows(n: int) -> Rows:
@@ -243,9 +245,22 @@ def _check_request(shape: tuple[int, int], k: int) -> None:
         raise ResourceLimitError(f"generation refused for dimensions beyond {MAX_ALL_SUBMATRIX_DIM}")
 
 
-def _verify_class(a: ExactMatrix, klass: str, k: int) -> bool:
-    query = ClassQuery(TN if klass == TN else TNP, k)
-    return check_by_minor_definition(a, query).holds
+def _certify(a: ExactMatrix, klass: str, k: int) -> str | None:
+    """The certificate of a at order k (:func:`certificate_digest`) if a is in
+    the class at full order, else None, from one condensation sweep: the
+    minor definition reads each level, and a level up to k is digested once
+    the definition has read it, so a level that fails it is not digested."""
+    h = hashlib.sha256()
+
+    def digested(levels: Iterator[Sequence[Sequence[int]]]) -> Iterator[Sequence[Sequence[int]]]:
+        for size, level in enumerate(levels, 1):
+            yield level
+            if size <= k:
+                _digest_level(h.update, a, size, level)
+
+    query = ClassQuery(klass, min(a.rows, a.cols))
+    levels = digested(_int_minor_levels(a.integer_rows[0], query.order))
+    return h.hexdigest() if check_by_minor_definition(a, query, levels).holds else None
 
 
 def generate_tn(shape: tuple[int, int], k: int, seed: int, budget: int = 2000) -> GeneratedInstance:
@@ -263,8 +278,9 @@ def generate_tn(shape: tuple[int, int], k: int, seed: int, budget: int = 2000) -
         a = ExactMatrix.from_rows(_sub_rows(rows, ridx, cidx))
         if max(abs(e) for e in a.entries) > 10**8:
             continue
-        if _verify_class(a, TN, min(m, n)):
-            return GeneratedInstance(a, TN, k, seed, attempt)
+        certificate = _certify(a, TN, k)
+        if certificate is not None:
+            return GeneratedInstance(a, TN, k, seed, attempt, certificate)
     raise ResourceLimitError(f"no totally negative instance found in {budget} attempts")
 
 
@@ -323,8 +339,9 @@ def generate_tnp(shape: tuple[int, int], k: int, seed: int, budget: int = 2000) 
         a = ExactMatrix.from_rows(rows)
         if max(abs(e) for e in a.entries) > 10**8:
             continue
-        if _verify_class(a, TNP, min(m, n)):
-            return GeneratedInstance(a, TNP, k, seed, attempt)
+        certificate = _certify(a, TNP, k)
+        if certificate is not None:
+            return GeneratedInstance(a, TNP, k, seed, attempt, certificate)
     raise ResourceLimitError(f"no totally non-positive instance found in {budget} attempts")
 
 
@@ -338,7 +355,9 @@ def generate_near_miss(shape: tuple[int, int], k: int, seed: int, budget: int = 
     m, n = shape
     rng = random.Random(seed)
     for attempt in range(1, budget + 1):
-        base = generate_tn(shape, min(m, n), rng.randrange(2**30))
+        # the base is certified at full order whatever its order; order 1 keeps
+        # its unused certificate to the entries
+        base = generate_tn(shape, 1, rng.randrange(2**30))
         rows = base.matrix.row_list()
         if k == 1:
             i, j = rng.randrange(m), rng.randrange(n)
@@ -346,7 +365,7 @@ def generate_near_miss(shape: tuple[int, int], k: int, seed: int, budget: int = 
             a = ExactMatrix.from_rows(rows)
             bad = [rec for rec in minors_up_to(a, k) if rec.value >= 0]
             if len(bad) == 1:
-                return GeneratedInstance(a, "near_miss", k, seed, attempt)
+                return GeneratedInstance(a, "near_miss", k, seed, attempt, certificate_digest(a, k))
             continue
         i, j = rng.randrange(m), rng.randrange(n)
         x0 = rows[i][j]
@@ -374,7 +393,7 @@ def generate_near_miss(shape: tuple[int, int], k: int, seed: int, budget: int = 
             continue
         bad = [rec for rec in minors_up_to(a, k) if rec.value >= 0]
         if len(bad) == 1:
-            return GeneratedInstance(a, "near_miss", k, seed, attempt)
+            return GeneratedInstance(a, "near_miss", k, seed, attempt, certificate_digest(a, k))
     raise ResourceLimitError(f"no near-miss instance found in {budget} attempts")
 
 
@@ -522,19 +541,25 @@ def certificate_digest(a: ExactMatrix, k: int) -> str:
     """Digest of the full minor enumeration at order k (the instance certificate):
     the SHA-256 of one line ``rows|cols|value`` per minor, in the order of
     :func:`minors_up_to`, each value a reduced fraction, read from
-    :func:`_int_minor_levels` on the scaled rows; one update per row set."""
+    :func:`_int_minor_levels` on the scaled rows (:func:`_digest_level`)."""
     check_order(a, k)
-    ints, scales = a.integer_rows
     h = hashlib.sha256()
-    for size, level in enumerate(_int_minor_levels(ints, k), 1):
-        col_sets = [f"{_one_based(cidx)}|" for cidx in itertools.combinations(range(a.cols), size)]
-        for ridx, values in zip(itertools.combinations(range(a.rows), size), level):
-            scale = row_scale(scales, ridx)
-            head = f"{_one_based(ridx)}|"
-            lines = []
-            for cols, value in zip(col_sets, values):
-                g = math.gcd(value, scale)
-                num = _int_str(value // g)
-                lines.append(f"{head}{cols}{num}\n" if g == scale else f"{head}{cols}{num}/{_int_str(scale // g)}\n")
-            h.update("".join(lines).encode())
+    for size, level in enumerate(_int_minor_levels(a.integer_rows[0], k), 1):
+        _digest_level(h.update, a, size, level)
     return h.hexdigest()
+
+
+def _digest_level(update: Callable[[bytes], object], a: ExactMatrix, size: int, level: Sequence[Sequence[int]]) -> None:
+    """Feed the certificate lines of one level of a's scaled minors to a hash's
+    ``update``, once per row set."""
+    scales = a.integer_rows[1]
+    col_sets = [f"{_one_based(cidx)}|" for cidx in itertools.combinations(range(a.cols), size)]
+    for ridx, values in zip(itertools.combinations(range(a.rows), size), level):
+        scale = row_scale(scales, ridx)
+        head = f"{_one_based(ridx)}|"
+        lines = []
+        for cols, value in zip(col_sets, values):
+            g = math.gcd(value, scale)
+            num = _int_str(value // g)
+            lines.append(f"{head}{cols}{num}\n" if g == scale else f"{head}{cols}{num}/{_int_str(scale // g)}\n")
+        update("".join(lines).encode())

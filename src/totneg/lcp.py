@@ -680,12 +680,18 @@ def _lcp_windows(
 
     A size beyond MAX_LCP_SIZE is refused before any of its windows is built;
     otherwise the table draws the levels up to it that fit (``MinorTable.fill``),
-    and the candidates read it by lookups alone when they all do.
+    and the candidates read it by lookups alone when they all do.  The sweep
+    over all windows (the TNP condition, which skips a window whose X is 0)
+    ends at the first size r whose level r - 1 the table found all 0: X is
+    built from minors of size r - 1, so it is 0 in every window of size r, and
+    every larger minor is 0, so it is 0 in every larger window too.
     """
     table = a.minor_table
     for r in range(first, k + 1):
         _check_lcp_size(r)
         whole = table.fill(r)
+        if not contiguous and r > table._zero:
+            return
         col_sets = [(cols, _position_keys(1 << j for j in cols[0])) for cols in index_sets(a.cols, r, contiguous)]
         for rows in index_sets(a.rows, r, contiguous):
             rows0 = rows[0]
@@ -812,6 +818,10 @@ def tnp_lcp_sufficient_check(a: ExactMatrix, k: int) -> TnpLcpReport:
 
     The 1x1 windows are decided by the signs of the entries and the 2x2 windows
     in closed form (:func:`_two_by_two_windows`); the support walk starts at size 3.
+    A window whose test vector X is 0 cannot change the report (see the loop),
+    so the walk builds none: it skips each one, and once every minor of some
+    size r - 1 is 0 (a level the minor table found all 0), every window of size
+    r and above has X = 0, and the walk stops (:func:`_lcp_windows`).
     """
     check_order(a, k)
     check_all_window_dims(a)

@@ -10,8 +10,9 @@ matrix is the scaled minor over the product of d_i on its rows
 (:func:`row_scale`).  The condensation sweep :func:`_int_minor_levels` gives the
 minors a level at a time, sizes ascending (each minor of size s >= 3 in O(1)
 from the two levels below by Desnanot-Jacobi, or in O(s) from the level below
-when its inner minor is 0); it holds its two levels below at every size and
-refuses a level of more than ``MAX_LEVEL_MINORS`` minors.  Scans that read each
+when its inner minor is 0); it holds its two levels below at every size,
+refuses a level of more than ``MAX_LEVEL_MINORS`` minors, and condenses no
+level above an all-zero one, whose minors are all 0.  Scans that read each
 minor once (the minor definition, ``minors_up_to`` and the certificate of
 ``totneg generate``) read the sweep itself.  Lookups read one
 :class:`MinorTable` per matrix (``ExactMatrix.minor_table``), which stores the
@@ -452,16 +453,23 @@ class MinorTable:
         self._values: dict[int, int] = {}  # (row mask << ncols) | column mask -> minor
         self._sweep = _int_minor_levels(self._ints, min(a.rows, a.cols))
         self._whole = 0  # the levels of sizes 1.._whole are stored whole
+        self._zero = min(a.rows, a.cols) + 1  # the least size whose stored level is all 0 (past the order: none)
+        self._zero_rows: set[int] = set()  # row mask << ncols of each stored row set whose minors are all 0
         self._lock = threading.Lock()
 
     def fill(self, r: int) -> bool:
         """Store the levels up to size r, sizes ascending, while each one fits
         under ``MAX_STORED_MINORS``; one thread stores at a time.  True when
         every level of sizes 1..r is stored whole, so that every minor of size r
-        or less is a lookup that cannot miss."""
+        or less is a lookup that cannot miss.
+
+        A stored level that is all 0 is the last one drawn: every larger minor
+        is 0, so none is condensed or stored, and ``minor_of_masks`` answers 0
+        for it.  The row sets whose stored minors are all 0 are noted for
+        :meth:`level`."""
         nrows, ncols = len(self._ints), self._ncols
         with self._lock:
-            while (s := self._whole + 1) <= r:
+            while (s := self._whole + 1) <= min(r, self._zero):
                 if len(self._values) + math.comb(nrows, s) * math.comb(ncols, s) > MAX_STORED_MINORS:
                     break
                 # a level that fits is below MAX_LEVEL_MINORS, so the sweep does not refuse it
@@ -469,9 +477,15 @@ class MinorTable:
                 if level is None:
                     raise InvariantError(f"the condensation sweep ended before level {s}")
                 cmasks = [cmask for _, cmask, _ in index_sets(ncols, s, False)]
+                zero_rows = []
                 for (_, rmask, _), values in zip(index_sets(nrows, s, False), level):
                     rkey = rmask << ncols
                     self._values.update(zip([rkey | cmask for cmask in cmasks], values))
+                    if not any(values):
+                        zero_rows.append(rkey)
+                self._zero_rows.update(zero_rows)
+                if len(zero_rows) == len(level):
+                    self._zero = s
                 self._whole = s
             return self._whole >= r
 
@@ -485,6 +499,8 @@ class MinorTable:
         key = rmask << self._ncols | cmask
         value = self._values.get(key)
         if value is None:
+            if rmask.bit_count() > self._zero:
+                return 0  # above an all-zero stored level
             value = self._expand(rmask, cmask, along)
             if value is None:
                 rows = [self._ints[i] for i in _bits(rmask)]
@@ -536,32 +552,46 @@ class MinorTable:
         return row_scale(self._scales, rows0)
 
     def level(self, r: int, coeffs: Sequence[int]) -> Iterator[SweptWindow]:
-        """Every window of size r >= 2 in lexicographic (rows, cols) order, as
-        ``(rows0, cols0, minor, N)``, N the integers with adj(S) @ (coeffs / L) =
-        N / (L * scale(rows0)) for every L > 0, S the window.
+        """Every window of size r >= 2 whose minor is not 0, in lexicographic
+        (rows, cols) order, as ``(rows0, cols0, minor, N)``, N the integers with
+        adj(S) @ (coeffs / L) = N / (L * scale(rows0)) for every L > 0, S the window.
 
         After :meth:`fill`, the minor is read from level r and N from level r - 1:
         for the row set R and each C' of size r - 1, G(C') = sum_j (-1)^j c_j
         d_(R_j) M(R - R_j, C') is computed once, and every column window C that
         contains C' has N_l = (-1)^l G(C - C_l).  Lazy: nothing is computed past
         the last window taken.
+
+        A window whose minor is 0 gets no N: its S x = det(S) alpha is 0, on
+        which the weak tests cannot fail whatever x is (each nonzero x_i keeps
+        its sign, as x_i * 0 >= 0, and s-(0) = 0 with no end sign).  So a
+        stored row set whose minors are all 0 is skipped whole, and so is a
+        level at or above an all-zero one; past the table's cap each window's
+        minor is computed and a 0 skipped in the one loop.
         """
         self.fill(r)
+        if r >= self._zero:
+            return
         ints, scales, values, shift = self._ints, self._scales, self._values, self._ncols
+        zero_rows = self._zero_rows
         # contiguous passed as the complementarity sweeps pass it: one cache entry per (n, r)
         col_sets = index_sets(shift, r, False)
         for rows0, rmask, rdels in index_sets(len(ints), r, False):
+            rkey = rmask << shift
+            if rkey in zero_rows:
+                continue
             weighted = [
                 (rm, rm << shift, -c * scales[i] if j % 2 else c * scales[i])
                 for j, (i, rm, c) in enumerate(zip(rows0, rdels, coeffs))
                 if c
             ]
             shared: dict[int, int] = {}  # C' -> G(C')
-            rkey = rmask << shift
             for cols0, cmask, cdels in col_sets:
                 det = values.get(rkey | cmask)
                 if det is None:
                     det = self.minor_of_masks(rmask, cmask)
+                if not det:
+                    continue
                 x = []
                 for l, cm in enumerate(cdels):
                     g = shared.get(cm)
@@ -624,16 +654,26 @@ def _int_minor_levels(ints: Sequence[Sequence[int]], k: int) -> Iterator[Sequenc
     no minor is eliminated.  The sweep keeps the two levels below the one it
     builds, and refuses a level of more than ``MAX_LEVEL_MINORS`` minors before
     building it.
+
+    Once a level is all 0 the rank is below its size, so every larger minor is
+    0 too (expand it along a row over minors of that size).  Each later level
+    is then zeros, not condensed: one list of zeros that every row set shares,
+    so readers must not change a level.
     """
     m, n = len(ints), len(ints[0])
     inner: Sequence[Sequence[int]] = [[1]]
     lower: Sequence[Sequence[int]] = ints
     yield ints
+    zero = not any(map(any, ints))
     for s in range(2, k + 1):
         count = math.comb(m, s) * math.comb(n, s)
         if count > MAX_LEVEL_MINORS:
             raise ResourceLimitError(f"{count} minors of size {s} exceed the {MAX_LEVEL_MINORS} one level may hold")
-        inner, lower = lower, _condensed_rows(ints, s, lower, inner)
+        if zero:
+            lower = [[0] * math.comb(n, s)] * math.comb(m, s)
+        else:
+            inner, lower = lower, _condensed_rows(ints, s, lower, inner)
+            zero = not any(map(any, lower))
         yield lower
 
 

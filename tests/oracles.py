@@ -9,8 +9,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal, Sequence
 
+from hypothesis import strategies as st
+
 from totneg import (
     TN,
+    AlphaChoice,
     ClassQuery,
     Verdict,
     Violation,
@@ -23,6 +26,7 @@ from totneg import (
     SolutionFamily,
     TnpLcpReport,
     TnpLcpStatus,
+    adjugate,
     check_by_minor_definition,
     s_minus,
     sign_non_reversal,
@@ -35,7 +39,6 @@ from totneg.generate import (
     Rows,
     _sub_rows,
     _tn_square_rows,
-    _verify_class,
     generate_tnp,
 )
 from totneg.hull import IntervalHull, i_matrix
@@ -45,6 +48,7 @@ from totneg.matrix import (
     MinorTable,
     _one_based,
     check_order,
+    cofactor_minor,
     det_of_rows,
     to_fraction,
 )
@@ -496,6 +500,118 @@ def solve_lcp_on_fractions(inst: LCPInstance) -> LCPSolutionSet:
             found.update(dict.fromkeys(points))
             families.extend(fams)
     return LCPSolutionSet(solutions=tuple(sorted(found)), families=tuple(families))
+
+
+def single_vector_x(sub, weights=None):
+    """The test vector of a window from Bareiss deletion minors: sum_i w_i M_ij
+    at odd positions j, zeros elsewhere (a 1x1 window has M_11 = -1)."""
+    weights = weights or {1: Fraction(1)}
+    r = sub.rows
+    return tuple(
+        sum((w * cofactor_minor(sub, i, j) for i, w in weights.items() if i <= r), Fraction(0)) if j % 2 else Fraction(0)
+        for j in range(1, r + 1)
+    )
+
+
+def solver_tnp_sufficient_check(a, k):
+    """The TNP check with every window's solution set from the Fraction oracle."""
+    check_order(a, k)
+    saw_family = None
+    for r in range(1, k + 1):
+        for rows0, cols0 in all_windows(a.rows, a.cols, r):
+            sub = take(a, rows0, cols0)
+            q = sub.matvec(single_vector_x(sub))
+            rows1, cols1 = tuple(i + 1 for i in rows0), tuple(j + 1 for j in cols0)
+            if any(v < 0 for v in q):
+                return TnpLcpReport(
+                    TnpLcpStatus.VIOLATION, rows1, cols1, q,
+                    note="zero vector is not a solution of the prescribed instance",
+                )
+            sols = solve_lcp_on_fractions(LCPInstance(sub, q))
+            if not sols.is_finite:
+                saw_family = saw_family or (rows1, cols1)
+                continue
+            nonzero = [v for v in sols.solutions if any(v)]
+            for u, v in itertools.combinations(nonzero, 2):
+                if sub.matvec(u) != sub.matvec(v):
+                    return TnpLcpReport(
+                        TnpLcpStatus.VIOLATION, rows1, cols1, q, (u, v),
+                        note="two nonzero solutions with different images",
+                    )
+    if saw_family is not None:
+        return TnpLcpReport(
+            TnpLcpStatus.INCONCLUSIVE, *saw_family,
+            note="infinite solution family prevents exhaustive verification of the image condition",
+        )
+    return TnpLcpReport(TnpLcpStatus.SUFFICIENT)
+
+
+def reference_minor_definition(a: ExactMatrix, k: int) -> Verdict:
+    """The TNP minor definition from ``reference_minors_up_to``: the first minor above 0."""
+    bad = next((rec for rec in reference_minors_up_to(a, k) if rec.value > 0), None)
+    witness = None if bad is None else Violation(ViolationKind.POSITIVE_MINOR, bad.rows, bad.cols, detail=bad.value)
+    return Verdict(bad is None, "minor_definition", witness)
+
+
+def _weak_ends(v: Sequence[Fraction]) -> tuple[int, tuple[bool, bool] | None]:
+    """s-(v) and the signs (positive?) of v's first and last nonzero entries, None for v = 0."""
+    signs = [e > 0 for e in v if e]
+    return sum(p != q for p, q in zip(signs, signs[1:])), (signs[0], signs[-1]) if signs else None
+
+
+def reference_tnp_single_vector(a: ExactMatrix, k: int, alpha: AlphaChoice, method: str) -> Verdict:
+    """The TNP single-vector test on Fractions, every window judged: the first
+    positive entry, then every window S of size 2..k in lexicographic order,
+    singular ones included, with x = adj(S) alpha and S x a product.  Weak sign
+    non-reversal fails where x != 0 and no x_i != 0 has x_i (S x)_i >= 0; weak
+    variation where x != 0 and s-(S x) > s-(x), or they are equal, S x != 0 and
+    the end signs differ."""
+    entry = first_entry_violating(a, strict=False)
+    if entry is not None:
+        return Verdict(False, method, Violation(ViolationKind.POSITIVE_MINOR, entry[:1], entry[1:2], detail=entry[2]))
+    for r in range(2, k + 1):
+        coeffs = alpha.realized(r)
+        for rows0, cols0 in all_windows(a.rows, a.cols, r):
+            s = take(a, rows0, cols0)
+            x = adjugate(s).matvec(coeffs)
+            y = s.matvec(x)
+            if not any(x):
+                continue
+            if method == "tnp_snr_single_vector":
+                kind = None if any(xi and xi * yi >= 0 for xi, yi in zip(x, y)) else ViolationKind.SIGN_REVERSAL
+            else:
+                (sx, ends_x), (sy, ends_y) = _weak_ends(x), _weak_ends(y)
+                kind = ViolationKind.VARIATION_INCREASE if sy > sx else None
+                if sy == sx and ends_y is not None and ends_y != ends_x:
+                    kind = ViolationKind.EQUALITY_SIGN_CLAUSE
+            if kind is not None:
+                return Verdict(False, method, Violation(kind, _one_based(rows0), _one_based(cols0), vector=x))
+    return Verdict(True, method)
+
+
+@st.composite
+def rank_deficient_nonpositive(draw) -> ExactMatrix:
+    """2x2 to 4x5 matrices with no positive entry and less than full rank:
+    rank one (-u v^T with u, v >= 0), or one with a zero row or column, or
+    with a row or column repeated up to a positive factor; then every row over
+    a positive scale of its own."""
+    m, n = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    magnitude = st.sampled_from((0, 1, 2, 3, Fraction(5, 2), Fraction(7, 3)))
+    kind = draw(st.sampled_from(("rank one", "zero row", "zero column", "repeated row", "repeated column")))
+    if kind == "rank one":
+        u, v = [draw(magnitude) for _ in range(m)], [draw(magnitude) for _ in range(n)]
+        rows = [[-Fraction(ui * vj) for vj in v] for ui in u]
+    else:
+        rows = [[-Fraction(draw(magnitude)) for _ in range(n)] for _ in range(m)]
+        i, j = draw(st.permutations(range(m if kind.endswith("row") else n)))[:2]
+        factor = draw(st.sampled_from((1, 2, Fraction(1, 2), Fraction(3, 5)))) if kind.startswith("repeated") else 0
+        if kind.endswith("row"):
+            rows[i] = [factor * e for e in rows[j]]
+        else:
+            for row in rows:
+                row[i] = factor * row[j]
+    scales = [draw(st.sampled_from((1, 2, Fraction(1, 3), Fraction(7, 2)))) for _ in range(m)]
+    return ExactMatrix.from_rows([[e * d for e in row] for row, d in zip(rows, scales)])
 
 
 def reference_support_candidates(
@@ -1055,14 +1171,14 @@ def generate_tn_of_order(
             continue
         if not positive_det:
             a = ExactMatrix.from_rows(rows)
-            if _verify_class(a, TN, order):
+            if check_by_minor_definition(a, ClassQuery(TN, order)).holds:
                 return GeneratedInstance(a, TN, order, seed, attempt)
             continue
         walked = _walk_det_positive(rows, order, rng)
         if walked is None:
             continue
         a = ExactMatrix.from_rows(walked)
-        if det_of_rows(walked) > 0 and _verify_class(a, TN, order):
+        if det_of_rows(walked) > 0 and check_by_minor_definition(a, ClassQuery(TN, order)).holds:
             return GeneratedInstance(a, TN, order, seed, attempt)
     return None
 

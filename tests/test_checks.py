@@ -8,6 +8,8 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from totneg import (
     AlphaChoice,
@@ -40,8 +42,8 @@ from totneg.generate import (
     generate_tnp,
     random_rational_matrix,
 )
-from totneg.lcp import tnp_lcp_sufficient_check
-from totneg.matrix import _bits
+from totneg.lcp import TnpLcpStatus, tnp_lcp_sufficient_check
+from totneg.matrix import MinorTable, _bits
 
 from oracles import (
     adjugate_numerators,
@@ -51,7 +53,11 @@ from oracles import (
     identity,
     levels_drawn,
     masks,
+    rank_deficient_nonpositive,
+    reference_minor_definition,
     reference_minors_up_to,
+    reference_tnp_single_vector,
+    solver_tnp_sufficient_check,
     stored_minors,
     transpose,
 )
@@ -466,25 +472,101 @@ def test_all_window_sweeps_at_7x7_read_the_level_sweep(monkeypatch):
     assert check_tnp_vd(b, alpha=AlphaChoice.of(["1/2", 3], global_sign=-1)).holds
 
 
-def test_zero_inner_minors_are_expanded_not_eliminated(eliminations):
-    """The rank-one 5x5 TNP instance (seed 1) and the singular 6x6 one (seed 1)
-    have level minors whose inner minor is 0; each is expanded over the level
-    below, so the certificate, the sign non-reversal sweep and the minor
-    definition eliminate none, and a lookup after a fill reads the stored level."""
-    five = generate_tnp((5, 5), 5, seed=1).matrix
-    six = generate_tnp((6, 6), 6, seed=1).matrix
+def test_zero_inner_minors_are_expanded_not_eliminated(monkeypatch, eliminations):
+    """The singular 6x6 TNP instance (seed 0, rank 5) has minors whose inner
+    minor is 0 on levels that the sweep condenses; each is expanded over the
+    level below, so the certificate, the sign non-reversal sweep and the minor
+    definition eliminate none, and a lookup after a fill reads the stored
+    level.  (The rank-one instances, such as the 5x5 and 6x6 of seed 1,
+    condense nothing past their all-zero level 2.)"""
+    six = generate_tnp((6, 6), 6, seed=0).matrix
     scanned = ExactMatrix(six.rows, six.cols, six.entries)
+    condensed = []
+    real = matrix_module._condensed_rows
+    monkeypatch.setattr(matrix_module, "_condensed_rows", lambda ints, s, *rest: condensed.append(s) or real(ints, s, *rest))
     eliminations.clear()
-    certificate_digest(five, 5)
+    certificate_digest(six, 6)
     assert check_tnp_snr(six, 6).holds
     assert check_by_minor_definition(scanned, ClassQuery("tnp", 6)).holds
     assert scanned.minor_table.fill(6)
     assert scanned.minor_table.minor_of_masks(*masks(range(6), range(6))) == 0
     assert eliminations == []
-    for a, k in ((five, 5), (six, 6)):
-        assert list(minors_up_to(a, k)) == list(reference_minors_up_to(a, k))
-        minors = {(rec.rows, rec.cols): rec.value for rec in minors_up_to(a, k)}
-        assert any(minors[rows[1:-1], cols[1:-1]] == 0 for rows, cols in minors if len(rows) >= 3)
+    assert list(minors_up_to(six, 6)) == list(reference_minors_up_to(six, 6))
+    minors = {(rec.rows, rec.cols): rec.value for rec in minors_up_to(six, 6)}
+    expanded = {len(rows) for rows, cols in minors if len(rows) >= 3 and minors[rows[1:-1], cols[1:-1]] == 0}
+    assert expanded and expanded <= set(condensed)
+
+
+positive_alphas = st.one_of(
+    st.none(),
+    st.builds(
+        AlphaChoice,
+        st.lists(st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=5), min_size=1, max_size=3).map(tuple),
+        st.sampled_from((1, -1)),
+    ),
+)
+
+
+@pytest.mark.parametrize("cap", [matrix_module.MAX_STORED_MINORS, 30])
+@settings(max_examples=60, deadline=None)
+@given(rank_deficient_nonpositive(), positive_alphas, st.data())
+def test_tnp_sweeps_on_rank_deficient_matrices_match_the_fraction_oracle(cap, a, alpha, data):
+    """On rank-one matrices, zero rows or columns, and rows or columns repeated
+    up to a positive factor, most windows are singular and the level sweep
+    skips them: the TNP sign non-reversal and variation tests and
+    ``cross_validate(..., "tnp")`` still give the verdicts and witnesses of the
+    Fraction oracles, which judge every window, with the default and a strictly
+    positive alpha.  A cap of 30 stores level 1 alone of the larger inputs, so
+    their all-zero levels are not found and every window is computed past it."""
+    k = data.draw(st.integers(1, min(a.rows, a.cols)))
+    snr = reference_tnp_single_vector(a, k, alpha or AlphaChoice.of([1]), "tnp_snr_single_vector")
+    vd = reference_tnp_single_vector(a, k, alpha or AlphaChoice.of([1]), "tnp_vd_single_vector")
+    minors = reference_minor_definition(a, k)
+    status = solver_tnp_sufficient_check(a, k).status
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrix_module, "MAX_STORED_MINORS", cap)
+        assert check_tnp_snr(ExactMatrix(a.rows, a.cols, a.entries), k, alpha) == snr
+        assert check_tnp_vd(ExactMatrix(a.rows, a.cols, a.entries), alpha, k) == vd
+        report = cross_validate(ExactMatrix(a.rows, a.cols, a.entries), k, "tnp", alpha)
+    assert [(m.name, m.holds, m.witness) for m in report.methods] == [(v.method, v.holds, v.witness) for v in (minors, snr, vd)]
+    assert report.lcp_status == status.value
+    assert report.agree == (minors.holds == snr.holds == vd.holds and (status != TnpLcpStatus.SUFFICIENT or minors.holds))
+
+
+def test_a_window_whose_minor_is_0_reaches_no_judge_and_gets_no_test_vector(monkeypatch):
+    """The TNP sweeps judge only the windows whose minor is not 0.  On the
+    singular 6x6 TNP instance (seed 0, rank 5) each judge sees exactly the
+    windows of sizes 2-6 with a nonzero minor, and none with S x = 0; on the
+    rank-one 5x5 (seed 1) no judge runs.  There the level sweep yields nothing:
+    a fill finds level 2 all 0 and stores no level above it, and with nothing
+    stored (a cap of 0) it asks ``minor_of_masks`` for each window's minor and
+    for no minor of size r - 1, which a test vector N would need."""
+    judged = []
+    for method in ("tnp_snr_single_vector", "tnp_vd_single_vector"):
+        cls, contiguous, judge = checks_module.SINGLE_VECTOR[method]
+
+        def spy(x, y, judge=judge):
+            judged.append(tuple(y))
+            return judge(x, y)
+
+        monkeypatch.setitem(checks_module.SINGLE_VECTOR, method, (cls, contiguous, spy))
+    six = generate_tnp((6, 6), 6, seed=0).matrix
+    nonsingular = sum(1 for rec in reference_minors_up_to(six, 6) if len(rec.rows) >= 2 and rec.value)
+    assert check_tnp_snr(six, 6).holds and check_tnp_vd(six).holds
+    assert len(judged) == 2 * nonsingular and all(any(y) for y in judged)
+    five = generate_tnp((5, 5), 5, seed=1).matrix
+    judged.clear()
+    assert check_tnp_snr(five, 5).holds and check_tnp_vd(five).holds
+    assert judged == []
+    assert levels_drawn(five.minor_table) == 2 and stored_minors(five.minor_table) == 25 + 100
+    asked = []
+    real = MinorTable.minor_of_masks
+    monkeypatch.setattr(MinorTable, "minor_of_masks", lambda table, rmask, *rest: asked.append(rmask.bit_count()) or real(table, rmask, *rest))
+    monkeypatch.setattr(matrix_module, "MAX_STORED_MINORS", 0)
+    for r in range(2, 6):
+        asked.clear()
+        assert list(MinorTable(five).level(r, [1, -1, 1, -1, 1][:r])) == []
+        assert asked == [r] * math.comb(5, r) ** 2
 
 
 @pytest.mark.parametrize("cap", [matrix_module.MAX_STORED_MINORS, 40])

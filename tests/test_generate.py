@@ -23,7 +23,7 @@ from totneg.generate import (
     random_rational_matrix,
     run_method,
 )
-from totneg.matrix import det_of_rows
+from totneg.matrix import det_of_rows, parse_matrix
 
 from oracles import (
     generate_n_matrix,
@@ -277,7 +277,27 @@ def test_generated_instances_keep_every_byte(klass, shape, k, seed, text_sha, ce
     inst = GENERATORS[klass](shape, k, seed)
     assert hashlib.sha256(inst.matrix.to_text().encode()).hexdigest() == text_sha
     assert certificate_digest(inst.matrix, k) == certificate
+    assert inst.certificate == certificate
     assert inst.attempts == attempts
+
+
+@pytest.mark.parametrize("klass", ["tn", "tnp"])
+def test_generation_condenses_its_instance_once_for_its_check_and_its_certificate(klass, tmp_path, monkeypatch):
+    """``totneg generate`` checks each emitted matrix by the minor definition at
+    full order and digests its certificate at the order asked for, from one
+    condensation sweep: no level of the matrix's scaled rows is condensed
+    twice, and the recorded certificate is ``certificate_digest``'s."""
+    swept = []
+    real = totneg.matrix._condensed_rows
+    monkeypatch.setattr(
+        totneg.matrix, "_condensed_rows", lambda ints, s, *rest: swept.append((s, [list(r) for r in ints])) or real(ints, s, *rest)
+    )
+    argv = ["generate", "--class", klass, "--shape", "5x5", "--order", "4", "--count", "1", "--seed", "2"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    a = parse_matrix((tmp_path / f"{klass}_5x5_k4_seed2.txt").read_text())
+    sizes = [s for s, ints in swept if ints == a.integer_rows[0]]
+    assert sizes == sorted(set(sizes)) and sizes[:1] == [2]
+    assert f"certificate={certificate_digest(a, 4)}\n" in (tmp_path / f"{klass}_5x5_k4_seed2.meta").read_text()
 
 
 def test_generation_and_its_certificate_read_minors_from_the_levels_below(eliminations):

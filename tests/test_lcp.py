@@ -56,7 +56,9 @@ from oracles import (
     reference_pair_with_distinct_images,
     reference_support_candidates,
     scale,
+    single_vector_x,
     solve_lcp_on_fractions,
+    solver_tnp_sufficient_check,
     stored_minors,
     support_solutions_on_fractions,
     take,
@@ -66,17 +68,6 @@ from oracles import (
 
 def fv(*values):
     return tuple(Fraction(v) for v in values)
-
-
-def single_vector_x(sub, weights=None):
-    """The test vector of a window from Bareiss deletion minors: sum_i w_i M_ij
-    at odd positions j, zeros elsewhere (a 1x1 window has M_11 = -1)."""
-    weights = weights or {1: Fraction(1)}
-    r = sub.rows
-    return tuple(
-        sum((w * cofactor_minor(sub, i, j) for i, w in weights.items() if i <= r), Fraction(0)) if j % 2 else Fraction(0)
-        for j in range(1, r + 1)
-    )
 
 
 def verify_solution(a: ExactMatrix, q, x) -> bool:
@@ -435,39 +426,6 @@ def solver_single_vector_check(a, k, weights, method):
                 rows1, cols1 = tuple(i + 1 for i in rows0), tuple(j + 1 for j in cols0)
                 return Verdict(False, method, Violation(ViolationKind.LCP_SOLUTION_MISMATCH, rows1, cols1, vector=minus_x))
     return Verdict(True, method)
-
-
-def solver_tnp_sufficient_check(a, k):
-    """The TNP check with every window's solution set from the Fraction oracle."""
-    check_order(a, k)
-    saw_family = None
-    for r in range(1, k + 1):
-        for rows0, cols0 in all_windows(a.rows, a.cols, r):
-            sub = take(a, rows0, cols0)
-            q = sub.matvec(single_vector_x(sub))
-            rows1, cols1 = tuple(i + 1 for i in rows0), tuple(j + 1 for j in cols0)
-            if any(v < 0 for v in q):
-                return TnpLcpReport(
-                    TnpLcpStatus.VIOLATION, rows1, cols1, q,
-                    note="zero vector is not a solution of the prescribed instance",
-                )
-            sols = solve_lcp_on_fractions(LCPInstance(sub, q))
-            if not sols.is_finite:
-                saw_family = saw_family or (rows1, cols1)
-                continue
-            nonzero = [v for v in sols.solutions if any(v)]
-            for u, v in itertools.combinations(nonzero, 2):
-                if sub.matvec(u) != sub.matvec(v):
-                    return TnpLcpReport(
-                        TnpLcpStatus.VIOLATION, rows1, cols1, q, (u, v),
-                        note="two nonzero solutions with different images",
-                    )
-    if saw_family is not None:
-        return TnpLcpReport(
-            TnpLcpStatus.INCONCLUSIVE, *saw_family,
-            note="infinite solution family prevents exhaustive verification of the image condition",
-        )
-    return TnpLcpReport(TnpLcpStatus.SUFFICIENT)
 
 
 GENERATORS = {"tn": generate_tn, "tnp": generate_tnp, "near-miss": generate_near_miss}
@@ -1073,8 +1031,11 @@ def test_slacks_first_on_whole_levels_give_the_reference_stream_and_store_nothin
     """With every level up to the window size kept (``fill`` is True), the kernel
     tests the slacks first and reads lookups alone: the same candidate values as
     the reference, on every window of the certified instances, and no minor added
-    to the table."""
-    for a in (generate_tn((7, 7), 7, seed=0).matrix, generate_tnp((6, 6), 6, seed=1).matrix):
+    to the table.  The tnp 6x6 is the singular one of seed 0 (rank 5), whose
+    levels are all stored; a rank-one matrix has no stored level above its
+    all-zero level 2, so ``fill`` is False there and the kernel takes the
+    lookups that may miss."""
+    for a in (generate_tn((7, 7), 7, seed=0).matrix, generate_tnp((6, 6), 6, seed=0).matrix):
         new, old = ExactMatrix.from_rows(a.row_list()), ExactMatrix.from_rows(a.row_list())
         for rows0, cols0 in every_window(a):
             assert new.minor_table.fill(len(rows0))

@@ -47,6 +47,7 @@ from oracles import (
     levels_drawn,
     masks,
     matmul,
+    rank_deficient_nonpositive,
     reference_contiguous_minors_up_to,
     reference_minors_up_to,
     scale,
@@ -386,10 +387,11 @@ def test_condensed_levels_match_the_per_minor_fraction_reference(cap, a, fills, 
     """After a fill to a drawn size, ``minor_of_masks`` (windows in
     ``all_windows`` order, and shuffled) and ``level(r, c)`` give the minors of
     the per-minor Fraction reference, and ``level(r, c)`` the numerators of a
-    Fraction adjugate.  Zero and repeated rows make inner minors vanish, and the
-    example's determinant -2 has the inner minor 0; a cap of 40 stores the small
-    levels in the table and looks the rest up past it, and a cap of 0 stores
-    none, so every lookup of size 3 or more is computed alone."""
+    Fraction adjugate, on every window whose minor is not 0 and on no other.
+    Zero and repeated rows make inner minors vanish, and the example's
+    determinant -2 has the inner minor 0; a cap of 40 stores the small levels
+    in the table and looks the rest up past it, and a cap of 0 stores none, so
+    every lookup of size 3 or more is computed alone."""
     k = min(a.rows, a.cols)
     expected = {
         (tuple(i - 1 for i in rec.rows), tuple(j - 1 for j in rec.cols)): rec.value
@@ -407,7 +409,8 @@ def test_condensed_levels_match_the_per_minor_fraction_reference(cap, a, fills, 
         assert len(values) == len(expected)
         for r in range(2, k + 1):
             level = list(swept.level(r, coeffs[:r]))
-            assert [(rows0, cols0) for rows0, cols0, _, _ in level] == list(all_windows(a.rows, a.cols, r))
+            nonsingular = [w for w in all_windows(a.rows, a.cols, r) if expected[w]]
+            assert [(rows0, cols0) for rows0, cols0, _, _ in level] == nonsingular
             for rows0, cols0, v, x in level:
                 assert Fraction(v, swept.scale(rows0)) == expected[rows0, cols0]
                 adj = adjugate(take(a, rows0, cols0)).matvec([Fraction(c) for c in coeffs[:r]])
@@ -530,7 +533,9 @@ def test_a_level_past_the_sweeps_bound_is_refused_before_it_is_built(monkeypatch
     ``MAX_LEVEL_MINORS``: ``minors_up_to(a, 13)`` gives every minor of sizes 1
     to 4 and then refuses, and level 5 is never condensed.  The minor
     definition on the all-zero 13x13 (in the weak class) refuses it too, and so
-    does a second call on the same matrix, which reads a sweep of its own."""
+    does a second call on the same matrix, which reads a sweep of its own; its
+    level 1 is all 0, so its levels 2 to 4 are zeros that are not condensed,
+    but the refusal still comes before level 5."""
     built = []
     real = matrix_module._condensed_rows
 
@@ -551,7 +556,28 @@ def test_a_level_past_the_sweeps_bound_is_refused_before_it_is_built(monkeypatch
     for _ in range(2):
         with pytest.raises(ResourceLimitError):
             check_by_minor_definition(zero, ClassQuery("tnp", 13))
-    assert built == [2, 3, 4] * 3
+    assert built == [2, 3, 4]
+
+
+@settings(max_examples=80, deadline=None)
+@given(rank_deficient_nonpositive(), st.integers(1, 4))
+@example(ExactMatrix.from_rows([[0] * 4] * 3), 3)
+def test_levels_above_an_all_zero_level_are_zeros_not_condensed(a, order):
+    """Once every minor of some size is 0, so is every larger one: the sweep
+    still gives every minor of the per-minor Fraction reference on
+    rank-deficient inputs (the all-zero matrix included), and condenses the
+    levels up to the first all-zero one and none above it."""
+    k = min(order, a.rows, a.cols)
+    built = []
+    real = matrix_module._condensed_rows
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrix_module, "_condensed_rows", lambda ints, s, *rest: built.append(s) or real(ints, s, *rest))
+        records = list(minors_up_to(a, k))
+    assert records == list(reference_minors_up_to(a, k))
+    nonzero = {len(rec.rows) for rec in records if rec.value}
+    first_zero = min(set(range(1, k + 1)) - nonzero, default=k + 1)
+    assert nonzero == set(range(1, first_zero))
+    assert built == list(range(2, min(first_zero, k) + 1))
 
 
 def test_minor_stream_expands_a_minor_whose_inner_minor_is_zero(eliminations):
@@ -708,7 +734,8 @@ def level_cases(draw):
 def test_level_sweep_matches_a_fresh_table_window_by_window(cap, case):
     """Each window's minor and adjugate numerators from the level sweep equal a
     fresh table's ``minor_of_masks`` and the oracle's ``adjugate_numerators``, in ``all_windows``
-    order; with every level already stored (a fill to the full size first) and
+    order, for every window whose minor is not 0 (the level sweep yields no
+    other); with every level already stored (a fill to the full size first) and
     without, and past a storage cap."""
     a, alpha = case
     with pytest.MonkeyPatch.context() as patch:
@@ -720,8 +747,9 @@ def test_level_sweep_matches_a_fresh_table_window_by_window(cap, case):
             lcm = math.lcm(*(v.denominator for v in realized))
             coeffs = [int(v * lcm) for v in realized]
             expected = [
-                (rows0, cols0, reference.minor_of_masks(*masks(rows0, cols0)), adjugate_numerators(reference, rows0, cols0, coeffs))
+                (rows0, cols0, minor, adjugate_numerators(reference, rows0, cols0, coeffs))
                 for rows0, cols0 in all_windows(a.rows, a.cols, r)
+                if (minor := reference.minor_of_masks(*masks(rows0, cols0)))
             ]
             assert list(vectors.level(r, coeffs)) == expected
             assert list(filled.level(r, coeffs)) == expected
