@@ -11,10 +11,13 @@ certificate.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from .errors import DimensionError, ResourceLimitError
@@ -23,6 +26,7 @@ from .matrix import (  # noqa: F401 - adjugate and minors_up_to stay bound here 
     RationalLike,
     MinorWindow,
     SweptWindow,
+    _condensation_sets,
     _contiguous_int_minors,
     _int_minor_levels,
     _one_based,
@@ -188,6 +192,39 @@ def _contiguous_solves(a: ExactMatrix, r: int, coeffs: Sequence[int]) -> Iterato
             yield rows0, cols0, *solve_window(a, rows0, cols0, coeffs)
 
 
+@lru_cache(maxsize=256)
+def _signed_deletions(n: int, r: int) -> tuple[tuple[tuple[int, ...], itemgetter], ...]:
+    """(C, pick) for each r-subset C of range(n), r >= 2, lexicographic, where
+    pick(G + [-g for g in G]) = ((-1)^l G(C - C_l))_l for G indexed by the
+    (r-1)-subsets; built once per (n, r)."""
+    half = math.comb(n, r - 1)
+    signed = ((c, [p + half * (l % 2) for l, p in enumerate(d)]) for c, *_, d in _condensation_sets(n, r))
+    return tuple((c, itemgetter(*positions)) for c, positions in signed)
+
+
+def _level_solves(
+    a: ExactMatrix, r: int, coeffs: Sequence[int], lower: Sequence[Sequence[int]], level: Sequence[Sequence[int]]
+) -> Iterator[SweptWindow]:
+    """Every window of size r >= 2 whose minor is not 0, lexicographic, with its
+    minor (its entry in ``level``, level r of the scaled rows) and adjugate
+    numerators N, from ``lower``, level r - 1: for the row set R, G(C') =
+    sum_j (-1)^j c_j d_(R_j) M(R - R_j, C') is summed once for every C' of size
+    r - 1, and each column window C has N_l = (-1)^l G(C - C_l), at the
+    deletion positions :func:`_condensation_sets` lists.  A row set whose
+    minors are all 0 is skipped before its G is summed."""
+    scales = a.integer_rows[1]
+    picks = _signed_deletions(a.cols, r)
+    for (rows0, *_, rdels), values in zip(_condensation_sets(a.rows, r), level):
+        if not any(values):
+            continue
+        weights = [-c * scales[i] if j % 2 else c * scales[i] for j, (i, c) in enumerate(zip(rows0, coeffs))]
+        g = [sum(map(mul, weights, column)) for column in zip(*[lower[p] for p in rdels])]
+        signed = g + [-v for v in g]
+        for (cols0, pick), det in zip(picks, values):
+            if det:
+                yield rows0, cols0, det, pick(signed)
+
+
 def _first_failure(judges: Sequence[Judge]) -> Judge:
     """One judge for several: the kind the first failing one finds, else None;
     a single judge is itself, so a one-method sweep calls it directly."""
@@ -218,20 +255,29 @@ def _test_vector_sweep(
     or 0 by the sign of minor(S).  Both denominators are positive, so the judges
     see the right signs; the Fraction vector is built for a witness only.
 
-    A contiguous window gets minor(S) and N from one solve on the scaled rows,
-    with no minor table; a sweep over all windows reads them off the table's
-    level sweep, which shares each row set's deletion-minor sums across its
-    column windows.  That sweep is the TNP one, and it skips every window whose
-    minor is 0 (:meth:`MinorTable.level`): S x = 0 there, and neither TNP judge
-    fails on it.
+    A contiguous window gets minor(S) and N from one solve on the scaled rows;
+    the sweep over all windows, the TNP one, streams them off two adjacent
+    condensation levels (:func:`_level_solves`).  Neither builds a minor table.
+    The stream skips every window whose minor is 0, where S x = 0 and neither
+    weak test can fail, and stops at the first all-zero level.
     """
     found: dict[Judge, tuple[Violation, float]] = {}
     live = list(judges)
     judge = _first_failure(live)
+    if not contiguous:
+        levels = _int_minor_levels(a.integer_rows[0], k)
+        lower = next(levels)
     for r in range(2, k + 1):
         (coeffs,), (lcm,) = _rows_as_scaled_ints([alpha.realized(r)])  # alpha = coeffs / lcm
         images = ([0] * r, coeffs, [-c for c in coeffs])  # sign patterns of S x, indexed by sign(det)
-        windows = _contiguous_solves(a, r, coeffs) if contiguous else a.minor_table.level(r, coeffs)
+        if contiguous:
+            windows = _contiguous_solves(a, r, coeffs)
+        else:
+            level = next(levels)
+            if not any(map(any, level)):
+                break
+            windows = _level_solves(a, r, coeffs, lower, level)
+            lower = level
         for rows0, cols0, det, x in windows:
             y = images[(det > 0) - (det < 0)]
             if judge(x, y) is None:

@@ -21,6 +21,7 @@ from typing import Any, Sequence
 from .checks import (
     TN,
     TNP,
+    SINGLE_VECTOR,
     AlphaChoice,
     Violation,
     ViolationKind,
@@ -378,6 +379,13 @@ def _verify_minor_witness(a: ExactMatrix, v: Violation) -> str | None:
     return None
 
 
+#: The class whose failure a minor or complementarity witness shows; a test-vector
+#: witness shows that of its procedure (``SINGLE_VECTOR``).
+_KIND_CLASS = {
+    ViolationKind.NONNEGATIVE_MINOR: TN, ViolationKind.LCP_SOLUTION_MISMATCH: TN, ViolationKind.POSITIVE_MINOR: TNP
+}
+
+
 def _verify_witness_entry(a: ExactMatrix, method: str, v: Violation) -> str | None:
     """Re-check one recorded violation against the parsed input; None when it verifies."""
     if v.kind in (ViolationKind.NONNEGATIVE_MINOR, ViolationKind.POSITIVE_MINOR):
@@ -410,9 +418,11 @@ def cmd_verify_witness(args: argparse.Namespace) -> int:
         signs = (member, _key(w, "z", list, int), _key(w, "zt", list, int)) if hull else None
         v = _violation_from_json(_key(w, "violation", dict) if hull else w)
         witnessed.append((_key(m, "name", str), v, signs))
-    order = report.get("order")
+    order, cls = report.get("order"), report.get("class")
     if witnessed and type(order) is not int:
         raise ValueError(f"a report with a witness needs an integer order, got {order!r}")
+    if witnessed and cls not in (TN, TNP):
+        raise ValueError(f"a report with a witness needs the class {TN!r} or {TNP!r}, got {cls!r}")
     if witnessed and hull:
         h = IntervalHull(_matrix_from_json(_key(given, "a", dict)), _matrix_from_json(_key(given, "b", dict)))
     elif witnessed:
@@ -422,6 +432,8 @@ def cmd_verify_witness(args: argparse.Namespace) -> int:
         if len(v.rows) > order:
             # a window of size r shows failure only at orders r and above
             problem = f"a window of size {len(v.rows)} cannot fail order {order}"
+        elif _KIND_CLASS.get(v.kind, SINGLE_VECTOR.get(name, (cls,))[0]) != cls:
+            problem = f"a {v.kind.value} witness of {name} does not show that class {cls} fails"
         elif signs is None:
             problem = _verify_witness_entry(a, name, v)
         elif i_matrix(h, signs[1], signs[2]) != signs[0]:

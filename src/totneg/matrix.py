@@ -14,7 +14,8 @@ when its inner minor is 0); it holds its two levels below at every size,
 refuses a level of more than ``MAX_LEVEL_MINORS`` minors, and condenses no
 level above an all-zero one, whose minors are all 0.  Scans that read each
 minor once (the minor definition, ``minors_up_to`` and the certificate of
-``totneg generate``) read the sweep itself.  Lookups read one
+``totneg generate``) read the sweep itself, and so do the TNP test-vector
+sweeps.  The lookups of the complementarity supports read one
 :class:`MinorTable` per matrix (``ExactMatrix.minor_table``), which stores the
 same sweep's levels whole, sizes ascending, while they fit under
 ``MAX_STORED_MINORS``.  The contiguous TN sweeps (:func:`_contiguous_int_minors`,
@@ -384,7 +385,7 @@ def row_scale(scales: Sequence[int], rows0: Iterable[int]) -> int:
 MinorWindow = tuple[tuple[int, ...], tuple[int, ...], int]
 
 #: One window of a test-vector sweep: (rows0, cols0, minor, adjugate numerators).
-SweptWindow = tuple[tuple[int, ...], tuple[int, ...], int, list[int]]
+SweptWindow = tuple[tuple[int, ...], tuple[int, ...], int, Sequence[int]]
 
 #: An index set, its bit mask, and the masks of the sets without one of its
 #: indices, in the set's order.
@@ -432,8 +433,7 @@ def _bits(mask: int) -> Iterator[int]:
 
 class MinorTable:
     """Minors of one matrix over its row-scaled integers (``ExactMatrix.integer_rows``),
-    kept as they are computed, for the lookups of the all-window test-vector
-    sweeps and the complementarity supports.
+    kept as they are computed, for the lookups of the complementarity supports.
 
     Row i of the matrix is scaled by ``d_i``, a positive diagonal that keeps
     the sign of every minor.  ``minor_of_masks`` gives the integer minor of the
@@ -442,9 +442,9 @@ class MinorTable:
     rows whole, sizes ascending, while each fits under ``MAX_STORED_MINORS``.
     A minor asked for and not kept is the Laplace expansion of kept minors one
     size smaller, else a :func:`det_of_rows` elimination, and is kept while
-    there is room.  A scan that reads each minor once reads the sweep itself
-    and builds no table.  Index sets are 0-based and strictly increasing; they
-    are not validated.
+    there is room.  The scans and the TNP test-vector sweeps read the
+    condensation itself and build no table.  Index sets are 0-based and
+    strictly increasing; they are not validated.
     """
 
     def __init__(self, a: ExactMatrix) -> None:
@@ -454,7 +454,6 @@ class MinorTable:
         self._sweep = _int_minor_levels(self._ints, min(a.rows, a.cols))
         self._whole = 0  # the levels of sizes 1.._whole are stored whole
         self._zero = min(a.rows, a.cols) + 1  # the least size whose stored level is all 0 (past the order: none)
-        self._zero_rows: set[int] = set()  # row mask << ncols of each stored row set whose minors are all 0
         self._lock = threading.Lock()
 
     def fill(self, r: int) -> bool:
@@ -465,8 +464,7 @@ class MinorTable:
 
         A stored level that is all 0 is the last one drawn: every larger minor
         is 0, so none is condensed or stored, and ``minor_of_masks`` answers 0
-        for it.  The row sets whose stored minors are all 0 are noted for
-        :meth:`level`."""
+        for it."""
         nrows, ncols = len(self._ints), self._ncols
         with self._lock:
             while (s := self._whole + 1) <= min(r, self._zero):
@@ -477,14 +475,10 @@ class MinorTable:
                 if level is None:
                     raise InvariantError(f"the condensation sweep ended before level {s}")
                 cmasks = [cmask for _, cmask, _ in index_sets(ncols, s, False)]
-                zero_rows = []
                 for (_, rmask, _), values in zip(index_sets(nrows, s, False), level):
                     rkey = rmask << ncols
                     self._values.update(zip([rkey | cmask for cmask in cmasks], values))
-                    if not any(values):
-                        zero_rows.append(rkey)
-                self._zero_rows.update(zero_rows)
-                if len(zero_rows) == len(level):
+                if not any(map(any, level)):
                     self._zero = s
                 self._whole = s
             return self._whole >= r
@@ -550,59 +544,6 @@ class MinorTable:
     def scale(self, rows0: Sequence[int]) -> int:
         """The minor's exact denominator factor on rows0 (:func:`row_scale`)."""
         return row_scale(self._scales, rows0)
-
-    def level(self, r: int, coeffs: Sequence[int]) -> Iterator[SweptWindow]:
-        """Every window of size r >= 2 whose minor is not 0, in lexicographic
-        (rows, cols) order, as ``(rows0, cols0, minor, N)``, N the integers with
-        adj(S) @ (coeffs / L) = N / (L * scale(rows0)) for every L > 0, S the window.
-
-        After :meth:`fill`, the minor is read from level r and N from level r - 1:
-        for the row set R and each C' of size r - 1, G(C') = sum_j (-1)^j c_j
-        d_(R_j) M(R - R_j, C') is computed once, and every column window C that
-        contains C' has N_l = (-1)^l G(C - C_l).  Lazy: nothing is computed past
-        the last window taken.
-
-        A window whose minor is 0 gets no N: its S x = det(S) alpha is 0, on
-        which the weak tests cannot fail whatever x is (each nonzero x_i keeps
-        its sign, as x_i * 0 >= 0, and s-(0) = 0 with no end sign).  So a
-        stored row set whose minors are all 0 is skipped whole, and so is a
-        level at or above an all-zero one; past the table's cap each window's
-        minor is computed and a 0 skipped in the one loop.
-        """
-        self.fill(r)
-        if r >= self._zero:
-            return
-        ints, scales, values, shift = self._ints, self._scales, self._values, self._ncols
-        zero_rows = self._zero_rows
-        # contiguous passed as the complementarity sweeps pass it: one cache entry per (n, r)
-        col_sets = index_sets(shift, r, False)
-        for rows0, rmask, rdels in index_sets(len(ints), r, False):
-            rkey = rmask << shift
-            if rkey in zero_rows:
-                continue
-            weighted = [
-                (rm, rm << shift, -c * scales[i] if j % 2 else c * scales[i])
-                for j, (i, rm, c) in enumerate(zip(rows0, rdels, coeffs))
-                if c
-            ]
-            shared: dict[int, int] = {}  # C' -> G(C')
-            for cols0, cmask, cdels in col_sets:
-                det = values.get(rkey | cmask)
-                if det is None:
-                    det = self.minor_of_masks(rmask, cmask)
-                if not det:
-                    continue
-                x = []
-                for l, cm in enumerate(cdels):
-                    g = shared.get(cm)
-                    if g is None:
-                        g = 0
-                        for rm, rk, w in weighted:
-                            sub = values.get(rk | cm)
-                            g += w * (self.minor_of_masks(rm, cm) if sub is None else sub)
-                        shared[cm] = g
-                    x.append(-g if l % 2 else g)
-                yield rows0, cols0, det, x
 
 
 @lru_cache(maxsize=256)

@@ -4,6 +4,8 @@ the tests run."""
 
 import functools
 import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +34,7 @@ from totneg import (
     sign_non_reversal,
     solve_lcp,
 )
-from totneg.checks import MAX_ALL_SUBMATRIX_DIM, _entry_violation, _tnp_vd_failure, vd_check
+from totneg.checks import MAX_ALL_SUBMATRIX_DIM, _entry_violation, _level_solves, _tnp_vd_failure, vd_check
 from totneg.errors import InvariantError
 from totneg.generate import (
     GeneratedInstance,
@@ -46,6 +48,7 @@ from totneg.lcp import _FM_CONSTRAINT_CAP, Point, _compare_candidates, _support_
 from totneg.matrix import (
     MinorRecord,
     MinorTable,
+    _int_minor_levels,
     _one_based,
     check_order,
     cofactor_minor,
@@ -163,6 +166,46 @@ def levels_drawn(table: MinorTable) -> int:
     """The largest size whose level the table has drawn from its sweep and
     stored whole (0: none)."""
     return table._whole
+
+
+def streamed_windows(a: ExactMatrix, k: int, coeffs: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...], int, list[int]]]:
+    """(rows0, cols0, minor, N) of every window that the TNP test-vector stream
+    (``checks._level_solves``) yields at sizes 2..k with the coefficients
+    coeffs[:r] at size r, fed two adjacent condensation levels at a time as
+    the sweep feeds it."""
+    levels = _int_minor_levels(a.integer_rows[0], k)
+    lower = next(levels)
+    out = []
+    for r, level in enumerate(levels, 2):
+        out += [(rows0, cols0, minor, list(x)) for rows0, cols0, minor, x in _level_solves(a, r, coeffs[:r], lower, level)]
+        lower = level
+    return out
+
+
+def adjugate_by_cofactors(s: ExactMatrix) -> list[list[Fraction]]:
+    """adj(S) of a square S of size 2 or more: entry (i, j) is (-1)^(i+j) times
+    the cofactor expansion of S without row j and column i."""
+    n = s.rows
+    rest = [[k for k in range(n) if k != i] for i in range(n)]
+    return [[(-1) ** (i + j) * det_by_cofactor_expansion(take(s, rest[j], rest[i])) for j in range(n)] for i in range(n)]
+
+
+def reference_streamed_windows(a: ExactMatrix, k: int, coeffs: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...], int, list[int]]]:
+    """:func:`streamed_windows` from Fractions, window by window: each window S
+    of size r in 2..k with det(S) != 0, lexicographic, as (rows0, cols0,
+    det(S) scale(R), adj(S) coeffs[:r] scale(R)), scale(R) the product of the
+    lcm of each row's denominators; a non-integer value cannot equal the stream's."""
+    row_scales = [math.lcm(*(v.denominator for v in row)) for row in a.row_list()]
+    out = []
+    for r in range(2, k + 1):
+        for rows0, cols0 in all_windows(a.rows, a.cols, r):
+            s = take(a, rows0, cols0)
+            d = det_by_cofactor_expansion(s)
+            if d:
+                factor = math.prod(row_scales[i] for i in rows0)
+                adj = adjugate_by_cofactors(s)
+                out.append((rows0, cols0, d * factor, [sum(map(operator.mul, row, coeffs[:r])) * factor for row in adj]))
+    return out
 
 
 def reference_minors_up_to(a: ExactMatrix, k: int) -> Iterator[MinorRecord]:

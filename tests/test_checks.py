@@ -43,7 +43,7 @@ from totneg.generate import (
     random_rational_matrix,
 )
 from totneg.lcp import TnpLcpStatus, tnp_lcp_sufficient_check
-from totneg.matrix import MinorTable, _bits
+from totneg.matrix import _bits
 
 from oracles import (
     adjugate_numerators,
@@ -455,8 +455,8 @@ def test_single_vector_sweeps_at_20x20_need_no_deletion_minors(monkeypatch):
 
 
 def test_all_window_sweeps_at_7x7_read_the_level_sweep(monkeypatch):
-    """The all-window TNP and minor sweeps take every window from the table's
-    level sweep: no per-window solve and no per-minor elimination."""
+    """The all-window TNP and minor sweeps take every window from the
+    condensation levels: no per-window solve and no per-minor elimination."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("an all-window sweep left the level sweep")
@@ -516,8 +516,9 @@ def test_tnp_sweeps_on_rank_deficient_matrices_match_the_fraction_oracle(cap, a,
     skips them: the TNP sign non-reversal and variation tests and
     ``cross_validate(..., "tnp")`` still give the verdicts and witnesses of the
     Fraction oracles, which judge every window, with the default and a strictly
-    positive alpha.  A cap of 30 stores level 1 alone of the larger inputs, so
-    their all-zero levels are not found and every window is computed past it."""
+    positive alpha.  The test-vector sweeps read the condensation levels and no
+    minor table; a cap of 30 stores level 1 alone of the larger inputs, so the
+    complementarity condition computes every window past it."""
     k = data.draw(st.integers(1, min(a.rows, a.cols)))
     snr = reference_tnp_single_vector(a, k, alpha or AlphaChoice.of([1]), "tnp_snr_single_vector")
     vd = reference_tnp_single_vector(a, k, alpha or AlphaChoice.of([1]), "tnp_vd_single_vector")
@@ -535,13 +536,13 @@ def test_tnp_sweeps_on_rank_deficient_matrices_match_the_fraction_oracle(cap, a,
 
 def test_a_window_whose_minor_is_0_reaches_no_judge_and_gets_no_test_vector(monkeypatch):
     """The TNP sweeps judge only the windows whose minor is not 0.  On the
-    singular 6x6 TNP instance (seed 0, rank 5) each judge sees exactly the
-    windows of sizes 2-6 with a nonzero minor, and none with S x = 0; on the
-    rank-one 5x5 (seed 1) no judge runs.  There the level sweep yields nothing:
-    a fill finds level 2 all 0 and stores no level above it, and with nothing
-    stored (a cap of 0) it asks ``minor_of_masks`` for each window's minor and
-    for no minor of size r - 1, which a test vector N would need."""
-    judged = []
+    singular 6x6 TNP instance (seed 0, rank 5) the stream off the condensation
+    levels yields exactly the windows of sizes 2-6 with a nonzero minor, and
+    each judge sees those and none with S x = 0; on the rank-one 5x5 (seed 1)
+    no judge runs.  There the sweep finds level 2 all 0 and stops: it
+    condenses no level above it and hands no level to the stream, so no
+    window gets a test vector N."""
+    judged, streamed = [], []
     for method in ("tnp_snr_single_vector", "tnp_vd_single_vector"):
         cls, contiguous, judge = checks_module.SINGLE_VECTOR[method]
 
@@ -550,23 +551,46 @@ def test_a_window_whose_minor_is_0_reaches_no_judge_and_gets_no_test_vector(monk
             return judge(x, y)
 
         monkeypatch.setitem(checks_module.SINGLE_VECTOR, method, (cls, contiguous, spy))
+    real_stream = checks_module._level_solves
+
+    def stream_spy(a, r, *rest):
+        for window in real_stream(a, r, *rest):
+            streamed.append(window[:2])
+            yield window
+
+    built = []
+    real = matrix_module._condensed_rows
+    monkeypatch.setattr(matrix_module, "_condensed_rows", lambda ints, s, *rest: built.append(s) or real(ints, s, *rest))
+    monkeypatch.setattr(checks_module, "_level_solves", stream_spy)
     six = generate_tnp((6, 6), 6, seed=0).matrix
-    nonsingular = sum(1 for rec in reference_minors_up_to(six, 6) if len(rec.rows) >= 2 and rec.value)
-    assert check_tnp_snr(six, 6).holds and check_tnp_vd(six).holds
-    assert len(judged) == 2 * nonsingular and all(any(y) for y in judged)
+    nonsingular = [(tuple(i - 1 for i in rec.rows), tuple(j - 1 for j in rec.cols))
+                   for rec in reference_minors_up_to(six, 6) if len(rec.rows) >= 2 and rec.value]
+    assert check_tnp_snr(six, 6).holds
+    assert streamed == nonsingular
+    assert check_tnp_vd(six).holds
+    assert len(judged) == 2 * len(nonsingular) and all(any(y) for y in judged)
     five = generate_tnp((5, 5), 5, seed=1).matrix
-    judged.clear()
+    judged.clear(), streamed.clear(), built.clear()
     assert check_tnp_snr(five, 5).holds and check_tnp_vd(five).holds
-    assert judged == []
-    assert levels_drawn(five.minor_table) == 2 and stored_minors(five.minor_table) == 25 + 100
-    asked = []
-    real = MinorTable.minor_of_masks
-    monkeypatch.setattr(MinorTable, "minor_of_masks", lambda table, rmask, *rest: asked.append(rmask.bit_count()) or real(table, rmask, *rest))
-    monkeypatch.setattr(matrix_module, "MAX_STORED_MINORS", 0)
-    for r in range(2, 6):
-        asked.clear()
-        assert list(MinorTable(five).level(r, [1, -1, 1, -1, 1][:r])) == []
-        assert asked == [r] * math.comb(5, r) ** 2
+    assert judged == [] and streamed == []
+    assert built == [2, 2]
+    assert "minor_table" not in five.__dict__
+
+
+def test_tnp_test_vector_sweeps_build_no_minor_table():
+    """The TNP sign non-reversal and variation sweeps read the condensation
+    levels themselves: on holding, failing, singular and rank-one inputs, with
+    the default and another alpha, they build no minor table."""
+    bases = [generate_tnp((6, 6), 6, seed=s).matrix for s in (0, 1, 2)]
+    bases += [generate_near_miss((5, 5), 5, seed=2).matrix, random_rational_matrix((4, 6), seed=3, style="negative")]
+    outcomes = []
+    for base in bases:
+        k = min(base.shape)
+        for alpha in (None, AlphaChoice.of([2, "1/3"], global_sign=-1)):
+            a = ExactMatrix(base.rows, base.cols, base.entries)
+            outcomes += [check_tnp_snr(a, k, alpha).holds, check_tnp_vd(a, alpha).holds]
+            assert "minor_table" not in a.__dict__
+    assert True in outcomes and False in outcomes
 
 
 @pytest.mark.parametrize("cap", [matrix_module.MAX_STORED_MINORS, 40])

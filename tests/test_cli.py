@@ -513,6 +513,43 @@ def test_verify_witness_rejects_a_window_above_the_reports_order(tmp_path, capsy
 
 
 @pytest.mark.parametrize(
+    "command, rows, cls, kind",
+    [
+        (["check", "--method", "minors"], [[-1, -1], [-1, -1]], "tn", "nonnegative_minor"),
+        (["check", "--method", "minors"], ORDER_2_ONLY, "tnp", "positive_minor"),
+        (["check", "--method", "snr"], ORDER_2_ONLY, "tn", "sign_reversal"),
+        (["check", "--method", "vd"], ORDER_2_ONLY, "tnp", "equality_sign_clause"),
+        (["check", "--method", "lcp"], ORDER_2_ONLY, "tn", "lcp_solution_mismatch"),
+        (["hull"], ORDER_2_ONLY, "tn", "nonnegative_minor"),
+        (["hull"], ORDER_2_ONLY, "tnp", "positive_minor"),
+    ],
+)
+def test_verify_witness_rejects_a_witness_of_the_other_class(tmp_path, capsys, command, rows, cls, kind):
+    """A witness of each kind that verifies in its report is rejected once the
+    report names the other class: a zero minor, say, does not break total
+    non-positivity.  A report with a witness and no class is a usage error."""
+    path = _matrix_file(tmp_path, rows)
+    if command == ["hull"]:
+        path.write_text(path.read_text() + "\n" + path.read_text())
+    order = str(len(rows))
+    assert main([command[0], str(path), "--class", cls, "--order", order, *command[1:], "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    witness = report["methods"][0]["witness"]
+    assert (witness["violation"] if command == ["hull"] else witness)["kind"] == kind
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report))
+    assert main(["verify-witness", str(report_path)]) == 0
+    capsys.readouterr()
+    report["class"] = "tnp" if cls == "tn" else "tn"
+    report_path.write_text(json.dumps(report))
+    assert main(["verify-witness", str(report_path)]) == 1
+    assert f"does not show that class {report['class']} fails" in capsys.readouterr().err
+    del report["class"]
+    report_path.write_text(json.dumps(report))
+    assert main(["verify-witness", str(report_path)]) == 2
+
+
+@pytest.mark.parametrize(
     "window, vector, message",
     [
         ([1, 2, 3], ["1", "0", "1"], "does not match the construction"),
@@ -570,12 +607,14 @@ def test_verify_witness_refuses_a_malformed_report_as_a_usage_error(tmp_path, ca
     matrices = [["input", "matrix"]]
     if command == "hull":
         matrices = [["input", "a"], ["input", "b"], method + ["witness", "member"]]
-    paths = [["input"], ["input", "kind"], ["methods"], ["order"], *matrices]
+    paths = [["input"], ["input", "kind"], ["class"], ["methods"], ["order"], *matrices]
     paths += [p + ["entries"] for p in matrices] + [method + [key] for key in ("name", "holds", "witness")]
     paths += [witness + [key] for key in ("kind", "rows", "cols", "vector", "detail")]
     if command == "hull":
         paths += [method + ["witness", key] for key in ("violation", "z", "zt")]
     mistyped = [
+        [("class", ["tn"])],
+        [("class", "TN")],
         [("methods", {})],
         method + [("holds", "no")],
         method + [("witness", [])],

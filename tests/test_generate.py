@@ -223,25 +223,28 @@ def test_cross_validate_single_vector_outcomes_match_the_stand_alone_procedures(
 
 def test_method_all_solves_each_contiguous_window_once_and_reads_each_level_once(monkeypatch):
     """Under ``--method all`` snr and vd share one sweep: the strict class solves
-    every contiguous window once, and the non-positive class reads the table's
-    test-vector level of each size once."""
+    every contiguous window once, and the non-positive class streams the
+    test vectors off each size's condensation level once, or off none when
+    level 2 is all 0 (the rank-one instance of seed 3)."""
     solved, levels = [], []
-    solve, level = totneg.checks.solve_window, totneg.matrix.MinorTable.level
+    solve, stream = totneg.checks.solve_window, totneg.checks._level_solves
 
     def solve_spy(a, rows0, cols0, coeffs):
         solved.append((rows0, cols0))
         return solve(a, rows0, cols0, coeffs)
 
-    def level_spy(table, r, coeffs):
+    def stream_spy(a, r, *rest):
         levels.append(r)
-        return level(table, r, coeffs)
+        return stream(a, r, *rest)
 
     monkeypatch.setattr(totneg.checks, "solve_window", solve_spy)
-    monkeypatch.setattr(totneg.matrix.MinorTable, "level", level_spy)
+    monkeypatch.setattr(totneg.checks, "_level_solves", stream_spy)
     assert cross_validate(generate_tn((4, 5), 4, seed=3).matrix, 4, "tn").holds
     runs = [(r, i, j) for r in range(2, 5) for i in range(5 - r) for j in range(6 - r)]  # 4 rows, 5 columns
     assert solved == [(tuple(range(i, i + r)), tuple(range(j, j + r))) for r, i, j in runs]
     assert levels == []  # the contiguous windows read no level
+    assert cross_validate(generate_tnp((4, 5), 4, seed=2).matrix, 4, "tnp").holds
+    assert levels == [2, 3, 4]
     assert cross_validate(generate_tnp((4, 5), 4, seed=3).matrix, 4, "tnp").holds
     assert levels == [2, 3, 4]
 

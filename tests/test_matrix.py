@@ -50,8 +50,10 @@ from oracles import (
     rank_deficient_nonpositive,
     reference_contiguous_minors_up_to,
     reference_minors_up_to,
+    reference_streamed_windows,
     scale,
     stored_minors,
+    streamed_windows,
     table_value,
     take,
 )
@@ -378,17 +380,18 @@ def test_minor_streams_match_the_per_minor_fraction_reference(a, data):
 @settings(max_examples=40, deadline=None)
 @given(
     table_matrices(),
-    st.lists(st.integers(1, 5), min_size=3, max_size=3),
+    st.lists(st.integers(1, 5), min_size=2, max_size=2),
     st.lists(st.integers(-3, 3), min_size=5, max_size=5),
     st.randoms(use_true_random=False),
 )
-@example(ExactMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]]), [1, 2, 3], [1, -2, 3, 0, 0], random.Random(0))
+@example(ExactMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]]), [1, 3], [1, -2, 3, 0, 0], random.Random(0))
 def test_condensed_levels_match_the_per_minor_fraction_reference(cap, a, fills, coeffs, rng):
     """After a fill to a drawn size, ``minor_of_masks`` (windows in
-    ``all_windows`` order, and shuffled) and ``level(r, c)`` give the minors of
-    the per-minor Fraction reference, and ``level(r, c)`` the numerators of a
-    Fraction adjugate, on every window whose minor is not 0 and on no other.
-    Zero and repeated rows make inner minors vanish, and the example's
+    ``all_windows`` order, and shuffled) gives the minors of the per-minor
+    Fraction reference, and the TNP test-vector stream off the condensation
+    levels gives those minors and the numerators of a cofactor adjugate on
+    every window whose minor is not 0 and on no other, whatever the table's
+    cap.  Zero and repeated rows make inner minors vanish, and the example's
     determinant -2 has the inner minor 0; a cap of 40 stores the small levels
     in the table and looks the rest up past it, and a cap of 0 stores none, so
     every lookup of size 3 or more is computed alone."""
@@ -399,22 +402,20 @@ def test_condensed_levels_match_the_per_minor_fraction_reference(cap, a, fills, 
     }
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matrix_module, "MAX_STORED_MINORS", cap)
-        tables = [MinorTable(a) for _ in range(3)]
+        tables = [MinorTable(a) for _ in range(2)]
         for table, fill in zip(tables, fills):
             table.fill(min(fill, k))
-        in_order, swept, looked_up = tables
+        in_order, looked_up = tables
         windows = [w for r in range(1, k + 1) for w in all_windows(a.rows, a.cols, r)]
         values = [in_order.minor_of_masks(*masks(rows0, cols0)) for rows0, cols0 in windows]
         assert [Fraction(v, in_order.scale(rows0)) for (rows0, _), v in zip(windows, values)] == list(expected.values())
         assert len(values) == len(expected)
-        for r in range(2, k + 1):
-            level = list(swept.level(r, coeffs[:r]))
-            nonsingular = [w for w in all_windows(a.rows, a.cols, r) if expected[w]]
-            assert [(rows0, cols0) for rows0, cols0, _, _ in level] == nonsingular
-            for rows0, cols0, v, x in level:
-                assert Fraction(v, swept.scale(rows0)) == expected[rows0, cols0]
-                adj = adjugate(take(a, rows0, cols0)).matvec([Fraction(c) for c in coeffs[:r]])
-                assert [Fraction(n, swept.scale(rows0)) for n in x] == list(adj)
+        streamed = streamed_windows(a, k, coeffs)
+        nonsingular = [w for r in range(2, k + 1) for w in all_windows(a.rows, a.cols, r) if expected[w]]
+        assert [(rows0, cols0) for rows0, cols0, _, _ in streamed] == nonsingular
+        assert streamed == reference_streamed_windows(a, k, coeffs)
+        for rows0, cols0, v, x in streamed:
+            assert Fraction(v, in_order.scale(rows0)) == expected[rows0, cols0]
         rng.shuffle(windows)
         for rows0, cols0 in windows:
             v = looked_up.minor_of_masks(sum(1 << i for i in rows0), sum(1 << j for j in cols0))
@@ -728,32 +729,57 @@ def level_cases(draw):
     return ExactMatrix.from_rows(rows), alpha
 
 
+def alpha_coeffs(alpha: AlphaChoice, k: int) -> list[int]:
+    """The integers c = L alpha.realized(k), L the lcm of its denominators; c[:r] is L alpha.realized(r)."""
+    realized = alpha.realized(k)
+    lcm = math.lcm(*(v.denominator for v in realized))
+    return [int(v * lcm) for v in realized]
+
+
 @pytest.mark.parametrize("cap", [matrix_module.MAX_STORED_MINORS, 40])
 @settings(max_examples=60, deadline=None)
 @given(level_cases())
 def test_level_sweep_matches_a_fresh_table_window_by_window(cap, case):
-    """Each window's minor and adjugate numerators from the level sweep equal a
-    fresh table's ``minor_of_masks`` and the oracle's ``adjugate_numerators``, in ``all_windows``
-    order, for every window whose minor is not 0 (the level sweep yields no
-    other); with every level already stored (a fill to the full size first) and
-    without, and past a storage cap."""
+    """Each window's minor and adjugate numerators from the TNP test-vector
+    stream off the condensation levels equal a table's ``minor_of_masks`` and
+    the oracle's ``adjugate_numerators`` read off the table, in ``all_windows``
+    order, for every window whose minor is not 0 (the stream yields no other);
+    with the table's levels stored first (a fill to the full size) and without,
+    and past a storage cap."""
     a, alpha = case
+    k = min(a.rows, a.cols)
+    coeffs = alpha_coeffs(alpha, k)
+    streamed = streamed_windows(a, k, coeffs)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matrix_module, "MAX_STORED_MINORS", cap)
-        reference, vectors, filled = MinorTable(a), MinorTable(a), MinorTable(a)
-        filled.fill(min(a.rows, a.cols))
-        for r in range(2, min(a.rows, a.cols) + 1):
-            realized = alpha.realized(r)
-            lcm = math.lcm(*(v.denominator for v in realized))
-            coeffs = [int(v * lcm) for v in realized]
+        fresh, filled = MinorTable(a), MinorTable(a)
+        filled.fill(k)
+        for table in (fresh, filled):
             expected = [
-                (rows0, cols0, minor, adjugate_numerators(reference, rows0, cols0, coeffs))
+                (rows0, cols0, minor, adjugate_numerators(table, rows0, cols0, coeffs[:r]))
+                for r in range(2, k + 1)
                 for rows0, cols0 in all_windows(a.rows, a.cols, r)
-                if (minor := reference.minor_of_masks(*masks(rows0, cols0)))
+                if (minor := table.minor_of_masks(*masks(rows0, cols0)))
             ]
-            assert list(vectors.level(r, coeffs)) == expected
-            assert list(filled.level(r, coeffs)) == expected
-        assert stored_minors(reference) <= cap and stored_minors(vectors) <= cap
+            assert streamed == expected
+            assert stored_minors(table) <= cap
+
+
+@pytest.mark.parametrize("choice", ["default", "2 1/3, negative", "drawn"])
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(level_cases(), st.tuples(rank_deficient_nonpositive(), st.just(None))))
+def test_the_level_stream_matches_the_fraction_reference_window_by_window(choice, case):
+    """The TNP test-vector stream gives, window by window, the (rows0, cols0,
+    minor, N) of the per-window Fraction reference: det(S) and adj(S) alpha,
+    both times L scale(R), on every window with det(S) != 0.  The inputs are
+    rectangular or square, sparse, with a zero or repeated row, or rank
+    deficient; alpha is the default, the magnitudes (2, 1/3) with global sign
+    -1, or a drawn one whose magnitudes may be 0."""
+    a, drawn = case
+    alpha = {"default": AlphaChoice.of([1]), "2 1/3, negative": AlphaChoice.of([2, "1/3"], global_sign=-1)}.get(choice, drawn)
+    k = min(a.rows, a.cols)
+    coeffs = alpha_coeffs(alpha or AlphaChoice.of([3, "1/2"]), k)
+    assert streamed_windows(a, k, coeffs) == reference_streamed_windows(a, k, coeffs)
 
 
 def test_a_matrix_pickles_and_copies_without_its_minor_table():
