@@ -1,7 +1,8 @@
 """Command-line front end: certify matrices, hulls, and complementarity instances.
 
 Exit codes: 0 verdict holds / success, 1 verdict fails (with witness),
-2 usage or parse problem, 3 an exact sweep hit its resource cap.
+2 usage or parse problem, 3 an exact sweep hit its resource cap, 4 an internal
+invariant failed (a defect in the program, never a verdict).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .checks import (
     ViolationKind,
     verify_vector_witness,
 )
-from .errors import ResourceLimitError
+from .errors import InvariantError, ResourceLimitError
 from .generate import (
     cross_validate,
     generate_near_miss,
@@ -57,6 +58,7 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _digest(data: bytes) -> str:
@@ -405,7 +407,10 @@ def _verify_witness_entry(a: ExactMatrix, method: str, v: Violation) -> str | No
 
 
 def cmd_verify_witness(args: argparse.Namespace) -> int:
-    report = json.loads(Path(args.path).read_text())
+    try:
+        report = json.loads(Path(args.path).read_text())
+    except RecursionError:
+        raise ValueError("malformed report: nested too deeply to read") from None
     given = _key(report, "input", dict)
     hull = _key(given, "kind", str) == "hull"
     # every key the checks read is read and typed here, before any witness is checked
@@ -527,6 +532,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

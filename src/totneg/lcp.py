@@ -22,10 +22,11 @@ the TNP condition, both sweeps read one window generator (:func:`_lcp_windows`),
 each with its own per-window judge.  It reads row sets outer and column sets
 inner, builds the keys of every set of window positions once per row set and
 per column set, and hands each window the lazy stream of its supports, solved
-on integers looked up in the matrix's minor table (:func:`_support_candidates`);
-a judge stops it as soon as the answer is known.  When the table keeps every
-level up to the window size, a support's slacks are tested first, since most
-supports fail there, and it is rejected at its first negative value.  The
+on integers looked up in a minor table that the sweep builds and owns
+(:class:`MinorTable`, :func:`_support_candidates`; only this module reads its
+keys); a judge stops it as soon as the answer is known.  When the table keeps
+every level up to the window size, a support's slacks are tested first, since
+most supports fail there, and it is rejected at its first negative value.  The
 supports that hold every position where x is nonzero all give -x, which the
 stream yields once; neither judge counts solutions.  A support with a zero
 principal minor, which may hold a solution family, goes to the same step on the
@@ -47,12 +48,14 @@ from .errors import DimensionError, InvariantError, ResourceLimitError
 from .matrix import (
     ExactMatrix,
     IndexSet,
-    MinorTable,
     RationalLike,
+    _int_minor,
+    _int_minor_levels,
     _one_based,
     _rows_as_scaled_ints,
     check_order,
     index_sets,
+    row_scale,
     to_fraction,
 )
 
@@ -420,40 +423,158 @@ class TnpLcpReport:
 
 _NOT_SOLVED_BY_ZERO = "zero vector is not a solution of the prescribed instance"
 
+#: Most minors one table stores: a level whole while it fits, a minor computed
+#: alone while there is room; past it, minors are computed but not kept.  It
+#: caps the table only: the condensation sweep keeps its two levels below at
+#: every size, up to ``matrix.MAX_LEVEL_MINORS``, which is larger, so the sweep
+#: never refuses a level that fits.
+MAX_STORED_MINORS = 1 << 18
 
-def _single_vector_ints(
-    table: MinorTable, rows: IndexSet, cols: IndexSet, weights: Mapping[int, Fraction] | None = None
-) -> tuple[list[int], int]:
-    """(X, L) with L > 0 and x = X / L the test vector of the window on the
-    index sets rows and cols, of size 2 or more: weighted row-i deletion minors
-    at odd positions, zeros elsewhere.
 
-    Position j (1-based, odd) of x holds sum_i w_i M_ij, where M_ij is the
-    window's minor without its row i and column j.  M_ij is the table minor on
-    the rows R - i over scale(R - i), so L is a common denominator of the
-    w_i / scale(R - i).  The default weight w_1 = 1 gives X_j = M_1j itself and
-    L = scale(R - R_1).
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class MinorTable:
+    """Minors of one matrix over its row-scaled integers (``ExactMatrix.integer_rows``),
+    kept as they are computed, for the lookups of the one complementarity
+    sweep that builds it (:func:`_lcp_windows`).
+
+    Row i of the matrix is scaled by ``d_i``, a positive diagonal that keeps
+    the sign of every minor.  ``minor_of_masks`` gives the integer minor of the
+    scaled matrix; the minor of the matrix itself is that over ``scale(R)``.
+    :meth:`fill` stores the levels of ``matrix._int_minor_levels`` on the
+    scaled rows whole, sizes ascending, while each fits under
+    ``MAX_STORED_MINORS``.  A minor asked for and not kept is the Laplace
+    expansion of kept minors one size smaller, else ``matrix._int_minor`` of
+    its entries, and is kept while there is room.  Index sets are 0-based and
+    strictly increasing; they are not validated.
+    """
+
+    def __init__(self, a: ExactMatrix) -> None:
+        self._ints, self._scales = a.integer_rows
+        self._ncols = a.cols
+        self._values: dict[int, int] = {}  # (row mask << ncols) | column mask -> minor
+        self._sweep = _int_minor_levels(self._ints, min(a.rows, a.cols))
+        self._whole = 0  # the levels of sizes 1.._whole are stored whole
+        self._zero = min(a.rows, a.cols) + 1  # the least size whose stored level is all 0 (past the order: none)
+
+    def fill(self, r: int) -> bool:
+        """Store the levels up to size r, sizes ascending, while each one fits
+        under ``MAX_STORED_MINORS``.  True when every level of sizes 1..r is
+        stored whole, so that every minor of size r or less is a lookup that
+        cannot miss.
+
+        A stored level that is all 0 is the last one drawn: every larger minor
+        is 0, so none is condensed or stored, and ``minor_of_masks`` answers 0
+        for it."""
+        nrows, ncols = len(self._ints), self._ncols
+        while (s := self._whole + 1) <= min(r, self._zero):
+            if len(self._values) + math.comb(nrows, s) * math.comb(ncols, s) > MAX_STORED_MINORS:
+                break
+            # a level that fits is below MAX_LEVEL_MINORS, so the sweep does not refuse it
+            level = next(self._sweep, None)
+            if level is None:
+                raise InvariantError(f"the condensation sweep ended before level {s}")
+            cmasks = [cmask for _, cmask, _ in index_sets(ncols, s, False)]
+            for (_, rmask, _), values in zip(index_sets(nrows, s, False), level):
+                rkey = rmask << ncols
+                self._values.update(zip([rkey | cmask for cmask in cmasks], values))
+            if not any(map(any, level)):
+                self._zero = s
+            self._whole = s
+        return self._whole >= r
+
+    def minor_of_masks(self, rmask: int, cmask: int, along: int = 0) -> int:
+        """The minor on the rows and columns whose bits are set in rmask and cmask.
+
+        ``along``, when nonzero, is the bit of the row that a Laplace expansion
+        uses in place of the first row; a caller that knows which size-(s-1)
+        minors it has already read passes the row whose expansion needs only those.
+        """
+        key = rmask << self._ncols | cmask
+        value = self._values.get(key)
+        if value is None:
+            if rmask.bit_count() > self._zero:
+                return 0  # above an all-zero stored level
+            value = self._expand(rmask, cmask, along or rmask & -rmask) if rmask.bit_count() > 2 else None
+            if value is None:
+                value = _int_minor([self._ints[i] for i in _bits(rmask)], list(_bits(cmask)))
+            if len(self._values) < MAX_STORED_MINORS:
+                self._values[key] = value
+        return value
+
+    def _expand(self, rmask: int, cmask: int, along: int) -> int | None:
+        """Laplace expansion along the row whose bit is ``along`` from kept minors;
+        None if one is missing."""
+        row = self._ints[along.bit_length() - 1]
+        rest = (rmask ^ along) << self._ncols
+        negate = (rmask & (along - 1)).bit_count() % 2 == 1
+        value = 0
+        bits = cmask
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            entry = row[low.bit_length() - 1]
+            if entry:
+                sub = self._values.get(rest | (cmask ^ low))
+                if sub is None:
+                    return None
+                value = value - entry * sub if negate else value + entry * sub
+            negate = not negate
+        return value
+
+    def scaled_rows(self, rows0: Sequence[int], cols0: Sequence[int]) -> list[list[int]]:
+        """The (rows0, cols0) submatrix of the row-scaled integer matrix."""
+        return [[self._ints[i][j] for j in cols0] for i in rows0]
+
+    def scale(self, rows0: Sequence[int]) -> int:
+        """The minor's exact denominator factor on rows0 (``matrix.row_scale``)."""
+        return row_scale(self._scales, rows0)
+
+
+#: The default test-vector weights: 1 on the row-1 deletion minors.
+_FIRST_ROW: Mapping[int, Fraction] = {1: Fraction(1)}
+
+
+def _weighted_deletions(
+    table: MinorTable, rows: IndexSet, weights: Mapping[int, Fraction]
+) -> tuple[list[tuple[int, int]], int]:
+    """(terms, L) of the test vectors of the windows on the row index set rows,
+    of size 2 or more: L > 0 a common denominator of the w_i / scale(R - i),
+    and for each weight w_i that applies at this size, the table key of the
+    rows R - i and L w_i / scale(R - i).  Built once per row set.
+
+    The minor of a window without its row i and column j is the table minor on
+    the rows R - i over scale(R - i).  The default weight w_1 = 1
+    (``_FIRST_ROW``) gives L = scale(R - R_1) and the one factor 1.
     """
     rows0, _, row_deletions = rows
-    col_deletions = cols[2]
     r = len(rows0)
-    xs = [0] * r
-    if weights is None:
-        values, shift, head = table._values, table._ncols, row_deletions[0]
-        key = head << shift
-        for j in range(0, r, 2):
-            v = values.get(key | col_deletions[j])
-            xs[j] = table.minor_of_masks(head, col_deletions[j]) if v is None else v
-        return xs, table.scale(rows0[1:])
-    terms = []  # (mask of R - i, numerator, denominator) of w_i / scale(R - i)
-    for i, w in weights.items():
-        if i <= r:
-            terms.append((row_deletions[i - 1], w.numerator, w.denominator * table.scale(rows0[: i - 1] + rows0[i:])))
-    lcm = math.lcm(*(den for _, _, den in terms))
-    for j in range(0, r, 2):
-        for rmask, num, den in terms:
-            xs[j] += num * (lcm // den) * table.minor_of_masks(rmask, col_deletions[j])
-    return xs, lcm
+    dens = {i: w.denominator * table.scale(rows0[: i - 1] + rows0[i:]) for i, w in weights.items() if i <= r}
+    lcm = math.lcm(*dens.values())
+    return [(row_deletions[i - 1] << table._ncols, weights[i].numerator * (lcm // den)) for i, den in dens.items()], lcm
+
+
+def _single_vector_ints(table: MinorTable, terms: Sequence[tuple[int, int]], cols: IndexSet) -> list[int]:
+    """X = L x, x the test vector of the window on the column index set cols and
+    the row set of the :func:`_weighted_deletions` terms: weighted row-i
+    deletion minors at odd positions, zeros elsewhere.  Position j (1-based,
+    odd) of x holds sum_i w_i M_ij, M_ij the window's minor without its row i
+    and column j; with the default weight, X_j = M_1j itself."""
+    col_deletions = cols[2]
+    values, shift = table._values, table._ncols
+    xs = [0] * len(col_deletions)
+    for j in range(0, len(xs), 2):
+        cmask = col_deletions[j]
+        for rkey, factor in terms:
+            v = values.get(rkey | cmask)
+            xs[j] += factor * (table.minor_of_masks(rkey >> shift, cmask) if v is None else v)
+    return xs
 
 
 def _scaled_image(table: MinorTable, rows0: Sequence[int], cols0: Sequence[int], xs: Sequence[int]) -> list[int]:
@@ -527,7 +648,7 @@ def _position_keys(bits: Iterable[int]) -> list[int]:
 
 
 def _support_candidates(
-    a: ExactMatrix,
+    table: MinorTable,
     rows0: Sequence[int],
     cols0: Sequence[int],
     xs: Sequence[int],
@@ -574,7 +695,6 @@ def _support_candidates(
     they are; at its first solution family this yields None and stops, since
     the family already decides the window.
     """
-    table = a.minor_table
     values, minor, shift = table._values, table.minor_of_masks, table._ncols
     r = len(rows0)
     rbit = [1 << i for i in rows0]
@@ -669,24 +789,27 @@ def _support_candidates(
 
 
 def _lcp_windows(
-    a: ExactMatrix, k: int, contiguous: bool, weights: Mapping[int, Fraction] | None = None, first: int = 2
+    a: ExactMatrix, k: int, contiguous: bool, weights: Mapping[int, Fraction] = _FIRST_ROW, first: int = 2
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], list[int], int, list[int], Iterator[Point | None]]]:
     """(rows0, cols0, X, L, Q, candidates) of every window w of size first..k,
     contiguous or all, row sets outer and column sets inner: X = L x the test
-    vector of :func:`_single_vector_ints`, Q the image of :func:`_scaled_image`
-    and candidates the lazy :func:`_support_candidates` stream of LCP(A_w, A_w x).
+    vector of :func:`_single_vector_ints`, L that of the row set
+    (:func:`_weighted_deletions`), Q the image of :func:`_scaled_image` and
+    candidates the lazy :func:`_support_candidates` stream of LCP(A_w, A_w x).
     The TN checks start at size 2; the TNP condition, which decides its 2x2
     windows in closed form (:func:`_two_by_two_windows`), at size 3.
 
-    A size beyond MAX_LCP_SIZE is refused before any of its windows is built;
-    otherwise the table draws the levels up to it that fit (``MinorTable.fill``),
-    and the candidates read it by lookups alone when they all do.  The sweep
-    over all windows (the TNP condition, which skips a window whose X is 0)
-    ends at the first size r whose level r - 1 the table found all 0: X is
-    built from minors of size r - 1, so it is 0 in every window of size r, and
-    every larger minor is 0, so it is 0 in every larger window too.
+    The sweep builds one :class:`MinorTable` of its own, which all its windows
+    read.  A size beyond MAX_LCP_SIZE is refused before any of its windows is
+    built; otherwise the table draws the levels up to it that fit
+    (``MinorTable.fill``), and the candidates read it by lookups alone when
+    they all do.  The sweep over all windows (the TNP condition, which skips a
+    window whose X is 0) ends at the first size r whose level r - 1 the table
+    found all 0: X is built from minors of size r - 1, so it is 0 in every
+    window of size r, and every larger minor is 0, so it is 0 in every larger
+    window too.
     """
-    table = a.minor_table
+    table = MinorTable(a)
     for r in range(first, k + 1):
         _check_lcp_size(r)
         whole = table.fill(r)
@@ -696,11 +819,12 @@ def _lcp_windows(
         for rows in index_sets(a.rows, r, contiguous):
             rows0 = rows[0]
             rkeys = _position_keys(1 << i << a.cols for i in rows0)
+            terms, lcm = _weighted_deletions(table, rows, weights)
             for cols, cmasks in col_sets:
                 cols0 = cols[0]
-                xs, lcm = _single_vector_ints(table, rows, cols, weights)
+                xs = _single_vector_ints(table, terms, cols)
                 qs = _scaled_image(table, rows0, cols0, xs)
-                yield rows0, cols0, xs, lcm, qs, _support_candidates(a, rows0, cols0, xs, qs, rkeys, cmasks, whole)
+                yield rows0, cols0, xs, lcm, qs, _support_candidates(table, rows0, cols0, xs, qs, rkeys, cmasks, whole)
 
 
 def _two_by_two_windows(
@@ -753,17 +877,15 @@ def _window_holds(xs: Sequence[int], qs: Sequence[int], candidates: Iterable[Poi
     return True
 
 
-def _check_single_vector_windows(
-    a: ExactMatrix, k: int, weights: Mapping[int, Fraction] | None, method: str
-) -> Verdict:
+def _check_single_vector_windows(a: ExactMatrix, k: int, weights: Mapping[int, Fraction], method: str) -> Verdict:
     """The 1x1 windows from entry signs: LCP(t, -w_1 t) has exactly the solutions
     0 and w_1 iff t < 0.  Then every contiguous window of size 2..k."""
-    if weights is not None and 1 not in weights:
+    if 1 not in weights:
         raise ValueError("no weight applies to submatrices of size 1")
     hit = a.first_entry_violating(strict=True)
     if hit is not None:
-        w1 = Fraction(1) if weights is None else weights[1]
-        return Verdict(False, method, Violation(ViolationKind.LCP_SOLUTION_MISMATCH, hit[:1], hit[1:2], vector=(w1,)))
+        violation = Violation(ViolationKind.LCP_SOLUTION_MISMATCH, hit[:1], hit[1:2], vector=(weights[1],))
+        return Verdict(False, method, violation)
     for rows0, cols0, xs, lcm, qs, candidates in _lcp_windows(a, k, True, weights):
         if not _window_holds(xs, qs, candidates):
             violation = Violation(
@@ -785,7 +907,7 @@ def lcp_single_vector_check(a: ExactMatrix, k: int) -> Verdict:
     solutions 0 and -x.
     """
     check_order(a, k)
-    return _check_single_vector_windows(a, k, None, "lcp_single_vector")
+    return _check_single_vector_windows(a, k, _FIRST_ROW, "lcp_single_vector")
 
 
 def lcp_single_vector_check_variant(

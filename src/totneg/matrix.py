@@ -15,12 +15,11 @@ refuses a level of more than ``MAX_LEVEL_MINORS`` minors, and condenses no
 level above an all-zero one, whose minors are all 0.  Scans that read each
 minor once (the minor definition, ``minors_up_to`` and the certificate of
 ``totneg generate``) read the sweep itself, and so do the TNP test-vector
-sweeps.  The lookups of the complementarity supports read one
-:class:`MinorTable` per matrix (``ExactMatrix.minor_table``), which stores the
-same sweep's levels whole, sizes ascending, while they fit under
-``MAX_STORED_MINORS``.  The contiguous TN sweeps (:func:`_contiguous_int_minors`,
-:func:`solve_window`), ``det``, ``minor_det``, ``cofactor_minor`` and
-``adjugate`` eliminate on their own, independent of it.
+sweeps; each complementarity sweep keeps the levels in a table of its own
+(``lcp.MinorTable``), not on the matrix.  The contiguous TN sweeps
+(:func:`_contiguous_int_minors`, :func:`solve_window`), ``det``,
+``minor_det``, ``cofactor_minor`` and ``adjugate`` eliminate on their own,
+independent of it.
 """
 
 from __future__ import annotations
@@ -29,13 +28,12 @@ import decimal
 import itertools
 import math
 import re
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DimensionError, InvariantError, ResourceLimitError
+from .errors import DimensionError, ResourceLimitError
 
 RationalLike = Fraction | int | str | float
 
@@ -140,9 +138,6 @@ class ExactMatrix:
     cols: int
     entries: tuple[Fraction, ...]
 
-    def __getstate__(self) -> dict:  # a pickle or copy builds its own minor table
-        return {k: v for k, v in self.__dict__.items() if k != "minor_table"}
-
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise DimensionError(f"matrix shape must be positive, got {self.rows}x{self.cols}")
@@ -153,11 +148,6 @@ class ExactMatrix:
         for e in self.entries:
             if not isinstance(e, Fraction):
                 raise TypeError(f"entries must be Fractions (see from_rows / to_fraction), got {e!r}")
-
-    @cached_property
-    def minor_table(self) -> "MinorTable":
-        """The shared minor table of this matrix, built on first use."""
-        return MinorTable(self)
 
     @cached_property
     def integer_rows(self) -> tuple[list[list[int]], list[int]]:
@@ -409,141 +399,11 @@ def index_sets(n: int, r: int, contiguous: bool = False) -> tuple[IndexSet, ...]
     return tuple(out)
 
 
-#: Most minors one table stores: a level whole while it fits, a minor computed
-#: alone while there is room; past it, minors are computed but not kept.  It
-#: caps the table only: the condensation sweep keeps its two levels below at
-#: every size, up to ``MAX_LEVEL_MINORS``, which is larger, so the sweep never
-#: refuses a level that fits.
-MAX_STORED_MINORS = 1 << 18
-
 #: Most minors one level of the condensation sweep may hold: C(12, 6)^2, the
 #: middle level of a 12 x 12 matrix.  The all-window sweeps and generation stop
 #: at 12 rows and columns and hull members have m + n <= 24, so no capped caller
 #: reaches a larger level; one is refused before it is built.
 MAX_LEVEL_MINORS = math.comb(12, 6) ** 2
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-class MinorTable:
-    """Minors of one matrix over its row-scaled integers (``ExactMatrix.integer_rows``),
-    kept as they are computed, for the lookups of the complementarity supports.
-
-    Row i of the matrix is scaled by ``d_i``, a positive diagonal that keeps
-    the sign of every minor.  ``minor_of_masks`` gives the integer minor of the
-    scaled matrix; the minor of the matrix itself is that over ``scale(R)``.
-    :meth:`fill` stores the levels of :func:`_int_minor_levels` on the scaled
-    rows whole, sizes ascending, while each fits under ``MAX_STORED_MINORS``.
-    A minor asked for and not kept is the Laplace expansion of kept minors one
-    size smaller, else a :func:`det_of_rows` elimination, and is kept while
-    there is room.  The scans and the TNP test-vector sweeps read the
-    condensation itself and build no table.  Index sets are 0-based and
-    strictly increasing; they are not validated.
-    """
-
-    def __init__(self, a: ExactMatrix) -> None:
-        self._ints, self._scales = a.integer_rows
-        self._ncols = a.cols
-        self._values: dict[int, int] = {}  # (row mask << ncols) | column mask -> minor
-        self._sweep = _int_minor_levels(self._ints, min(a.rows, a.cols))
-        self._whole = 0  # the levels of sizes 1.._whole are stored whole
-        self._zero = min(a.rows, a.cols) + 1  # the least size whose stored level is all 0 (past the order: none)
-        self._lock = threading.Lock()
-
-    def fill(self, r: int) -> bool:
-        """Store the levels up to size r, sizes ascending, while each one fits
-        under ``MAX_STORED_MINORS``; one thread stores at a time.  True when
-        every level of sizes 1..r is stored whole, so that every minor of size r
-        or less is a lookup that cannot miss.
-
-        A stored level that is all 0 is the last one drawn: every larger minor
-        is 0, so none is condensed or stored, and ``minor_of_masks`` answers 0
-        for it."""
-        nrows, ncols = len(self._ints), self._ncols
-        with self._lock:
-            while (s := self._whole + 1) <= min(r, self._zero):
-                if len(self._values) + math.comb(nrows, s) * math.comb(ncols, s) > MAX_STORED_MINORS:
-                    break
-                # a level that fits is below MAX_LEVEL_MINORS, so the sweep does not refuse it
-                level = next(self._sweep, None)
-                if level is None:
-                    raise InvariantError(f"the condensation sweep ended before level {s}")
-                cmasks = [cmask for _, cmask, _ in index_sets(ncols, s, False)]
-                for (_, rmask, _), values in zip(index_sets(nrows, s, False), level):
-                    rkey = rmask << ncols
-                    self._values.update(zip([rkey | cmask for cmask in cmasks], values))
-                if not any(map(any, level)):
-                    self._zero = s
-                self._whole = s
-            return self._whole >= r
-
-    def minor_of_masks(self, rmask: int, cmask: int, along: int = 0) -> int:
-        """The minor on the rows and columns whose bits are set in rmask and cmask.
-
-        ``along``, when nonzero, is the bit of the row that a Laplace expansion
-        uses in place of the first row; a caller that knows which size-(s-1)
-        minors it has already read passes the row whose expansion needs only those.
-        """
-        key = rmask << self._ncols | cmask
-        value = self._values.get(key)
-        if value is None:
-            if rmask.bit_count() > self._zero:
-                return 0  # above an all-zero stored level
-            value = self._expand(rmask, cmask, along)
-            if value is None:
-                rows = [self._ints[i] for i in _bits(rmask)]
-                cols = list(_bits(cmask))
-                value = det_of_rows([[r[j] for j in cols] for r in rows])
-            if len(self._values) < MAX_STORED_MINORS:
-                self._values[key] = value
-        return value
-
-    def _expand(self, rmask: int, cmask: int, along: int) -> int | None:
-        """Laplace expansion along row ``along`` (0: the first row) from kept minors;
-        None if one is missing."""
-        first = rmask & -rmask
-        row = self._ints[first.bit_length() - 1]
-        rest = rmask ^ first
-        if not rest:
-            return row[cmask.bit_length() - 1]
-        if not rest & (rest - 1):
-            low = cmask & -cmask
-            j, l = low.bit_length() - 1, (cmask ^ low).bit_length() - 1
-            other = self._ints[rest.bit_length() - 1]
-            return row[j] * other[l] - row[l] * other[j]
-        negate = False
-        if along:
-            row = self._ints[along.bit_length() - 1]
-            rest = rmask ^ along
-            negate = (rmask & (along - 1)).bit_count() % 2 == 1
-        rest <<= self._ncols
-        value = 0
-        bits = cmask
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            entry = row[low.bit_length() - 1]
-            if entry:
-                sub = self._values.get(rest | (cmask ^ low))
-                if sub is None:
-                    return None
-                value = value - entry * sub if negate else value + entry * sub
-            negate = not negate
-        return value
-
-    def scaled_rows(self, rows0: Sequence[int], cols0: Sequence[int]) -> list[list[int]]:
-        """The (rows0, cols0) submatrix of the row-scaled integer matrix."""
-        return [[self._ints[i][j] for j in cols0] for i in rows0]
-
-    def scale(self, rows0: Sequence[int]) -> int:
-        """The minor's exact denominator factor on rows0 (:func:`row_scale`)."""
-        return row_scale(self._scales, rows0)
 
 
 @lru_cache(maxsize=256)
@@ -623,8 +483,9 @@ def minors_up_to(a: ExactMatrix, k: int) -> Iterator[MinorRecord]:
 
     The minors come from :func:`_int_minor_levels` on the matrix's scaled rows
     (``ExactMatrix.integer_rows``), each over the product of its rows' scales.
-    It builds no minor table, but the table reads the same sweep, so the tests
-    check both against a per-minor Fraction reference.
+    It builds no minor table, but the complementarity sweeps' table
+    (``lcp.MinorTable``) reads the same sweep, so the tests check both against
+    a per-minor Fraction reference.
     """
     check_order(a, k)
     ints, scales = a.integer_rows

@@ -2,6 +2,7 @@
 and the sampled sign-reversal, variation and complementarity sweeps that only
 the tests run."""
 
+import contextlib
 import functools
 import itertools
 import math
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal, Sequence
 
+import pytest
 from hypothesis import strategies as st
 
 from totneg import (
@@ -44,10 +46,9 @@ from totneg.generate import (
     generate_tnp,
 )
 from totneg.hull import IntervalHull, i_matrix
-from totneg.lcp import _FM_CONSTRAINT_CAP, Point, _compare_candidates, _support_solutions
+from totneg.lcp import _FM_CONSTRAINT_CAP, MinorTable, Point, _compare_candidates, _support_solutions
 from totneg.matrix import (
     MinorRecord,
-    MinorTable,
     _int_minor_levels,
     _one_based,
     check_order,
@@ -155,6 +156,22 @@ def adjugate_numerators(table: MinorTable, rows0: Sequence[int], cols0: Sequence
         (-1) ** i * sum(w * table.minor_of_masks(rm, cmask ^ (1 << col)) for rm, w in weighted)
         for i, col in enumerate(cols0)
     ]
+
+
+@contextlib.contextmanager
+def built_tables() -> Iterator[list[tuple[ExactMatrix, MinorTable]]]:
+    """The (matrix, table) of every ``lcp.MinorTable`` built inside the block,
+    in the order they are built; empty when the block builds none."""
+    built: list[tuple[ExactMatrix, MinorTable]] = []
+    real = MinorTable.__init__
+
+    def counting(table: MinorTable, a: ExactMatrix) -> None:
+        real(table, a)
+        built.append((a, table))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MinorTable, "__init__", counting)
+        yield built
 
 
 def stored_minors(table: MinorTable) -> int:
@@ -658,7 +675,7 @@ def rank_deficient_nonpositive(draw) -> ExactMatrix:
 
 
 def reference_support_candidates(
-    a: ExactMatrix, rows0: Sequence[int], cols0: Sequence[int], xs: Sequence[int], qs: Sequence[int]
+    table: MinorTable, rows0: Sequence[int], cols0: Sequence[int], xs: Sequence[int], qs: Sequence[int]
 ) -> Iterator[Point | None]:
     """The library's previous support enumerator, kept as the reference for
     ``lcp._support_candidates``: the same stream, built support by support with
@@ -685,7 +702,6 @@ def reference_support_candidates(
     first solution family this yields None and stops, since the family already
     decides the window.
     """
-    table = a.minor_table
     r = len(rows0)
     rbit = [1 << i for i in rows0]
     cbit = [1 << j for j in cols0]

@@ -33,6 +33,7 @@ from totneg import (
 )
 from totneg import checks as checks_module
 from totneg import hull as hull_module
+from totneg import lcp as lcp_module
 from totneg import matrix as matrix_module
 from totneg.generate import (
     certificate_digest,
@@ -42,11 +43,11 @@ from totneg.generate import (
     generate_tnp,
     random_rational_matrix,
 )
-from totneg.lcp import TnpLcpStatus, tnp_lcp_sufficient_check
-from totneg.matrix import _bits
+from totneg.lcp import MinorTable, TnpLcpStatus, _bits, tnp_lcp_sufficient_check
 
 from oracles import (
     adjugate_numerators,
+    built_tables,
     check_tn_snr_all_vectors,
     check_tnp_snr_sampled,
     check_tnp_vd_sampled,
@@ -308,23 +309,25 @@ def test_single_vector_witnesses_equal_the_adjugate_product():
 def test_failing_entry_builds_no_minor_level_above_one(monkeypatch):
     a = ExactMatrix.from_rows([[1, -2, -3], [-2, -3, -5], [-3, -5, -6]])
     q3 = ClassQuery("tn", 3)
-    assert not check_by_minor_definition(a, q3).holds
-    assert not check_by_contiguous_minors(a, q3).holds
-    assert not check_tn_snr_single_vector(a, 3).holds
-    assert not check_tn_vd_single_vector(a).holds
-    assert not check_tnp_snr(a, 3).holds
-    assert not check_tnp_vd(a).holds
-    assert not any(cross_validate(a, 3, cls).holds for cls in ("tn", "tnp"))
-    assert levels_drawn(a.minor_table) <= 1
+    with built_tables() as tables:
+        assert not check_by_minor_definition(a, q3).holds
+        assert not check_by_contiguous_minors(a, q3).holds
+        assert not check_tn_snr_single_vector(a, 3).holds
+        assert not check_tn_vd_single_vector(a).holds
+        assert not check_tnp_snr(a, 3).holds
+        assert not check_tnp_vd(a).holds
+        assert not any(cross_validate(a, 3, cls).holds for cls in ("tn", "tnp"))
+    assert all(levels_drawn(table) <= 1 for _, table in tables)
     # a sweep that fails at size 2 condenses nothing above size 2, and the minor
     # definition reads the sweep itself, so it builds no minor table
     built = []
     real = matrix_module._condensed_rows
     monkeypatch.setattr(matrix_module, "_condensed_rows", lambda ints, s, *rest: built.append(s) or real(ints, s, *rest))
     b = ExactMatrix.from_rows([[-1, -2, -3], [-2, -5, -5], [-3, -5, -6]])
-    assert check_by_minor_definition(b, q3).witness.size == 2
+    with built_tables() as tables:
+        assert check_by_minor_definition(b, q3).witness.size == 2
     assert built == [2]
-    assert "minor_table" not in b.__dict__
+    assert not tables
 
 
 def test_the_minor_definition_and_a_failing_tnp_hulls_member_sweep_build_no_minor_table(monkeypatch):
@@ -332,28 +335,23 @@ def test_the_minor_definition_and_a_failing_tnp_hulls_member_sweep_build_no_mino
     failing inputs of both classes, in generation's check of its instances, and
     for every member that a failing TNP hull sweeps to name its witness, no
     minor table is built."""
-
-    def refuse(self, a):
-        raise AssertionError("the minor definition built a minor table")
-
-    monkeypatch.setattr(matrix_module.MinorTable, "__init__", refuse)
-    tn = generate_tn((5, 5), 5, seed=1).matrix
-    tnp = generate_tnp((6, 6), 6, seed=1).matrix
-    near = generate_near_miss((5, 5), 5, seed=2).matrix
-    for a in (tn, tnp, near):
-        for cls in ("tn", "tnp"):
-            check_by_minor_definition(a, ClassQuery(cls, min(a.shape)))
-        assert "minor_table" not in a.__dict__
-    assert not check_by_minor_definition(near, ClassQuery("tn", 5)).holds
-    base = generate_tn((4, 4), 4, seed=1).matrix
-    bumped = ExactMatrix(base.rows, base.cols, tuple(e + Fraction(1, 50) for e in base.entries))
     members = []
     real = hull_module.i_matrix
     monkeypatch.setattr(hull_module, "i_matrix", lambda *args: members.append(real(*args)) or members[-1])
-    verdict = hull_module.hull_is_totally_nonpositive(hull_module.IntervalHull(base, bumped), 4)
+    with built_tables() as tables:
+        tn = generate_tn((5, 5), 5, seed=1).matrix
+        tnp = generate_tnp((6, 6), 6, seed=1).matrix
+        near = generate_near_miss((5, 5), 5, seed=2).matrix
+        for a in (tn, tnp, near):
+            for cls in ("tn", "tnp"):
+                check_by_minor_definition(a, ClassQuery(cls, min(a.shape)))
+        assert not check_by_minor_definition(near, ClassQuery("tn", 5)).holds
+        base = generate_tn((4, 4), 4, seed=1).matrix
+        bumped = ExactMatrix(base.rows, base.cols, tuple(e + Fraction(1, 50) for e in base.entries))
+        verdict = hull_module.hull_is_totally_nonpositive(hull_module.IntervalHull(base, bumped), 4)
     assert not verdict.holds and verdict.witness.size == 3
     assert len(members) == 3
-    assert not any("minor_table" in member.__dict__ for member in members)
+    assert not tables
 
 
 def _pascal_tn(n, delta):
@@ -364,10 +362,11 @@ def _pascal_tn(n, delta):
 
 def test_contiguous_sweep_at_16x16_computes_each_window_once():
     a = _pascal_tn(16, Fraction(1, 2**40))
-    assert all(rec.value < 0 for rec in contiguous_minors_up_to(a, 16))
-    assert check_by_contiguous_minors(a, ClassQuery("tn", 16)).holds
+    with built_tables() as tables:
+        assert all(rec.value < 0 for rec in contiguous_minors_up_to(a, 16))
+        assert check_by_contiguous_minors(a, ClassQuery("tn", 16)).holds
     # each contiguous window is eliminated on the scaled rows; no minor table is built
-    assert "minor_table" not in a.__dict__
+    assert not tables
 
 
 def test_contiguous_tn_sweeps_build_no_minor_table():
@@ -375,12 +374,13 @@ def test_contiguous_tn_sweeps_build_no_minor_table():
     single-vector checks eliminate each window on the scaled rows and build no
     minor table; the rows are scaled once, for all three."""
     for base in (generate_tn((6, 6), 6, seed=0).matrix, _pascal_tn(9, Fraction(1, 2**40))):
-        a = ExactMatrix(base.rows, base.cols, base.entries)  # generation built a table on its own matrix
+        a = ExactMatrix(base.rows, base.cols, base.entries)  # generation scaled the rows of its own matrix
         k = min(a.shape)
-        assert check_by_contiguous_minors(a, ClassQuery("tn", k)).holds
-        assert check_tn_snr_single_vector(a, k).holds
-        assert check_tn_vd_single_vector(a).holds
-        assert "minor_table" not in a.__dict__ and "integer_rows" in a.__dict__
+        with built_tables() as tables:
+            assert check_by_contiguous_minors(a, ClassQuery("tn", k)).holds
+            assert check_tn_snr_single_vector(a, k).holds
+            assert check_tn_vd_single_vector(a).holds
+        assert not tables and "integer_rows" in a.__dict__
 
 
 def test_a_singular_contiguous_window_is_solved_without_a_minor_table():
@@ -397,19 +397,18 @@ def test_a_singular_contiguous_window_is_solved_without_a_minor_table():
     for alpha in (None, AlphaChoice.of(["1/2", 3], global_sign=-1)):
         realized = (alpha or AlphaChoice.of([1])).realized(3)
         lcm = math.lcm(*(v.denominator for v in realized))
-        table = ExactMatrix(singular.rows, singular.cols, singular.entries).minor_table
+        table = MinorTable(singular)
         numerators = adjugate_numerators(table, *window, [int(v * lcm) for v in realized])
         expected = tuple(Fraction(v, lcm * table.scale(window[0])) for v in numerators)
         assert expected == adjugate(submatrix(singular, (2, 3, 4), (2, 3, 4))).matvec(realized)
         a = ExactMatrix(singular.rows, singular.cols, singular.entries)
-        for verdict, kind in (
-            (check_tn_snr_single_vector(a, 4, alpha), ViolationKind.SIGN_REVERSAL),
-            (check_tn_vd_single_vector(a, alpha), ViolationKind.VARIATION_INCREASE),
-        ):
+        with built_tables() as tables:
+            verdicts = [check_tn_snr_single_vector(a, 4, alpha), check_tn_vd_single_vector(a, alpha)]
+        for verdict, kind in zip(verdicts, (ViolationKind.SIGN_REVERSAL, ViolationKind.VARIATION_INCREASE)):
             assert not verdict.holds and verdict.witness.kind is kind
             assert verdict.witness.rows == verdict.witness.cols == (2, 3, 4)
             assert verdict.witness.vector == expected
-        assert "minor_table" not in a.__dict__
+        assert not tables
 
 
 def test_contiguous_minors_check_the_condensation_independently(monkeypatch):
@@ -488,8 +487,9 @@ def test_zero_inner_minors_are_expanded_not_eliminated(monkeypatch, eliminations
     certificate_digest(six, 6)
     assert check_tnp_snr(six, 6).holds
     assert check_by_minor_definition(scanned, ClassQuery("tnp", 6)).holds
-    assert scanned.minor_table.fill(6)
-    assert scanned.minor_table.minor_of_masks(*masks(range(6), range(6))) == 0
+    table = MinorTable(scanned)
+    assert table.fill(6)
+    assert table.minor_of_masks(*masks(range(6), range(6))) == 0
     assert eliminations == []
     assert list(minors_up_to(six, 6)) == list(reference_minors_up_to(six, 6))
     minors = {(rec.rows, rec.cols): rec.value for rec in minors_up_to(six, 6)}
@@ -507,7 +507,7 @@ positive_alphas = st.one_of(
 )
 
 
-@pytest.mark.parametrize("cap", [matrix_module.MAX_STORED_MINORS, 30])
+@pytest.mark.parametrize("cap", [lcp_module.MAX_STORED_MINORS, 30])
 @settings(max_examples=60, deadline=None)
 @given(rank_deficient_nonpositive(), positive_alphas, st.data())
 def test_tnp_sweeps_on_rank_deficient_matrices_match_the_fraction_oracle(cap, a, alpha, data):
@@ -525,7 +525,7 @@ def test_tnp_sweeps_on_rank_deficient_matrices_match_the_fraction_oracle(cap, a,
     minors = reference_minor_definition(a, k)
     status = solver_tnp_sufficient_check(a, k).status
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(matrix_module, "MAX_STORED_MINORS", cap)
+        patch.setattr(lcp_module, "MAX_STORED_MINORS", cap)
         assert check_tnp_snr(ExactMatrix(a.rows, a.cols, a.entries), k, alpha) == snr
         assert check_tnp_vd(ExactMatrix(a.rows, a.cols, a.entries), alpha, k) == vd
         report = cross_validate(ExactMatrix(a.rows, a.cols, a.entries), k, "tnp", alpha)
@@ -571,10 +571,11 @@ def test_a_window_whose_minor_is_0_reaches_no_judge_and_gets_no_test_vector(monk
     assert len(judged) == 2 * len(nonsingular) and all(any(y) for y in judged)
     five = generate_tnp((5, 5), 5, seed=1).matrix
     judged.clear(), streamed.clear(), built.clear()
-    assert check_tnp_snr(five, 5).holds and check_tnp_vd(five).holds
+    with built_tables() as tables:
+        assert check_tnp_snr(five, 5).holds and check_tnp_vd(five).holds
     assert judged == [] and streamed == []
     assert built == [2, 2]
-    assert "minor_table" not in five.__dict__
+    assert not tables
 
 
 def test_tnp_test_vector_sweeps_build_no_minor_table():
@@ -588,12 +589,13 @@ def test_tnp_test_vector_sweeps_build_no_minor_table():
         k = min(base.shape)
         for alpha in (None, AlphaChoice.of([2, "1/3"], global_sign=-1)):
             a = ExactMatrix(base.rows, base.cols, base.entries)
-            outcomes += [check_tnp_snr(a, k, alpha).holds, check_tnp_vd(a, alpha).holds]
-            assert "minor_table" not in a.__dict__
+            with built_tables() as tables:
+                outcomes += [check_tnp_snr(a, k, alpha).holds, check_tnp_vd(a, alpha).holds]
+            assert not tables
     assert True in outcomes and False in outcomes
 
 
-@pytest.mark.parametrize("cap", [matrix_module.MAX_STORED_MINORS, 40])
+@pytest.mark.parametrize("cap", [lcp_module.MAX_STORED_MINORS, 40])
 def test_sweeps_after_a_minor_definition_match_a_fresh_matrix(cap):
     """The minor definition reads the condensation sweep and builds no minor
     table; the sweeps and lookups that follow on the same matrix give what they
@@ -602,7 +604,7 @@ def test_sweeps_after_a_minor_definition_match_a_fresh_matrix(cap):
     verdicts = []
     bases = [generate_tnp((6, 6), 6, seed=1).matrix, random_rational_matrix((5, 6), seed=3, style="negative")]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(matrix_module, "MAX_STORED_MINORS", cap)
+        patch.setattr(lcp_module, "MAX_STORED_MINORS", cap)
         for base in bases:
             k = min(base.shape)
 
@@ -610,28 +612,29 @@ def test_sweeps_after_a_minor_definition_match_a_fresh_matrix(cap):
                 return ExactMatrix(base.rows, base.cols, base.entries)
 
             a = fresh()
-            verdicts.append(check_by_minor_definition(a, ClassQuery("tnp", k)).holds)
-            assert "minor_table" not in vars(a)
-            assert check_tnp_snr(a, k) == check_tnp_snr(fresh(), k)
-            assert tnp_lcp_sufficient_check(a, k) == tnp_lcp_sufficient_check(fresh(), k)
+            with built_tables() as tables:
+                verdicts.append(check_by_minor_definition(a, ClassQuery("tnp", k)).holds)
+                assert not tables
+                assert check_tnp_snr(a, k) == check_tnp_snr(fresh(), k)
+                assert tnp_lcp_sufficient_check(a, k) == tnp_lcp_sufficient_check(fresh(), k)
             windows = [(rows, cols) for r in range(1, k + 1) for rows in itertools.combinations(range(a.rows), r)
                        for cols in itertools.combinations(range(a.cols), r)]
             rng.shuffle(windows)
             b = fresh()
             check_by_minor_definition(b, ClassQuery("tnp", k))
-            c = fresh().minor_table
+            after, c = MinorTable(b), MinorTable(fresh())
             for rows, cols in windows:
                 rmask, cmask = sum(1 << i for i in rows), sum(1 << j for j in cols)
-                assert b.minor_table.minor_of_masks(rmask, cmask) == c.minor_of_masks(rmask, cmask)
-            assert stored_minors(a.minor_table) <= cap and stored_minors(b.minor_table) <= cap
+                assert after.minor_of_masks(rmask, cmask) == c.minor_of_masks(rmask, cmask)
+            assert all(stored_minors(table) <= cap for table in [after, *(table for _, table in tables)])
     assert verdicts == [True, False]  # the second minor definition stops at its failure
 
 
 def test_threads_sharing_one_matrix_get_the_verdicts_of_one_thread():
     """Threads that sweep one matrix at once, with a switch interval of a
-    microsecond, get the verdicts one thread gets and leave only true minors
-    in the shared table: the table draws one level at a time, and a level
-    another thread drew is read back."""
+    microsecond, get the verdicts one thread gets, and each complementarity
+    sweep builds a table of its own that holds only true minors: the matrix
+    shares nothing mutable between the threads."""
     base = generate_tnp((6, 6), 6, seed=2).matrix
     sweeps = [
         lambda a: check_by_minor_definition(a, ClassQuery("tnp", 6)),
@@ -652,15 +655,18 @@ def test_threads_sharing_one_matrix_get_the_verdicts_of_one_thread():
                 results[i] = sweeps[i % len(sweeps)](a)
 
             threads = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
+            with built_tables() as tables:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
             assert not any(t.is_alive() for t in threads)
             assert results == expected * 2
-            table = a.minor_table
-            for key, value in table._values.items():
-                rows0, cols0 = tuple(_bits(key >> a.cols)), tuple(_bits(key & ((1 << a.cols) - 1)))
-                assert Fraction(value, table.scale(rows0)) == minors[tuple(i + 1 for i in rows0), tuple(j + 1 for j in cols0)]
+            assert [matrix for matrix, _ in tables] == [a, a]  # the two complementarity sweeps
+            for _, table in tables:
+                assert stored_minors(table) > 0
+                for key, value in table._values.items():
+                    rows0, cols0 = tuple(_bits(key >> a.cols)), tuple(_bits(key & ((1 << a.cols) - 1)))
+                    assert Fraction(value, table.scale(rows0)) == minors[tuple(i + 1 for i in rows0), tuple(j + 1 for j in cols0)]
     finally:
         sys.setswitchinterval(switch)

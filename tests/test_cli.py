@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from totneg import cli
 from totneg.cli import _dumps, build_parser, main
+from totneg.errors import InvariantError
+
+from oracles import built_tables
 
 
 @pytest.fixture()
@@ -813,3 +816,62 @@ def test_a_zero_denominator_is_a_usage_error(files, tmp_path, capsys):
     entry = tmp_path / "entry.txt"
     entry.write_text("1 1\n-1/0\n")
     assert main(["check", str(entry), "--class", "tn", "--order", "1"]) == 2
+
+
+def test_verify_witness_on_a_deeply_nested_report_is_a_usage_error(tmp_path, capsys):
+    """A report nested past the JSON reader's recursion limit is malformed: exit 2
+    with a message, not a RecursionError traceback with exit 1, the code of a
+    failed witness check."""
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(["verify-witness", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: malformed report: ") and "Traceback" not in err
+
+
+def test_a_broken_internal_invariant_exits_4(files, monkeypatch, capsys):
+    """An InvariantError marks a defect in the program, never a verdict: the
+    command prints it as an internal error and exits 4, not 1."""
+    import totneg.generate
+
+    def broken(a, k):
+        raise InvariantError("support solution [1] / 1 is not complementary")
+
+    monkeypatch.setattr(totneg.generate, "lcp_single_vector_check", broken)
+    assert main(["check", str(files["n3"]), "--class", "tn", "--order", "3", "--method", "lcp"]) == cli.EXIT_INTERNAL == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == "internal error: support solution [1] / 1 is not complementary\n"
+
+
+def test_only_a_complementarity_sweep_builds_a_minor_table(files, tmp_path, capsys):
+    """Each complementarity sweep builds one minor table and no command runs
+    two: ``check --method all`` of either class, ``--method lcp`` and
+    ``lcp --single-vector`` build one each, and every other command builds none."""
+    n3, tnp, near = str(files["n3"]), str(files["tnp"]), str(files["near_miss"])
+    report = tmp_path / "lcp_report.json"
+    one = [
+        ["check", n3, "--class", "tn", "--order", "3", "--method", "all"],
+        ["check", tnp, "--class", "tnp", "--order", "3", "--method", "all"],
+        ["check", n3, "--class", "tn", "--order", "3", "--method", "lcp"],
+        ["check", near, "--class", "tn", "--order", "2", "--method", "lcp", "--json"],
+        ["lcp", str(files["lcp_n2"]), "--single-vector", "--order", "2"],
+    ]
+    none = [
+        ["check", path, "--class", cls, "--order", order, "--method", method]
+        for path, cls, order in ((n3, "tn", "3"), (tnp, "tnp", "3"), (near, "tn", "2"))
+        for method in ("minors", "contiguous", "snr", "vd")
+    ]
+    none += [["hull", str(files[name]), "--class", cls, "--order", "2"] for name in ("hull", "hull_same") for cls in ("tn", "tnp")]
+    none += [
+        ["lcp", str(files["lcp"]), "--enumerate"],
+        ["generate", "--class", "tn", "--shape", "3x3", "--count", "1", "--seed", "0", "--out-dir", str(tmp_path / "gen")],
+        ["verify-witness", str(report)],
+    ]
+    for argv in one + none:
+        with built_tables() as tables:
+            assert main(argv) in (0, 1), argv
+        out = capsys.readouterr().out
+        if "--json" in argv:
+            report.write_text(out)
+        assert len(tables) == (1 if argv in one else 0), argv
+    assert json.loads(report.read_text())["methods"][0]["witness"]["kind"] == "lcp_solution_mismatch"

@@ -26,6 +26,7 @@ from totneg.generate import (
 from totneg.matrix import det_of_rows, parse_matrix
 
 from oracles import (
+    built_tables,
     generate_n_matrix,
     generate_tn_of_order,
     is_entrywise_negative,
@@ -173,21 +174,16 @@ def test_generator_budget_errors():
         generate_tn((2, 2), 2, seed=1, budget=0)
 
 
-def test_cross_validate_builds_one_minor_table(monkeypatch):
-    import totneg.matrix
-
-    built = []
-    original = totneg.matrix.MinorTable.__init__
-
-    def counting_init(self, a):
-        built.append(a)
-        original(self, a)
-
-    monkeypatch.setattr(totneg.matrix.MinorTable, "__init__", counting_init)
+def test_cross_validate_builds_one_minor_table():
+    """Each call builds one table, for its one complementarity sweep, and
+    shares none with the next call on the same matrix."""
     a = generate_tn((4, 4), 4, seed=5).matrix
-    tn, tnp = cross_validate(a, 4, "tn"), cross_validate(a, 4, "tnp")
+    with built_tables() as tables:
+        tn = cross_validate(a, 4, "tn")
+        assert [matrix for matrix, _ in tables] == [a]
+        tnp = cross_validate(a, 4, "tnp")
     assert tn.holds and tn.agree and tnp.agree
-    assert built == [a]
+    assert [matrix for matrix, _ in tables] == [a, a] and tables[0][1] is not tables[1][1]
 
 
 @st.composite

@@ -47,6 +47,7 @@ from totneg.matrix import (
 from oracles import (
     _solve_linear,
     all_windows,
+    built_tables,
     contiguous_windows,
     count_solutions_for_positive_q,
     disjoint_support_pair_check,
@@ -273,11 +274,12 @@ def test_single_vector_prescribed_q_is_positive_on_certified_instances(n3):
     mats = [n3] + [generate_tn((4, 4), 4, seed=900 + s).matrix for s in range(3)]
     for a in mats:
         kmax = min(a.rows, a.cols)
+        table = lcp.MinorTable(a)
         for r in range(2, kmax + 1):
             for rows0, cols0 in contiguous_windows(a.rows, a.cols, r):
                 sub = take(a, rows0, cols0)
                 x = single_vector_x(sub)
-                xs, lcm = lcp._single_vector_ints(a.minor_table, index_set(rows0), index_set(cols0))
+                xs, lcm = window_vector(table, rows0, cols0)
                 assert tuple(Fraction(v, lcm) for v in xs) == x
                 q = sub.matvec(x)
                 assert all(v > 0 for v in q)
@@ -513,9 +515,9 @@ def test_the_sweeps_enumerate_no_support_of_a_1x1_window(monkeypatch, zero_row_t
     sizes = []
     real = lcp._support_candidates
 
-    def spy(a, rows0, cols0, *args):
+    def spy(table, rows0, cols0, *args):
         sizes.append(len(rows0))
-        return real(a, rows0, cols0, *args)
+        return real(table, rows0, cols0, *args)
 
     monkeypatch.setattr(lcp, "_support_candidates", spy)
     tn = generate_tn((4, 4), 4, seed=5).matrix
@@ -546,9 +548,9 @@ def test_single_vector_check_refuses_windows_beyond_the_lcp_size(monkeypatch):
     sizes = []
     real = lcp._single_vector_ints
 
-    def spy(table, rows, cols, weights=None):
-        sizes.append(len(rows[0]))
-        return real(table, rows, cols, weights)
+    def spy(table, terms, cols):
+        sizes.append(len(cols[0]))
+        return real(table, terms, cols)
 
     monkeypatch.setattr(lcp, "_single_vector_ints", spy)
     assert lcp_single_vector_check(a, 3).holds
@@ -582,27 +584,34 @@ def index_set(idx):
     return tuple(idx), mask, tuple(mask ^ (1 << i) for i in idx)
 
 
+def window_vector(table, rows0, cols0):
+    """(X, L) of the default single-vector test vector of the window (rows0, cols0), read off the table."""
+    terms, lcm = lcp._weighted_deletions(table, index_set(rows0), lcp._FIRST_ROW)
+    return lcp._single_vector_ints(table, terms, index_set(cols0)), lcm
+
+
 def whole_window(a):
-    """(X, L) of the single-vector test vector of the whole square matrix."""
-    full = index_set(range(a.rows))
-    return lcp._single_vector_ints(a.minor_table, full, full)
+    """(table, X, L): a fresh minor table of the square matrix, and the
+    single-vector test vector of the whole matrix read off it."""
+    table = lcp.MinorTable(a)
+    return (table, *window_vector(table, range(a.rows), range(a.cols)))
 
 
-def window_keys(a, rows0, cols0):
+def window_keys(table, rows0, cols0):
     """The row keys and column masks that the sweeps pass for the window (rows0, cols0)."""
-    return lcp._position_keys(1 << i << a.cols for i in rows0), lcp._position_keys(1 << j for j in cols0)
+    return lcp._position_keys(1 << i << table._ncols for i in rows0), lcp._position_keys(1 << j for j in cols0)
 
 
-def support_candidates(a, rows0, cols0, xs, qs, whole=False):
+def support_candidates(table, rows0, cols0, xs, qs, whole=False):
     """The library's candidate stream of one window, called as the sweeps call it;
-    ``whole`` when its table keeps every level up to the window size."""
-    return lcp._support_candidates(a, rows0, cols0, xs, qs, *window_keys(a, rows0, cols0), whole)
+    ``whole`` when the table keeps every level up to the window size."""
+    return lcp._support_candidates(table, rows0, cols0, xs, qs, *window_keys(table, rows0, cols0), whole)
 
 
-def window_holds(a, rows0, cols0, xs):
+def window_holds(table, rows0, cols0, xs):
     """The single-vector judge on one window, given what the window generator yields."""
-    qs = lcp._scaled_image(a.minor_table, rows0, cols0, xs)
-    return lcp._window_holds(xs, qs, support_candidates(a, rows0, cols0, xs, qs))
+    qs = lcp._scaled_image(table, rows0, cols0, xs)
+    return lcp._window_holds(xs, qs, support_candidates(table, rows0, cols0, xs, qs))
 
 
 def test_finite_singular_window_keeps_an_isolated_point_of_a_one_dimensional_kernel(monkeypatch):
@@ -612,9 +621,9 @@ def test_finite_singular_window_keeps_an_isolated_point_of_a_one_dimensional_ker
     a = ExactMatrix.from_rows([[-2, 1, -1, 0], [1, 1, -2, 0], [-2, 1, -1, 0], [-1, 0, 0, -2]])
     full = (0, 1, 2, 3)
     seen = spy_on_support_solutions(monkeypatch)
-    xs, lcm = whole_window(a)
-    candidates = list(support_candidates(a, full, full, xs, lcp._scaled_image(a.minor_table, full, full, xs)))
-    holds = window_holds(a, full, full, xs)
+    table, xs, lcm = whole_window(a)
+    candidates = list(support_candidates(table, full, full, xs, lcp._scaled_image(table, full, full, xs)))
+    holds = window_holds(table, full, full, xs)
     solutions = lambda points: {tuple(Fraction(z, d * lcm) for z in zs) for d, zs, _ in points}  # noqa: E731
     assert any(fv(2, 0, 6, 0) in solutions(points) and not families for _, _, (points, families) in seen)
     assert None not in candidates
@@ -638,8 +647,8 @@ def test_zero_principal_block_is_decided_by_fourier_motzkin(monkeypatch):
     dims = []
     monkeypatch.setattr(lcp, "_fm_feasible_point", lambda cons, dim: dims.append(dim) or real(cons, dim))
     report = tnp_lcp_sufficient_check(a, 3)
-    xs, lcm = whole_window(a)
-    holds = window_holds(a, (0, 1, 2), (0, 1, 2), xs)
+    table, xs, lcm = whole_window(a)
+    holds = window_holds(table, (0, 1, 2), (0, 1, 2), xs)
     assert 2 in dims
     monkeypatch.setattr(lcp, "_fm_feasible_point", real)
     assert report == solver_tnp_sufficient_check(a, 3)
@@ -655,12 +664,12 @@ def test_a_window_ends_at_its_first_solution_family(monkeypatch):
     full = (0, 1, 2)
     report = tnp_lcp_sufficient_check(a, 3)
     seen = spy_on_support_solutions(monkeypatch)
-    xs, _ = whole_window(a)
-    assert None in support_candidates(a, full, full, xs, lcp._scaled_image(a.minor_table, full, full, xs))
+    table, xs, _ = whole_window(a)
+    assert None in support_candidates(table, full, full, xs, lcp._scaled_image(table, full, full, xs))
     (size, support, (_, families)), = seen
     assert size == 3 and support == (0,) and families
     seen.clear()
-    assert not window_holds(a, full, full, xs)
+    assert not window_holds(table, full, full, xs)
     assert len(seen) == 1
     assert report == solver_tnp_sufficient_check(a, 3)
     assert not solve_lcp_on_fractions(LCPInstance(a, a.matvec(single_vector_x(a)))).is_finite
@@ -679,7 +688,8 @@ def test_the_complementarity_condition_walks_no_window_whose_test_vector_is_zero
     report and no support of it is solved."""
     a = ExactMatrix.from_rows(rows)
     zero = [(r0, c0) for r in range(3, a.rows + 1) for r0, c0 in all_windows(a.rows, a.cols, r)]
-    assert all(not any(lcp._single_vector_ints(a.minor_table, index_set(r0), index_set(c0))[0]) for r0, c0 in zero)
+    table = lcp.MinorTable(a)
+    assert all(not any(window_vector(table, r0, c0)[0]) for r0, c0 in zero)
     seen = spy_on_support_solutions(monkeypatch)
     report = tnp_lcp_sufficient_check(a, a.rows)
     assert not seen  # and the 2x2 windows are decided in closed form
@@ -798,12 +808,12 @@ def test_the_complementarity_condition_solves_no_support_of_a_2x2_window(monkeyp
         real = getattr(lcp, name)
         monkeypatch.setattr(lcp, name, lambda *args: sizes.append((name, size_of(*args))) or real(*args))
 
-    spy("_single_vector_ints", lambda table, rows, cols, weights=None: len(rows[0]))
-    spy("_support_candidates", lambda a, rows0, *rest: len(rows0))
+    spy("_single_vector_ints", lambda table, terms, cols: len(cols[0]))
+    spy("_support_candidates", lambda table, rows0, *rest: len(rows0))
     spy("_support_solutions", lambda rows, q, support: len(rows))
     filled = []
-    real_fill = matrix.MinorTable.fill
-    monkeypatch.setattr(matrix.MinorTable, "fill", lambda table, r: filled.append(r) or real_fill(table, r))
+    real_fill = lcp.MinorTable.fill
+    monkeypatch.setattr(lcp.MinorTable, "fill", lambda table, r: filled.append(r) or real_fill(table, r))
     order = min(a.rows, a.cols)
     reports = [tnp_lcp_sufficient_check(a, k) for k in range(2, order + 1)]
     assert all(size >= 3 for _, size in sizes)
@@ -910,7 +920,7 @@ def test_rank_one_tnp_instance_is_checked_on_integers(monkeypatch):
     a = generate_tnp((5, 5), 5, seed=1).matrix
     assert all(minor_det(a, [i + 1 for i in r], [j + 1 for j in c]) == 0 for r, c in all_windows(5, 5, 2))
     expected = solver_tnp_sufficient_check(a, 5)
-    a.minor_table  # noqa: B018 -- built before row_list is refused
+    a.integer_rows  # noqa: B018 -- the rows are scaled before row_list is refused
 
     def refuse(*args):
         raise AssertionError("a window's Fraction rows were built")
@@ -923,8 +933,8 @@ def test_rank_one_tnp_instance_is_checked_on_integers(monkeypatch):
     report = tnp_lcp_sufficient_check(a, 5)
     # the check skips every window of size 3 or more (X = 0 there), so walk the whole one
     full = (0, 1, 2, 3, 4)
-    xs, _ = whole_window(a)
-    list(support_candidates(a, full, full, xs, lcp._scaled_image(a.minor_table, full, full, xs)))
+    table, xs, _ = whole_window(a)
+    list(support_candidates(table, full, full, xs, lcp._scaled_image(table, full, full, xs)))
     monkeypatch.undo()
     assert dims  # Fourier-Motzkin decided some support
     assert report == expected
@@ -941,14 +951,15 @@ def test_fourier_motzkin_blow_up_refuses_with_exit_3(monkeypatch, tmp_path, caps
     assert "Fourier-Motzkin constraint blow-up" in capsys.readouterr().err
 
 
-def window_stream(enumerate_supports, a, rows0, cols0, xs=None):
-    """The candidate stream of one window and the count of minors its table then
+def window_stream(enumerate_supports, table, rows0, cols0, xs=None):
+    """The candidate stream of one window and the count of minors the table then
     keeps; X is the window's test vector unless given (-1 on a 1x1 window)."""
-    table = a.minor_table
-    if xs is None:
-        xs = [-1] if len(rows0) == 1 else lcp._single_vector_ints(table, index_set(rows0), index_set(cols0))[0]
+    if xs is None and len(rows0) == 1:
+        xs = [-1]
+    elif xs is None:
+        xs, _ = window_vector(table, rows0, cols0)
     qs = lcp._scaled_image(table, rows0, cols0, xs)
-    return list(enumerate_supports(a, rows0, cols0, xs, qs)), stored_minors(table)
+    return list(enumerate_supports(table, rows0, cols0, xs, qs)), stored_minors(table)
 
 
 def distinct_values(candidates):
@@ -969,7 +980,7 @@ def assert_streams_match(rows, windows, xs=None):
     order of first appearance, and read the same minors, window after window on
     one table each; the kernel yields -x once per window, the reference at every
     support that holds each position where x is nonzero."""
-    new, old = ExactMatrix.from_rows(rows), ExactMatrix.from_rows(rows)
+    new, old = (lcp.MinorTable(ExactMatrix.from_rows(rows)) for _ in range(2))
     for rows0, cols0 in windows:
         expected, expected_stored = window_stream(reference_support_candidates, old, rows0, cols0, xs)
         candidates, stored = window_stream(support_candidates, new, rows0, cols0, xs)
@@ -1036,10 +1047,10 @@ def test_slacks_first_on_whole_levels_give_the_reference_stream_and_store_nothin
     all-zero level 2, so ``fill`` is False there and the kernel takes the
     lookups that may miss."""
     for a in (generate_tn((7, 7), 7, seed=0).matrix, generate_tnp((6, 6), 6, seed=0).matrix):
-        new, old = ExactMatrix.from_rows(a.row_list()), ExactMatrix.from_rows(a.row_list())
+        new, old = (lcp.MinorTable(ExactMatrix.from_rows(a.row_list())) for _ in range(2))
         for rows0, cols0 in every_window(a):
-            assert new.minor_table.fill(len(rows0))
-            stored = stored_minors(new.minor_table)
+            assert new.fill(len(rows0))
+            stored = stored_minors(new)
             xs = [-1] if len(rows0) == 1 else None
             candidates, after = window_stream(
                 lambda *args: support_candidates(*args, whole=True), new, rows0, cols0, xs
@@ -1056,8 +1067,10 @@ def test_a_window_past_the_retained_plans_matches_the_reference():
     band = [[-(1 + i * j % 3) if abs(i - j) <= 1 else 0 for j in range(n)] for i in range(n)]
     full = tuple(range(n))
     xs = [-1] + [0] * (n - 1)
-    candidates, stored = window_stream(support_candidates, ExactMatrix.from_rows(band), full, full, xs)
-    expected, expected_stored = window_stream(reference_support_candidates, ExactMatrix.from_rows(band), full, full, xs)
+    candidates, stored = window_stream(support_candidates, lcp.MinorTable(ExactMatrix.from_rows(band)), full, full, xs)
+    expected, expected_stored = window_stream(
+        reference_support_candidates, lcp.MinorTable(ExactMatrix.from_rows(band)), full, full, xs
+    )
     assert distinct_values(candidates) == distinct_values(expected)
     assert stored == expected_stored
     # the reference yields -x at each of the 4,096 supports that hold position 1; the
@@ -1102,14 +1115,14 @@ def test_pair_with_distinct_images_on_copies_distinct_images_and_ties():
     assert lcp._pair_with_distinct_images(tie) == reference_pair_with_distinct_images(tie) == (tie[0], tie[1])
 
 
-def test_a_cold_single_vector_check_eliminates_no_more_minors(monkeypatch):
+def test_a_cold_single_vector_check_eliminates_no_more_minors(eliminations):
     """The levels up to r are drawn before the windows of size r, so every
     support minor is a lookup: a cold 7x7 check eliminates no minor and keeps
     all 3,431 (the sum over s of C(7, s)^2)."""
     a = parse_matrix(generate_tn((7, 7), 7, seed=0).matrix.to_text())
-    sizes = []
-    real = matrix.det_of_rows
-    monkeypatch.setattr(matrix, "det_of_rows", lambda rows: sizes.append(len(rows)) or real(rows))
-    assert lcp_single_vector_check(a, 7).holds
-    assert sizes == []
-    assert stored_minors(a.minor_table) == 3431
+    eliminations.clear()
+    with built_tables() as tables:
+        assert lcp_single_vector_check(a, 7).holds
+    assert eliminations == []
+    (matrix_read, table), = tables
+    assert matrix_read is a and stored_minors(table) == 3431

@@ -25,6 +25,7 @@ from totneg import (
     cofactor_minor,
     contiguous_minors_up_to,
     det,
+    lcp_single_vector_check,
     minor_det,
     minors_up_to,
     parse_lcp_input,
@@ -33,14 +34,17 @@ from totneg import (
     submatrix,
     to_fraction,
 )
+from totneg import lcp as lcp_module
 from totneg import matrix as matrix_module
 from totneg.errors import InvariantError
 from totneg.generate import generate_tn
-from totneg.matrix import MinorTable, det_of_rows, format_fraction, parse_rational, solve_window
+from totneg.lcp import MinorTable
+from totneg.matrix import det_of_rows, format_fraction, parse_rational, solve_window
 
 from oracles import (
     adjugate_numerators,
     all_windows,
+    built_tables,
     det_by_cofactor_expansion,
     first_entry_violating,
     identity,
@@ -376,7 +380,7 @@ def test_minor_streams_match_the_per_minor_fraction_reference(a, data):
         assert all(type(rec.value) is Fraction for rec in records)
 
 
-@pytest.mark.parametrize("cap", [matrix_module.MAX_STORED_MINORS, 40, 0])
+@pytest.mark.parametrize("cap", [lcp_module.MAX_STORED_MINORS, 40, 0])
 @settings(max_examples=40, deadline=None)
 @given(
     table_matrices(),
@@ -401,7 +405,7 @@ def test_condensed_levels_match_the_per_minor_fraction_reference(cap, a, fills, 
         for rec in reference_minors_up_to(a, k)
     }
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(matrix_module, "MAX_STORED_MINORS", cap)
+        patch.setattr(lcp_module, "MAX_STORED_MINORS", cap)
         tables = [MinorTable(a) for _ in range(2)]
         for table, fill in zip(tables, fills):
             table.fill(min(fill, k))
@@ -423,34 +427,32 @@ def test_condensed_levels_match_the_per_minor_fraction_reference(cap, a, fills, 
         assert all(stored_minors(table) <= cap for table in tables)
 
 
-def test_minor_streams_build_no_minor_table(monkeypatch):
-    def refuse(self, a):
-        raise AssertionError("a minor stream read the minor table")
-
-    monkeypatch.setattr(MinorTable, "__init__", refuse)
+def test_minor_streams_build_no_minor_table():
     a = ExactMatrix.from_rows([[-1, Fraction(-2, 3), -4], [Fraction(-5, 2), -3, -5], [-4, -5, Fraction(-6, 7)]])
-    assert len(list(minors_up_to(a, 3))) == 19
-    assert len(list(contiguous_minors_up_to(a, 3))) == 14
+    with built_tables() as tables:
+        assert len(list(minors_up_to(a, 3))) == 19
+        assert len(list(contiguous_minors_up_to(a, 3))) == 14
+    assert not tables
 
 
 def test_minor_table_beyond_its_storage_cap_still_matches(monkeypatch):
-    monkeypatch.setattr(matrix_module, "MAX_STORED_MINORS", 40)
+    monkeypatch.setattr(lcp_module, "MAX_STORED_MINORS", 40)
     rng = random.Random(5)
     a = ExactMatrix.from_rows([[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(5)] for _ in range(5)])
-    table = a.minor_table
+    table = MinorTable(a)
     values = [table_value(table, tuple(i - 1 for i in rec.rows), tuple(j - 1 for j in rec.cols)) for rec in minors_up_to(a, 5)]
     assert values == [rec.value for rec in minors_up_to(a, 5)]
     assert stored_minors(table) == 40
 
 
-@pytest.mark.parametrize("cap", [matrix_module.MAX_STORED_MINORS, 500, 40, 0])
+@pytest.mark.parametrize("cap", [lcp_module.MAX_STORED_MINORS, 500, 40, 0])
 def test_minor_stream_at_any_table_cap_eliminates_nothing(monkeypatch, eliminations, cap):
     """The table's cap does not reach the condensation sweep, which keeps its two
     levels below at every size: at each cap a 7x7 with a repeated row (zero inner
     minors) still matches the per-minor Fraction reference, and neither it, nor a
     totally negative 7x7, nor the minor definition's scan of the latter
     eliminates a minor."""
-    monkeypatch.setattr(matrix_module, "MAX_STORED_MINORS", cap)
+    monkeypatch.setattr(lcp_module, "MAX_STORED_MINORS", cap)
     rng = random.Random(5)
     rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(7)] for _ in range(7)]
     rows[5] = list(rows[2])
@@ -481,7 +483,7 @@ def test_a_12x12_sweep_condenses_every_level_from_both_levels_below(eliminations
     ints = [[rng.randint(-3, 3) for _ in range(12)] for _ in range(12)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matrix_module, "_condensed_rows", route)
-        patch.setattr(matrix_module, "MAX_STORED_MINORS", 0)
+        patch.setattr(lcp_module, "MAX_STORED_MINORS", 0)
         for s, level in enumerate(matrix_module._int_minor_levels(ints, 12), 1):
             if s in (6, 9, 12):
                 kept[s] = level
@@ -507,7 +509,7 @@ def test_fill_is_whole_only_while_every_level_up_to_it_is_kept(monkeypatch):
     real = matrix_module._condensed_rows
     monkeypatch.setattr(matrix_module, "_condensed_rows", lambda ints, s, *rest: built.append(s) or real(ints, s, *rest))
     rng = random.Random(12)
-    table = ExactMatrix.from_rows([[rng.randint(-3, 3) for _ in range(12)] for _ in range(12)]).minor_table
+    table = MinorTable(ExactMatrix.from_rows([[rng.randint(-3, 3) for _ in range(12)] for _ in range(12)]))
     assert not table.fill(12)
     assert not table.fill(10)
     assert table.fill(3)
@@ -521,7 +523,7 @@ def test_fill_raises_when_the_sweep_ends_before_a_level_that_fits(monkeypatch):
     that fits: that fill raises the refusal, and a later one, finding the sweep
     ended, raises an invariant error (not an assert) and counts no level more."""
     monkeypatch.setattr(matrix_module, "MAX_LEVEL_MINORS", 5)
-    table = ExactMatrix.from_rows([[-1, -2, -3], [-2, -5, -7], [-3, -7, -12]]).minor_table
+    table = MinorTable(ExactMatrix.from_rows([[-1, -2, -3], [-2, -5, -7], [-3, -7, -12]]))
     with pytest.raises(ResourceLimitError):
         table.fill(2)
     with pytest.raises(InvariantError, match="ended before level 2"):
@@ -592,7 +594,7 @@ def test_minor_stream_expands_a_minor_whose_inner_minor_is_zero(eliminations):
 def test_minor_table_eliminates_a_large_window_without_its_subminors():
     rng = random.Random(11)
     a = ExactMatrix.from_rows([[Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(24)] for _ in range(24)])
-    table = a.minor_table
+    table = MinorTable(a)
     assert table_value(table, tuple(range(24)), tuple(range(24))) == det(a)
     assert stored_minors(table) == 1
 
@@ -694,8 +696,9 @@ def test_window_solve_returns_the_minor_and_the_adjugate_numerators(case):
     realized = alpha.realized(r)
     lcm = math.lcm(*(v.denominator for v in realized))
     coeffs = [int(v * lcm) for v in realized]
-    value, numerators = solve_window(a, rows0, cols0, coeffs)
-    assert "minor_table" not in vars(a)
+    with built_tables() as tables:
+        value, numerators = solve_window(a, rows0, cols0, coeffs)
+    assert not tables
     reference = MinorTable(a)
     assert value == reference.minor_of_masks(*masks(rows0, cols0))
     if r > 1:
@@ -736,7 +739,7 @@ def alpha_coeffs(alpha: AlphaChoice, k: int) -> list[int]:
     return [int(v * lcm) for v in realized]
 
 
-@pytest.mark.parametrize("cap", [matrix_module.MAX_STORED_MINORS, 40])
+@pytest.mark.parametrize("cap", [lcp_module.MAX_STORED_MINORS, 40])
 @settings(max_examples=60, deadline=None)
 @given(level_cases())
 def test_level_sweep_matches_a_fresh_table_window_by_window(cap, case):
@@ -751,7 +754,7 @@ def test_level_sweep_matches_a_fresh_table_window_by_window(cap, case):
     coeffs = alpha_coeffs(alpha, k)
     streamed = streamed_windows(a, k, coeffs)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(matrix_module, "MAX_STORED_MINORS", cap)
+        patch.setattr(lcp_module, "MAX_STORED_MINORS", cap)
         fresh, filled = MinorTable(a), MinorTable(a)
         filled.fill(k)
         for table in (fresh, filled):
@@ -783,8 +786,14 @@ def test_the_level_stream_matches_the_fraction_reference_window_by_window(choice
 
 
 def test_a_matrix_pickles_and_copies_without_its_minor_table():
+    """A matrix holds no table: a pickle or copy of one that a complementarity
+    sweep has read carries its entries and cached scaled rows only, and a table
+    built on the copy stores what one built on the original stores."""
     a = generate_tn((5, 5), 5, seed=0).matrix
-    a.minor_table.fill(5)
+    with built_tables() as tables:
+        assert lcp_single_vector_check(a, 5).holds
+    assert [matrix for matrix, _ in tables] == [a]
     for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
-        assert b == a and "minor_table" not in vars(b)
-        assert b.minor_table.fill(5) and b.minor_table._values == a.minor_table._values
+        assert b == a and set(vars(b)) <= {"rows", "cols", "entries", "integer_rows", "_entry_signs"}
+        table, original = MinorTable(b), MinorTable(a)
+        assert table.fill(5) and original.fill(5) and table._values == original._values == tables[0][1]._values
